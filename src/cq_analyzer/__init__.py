@@ -31,11 +31,8 @@ from .dependence import (
 from .expr import Expression, finite_diff_gradient, parse
 from .kkt import (
     KktReport,
-    compute_multipliers,
     kkt_report,
-    linearized_primal_value,
     stationarity_residual,
-    verify_candidate,
 )
 from .model import (
     ConstraintSystem,
@@ -50,8 +47,6 @@ from .rank import (
     NeighborhoodSampler,
     check_crc,
     check_rcrcq,
-    dual_basis_image_check,
-    dual_vectors,
     numerical_rank,
 )
 from .tangent import (
@@ -80,12 +75,9 @@ __all__ = [
     "check_crc",
     "check_rcrcq",
     "classify_dependence",
-    "compute_multipliers",
     "cone_member",
     "critical_active_set",
-    "dual_basis_image_check",
     "dual_cone_member",
-    "dual_vectors",
     "evaluate_point",
     "feasibility_check",
     "finite_diff_gradient",
@@ -93,7 +85,6 @@ __all__ = [
     "kernel_basis",
     "kkt_report",
     "laszlo_test",
-    "linearized_primal_value",
     "ljusternik_correct",
     "load_problem_file",
     "numerical_rank",
@@ -104,6 +95,5 @@ __all__ = [
     "sample_cone_directions",
     "stationarity_residual",
     "tangent_direction_estimate",
-    "verify_candidate",
     "witness_check",
 ]

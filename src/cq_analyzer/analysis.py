@@ -4,6 +4,11 @@ Each section is rendered to a plain dict (the single representation both
 report formats consume).  Numerical failures inside one analysis do not
 abort the others: the section becomes ``{"error": ..., "error_kind": ...}``
 and the exit-code mapping treats it as inconclusive.
+
+When a run has both an ``rcrcq`` and a ``kkt`` section, the ``kkt`` section
+also carries the asserted-minimum check: a certified constant-rank
+qualification at a local minimum implies that multipliers exist, so their
+absence under ``assert_local_min`` is flagged as a contradiction.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from .dependence import ReconstructionError, classify_dependence, image_dimensio
 from .expr import DomainEvaluationError
 from .kkt import MissingObjectiveError, kkt_report
 from .model import ConstraintDomainError, ConstraintSystem, active_set, evaluate_point
-from .rank import SubsetGuardError, check_rcrcq
+from .rank import CERTIFIED, REFUTED, SubsetGuardError, check_rcrcq
 from .tangent import InfeasibleBasePointError, abadie_verdict
 
 __all__ = ["ALL_ANALYSES", "exit_code_for", "run_analyses", "summary_line"]
@@ -89,7 +94,34 @@ def run_analyses(
             sections[name] = _RUNNERS[name](sys, x0, cfg)
         except _CAPTURED as err:
             sections[name] = {"error": str(err), "error_kind": type(err).__name__}
+    rcrcq, kkt = sections.get("rcrcq"), sections.get("kkt")
+    if rcrcq and kkt and "error" not in rcrcq and "error" not in kkt:
+        _check_asserted_minimum(kkt, rcrcq["verdict"], cfg.assert_local_min)
     return sections
+
+
+def _check_asserted_minimum(kkt: dict, rcrcq_verdict: str, assert_local_min: bool) -> None:
+    """Add ``contradiction`` and ``notes`` to a kkt section.
+
+    The local-minimum property itself is never verified: a contradiction
+    indicts the assertion, the sampling, or the tolerances.
+    """
+    no_multipliers = not kkt["dual_feasible"]
+    contradiction = assert_local_min and rcrcq_verdict == CERTIFIED and no_multipliers
+    notes = []
+    if contradiction:
+        notes.append(
+            "constant rank certified and the point is asserted to be a "
+            "local minimum, yet no multipliers exist: the assertion, the "
+            "sampling, or the tolerances must be wrong"
+        )
+    if no_multipliers and rcrcq_verdict == REFUTED:
+        notes.append(
+            "no multipliers and the constant-rank qualification is refuted: "
+            "multiplier existence is not implied for this point"
+        )
+    kkt["contradiction"] = contradiction
+    kkt["notes"] = notes
 
 
 def _section_code(name: str, section: Optional[dict]) -> int:

@@ -86,6 +86,8 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args, file_options_cfg: ToolConfig) -> ToolConfig:
+    if args.samples is not None and args.samples < 1:
+        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
     updates = {}
     for attr, value in (
         ("tol_rank", args.tol_rank),

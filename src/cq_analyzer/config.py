@@ -27,7 +27,6 @@ class ToolConfig:
     samples_per_radius: int = 32
     t_schedule: tuple[float, ...] = DEFAULT_T_SCHEDULE
     ratio_tol: float = 1e-3
-    slope_margin: float = 0.5
     direction_count: int = 16
     estimate_probes: int = 32
     angular_tol: float = 1e-2
@@ -40,12 +39,12 @@ class ToolConfig:
     def with_options(self, **kw) -> "ToolConfig":
         return replace(self, **kw)
 
-    def sampler(self, center, seed_offset: int = 0) -> NeighborhoodSampler:
+    def sampler(self, center) -> NeighborhoodSampler:
         return NeighborhoodSampler(
             center=tuple(float(c) for c in center),
             radii=self.radii,
             samples_per_radius=self.samples_per_radius,
-            seed=self.seed + seed_offset,
+            seed=self.seed,
         )
 
     def to_dict(self) -> dict:
@@ -60,7 +59,6 @@ class ToolConfig:
             "samples_per_radius": self.samples_per_radius,
             "t_schedule": list(self.t_schedule),
             "ratio_tol": self.ratio_tol,
-            "slope_margin": self.slope_margin,
             "direction_count": self.direction_count,
             "estimate_probes": self.estimate_probes,
             "angular_tol": self.angular_tol,

@@ -18,7 +18,7 @@ from .config import ToolConfig
 from .dependence import witness_check
 from .expr import parse
 from .problem import ProblemFile, load_problem_file
-from .rank import NeighborhoodSampler
+from .report import REPORT_VERSION
 
 __all__ = ["CORPUS", "CorpusCase", "corpus_path", "load_case", "run_case", "run_all"]
 
@@ -197,116 +197,95 @@ def _approx(a: float, b: float, tol: float = 1e-8) -> bool:
     return abs(a - b) <= tol
 
 
-def _check(checks: list, label: str, expected, actual) -> None:
-    checks.append(
-        {
-            "label": label,
-            "expected": str(expected),
-            "actual": str(actual),
-            "pass": expected == actual,
-        }
+def _equals(section: str, key: str):
+    def compare(expected, sections: dict):
+        actual = sections[section].get(key)
+        return str(expected), str(actual), expected == actual
+
+    return compare
+
+
+def _kkt_outcome(expected, sections: dict):
+    kkt = sections["kkt"]
+    actual = (
+        "error" if "error" in kkt
+        else ("multipliers-exist" if kkt["dual_feasible"] else "dual-infeasible")
     )
+    return str(expected), actual, expected == actual
+
+
+def _witness_residual(bound: float, sections: dict):
+    residual = sections["dependence"].get("witness_residual")
+    return (
+        f"<= {bound:.1e}",
+        "none" if residual is None else f"{residual:.3e}",
+        residual is not None and residual <= bound,
+    )
+
+
+def _multipliers(expected: dict, sections: dict):
+    lam = sections["kkt"].get("multipliers") or {}
+    ok = all(str(i) in lam and _approx(lam[str(i)], v) for i, v in expected.items())
+    return str(expected), str(lam), ok
+
+
+def _decay_slopes(slope_range: tuple[float, float], sections: dict):
+    lo, hi = slope_range
+    slopes = [
+        p["trace"]["decay_slope"]
+        for p in sections["abadie"].get("gamma_in_T_evidence", [])
+        if p["trace"]["decay_slope"] is not None
+    ]
+    return (
+        f"in [{lo}, {hi}]",
+        str([round(s, 4) for s in slopes]),
+        bool(slopes) and all(lo <= s <= hi for s in slopes),
+    )
+
+
+# (golden key, check label, comparator); checks are listed in this order.
+# A comparator maps (golden value, sections) to (expected, actual, pass).
+_CHECKS = (
+    ("rcrcq", "rcrcq verdict", _equals("rcrcq", "verdict")),
+    ("abadie", "abadie verdict", _equals("abadie", "verdict")),
+    ("dependence", "dependence sense", _equals("dependence", "sense")),
+    ("rank_k", "rank at center", _equals("dependence", "rank_k")),
+    ("laszlo", "rank-deficient at point", _equals("dependence", "laszlo_at_point")),
+    ("image_dimension", "image dimension", _equals("dependence", "image_dimension")),
+    ("witness_residual_max", "witness residual", _witness_residual),
+    ("kkt", "kkt", _kkt_outcome),
+    ("primal", "primal value", _equals("kkt", "primal_value")),
+    ("multipliers", "multipliers", _multipliers),
+    ("minimal_norm_selected", "minimal-norm flag", _equals("kkt", "minimal_norm_selected")),
+    ("slope_range", "corrector decay slope", _decay_slopes),
+)
 
 
 def run_case(name: str, base_cfg: ToolConfig | None = None) -> dict:
     """Re-analyze one bundled case and compare against its golden verdicts."""
     case, pf = load_case(name)
     cfg = pf.config(base_cfg or ToolConfig())
-    sections = run_analyses(pf.to_system(), pf.x0, cfg, which=case.analyses)
+    system = pf.to_system()
+    sections = run_analyses(system, pf.x0, cfg, which=case.analyses)
 
     if case.witness_relation is not None:
-        system = pf.to_system()
         functions = list(system.all_constraints)
         relation = parse(
             case.witness_relation, [f"y{i}" for i in range(1, len(functions) + 1)]
         )
-        sampler = NeighborhoodSampler(
-            center=tuple(pf.x0), radii=cfg.radii,
-            samples_per_radius=cfg.samples_per_radius, seed=cfg.seed,
-        )
-        residual = witness_check(relation, functions, sampler)
+        residual = witness_check(relation, functions, cfg.sampler(pf.x0))
         dep = sections.get("dependence")
         if dep is not None and "error" not in dep:
             dep["witness_relation"] = case.witness_relation
             dep["witness_residual"] = residual
 
-    checks: list[dict] = []
-    expected = case.expected
-    if "rcrcq" in expected:
-        _check(checks, "rcrcq verdict", expected["rcrcq"], sections["rcrcq"].get("verdict"))
-    if "abadie" in expected:
-        _check(checks, "abadie verdict", expected["abadie"], sections["abadie"].get("verdict"))
-    if "dependence" in expected:
-        _check(
-            checks, "dependence sense", expected["dependence"],
-            sections["dependence"].get("sense"),
-        )
-    if "rank_k" in expected:
-        _check(checks, "rank at center", expected["rank_k"], sections["dependence"].get("rank_k"))
-    if "laszlo" in expected:
-        _check(
-            checks, "rank-deficient at point", expected["laszlo"],
-            sections["dependence"].get("laszlo_at_point"),
-        )
-    if "image_dimension" in expected:
-        _check(
-            checks, "image dimension", expected["image_dimension"],
-            sections["dependence"].get("image_dimension"),
-        )
-    if "witness_residual_max" in expected:
-        residual = sections["dependence"].get("witness_residual")
-        checks.append(
-            {
-                "label": "witness residual",
-                "expected": f"<= {expected['witness_residual_max']:.1e}",
-                "actual": "none" if residual is None else f"{residual:.3e}",
-                "pass": residual is not None
-                and residual <= expected["witness_residual_max"],
-            }
-        )
-    if "kkt" in expected:
-        kkt = sections["kkt"]
-        actual = (
-            "error" if "error" in kkt
-            else ("multipliers-exist" if kkt["dual_feasible"] else "dual-infeasible")
-        )
-        _check(checks, "kkt", expected["kkt"], actual)
-    if "primal" in expected:
-        _check(checks, "primal value", expected["primal"], sections["kkt"].get("primal_value"))
-    if "multipliers" in expected:
-        lam = sections["kkt"].get("multipliers") or {}
-        ok = all(
-            str(i) in lam and _approx(lam[str(i)], v)
-            for i, v in expected["multipliers"].items()
-        )
-        checks.append(
-            {
-                "label": "multipliers",
-                "expected": str(expected["multipliers"]),
-                "actual": str(lam),
-                "pass": ok,
-            }
-        )
-    if "minimal_norm_selected" in expected:
-        _check(
-            checks, "minimal-norm flag", expected["minimal_norm_selected"],
-            sections["kkt"].get("minimal_norm_selected"),
-        )
-    if "slope_range" in expected:
-        lo, hi = expected["slope_range"]
-        slopes = [
-            p["trace"]["decay_slope"]
-            for p in sections["abadie"].get("gamma_in_T_evidence", [])
-            if p["trace"]["decay_slope"] is not None
-        ]
-        checks.append(
-            {
-                "label": "corrector decay slope",
-                "expected": f"in [{lo}, {hi}]",
-                "actual": str([round(s, 4) for s in slopes]),
-                "pass": bool(slopes) and all(lo <= s <= hi for s in slopes),
-            }
-        )
+    checks = []
+    for key, label, compare in _CHECKS:
+        if key in case.expected:
+            expected, actual, ok = compare(case.expected[key], sections)
+            checks.append(
+                {"label": label, "expected": expected, "actual": actual, "pass": ok}
+            )
 
     return {
         "problem": {"name": case.name, "file": case.filename},
@@ -323,7 +302,7 @@ def run_all(base_cfg: ToolConfig | None = None) -> dict:
     """Run every bundled case; the report is byte-stable across identical runs."""
     cases = {name: run_case(name, base_cfg) for name in sorted(CORPUS)}
     return {
-        "report_version": 1,
+        "report_version": REPORT_VERSION,
         "tool": {"name": "cq-analyzer", "version": __version__},
         "cases": cases,
         "all_pass": all(c["pass"] for c in cases.values()),

@@ -314,7 +314,7 @@ def classify_dependence(
     """
     if not functions:
         raise ValueError("functions must be nonempty")
-    crc = check_crc(functions, x0, sampler, tol_rank)
+    crc = check_crc(functions, x0, sampler.points_by_radius(), tol_rank)
     laszlo = laszlo_test(functions, x0, tol_rank)
     kappa = len(functions)
     if crc.verdict != CERTIFIED:

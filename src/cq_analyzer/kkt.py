@@ -28,25 +28,14 @@ from .cones import (
     dual_cone_residual_direction,
 )
 from .config import ToolConfig
-from .model import (
-    ActiveSet,
-    ConstraintSystem,
-    active_set,
-    evaluate_point,
-    feasibility_check,
-)
-from .rank import RcrcqReport, numerical_rank
-from .tangent import AbadieReport, abadie_verdict
+from .model import ConstraintSystem, active_set, evaluate_point
+from .rank import numerical_rank
 
 __all__ = [
-    "CandidateReport",
     "KktReport",
     "MissingObjectiveError",
-    "compute_multipliers",
     "kkt_report",
-    "linearized_primal_value",
     "stationarity_residual",
-    "verify_candidate",
 ]
 
 PRIMAL_ZERO = "zero"
@@ -97,26 +86,20 @@ class KktReport:
         }
 
 
-def compute_multipliers(
-    sys: ConstraintSystem, x0: Sequence[float], aset: ActiveSet, tol: float
-) -> Optional[tuple[tuple[int, float], ...]]:
-    """Full multiplier vector at x0, or None when the dual cone excludes -grad h0.
+def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) -> KktReport:
+    """KKT analysis with the active set taken at cfg.tol_active.
 
-    Coefficients over inactive inequalities are set to zero.  With dependent
-    active rows the minimal-norm element of the multiplier polytope is
-    returned.
+    The multipliers cover every constraint, zero over inactive inequalities;
+    they are None when the dual cone excludes -grad h0, and the report then
+    carries the verified descent certificate instead.  With dependent active
+    rows the minimal-norm element of the multiplier polytope is returned.
+    Dual-cone membership is decided at cfg.tol_cone.
     """
-    report = kkt_report_for_active_set(sys, x0, aset, tol)
-    return report.multipliers
-
-
-def kkt_report_for_active_set(
-    sys: ConstraintSystem, x0: Sequence[float], aset: ActiveSet, tol: float
-) -> KktReport:
     if sys.objective is None:
         raise MissingObjectiveError("the constraint system has no objective")
-    x0 = np.asarray(x0, dtype=float)
-    pd = evaluate_point(sys, x0)
+    pd = evaluate_point(sys, np.asarray(x0, dtype=float))
+    aset = active_set(pd, cfg.tol_active)
+    tol = cfg.tol_cone
     cone = build_linearized_cone(pd, aset)
     target = -pd.objective_gradient
     coeffs = dual_cone_member(cone, target, tol)
@@ -174,13 +157,6 @@ def kkt_report_for_active_set(
     )
 
 
-def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) -> KktReport:
-    """KKT analysis with the active set taken at cfg.tol_active."""
-    pd = evaluate_point(sys, np.asarray(x0, dtype=float))
-    aset = active_set(pd, cfg.tol_active)
-    return kkt_report_for_active_set(sys, x0, aset, cfg.tol_cone)
-
-
 def stationarity_residual(
     sys: ConstraintSystem, x0: Sequence[float], lam: dict[int, float] | Sequence[tuple[int, float]]
 ) -> float:
@@ -193,84 +169,3 @@ def stationarity_residual(
     for i, v in pairs:
         total = total + v * pd.row(i)
     return float(np.linalg.norm(total))
-
-
-def linearized_primal_value(
-    sys: ConstraintSystem, x0: Sequence[float], aset: ActiveSet, tol: float = 1e-8
-) -> tuple[str, object]:
-    """("zero", multipliers) or ("unbounded-below", descent direction d).
-
-    The primal minimizes <grad h0(x0), d> over the linearized cone; d = 0 is
-    optimal exactly when the dual decomposition of -grad h0 exists.
-    """
-    report = kkt_report_for_active_set(sys, x0, aset, tol)
-    if report.primal_value == PRIMAL_ZERO:
-        return PRIMAL_ZERO, report.multipliers
-    return PRIMAL_UNBOUNDED, report.descent_certificate
-
-
-@dataclass(frozen=True)
-class CandidateReport:
-    """Bundled RCRCQ / Abadie / KKT verdicts for one candidate point."""
-
-    rcrcq: RcrcqReport
-    abadie: AbadieReport
-    kkt: Optional[KktReport]
-    assert_local_min: bool
-    contradiction: bool
-    notes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "rcrcq": self.rcrcq.to_dict(),
-            "abadie": self.abadie.to_dict(),
-            "kkt": self.kkt.to_dict() if self.kkt is not None else None,
-            "assert_local_min": self.assert_local_min,
-            "contradiction": self.contradiction,
-            "notes": list(self.notes),
-        }
-
-
-def verify_candidate(
-    sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig
-) -> CandidateReport:
-    """Bundle the three analyses and check the asserted-minimum implication.
-
-    If the constant-rank qualification is certified and the caller asserts
-    x0 is a local minimum, multipliers must exist; their absence is flagged
-    as a contradiction (it indicts the assertion, the sampling, or the
-    tolerances, and the note says so).  The local-minimum property itself is
-    never verified here.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    pd = evaluate_point(sys, x0)
-    feas = feasibility_check(pd, cfg.tol_feas)
-    if not feas.feasible:
-        raise ValueError(f"candidate point infeasible: violations {feas.violations}")
-    abadie = abadie_verdict(sys, x0, cfg)
-    rcrcq = abadie.rcrcq
-    kkt = kkt_report(sys, x0, cfg) if sys.objective is not None else None
-
-    notes = []
-    contradiction = False
-    if kkt is not None and cfg.assert_local_min:
-        if rcrcq.verdict == "certified-by-sampling" and not kkt.dual_feasible:
-            contradiction = True
-            notes.append(
-                "constant rank certified and the point is asserted to be a "
-                "local minimum, yet no multipliers exist: the assertion, the "
-                "sampling, or the tolerances must be wrong"
-            )
-    if kkt is not None and not kkt.dual_feasible and rcrcq.verdict == "refuted":
-        notes.append(
-            "no multipliers and the constant-rank qualification is refuted: "
-            "multiplier existence is not implied for this point"
-        )
-    return CandidateReport(
-        rcrcq=rcrcq,
-        abadie=abadie,
-        kkt=kkt,
-        assert_local_min=cfg.assert_local_min,
-        contradiction=contradiction,
-        notes=tuple(notes),
-    )

@@ -174,6 +174,12 @@ def parse_problem_dict(data: dict, origin: str = "<memory>") -> ProblemFile:
         raise ProblemFileError(
             f"{origin}: unknown option keys {bad}; allowed: {list(OPTION_KEYS)}"
         )
+    if "samples" in options:
+        samples = options["samples"]
+        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+            raise ProblemFileError(
+                f"{origin}: option 'samples' must be a positive integer, got {samples!r}"
+            )
     pf = ProblemFile(
         name=str(data["name"]),
         variables=tuple(variables),

@@ -25,14 +25,11 @@ __all__ = [
     "CrcReport",
     "DEFAULT_RADII",
     "NeighborhoodSampler",
-    "RankDeficiencyError",
     "RankResult",
     "RcrcqReport",
     "SubsetGuardError",
     "check_crc",
     "check_rcrcq",
-    "dual_basis_image_check",
-    "dual_vectors",
     "numerical_rank",
 ]
 
@@ -41,14 +38,6 @@ DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 CERTIFIED = "certified-by-sampling"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
-
-
-class RankDeficiencyError(ValueError):
-    """A row set expected to be independent is numerically dependent."""
-
-    def __init__(self, dependent_row: int, message: str):
-        super().__init__(message)
-        self.dependent_row = dependent_row
 
 
 class SubsetGuardError(ValueError):
@@ -216,16 +205,18 @@ def _gradient_rows(
 def check_crc(
     functions: Sequence[Expression],
     x0: Sequence[float],
-    sampler: NeighborhoodSampler,
+    points_by_radius: Sequence[tuple[float, Sequence[np.ndarray]]],
     tol_rank: float,
 ) -> CrcReport:
     """Certify or refute constant rank of the gradient family near ``x0``.
 
-    Certified-by-sampling means the numerical rank at every sampled point
-    equals the rank at the center.  A sample point where any gradient fails
-    to evaluate is skipped and counted; more than 20% skipped points, or an
-    unevaluable gradient at the center itself, yields ``inconclusive``
-    (a refutation witness still dominates).
+    ``points_by_radius`` is the sample plan, as produced by
+    :meth:`NeighborhoodSampler.points_by_radius`.  Certified-by-sampling
+    means the numerical rank at every sampled point equals the rank at the
+    center.  A sample point where any gradient fails to evaluate is skipped
+    and counted; no sample points, more than 20% skipped points, or an
+    unevaluable gradient at the center itself yields ``inconclusive`` (a
+    refutation witness still dominates).
     """
     x0 = np.asarray(x0, dtype=float)
     kappa = len(functions)
@@ -253,7 +244,7 @@ def check_crc(
     skipped = 0
     total = 0
     by_radius = []
-    for radius, layer in sampler.points_by_radius():
+    for radius, layer in points_by_radius:
         counts: dict[int, int] = {}
         for point in layer:
             total += 1
@@ -271,7 +262,10 @@ def check_crc(
         verdict = REFUTED
     elif center_rank is None:
         verdict = INCONCLUSIVE
-    elif total > 0 and skipped > 0.2 * total:
+    elif total == 0:
+        verdict = INCONCLUSIVE
+        notes.append("no sample points: constant rank was not tested")
+    elif skipped > 0.2 * total:
         verdict = INCONCLUSIVE
         notes.append(f"{skipped}/{total} sample points skipped")
     else:
@@ -358,9 +352,7 @@ def check_rcrcq(
         for extra in itertools.combinations(active, size):
             j = tuple(sorted(set(eq) | set(extra)))
             functions = [sys.constraint(i) for i in j]
-            report = _check_crc_on_shared_points(
-                functions, np.asarray(x0, dtype=float), shared_points, tol_rank
-            )
+            report = check_crc(functions, x0, shared_points, tol_rank)
             subsets.append((j, report))
             base_ranks.append((j, report.rank_at_center))
             verdicts.append(report.verdict)
@@ -380,54 +372,3 @@ def check_rcrcq(
         tolerance_used=tol_rank,
         sampler_config=sampler.to_dict(),
     )
-
-
-def _check_crc_on_shared_points(functions, x0, points_by_radius, tol_rank) -> CrcReport:
-    """check_crc against a pre-generated shared sample set."""
-
-    class _Shared:
-        def points_by_radius(self_inner):
-            return points_by_radius
-
-    return check_crc(functions, x0, _Shared(), tol_rank)
-
-
-def dual_vectors(rows: np.ndarray, tol_rank: float = 1e-8) -> np.ndarray:
-    """Columns V with rows @ V = identity (the Moore-Penrose right inverse).
-
-    The k columns are the dual vectors of k independent gradient rows; they
-    span the complement of the common kernel.  Raises
-    :class:`RankDeficiencyError` naming a dependent row if the rows are not
-    numerically independent at ``tol_rank``.
-    """
-    rows = np.asarray(rows, dtype=float)
-    result = numerical_rank(rows, tol_rank)
-    m = rows.shape[0]
-    if result.rank < m:
-        dependent = next(i for i in range(1, m + 1) if i not in result.pivot_indices)
-        raise RankDeficiencyError(
-            dependent,
-            f"row {dependent} depends numerically on the others "
-            f"(rank {result.rank} of {m})",
-        )
-    v = np.linalg.pinv(rows)
-    gram = rows @ v
-    if np.max(np.abs(gram - np.eye(m))) > 1e-10:
-        raise RankDeficiencyError(0, "right inverse verification failed")
-    return v
-
-
-def dual_basis_image_check(
-    f_rows_at_x: np.ndarray, dual_vecs_at_x0: np.ndarray, tol: float
-) -> bool:
-    """True iff Df(x) applied to the dual vectors still spans R^kappa.
-
-    At the center the product is the identity; the check failing at a nearby
-    point is evidence that the independence neighborhood has been left.
-    """
-    f_rows_at_x = np.asarray(f_rows_at_x, dtype=float)
-    image = f_rows_at_x @ np.asarray(dual_vecs_at_x0, dtype=float)
-    kappa = image.shape[0]
-    if kappa == 0:
-        return True
-    return numerical_rank(image, tol).rank == kappa

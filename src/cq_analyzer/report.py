@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 __all__ = ["REPORT_VERSION", "emit_report", "machine_dumps", "render_text"]
 
@@ -145,7 +145,6 @@ def _render_abadie(section: dict, lines: list[str]) -> None:
         lines.append(f"  tangent estimate {_fmt(entry['direction'])}: {flag}")
     if not section["T_in_gamma_evidence"]:
         lines.append("  tangent estimates: none (trivial or isolated feasible set)")
-    lines.append(f"  rcrcq verdict: {section['rcrcq']['verdict']}")
 
 
 def _render_dependence(section: dict, lines: list[str]) -> None:
@@ -191,6 +190,8 @@ def _render_kkt(section: dict, lines: list[str]) -> None:
             f"  descent certificate d={_fmt(section['descent_certificate'])}"
             f" with <grad h0, d>={_fmt(section['descent_slope'])}"
         )
+    for note in section.get("notes", []):
+        lines.append(f"  note: {note}")
 
 
 _SECTION_RENDERERS = {

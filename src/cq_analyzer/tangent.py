@@ -25,6 +25,7 @@ import numpy as np
 
 from .cones import LinearizedCone, build_linearized_cone, cone_member, sample_cone_directions
 from .config import ToolConfig
+from .expr import DomainEvaluationError
 from .model import (
     ActiveSet,
     ConstraintDomainError,
@@ -35,7 +36,7 @@ from .model import (
     evaluate_point,
     feasibility_check,
 )
-from .rank import NeighborhoodSampler, RcrcqReport, check_rcrcq, numerical_rank
+from .rank import NeighborhoodSampler, numerical_rank
 
 __all__ = [
     "AbadieReport",
@@ -299,7 +300,7 @@ def probe_tangent(
                     if sys.constraint(i).evaluate(x0 + t * d + result.r) >= 0.0:
                         ok = False
                         break
-                except Exception:
+                except DomainEvaluationError:
                     ok = False
                     break
             inactive_ok.append(ok)
@@ -540,7 +541,7 @@ def _feasible_at_scale(sys, indices, x, radius, tol_feas) -> bool:
     for i in indices:
         try:
             value, grad = sys.constraint(i).value_and_gradient(x)
-        except Exception:
+        except DomainEvaluationError:
             return False
         bound = tol_feas * radius * (1.0 + float(np.linalg.norm(grad)))
         if i <= n_eq:
@@ -556,7 +557,6 @@ class AbadieReport:
     """Two-sided numerical evidence for the Abadie equality Gamma = T."""
 
     verdict: str
-    rcrcq: RcrcqReport
     cone: LinearizedCone
     probes: tuple[TangentProbe, ...]
     estimates: TangentEstimate
@@ -568,7 +568,6 @@ class AbadieReport:
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "rcrcq": self.rcrcq.to_dict(),
             "cone": self.cone.to_dict(),
             "gamma_in_T_evidence": [p.to_dict() for p in self.probes],
             "T_in_gamma_evidence": [
@@ -599,7 +598,6 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) 
             f"base point infeasible: violations {feas.violations}"
         )
     aset = active_set(pd, cfg.tol_active)
-    rcrcq = check_rcrcq(sys, x0, aset, cfg.sampler(x0), cfg.tol_rank)
     cone = build_linearized_cone(pd, aset)
     sample = sample_cone_directions(cone, cfg.direction_count, cfg.seed + 1, cfg.tol_cone)
 
@@ -648,7 +646,6 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) 
 
     return AbadieReport(
         verdict=verdict,
-        rcrcq=rcrcq,
         cone=cone,
         probes=probes,
         estimates=estimates,

@@ -18,7 +18,7 @@ from cq_analyzer.expr import finite_diff_gradient, parse
 from cq_analyzer.kkt import kkt_report
 from cq_analyzer.model import active_set, evaluate_point
 from cq_analyzer.cones import build_linearized_cone, cone_member
-from cq_analyzer.rank import NeighborhoodSampler
+from cq_analyzer.rank import NeighborhoodSampler, check_rcrcq
 from cq_analyzer.tangent import abadie_verdict, probe_tangent, tangent_direction_estimate
 
 CFG = ToolConfig()
@@ -73,7 +73,6 @@ def test_criterion_1_ad_matches_finite_differences():
 def test_criterion_2_rank_verdicts_match_hand_ranks():
     """CRC/RCRCQ verdicts match the hand-computed ranks on all nine cases."""
     from cq_analyzer.dependence import laszlo_test
-    from cq_analyzer.rank import check_rcrcq
 
     expectations = {
         # name -> (rcrcq verdict or None, {J: rank at center})
@@ -122,9 +121,14 @@ def test_criterion_3_abadie_equivalence_on_certified_cases():
     failures = []
     for name in CERTIFIED_CASES:
         _, pf = load_case(name)
-        report = abadie_verdict(pf.to_system(), pf.x0, CFG)
-        if report.rcrcq.verdict != "certified-by-sampling":
-            failures.append(f"{name}: rcrcq {report.rcrcq.verdict}")
+        system = pf.to_system()
+        rcrcq = check_rcrcq(
+            system, pf.x0, active_set(evaluate_point(system, pf.x0), CFG.tol_active),
+            CFG.sampler(pf.x0), CFG.tol_rank,
+        )
+        if rcrcq.verdict != "certified-by-sampling":
+            failures.append(f"{name}: rcrcq {rcrcq.verdict}")
+        report = abadie_verdict(system, pf.x0, CFG)
         for probe in report.probes:
             if not probe.passed:
                 failures.append(f"{name}: probe {probe.direction} failed: {probe.fail_reason}")

@@ -63,6 +63,15 @@ def test_problem_rejects_unknown_option():
     assert "tol" in str(exc.value)
 
 
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True, "32"])
+def test_problem_rejects_samples_that_are_not_positive_integers(samples):
+    with pytest.raises(ProblemFileError) as exc:
+        parse_problem_dict(
+            {"name": "x", "variables": ["x"], "point": [0.0], "options": {"samples": samples}}
+        )
+    assert "samples" in str(exc.value)
+
+
 def test_problem_rejects_point_length_mismatch():
     with pytest.raises(ProblemFileError):
         parse_problem_dict({"name": "x", "variables": ["x", "y"], "point": [0.0]})
@@ -195,10 +204,44 @@ def test_cli_analyze_includes_config_snapshot(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["report_version"] == 1
+    assert report["report_version"] == 2
     assert report["config"]["tol_rank"] == 1e-7
     assert report["config"]["seed"] == 42
     assert set(report["analyses"]) == {"rcrcq", "abadie", "dependence", "kkt"}
+    assert "rcrcq" not in report["analyses"]["abadie"]
+    assert report["analyses"]["kkt"]["contradiction"] is False
+
+
+def corpus_copy(tmp_path, name, **changes):
+    problem = json.loads(open(corpus_file(name)).read())
+    problem.update(changes)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(problem))
+    return str(path)
+
+
+def test_cli_analyze_flags_asserted_minimum_contradiction(capsys, tmp_path):
+    path = corpus_copy(tmp_path, "sign-obstructed", assert_local_min=True)
+    code, out, _ = run_cli(capsys, "analyze", path, "--format", "machine")
+    assert code == 1
+    report = json.loads(out)
+    assert report["analyses"]["rcrcq"]["verdict"] == "certified-by-sampling"
+    assert report["analyses"]["kkt"]["dual_feasible"] is False
+    assert report["analyses"]["kkt"]["contradiction"] is True
+    code, out, _ = run_cli(capsys, "analyze", path)
+    assert code == 1
+    assert "note: constant rank certified" in out
+
+
+def test_cli_zero_samples_exit_64(capsys, tmp_path):
+    # Zero samples would certify constant rank on no evidence at all.
+    path = corpus_copy(tmp_path, "circle-point", options={"samples": 0})
+    code, out, err = run_cli(capsys, "rcrcq", path)
+    assert code == 64 and out == ""
+    assert "samples" in err
+    code, out, err = run_cli(capsys, "rcrcq", corpus_file("circle-point"), "--samples", "0")
+    assert code == 64 and out == ""
+    assert "--samples" in err
 
 
 def test_cli_flag_overrides_file_option(capsys, tmp_path):

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
+from cq_analyzer.analysis import run_analyses
 from cq_analyzer.cones import cone_member
 from cq_analyzer.config import ToolConfig
-from cq_analyzer.kkt import (
-    MissingObjectiveError,
-    compute_multipliers,
-    kkt_report,
-    linearized_primal_value,
-    stationarity_residual,
-    verify_candidate,
-)
+from cq_analyzer.kkt import MissingObjectiveError, kkt_report, stationarity_residual
 from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
 from cq_analyzer.tangent import abadie_verdict
 
@@ -29,7 +23,7 @@ def test_multipliers_orthant_corner():
     # min x1 + x2 s.t. -x1 <= 0, -x2 <= 0 at the origin: lambda = (1, 1).
     sys = make(objective="x1 + x2", ins=["-x1", "-x2"])
     x0 = [0.0, 0.0]
-    lam = dict(compute_multipliers(sys, x0, aset_for(sys, x0), 1e-8))
+    lam = kkt_report(sys, x0, CFG).multiplier_dict()
     assert lam[1] == pytest.approx(1.0, abs=1e-9)
     assert lam[2] == pytest.approx(1.0, abs=1e-9)
     assert stationarity_residual(sys, x0, lam) <= 1e-12
@@ -60,7 +54,7 @@ def test_multipliers_sign_obstruction_empty():
 def test_multipliers_inactive_get_zero():
     sys = make(objective="x1 + x2", ins=["-x1", "-x2", "x1 - 5"])
     x0 = [0.0, 0.0]
-    lam = dict(compute_multipliers(sys, x0, aset_for(sys, x0), 1e-8))
+    lam = kkt_report(sys, x0, CFG).multiplier_dict()
     assert lam[3] == 0.0
 
 
@@ -89,7 +83,7 @@ def test_stationarity_perturbation_orthogonal_rows():
     # residual by exactly |delta| * |row|.
     sys = make(objective="x1 + x2", ins=["-x1", "-x2"])
     x0 = [0.0, 0.0]
-    lam = dict(compute_multipliers(sys, x0, aset_for(sys, x0), 1e-8))
+    lam = kkt_report(sys, x0, CFG).multiplier_dict()
     base = stationarity_residual(sys, x0, lam)
     for delta in (1e-3, -2e-2):
         bumped = dict(lam)
@@ -102,26 +96,23 @@ def test_stationarity_perturbation_orthogonal_rows():
 
 def test_primal_value_zero_with_certificate():
     sys = make(objective="x1 + x2", ins=["-x1", "-x2"])
-    x0 = [0.0, 0.0]
-    value, certificate = linearized_primal_value(sys, x0, aset_for(sys, x0))
-    assert value == "zero"
-    assert dict(certificate)[1] == pytest.approx(1.0, abs=1e-9)
+    report = kkt_report(sys, [0.0, 0.0], CFG)
+    assert report.primal_value == "zero"
+    assert report.multiplier_dict()[1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_primal_unbounded_with_descent_certificate():
     sys = make(objective="x1", ins=["x1"], variables=("x1",))
-    x0 = [0.0]
-    value, d = linearized_primal_value(sys, x0, aset_for(sys, x0))
-    assert value == "unbounded-below"
-    assert d[0] == pytest.approx(-1.0, abs=1e-9)
+    report = kkt_report(sys, [0.0], CFG)
+    assert report.primal_value == "unbounded-below"
+    assert report.descent_certificate[0] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_primal_zero_objective_gradient():
     sys = make(objective="x1^2 + x2^2", eqs=["x1"])
-    x0 = [0.0, 0.0]
-    value, lam = linearized_primal_value(sys, x0, aset_for(sys, x0))
-    assert value == "zero"
-    assert all(abs(v) <= 1e-10 for _, v in lam)
+    report = kkt_report(sys, [0.0, 0.0], CFG)
+    assert report.primal_value == "zero"
+    assert all(abs(v) <= 1e-10 for _, v in report.multipliers)
 
 
 def test_duality_equivalence_across_cases():
@@ -143,7 +134,7 @@ def test_complementarity_on_active_sets():
     sys = make(objective="x1 + x2", ins=["-x1", "-x2", "x1 - 5"])
     x0 = [0.0, 0.0]
     pd = evaluate_point(sys, x0)
-    lam = dict(compute_multipliers(sys, x0, aset_for(sys, x0), 1e-8))
+    lam = kkt_report(sys, x0, CFG).multiplier_dict()
     for i in (1, 2, 3):
         assert abs(lam[i] * pd.value(i)) <= 1e-10 * (1.0 + abs(pd.value(i)))
 
@@ -177,13 +168,20 @@ def test_objective_scaling_scales_multipliers():
         assert kkt_report(sys, [0.0], CFG).primal_value == "unbounded-below"
 
 
+def candidate_sections(sys, x0):
+    """Sections of the RCRCQ / Abadie / KKT run at an asserted local minimum."""
+    return run_analyses(
+        sys, x0, CFG.with_options(assert_local_min=True), ["rcrcq", "abadie", "kkt"]
+    )
+
+
 def test_verify_candidate_stationary_unconstrained_minimum():
     sys = make(objective="x1^2 + x2^2", eqs=["x1 + x2", "2*x1 + 2*x2"])
-    report = verify_candidate(sys, [0.0, 0.0], CFG.with_options(assert_local_min=True))
-    assert report.rcrcq.verdict == "certified-by-sampling"
-    assert report.kkt.dual_feasible
-    assert not report.contradiction
-    lam = report.kkt.multiplier_dict()
+    sections = candidate_sections(sys, [0.0, 0.0])
+    assert sections["rcrcq"]["verdict"] == "certified-by-sampling"
+    assert sections["kkt"]["dual_feasible"]
+    assert sections["kkt"]["contradiction"] is False
+    lam = sections["kkt"]["multipliers"]
     assert all(abs(v) <= 1e-10 for v in lam.values())
 
 
@@ -192,20 +190,38 @@ def test_verify_candidate_rank_refuted_no_contradiction():
     # constant-rank hypothesis fails, and no multipliers exist; with the
     # hypothesis unmet this is not a contradiction.
     sys = make(objective="x1", ins=["x1^2"], variables=("x1",))
-    report = verify_candidate(sys, [0.0], CFG.with_options(assert_local_min=True))
-    assert report.rcrcq.verdict == "refuted"
-    assert report.kkt.multipliers is None
-    assert not report.contradiction
-    assert any("refuted" in n for n in report.notes)
+    sections = candidate_sections(sys, [0.0])
+    assert sections["rcrcq"]["verdict"] == "refuted"
+    assert sections["kkt"]["multipliers"] is None
+    assert sections["kkt"]["contradiction"] is False
+    assert any("refuted" in n for n in sections["kkt"]["notes"])
 
 
 def test_verify_candidate_licq_all_positive():
     sys = make(objective="-x1", eqs=["x1^2 + x2^2 - 1"])
-    report = verify_candidate(sys, [1.0, 0.0], CFG.with_options(assert_local_min=True))
-    assert report.rcrcq.verdict == "certified-by-sampling"
-    assert report.abadie.verdict == "consistent"
-    assert report.kkt.dual_feasible
-    assert not report.contradiction
+    sections = candidate_sections(sys, [1.0, 0.0])
+    assert sections["rcrcq"]["verdict"] == "certified-by-sampling"
+    assert sections["abadie"]["verdict"] == "consistent"
+    assert sections["kkt"]["dual_feasible"]
+    assert sections["kkt"]["contradiction"] is False
+
+
+def test_verify_candidate_sign_obstruction_is_contradiction():
+    # min x1 over {x1 <= 0}: RCRCQ holds and no multipliers exist, so the
+    # asserted minimum is contradicted; without the assertion it is not.
+    sys = make(objective="x1", ins=["x1"], variables=("x1",))
+    sections = candidate_sections(sys, [0.0])
+    assert sections["rcrcq"]["verdict"] == "certified-by-sampling"
+    assert sections["kkt"]["contradiction"] is True
+    assert len(sections["kkt"]["notes"]) == 1
+    plain = run_analyses(sys, [0.0], CFG, ["rcrcq", "kkt"])
+    assert plain["kkt"]["contradiction"] is False
+    assert plain["kkt"]["notes"] == []
+
+
+def test_kkt_section_alone_has_no_candidate_check():
+    sys = make(objective="x1", ins=["x1"], variables=("x1",))
+    assert "contradiction" not in run_analyses(sys, [0.0], CFG, ["kkt"])["kkt"]
 
 
 def test_descent_certificate_is_cone_member():

@@ -8,18 +8,19 @@ from cq_analyzer.expr import parse
 from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
 from cq_analyzer.rank import (
     NeighborhoodSampler,
-    RankDeficiencyError,
     SubsetGuardError,
     check_crc,
     check_rcrcq,
-    dual_basis_image_check,
-    dual_vectors,
     numerical_rank,
 )
 
 
 def sampler_at(center, **kw):
     return NeighborhoodSampler(center=tuple(center), **kw)
+
+
+def points_at(center, **kw):
+    return sampler_at(center, **kw).points_by_radius()
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +145,7 @@ def fns(texts, names):
 
 def test_crc_coordinate_projections_certified():
     report = check_crc(
-        fns(["x1", "x2"], ["x1", "x2"]), [0.0, 0.0], sampler_at([0.0, 0.0]), 1e-8
+        fns(["x1", "x2"], ["x1", "x2"]), [0.0, 0.0], points_at([0.0, 0.0]), 1e-8
     )
     assert report.verdict == "certified-by-sampling"
     assert report.rank_at_center == 2
@@ -153,7 +154,7 @@ def test_crc_coordinate_projections_certified():
 
 def test_crc_axis_squares_refuted():
     report = check_crc(
-        fns(["x1^2", "x2^2"], ["x1", "x2"]), [0.0, 0.0], sampler_at([0.0, 0.0]), 1e-8
+        fns(["x1^2", "x2^2"], ["x1", "x2"]), [0.0, 0.0], points_at([0.0, 0.0]), 1e-8
     )
     assert report.verdict == "refuted"
     assert report.rank_at_center == 0
@@ -162,21 +163,31 @@ def test_crc_axis_squares_refuted():
 
 def test_crc_cusp_powers_refuted():
     # f' rows (3t^2) and (2t) vanish at 0 but not nearby.
-    report = check_crc(fns(["t^3", "t^2"], ["t"]), [0.0], sampler_at([0.0]), 1e-8)
+    report = check_crc(fns(["t^3", "t^2"], ["t"]), [0.0], points_at([0.0]), 1e-8)
     assert report.verdict == "refuted"
     assert report.rank_at_center == 0
     assert report.witness["rank"] == 1
 
 
 def test_crc_empty_family_certified():
-    report = check_crc([], [0.0], sampler_at([0.0]), 1e-8)
+    report = check_crc([], [0.0], points_at([0.0]), 1e-8)
     assert report.verdict == "certified-by-sampling"
     assert report.rank_at_center == 0
+    assert report.total_points == 0
+
+
+def test_crc_without_sample_points_is_inconclusive():
+    # Zero sample points are no evidence: a non-empty family is not certified.
+    for points in ([], points_at([0.0, 0.0], samples_per_radius=0)):
+        report = check_crc(fns(["x1", "x2"], ["x1", "x2"]), [0.0, 0.0], points, 1e-8)
+        assert report.verdict == "inconclusive"
+        assert report.rank_at_center == 2
+        assert report.total_points == 0
 
 
 def test_crc_center_unevaluable_is_inconclusive():
     report = check_crc(
-        fns(["x^3 * sin(1/x)", "x^3"], ["x"]), [0.0], sampler_at([0.0]), 1e-8
+        fns(["x^3 * sin(1/x)", "x^3"], ["x"]), [0.0], points_at([0.0]), 1e-8
     )
     assert report.verdict == "inconclusive"
     assert report.center_unevaluable_rows == (1,)
@@ -245,56 +256,21 @@ def test_rcrcq_refutation_dominates():
     assert report.verdict == "refuted"
 
 
+def test_rcrcq_without_sample_points_is_inconclusive():
+    sys = system(eqs=["x1"], ins=["x2"])
+    report = rcrcq_for(sys, [0.0, 0.0], samples_per_radius=0)
+    assert report.verdict == "inconclusive"
+
+
 # ---------------------------------------------------------------------------
-# dual vectors and the dual-basis image check
+# the dual-basis image check on certified families
 # ---------------------------------------------------------------------------
-
-
-def test_dual_vectors_orthonormal_rows():
-    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    v = dual_vectors(rows)
-    assert np.allclose(v, rows.T)
-    assert np.allclose(rows @ v, np.eye(2), atol=1e-12)
-
-
-def test_dual_vectors_scalar_row():
-    v = dual_vectors(np.array([[2.0, 0.0]]))
-    assert np.allclose(v[:, 0], [0.5, 0.0])
-
-
-def test_dual_vectors_hand_2x2():
-    rows = np.array([[1.0, 1.0], [1.0, -1.0]])
-    v = dual_vectors(rows)
-    assert np.allclose(v, 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]]))
-    assert np.allclose(rows @ v, np.eye(2), atol=1e-12)
-
-
-def test_dual_vectors_rank_deficiency_names_row():
-    rows = np.array([[1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(RankDeficiencyError) as exc:
-        dual_vectors(rows)
-    assert exc.value.dependent_row == 2
-
-
-def test_dual_basis_image_identity_at_center():
-    rows = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
-    v = dual_vectors(rows)
-    assert dual_basis_image_check(rows, v, 1e-8)
-
-
-def test_dual_basis_image_fails_outside_neighborhood():
-    # f = (x1^2, x2^2) at x0 = (1, 1); at (0, 1) the first row vanishes.
-    f = fns(["x1^2", "x2^2"], ["x1", "x2"])
-    rows_x0 = np.array([g.gradient([1.0, 1.0]) for g in f])
-    v = dual_vectors(rows_x0)
-    rows_far = np.array([g.gradient([0.0, 1.0]) for g in f])
-    assert dual_basis_image_check(rows_x0, v, 1e-8)
-    assert not dual_basis_image_check(rows_far, v, 1e-8)
 
 
 def test_crc_certified_implies_image_check_everywhere():
-    # Prop-style property: on certified families the image check holds at
-    # every sampled point (using the pivot subfamily's dual vectors).
+    # Prop-style property: on certified families the pivot rows applied to
+    # their dual vectors at the center (the right inverse) keep full rank at
+    # every sampled point.
     cases = [
         (["x1", "x2"], ["x1", "x2"], [0.0, 0.0]),
         (["x1 + x2", "2*x1 + 2*x2"], ["x1", "x2"], [0.0, 0.0]),
@@ -303,11 +279,12 @@ def test_crc_certified_implies_image_check_everywhere():
     for texts, names, x0 in cases:
         functions = fns(texts, names)
         s = sampler_at(x0)
-        report = check_crc(functions, x0, s, 1e-8)
+        report = check_crc(functions, x0, s.points_by_radius(), 1e-8)
         assert report.verdict == "certified-by-sampling"
         pivot_fns = [functions[i - 1] for i in report.pivot_indices]
         rows_x0 = np.array([g.gradient(x0) for g in pivot_fns])
-        v = dual_vectors(rows_x0)
+        v = np.linalg.pinv(rows_x0)
+        assert np.allclose(rows_x0 @ v, np.eye(len(pivot_fns)), atol=1e-12)
         for p in s.points():
             rows = np.array([g.gradient(p) for g in pivot_fns])
-            assert dual_basis_image_check(rows, v, 1e-8)
+            assert numerical_rank(rows @ v, 1e-8).rank == len(pivot_fns)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from cq_analyzer.config import ToolConfig
+from cq_analyzer.expr import Expression
 from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
+from cq_analyzer.rank import check_rcrcq
 from cq_analyzer.tangent import (
     InfeasibleBasePointError,
+    _feasible_at_scale,
     abadie_verdict,
     ljusternik_correct,
     probe_tangent,
@@ -22,6 +25,10 @@ def make(eqs=(), ins=(), variables=("x1", "x2"), objective=None):
 
 def aset_for(sys, x0):
     return active_set(evaluate_point(sys, x0), CFG.tol_active)
+
+
+def rcrcq_verdict(sys, x0):
+    return check_rcrcq(sys, x0, aset_for(sys, x0), CFG.sampler(x0), CFG.tol_rank).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +144,36 @@ def test_probe_inactive_constraints_stay_strictly_negative():
     assert probe.inactive_eps0 == max(CFG.t_schedule)
 
 
+def test_probe_inactive_domain_error_counts_as_unsafe():
+    # log(x1 + 0.05) is undefined at the corrected point for t = 0.1 only.
+    sys = make(ins=["x1", "log(x1 + 0.05) - 10"], variables=("x1",))
+    x0 = [0.0]
+    probe = probe_tangent(sys, x0, aset_for(sys, x0), [-1.0], CFG.t_schedule, CFG)
+    assert probe.inactive_ok == (False, True, True, True, True)
+    assert probe.passed
+
+
+def test_probe_inactive_check_propagates_non_domain_errors(monkeypatch):
+    sys = make(ins=["-x1", "x1 - 1"], variables=("x1",))
+    x0 = [0.0]
+
+    def broken(self, point):
+        raise ValueError("point has the wrong dimension")
+
+    monkeypatch.setattr(Expression, "evaluate", broken)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        probe_tangent(sys, x0, aset_for(sys, x0), [1.0], CFG.t_schedule, CFG)
+
+
+def test_feasible_at_scale_propagates_non_domain_errors():
+    # A domain error marks the point infeasible; a wrong-dimension point is
+    # a programming error and must surface.
+    sys = make(ins=["log(x1)"])
+    assert not _feasible_at_scale(sys, (1,), np.array([-1.0, 0.0]), 0.1, 1e-8)
+    with pytest.raises(ValueError):
+        _feasible_at_scale(sys, (1,), np.zeros(3), 0.1, 1e-8)
+
+
 def test_probe_rejects_non_cone_direction():
     sys = make(eqs=["x1"])
     x0 = [0.0, 0.0]
@@ -227,14 +264,14 @@ def test_abadie_x_squared_violated_with_witness():
     assert report.cone.ineq_rows[0, 0] == 0.0
     assert report.witness is not None
     assert report.witness["kind"] == "cone-direction-not-tangent"
-    assert report.rcrcq.verdict == "refuted"
+    assert rcrcq_verdict(sys, [0.0]) == "refuted"
 
 
 def test_abadie_parallel_equalities_consistent():
     sys = make(eqs=["x1 + x2", "2*x1 + 2*x2"])
     report = abadie_verdict(sys, [0.0, 0.0], CFG)
     assert report.verdict == "consistent"
-    assert report.rcrcq.verdict == "certified-by-sampling"
+    assert rcrcq_verdict(sys, [0.0, 0.0]) == "certified-by-sampling"
     assert all(p.passed for p in report.probes)
     assert all(member for _, member, _ in report.estimate_memberships)
 
@@ -267,7 +304,7 @@ def test_abadie_halfdisk_corner_consistent():
     sys = make(objective="x1 + x2", ins=["x1^2 + x2^2 - 1", "-x2"])
     report = abadie_verdict(sys, [1.0, 0.0], CFG)
     assert report.verdict == "consistent"
-    assert report.rcrcq.verdict == "certified-by-sampling"
+    assert rcrcq_verdict(sys, [1.0, 0.0]) == "certified-by-sampling"
     assert all(p.passed for p in report.probes)
 
 
@@ -276,7 +313,7 @@ def test_abadie_squared_redundant_equality_consistent():
     # the feasible line; the family still has constant rank 1.
     sys = make(eqs=["x1 + x2", "x1^2 + 2*x1*x2 + x2^2"])
     report = abadie_verdict(sys, [0.0, 0.0], CFG)
-    assert report.rcrcq.verdict == "certified-by-sampling"
+    assert rcrcq_verdict(sys, [0.0, 0.0]) == "certified-by-sampling"
     assert report.verdict == "consistent"
 
 
@@ -284,7 +321,7 @@ def test_abadie_parabola_line_tangency_violated():
     # {x2 = 0, x1^2 - x2 <= 0} = {0}, yet Gamma is the whole x1-axis.
     sys = make(eqs=["x2"], ins=["x1^2 - x2"])
     report = abadie_verdict(sys, [0.0, 0.0], CFG)
-    assert report.rcrcq.verdict == "refuted"
+    assert rcrcq_verdict(sys, [0.0, 0.0]) == "refuted"
     assert report.verdict == "violated"
     assert report.witness["kind"] == "cone-direction-not-tangent"
 
