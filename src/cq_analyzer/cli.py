@@ -23,7 +23,13 @@ from pathlib import Path
 from . import __version__
 from .analysis import exit_code_for, run_analyses, summary_line
 from .config import ToolConfig
-from .problem import ProblemFileError, load_problem_file, parse_schedule
+from .problem import (
+    FLOAT_OPTIONS,
+    ProblemFileError,
+    check_float_option,
+    load_problem_file,
+    parse_schedule,
+)
 from .report import REPORT_VERSION, emit_report
 
 EXIT_OK = 0
@@ -88,6 +94,9 @@ def build_parser() -> _Parser:
 def _config_from_args(args, file_options_cfg: ToolConfig) -> ToolConfig:
     if args.samples is not None and args.samples < 1:
         raise _UsageError(f"--samples must be at least 1, got {args.samples}")
+    for key in FLOAT_OPTIONS:
+        if getattr(args, key) is not None:
+            check_float_option(key, getattr(args, key))
     updates = {}
     for attr, value in (
         ("tol_rank", args.tol_rank),
@@ -103,10 +112,16 @@ def _config_from_args(args, file_options_cfg: ToolConfig) -> ToolConfig:
         updates["radii"] = parse_schedule(args.radii)
     if args.t_schedule is not None:
         updates["t_schedule"] = parse_schedule(args.t_schedule)
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    elif os.environ.get("CQ_ANALYZER_SEED"):
-        updates["seed"] = int(os.environ["CQ_ANALYZER_SEED"])
+    seed = args.seed
+    if seed is None and os.environ.get("CQ_ANALYZER_SEED"):
+        try:
+            seed = int(os.environ["CQ_ANALYZER_SEED"])
+        except ValueError as err:
+            raise _UsageError(f"CQ_ANALYZER_SEED must be an integer: {err}") from err
+    if seed is not None:
+        if seed < 0:
+            raise _UsageError(f"the seed must be non-negative, got {seed}")
+        updates["seed"] = seed
     return file_options_cfg.with_options(**updates) if updates else file_options_cfg
 
 

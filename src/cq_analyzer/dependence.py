@@ -24,7 +24,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expr import DomainEvaluationError, Expression
-from .rank import CERTIFIED, CrcReport, NeighborhoodSampler, check_crc, numerical_rank
+from .rank import (
+    CERTIFIED,
+    CrcReport,
+    NeighborhoodSampler,
+    check_crc,
+    numerical_rank,
+    sample_jacobian,
+)
 
 __all__ = [
     "DependenceVerdict",
@@ -314,7 +321,7 @@ def classify_dependence(
     """
     if not functions:
         raise ValueError("functions must be nonempty")
-    crc = check_crc(functions, x0, sampler.points_by_radius(), tol_rank)
+    crc = check_crc(sample_jacobian(functions, x0, sampler.points_by_radius()), tol_rank)
     laszlo = laszlo_test(functions, x0, tol_rank)
     kappa = len(functions)
     if crc.verdict != CERTIFIED:

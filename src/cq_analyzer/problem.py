@@ -10,6 +10,7 @@ silently change an analysis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -21,9 +22,11 @@ from .expr import ExpressionError
 from .model import ConstraintSystem
 
 __all__ = [
+    "FLOAT_OPTIONS",
     "OPTION_KEYS",
     "ProblemFile",
     "ProblemFileError",
+    "check_float_option",
     "load_problem_file",
     "parse_problem_dict",
     "parse_schedule",
@@ -43,6 +46,11 @@ OPTION_KEYS = (
     "fit_degree",
 )
 
+FLOAT_OPTIONS = ("tol_rank", "tol_active", "tol_feas", "tol_cone", "ratio_tol")
+
+# Integer options and their least admissible value.
+_INT_OPTIONS = {"seed": 0, "samples": 1, "fit_degree": 1}
+
 _TOP_LEVEL_KEYS = (
     "name",
     "variables",
@@ -57,6 +65,29 @@ _TOP_LEVEL_KEYS = (
 
 class ProblemFileError(ValueError):
     """A malformed problem file, with location diagnostics where available."""
+
+
+def _finite(value) -> Optional[float]:
+    """``value`` as a float if it is a finite number (not a bool), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def check_float_option(key: str, value) -> None:
+    """Reject a value of the float option ``key`` that no analysis can use.
+
+    Every float option must be a finite number; ``tol_rank`` is a relative
+    singular-value cutoff and must lie in (0, 1).
+    """
+    if _finite(value) is None:
+        raise ProblemFileError(f"option '{key}' must be a finite number, got {value!r}")
+    if key == "tol_rank" and not 0.0 < value < 1.0:
+        raise ProblemFileError(f"option 'tol_rank' must lie in (0, 1), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,17 +121,10 @@ class ProblemFile:
         """Apply this file's option overrides on top of ``base``."""
         cfg = base
         opts = self.options
-        simple = {
-            "tol_rank": "tol_rank",
-            "tol_active": "tol_active",
-            "tol_feas": "tol_feas",
-            "tol_cone": "tol_cone",
-            "ratio_tol": "ratio_tol",
-        }
         updates: dict = {}
-        for key, attr in simple.items():
+        for key in FLOAT_OPTIONS:
             if key in opts:
-                updates[attr] = float(opts[key])
+                updates[key] = float(opts[key])
         if "seed" in opts:
             updates["seed"] = int(opts["seed"])
         if "samples" in opts:
@@ -119,7 +143,11 @@ class ProblemFile:
 def parse_schedule(spec) -> tuple[float, ...]:
     """Descending geometric schedule from "start:end:xFACTOR" or a list."""
     if isinstance(spec, (list, tuple)):
-        values = tuple(float(v) for v in spec)
+        values = tuple(_finite(v) for v in spec)
+        if None in values:
+            raise ProblemFileError(
+                f"bad schedule {spec!r}: entries must be finite numbers"
+            )
     else:
         parts = str(spec).split(":")
         if len(parts) != 3 or not parts[2].lower().startswith("x"):
@@ -131,6 +159,8 @@ def parse_schedule(spec) -> tuple[float, ...]:
             factor = float(parts[2][1:])
         except ValueError as err:
             raise ProblemFileError(f"bad schedule {spec!r}: {err}") from err
+        if not all(math.isfinite(v) for v in (start, end, factor)):
+            raise ProblemFileError(f"bad schedule {spec!r}: values must be finite")
         if start <= 0 or end <= 0 or start < end or factor <= 1.0:
             raise ProblemFileError(
                 f"bad schedule {spec!r}: need start >= end > 0 and factor > 1"
@@ -166,6 +196,10 @@ def parse_problem_dict(data: dict, origin: str = "<memory>") -> ProblemFile:
         raise ProblemFileError(
             f"{origin}: 'point' must be a list of {len(variables)} numbers"
         )
+    if any(_finite(v) is None for v in point):
+        raise ProblemFileError(
+            f"{origin}: 'point' entries must be finite numbers, got {point!r}"
+        )
     options = data.get("options") or {}
     if not isinstance(options, dict):
         raise ProblemFileError(f"{origin}: 'options' must be an object")
@@ -174,12 +208,22 @@ def parse_problem_dict(data: dict, origin: str = "<memory>") -> ProblemFile:
         raise ProblemFileError(
             f"{origin}: unknown option keys {bad}; allowed: {list(OPTION_KEYS)}"
         )
-    if "samples" in options:
-        samples = options["samples"]
-        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+    for key, least in _INT_OPTIONS.items():
+        value = options.get(key, least)
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            kind = "a positive" if least else "a non-negative"
             raise ProblemFileError(
-                f"{origin}: option 'samples' must be a positive integer, got {samples!r}"
+                f"{origin}: option '{key}' must be {kind} integer, got {value!r}"
             )
+    try:
+        for key in FLOAT_OPTIONS:
+            if key in options:
+                check_float_option(key, options[key])
+        for key in ("radii", "t_schedule"):
+            if key in options:
+                parse_schedule(options[key])
+    except ProblemFileError as err:
+        raise ProblemFileError(f"{origin}: {err}") from err
     pf = ProblemFile(
         name=str(data["name"]),
         variables=tuple(variables),

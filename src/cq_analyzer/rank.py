@@ -27,10 +27,12 @@ __all__ = [
     "NeighborhoodSampler",
     "RankResult",
     "RcrcqReport",
+    "SampleJacobian",
     "SubsetGuardError",
     "check_crc",
     "check_rcrcq",
     "numerical_rank",
+    "sample_jacobian",
 ]
 
 DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -64,18 +66,23 @@ def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult:
     index.  The relative normalization makes the selection invariant under
     row scaling, matching the scale invariance of the rank itself.
     """
+    rows = np.asarray(rows, dtype=float)
+    rank, sigma = _rank(rows, tol_rank)
+    pivots = _select_pivots(rows, rank)
+    return RankResult(rank, tuple(float(s) for s in sigma), pivots, tol_rank)
+
+
+def _rank(rows: np.ndarray, tol_rank: float) -> tuple[int, np.ndarray]:
+    """Numerical rank and descending singular values, without pivots."""
     if not 0.0 < tol_rank < 1.0:
         raise ValueError("tol_rank must lie in (0, 1)")
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("expected a 2-d array of rows")
-    m = rows.shape[0]
-    if m == 0 or rows.size == 0 or not np.any(rows):
-        return RankResult(0, (), (), tol_rank)
+    if rows.size == 0 or not np.any(rows):
+        return 0, np.zeros(0)
     sigma = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(sigma > tol_rank * sigma[0]))
-    pivots = _select_pivots(rows, rank)
-    return RankResult(rank, tuple(float(s) for s in sigma), pivots, tol_rank)
+    return int(np.sum(sigma > tol_rank * sigma[0])), sigma
 
 
 def _select_pivots(rows: np.ndarray, rank: int) -> tuple[int, ...]:
@@ -187,39 +194,89 @@ class CrcReport:
         }
 
 
+@dataclass(frozen=True)
+class SampleJacobian:
+    """Gradient rows of one function family at a center and its sample points.
+
+    ``layers`` holds ``(radius, points, rows, failed)`` per sample radius:
+    ``rows[p]`` is the (kappa, n) gradient matrix at ``points[p]`` and
+    ``failed[p, i]`` marks a row that could not be evaluated there (its entries
+    are zero).  :meth:`select` restricts every matrix to a subfamily without
+    evaluating anything again.
+    """
+
+    center_rows: np.ndarray               # (kappa, n)
+    center_failed: np.ndarray             # (kappa,) bool
+    layers: tuple[tuple[float, tuple[np.ndarray, ...], np.ndarray, np.ndarray], ...]
+
+    @property
+    def kappa(self) -> int:
+        return self.center_rows.shape[0]
+
+    def select(self, cols: Sequence[int]) -> "SampleJacobian":
+        """The subfamily of the 0-based rows ``cols``, in that order."""
+        cols = list(cols)
+        return SampleJacobian(
+            center_rows=self.center_rows[cols],
+            center_failed=self.center_failed[cols],
+            layers=tuple(
+                (radius, points, rows[:, cols], failed[:, cols])
+                for radius, points, rows, failed in self.layers
+            ),
+        )
+
+
 def _gradient_rows(
-    functions: Sequence[Expression], x: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """Gradient rows at x; rows that fail to evaluate are reported, not raised."""
-    n = functions[0].dimension if functions else len(x)
-    rows = np.zeros((len(functions), n))
-    failed = []
+    functions: Sequence[Expression], x: np.ndarray, rows: np.ndarray, failed: np.ndarray
+) -> None:
+    """Fill gradient rows at x; rows that fail to evaluate are marked, not raised."""
     for i, f in enumerate(functions):
         try:
             rows[i] = f.gradient(x)
         except DomainEvaluationError:
-            failed.append(i + 1)
-    return rows, failed
+            failed[i] = True
 
 
-def check_crc(
+def sample_jacobian(
     functions: Sequence[Expression],
     x0: Sequence[float],
     points_by_radius: Sequence[tuple[float, Sequence[np.ndarray]]],
-    tol_rank: float,
-) -> CrcReport:
-    """Certify or refute constant rank of the gradient family near ``x0``.
+) -> SampleJacobian:
+    """Evaluate every gradient once at ``x0`` and at every sample point.
 
     ``points_by_radius`` is the sample plan, as produced by
-    :meth:`NeighborhoodSampler.points_by_radius`.  Certified-by-sampling
-    means the numerical rank at every sampled point equals the rank at the
-    center.  A sample point where any gradient fails to evaluate is skipped
-    and counted; no sample points, more than 20% skipped points, or an
-    unevaluable gradient at the center itself yields ``inconclusive`` (a
-    refutation witness still dominates).
+    :meth:`NeighborhoodSampler.points_by_radius`.
     """
     x0 = np.asarray(x0, dtype=float)
     kappa = len(functions)
+    n = functions[0].dimension if functions else len(x0)
+    center_rows = np.zeros((kappa, n))
+    center_failed = np.zeros(kappa, dtype=bool)
+    _gradient_rows(functions, x0, center_rows, center_failed)
+    layers = []
+    for radius, layer in points_by_radius:
+        rows = np.zeros((len(layer), kappa, n))
+        failed = np.zeros((len(layer), kappa), dtype=bool)
+        for p, point in enumerate(layer):
+            _gradient_rows(functions, point, rows[p], failed[p])
+        layers.append((radius, tuple(layer), rows, failed))
+    return SampleJacobian(center_rows, center_failed, tuple(layers))
+
+
+def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
+    """Certify or refute constant rank of the gradient family near the center.
+
+    ``jacobian`` holds the family's gradients, evaluated once per point by
+    :func:`sample_jacobian` (or a :meth:`SampleJacobian.select` view of a
+    larger family), so no gradient is evaluated here.  Certified-by-sampling
+    means the numerical rank at every sampled point equals the rank at the
+    center; pivots are selected at the center only.  A sample point is
+    skipped and counted when a row of this family failed to evaluate there;
+    failures of rows outside the family do not count.  No sample points,
+    more than 20% skipped points, or an unevaluable gradient at the center
+    itself yields ``inconclusive`` (a refutation witness still dominates).
+    """
+    kappa = jacobian.kappa
     if kappa == 0:
         # Zero functions: rank 0 everywhere, the degenerate certified case.
         return CrcReport(
@@ -227,7 +284,7 @@ def check_crc(
             singular_values_at_center=(), rank_counts_by_radius=(),
             tolerance_used=tol_rank, notes=("empty function family",),
         )
-    center_rows, center_failed = _gradient_rows(functions, x0)
+    center_failed = tuple(int(i) + 1 for i in np.flatnonzero(jacobian.center_failed))
     notes: list[str] = []
     if center_failed:
         center_rank = None
@@ -237,22 +294,21 @@ def check_crc(
             + ", ".join(str(i) for i in center_failed)
         )
     else:
-        center_result = numerical_rank(center_rows, tol_rank)
+        center_result = numerical_rank(jacobian.center_rows, tol_rank)
         center_rank = center_result.rank
 
     witness = None
     skipped = 0
     total = 0
     by_radius = []
-    for radius, layer in points_by_radius:
+    for radius, points, rows, failed in jacobian.layers:
         counts: dict[int, int] = {}
-        for point in layer:
+        for point, point_rows, point_failed in zip(points, rows, failed.any(axis=1)):
             total += 1
-            rows, failed = _gradient_rows(functions, point)
-            if failed:
+            if point_failed:
                 skipped += 1
                 continue
-            rank_here = numerical_rank(rows, tol_rank).rank
+            rank_here = _rank(point_rows, tol_rank)[0]
             counts[rank_here] = counts.get(rank_here, 0) + 1
             if center_rank is not None and rank_here != center_rank and witness is None:
                 witness = {"point": [float(v) for v in point], "rank": rank_here}
@@ -283,7 +339,7 @@ def check_crc(
         witness=witness,
         skipped_points=skipped,
         total_points=total,
-        center_unevaluable_rows=tuple(center_failed),
+        center_unevaluable_rows=center_failed,
         tolerance_used=tol_rank,
         notes=tuple(notes),
     )
@@ -332,8 +388,11 @@ def check_rcrcq(
 ) -> RcrcqReport:
     """Run the constant-rank check for every J with I_0 <= J <= I_0 + I(x0).
 
-    All subsets share one sample set.  The verdict aggregates per-subset
-    verdicts with refuted dominating, then inconclusive, then certified.
+    All subsets share one sample set, and each gradient of I_0 + I(x0) is
+    evaluated once per point: every subset is ranked from row slices of that
+    one :class:`SampleJacobian`, and a point is skipped for J only when a row
+    in J failed there.  The verdict aggregates per-subset verdicts with
+    refuted dominating, then inconclusive, then certified.
     """
     active = tuple(sorted(aset.indices))
     if len(active) > max_active:
@@ -343,7 +402,11 @@ def check_rcrcq(
             "analyze an explicit subset list instead"
         )
     eq = tuple(sys.equality_indices)
-    shared_points = sampler.points_by_radius()
+    family = tuple(sorted(set(eq) | set(active)))
+    column = {i: c for c, i in enumerate(family)}
+    jacobian = sample_jacobian(
+        [sys.constraint(i) for i in family], x0, sampler.points_by_radius()
+    )
 
     subsets = []
     base_ranks = []
@@ -351,8 +414,7 @@ def check_rcrcq(
     for size in range(len(active) + 1):
         for extra in itertools.combinations(active, size):
             j = tuple(sorted(set(eq) | set(extra)))
-            functions = [sys.constraint(i) for i in j]
-            report = check_crc(functions, x0, shared_points, tol_rank)
+            report = check_crc(jacobian.select([column[i] for i in j]), tol_rank)
             subsets.append((j, report))
             base_ranks.append((j, report.rank_at_center))
             verdicts.append(report.verdict)

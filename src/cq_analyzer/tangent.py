@@ -71,10 +71,18 @@ class CorrectionResult:
 
 
 def _rows_and_values(sys: ConstraintSystem, indices: Sequence[int], x: np.ndarray):
+    """Values and gradient rows of the constraints ``indices`` at x.
+
+    Domain errors propagate as :class:`ConstraintDomainError`, as in
+    :func:`evaluate_point`, so the corrector can skip an unevaluable point.
+    """
     values = np.zeros(len(indices))
     rows = np.zeros((len(indices), sys.dimension))
     for k, i in enumerate(indices):
-        values[k], rows[k] = sys.constraint(i).value_and_gradient(x)
+        try:
+            values[k], rows[k] = sys.constraint(i).value_and_gradient(x)
+        except DomainEvaluationError as err:
+            raise ConstraintDomainError(i, err) from err
     return values, rows
 
 

@@ -72,6 +72,72 @@ def test_problem_rejects_samples_that_are_not_positive_integers(samples):
     assert "samples" in str(exc.value)
 
 
+def _with(**extra):
+    return {"name": "x", "variables": ["x"], "point": [0.0], **extra}
+
+
+@pytest.mark.parametrize("key", ["tol_rank", "tol_cone", "seed", "fit_degree"])
+def test_problem_rejects_non_numeric_option_values(key):
+    with pytest.raises(ProblemFileError) as exc:
+        parse_problem_dict(_with(options={key: "abc"}))
+    assert key in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_problem_rejects_non_finite_point(value):
+    with pytest.raises(ProblemFileError) as exc:
+        parse_problem_dict(_with(point=[value]))
+    assert "point" in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["tol_rank", "tol_feas", "ratio_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_problem_rejects_non_finite_float_option(key, value):
+    with pytest.raises(ProblemFileError) as exc:
+        parse_problem_dict(_with(options={key: value}))
+    assert key in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, 1.0, 1.5, -1e-8])
+def test_problem_rejects_tol_rank_outside_unit_interval(value):
+    with pytest.raises(ProblemFileError) as exc:
+        parse_problem_dict(_with(options={"tol_rank": value}))
+    assert "(0, 1)" in str(exc.value)
+
+
+@pytest.mark.parametrize("radii", [[0.1, float("nan")], [float("inf"), 0.1], "inf:1e-5:x10"])
+def test_problem_rejects_non_finite_schedule(radii):
+    # "inf:1e-5:x10" used to loop forever expanding the schedule.
+    with pytest.raises(ProblemFileError) as exc:
+        parse_problem_dict(_with(options={"radii": radii}))
+    assert "schedule" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '"point": [NaN]',
+        '"point": [0.0], "options": {"tol_rank": "abc"}',
+        '"point": [0.0], "options": {"tol_rank": Infinity}',
+        '"point": [0.0], "options": {"tol_rank": 2.0}',
+    ],
+)
+def test_cli_rejects_invalid_values_with_usage_exit(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": "x", "variables": ["x"], "inequalities": ["x"], %s}' % text)
+    code, out, err = run_cli(capsys, "rcrcq", str(path))
+    assert code == 64
+    assert out == ""
+    assert "bad.json" in err
+
+
+@pytest.mark.parametrize("flags", [["--tol-rank", "2"], ["--tol-feas", "nan"]])
+def test_cli_rejects_invalid_float_flags_with_usage_exit(capsys, flags):
+    code, out, err = run_cli(capsys, "rcrcq", corpus_file("circle-point"), *flags)
+    assert code == 64
+    assert out == ""
+
+
 def test_problem_rejects_point_length_mismatch():
     with pytest.raises(ProblemFileError):
         parse_problem_dict({"name": "x", "variables": ["x", "y"], "point": [0.0]})
@@ -274,6 +340,17 @@ def test_cli_env_seed_ignored_when_flag_present(capsys, monkeypatch):
         capsys, "rcrcq", corpus_file("circle-point"), "--format", "machine", "--seed", "5"
     )
     assert json.loads(out)["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("flag, env", [("-1", None), (None, "-1"), (None, "abc")])
+def test_cli_rejects_invalid_seed_with_usage_exit(capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("CQ_ANALYZER_SEED", env)
+    flags = ["--seed", flag] if flag is not None else []
+    code, out, err = run_cli(capsys, "rcrcq", corpus_file("circle-point"), *flags)
+    assert code == 64
+    assert out == ""
+    assert "seed" in err.lower()
 
 
 def test_cli_malformed_file_exit_64(capsys, tmp_path):

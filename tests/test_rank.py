@@ -1,10 +1,14 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import PCG64, Generator
 
-from cq_analyzer.expr import parse
+from cq_analyzer import rank
+from cq_analyzer.expr import Expression, parse
 from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
 from cq_analyzer.rank import (
     NeighborhoodSampler,
@@ -12,6 +16,7 @@ from cq_analyzer.rank import (
     check_crc,
     check_rcrcq,
     numerical_rank,
+    sample_jacobian,
 )
 
 
@@ -21,6 +26,10 @@ def sampler_at(center, **kw):
 
 def points_at(center, **kw):
     return sampler_at(center, **kw).points_by_radius()
+
+
+def crc(functions, x0, points, tol_rank):
+    return check_crc(sample_jacobian(functions, x0, points), tol_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +153,7 @@ def fns(texts, names):
 
 
 def test_crc_coordinate_projections_certified():
-    report = check_crc(
+    report = crc(
         fns(["x1", "x2"], ["x1", "x2"]), [0.0, 0.0], points_at([0.0, 0.0]), 1e-8
     )
     assert report.verdict == "certified-by-sampling"
@@ -153,7 +162,7 @@ def test_crc_coordinate_projections_certified():
 
 
 def test_crc_axis_squares_refuted():
-    report = check_crc(
+    report = crc(
         fns(["x1^2", "x2^2"], ["x1", "x2"]), [0.0, 0.0], points_at([0.0, 0.0]), 1e-8
     )
     assert report.verdict == "refuted"
@@ -163,14 +172,14 @@ def test_crc_axis_squares_refuted():
 
 def test_crc_cusp_powers_refuted():
     # f' rows (3t^2) and (2t) vanish at 0 but not nearby.
-    report = check_crc(fns(["t^3", "t^2"], ["t"]), [0.0], points_at([0.0]), 1e-8)
+    report = crc(fns(["t^3", "t^2"], ["t"]), [0.0], points_at([0.0]), 1e-8)
     assert report.verdict == "refuted"
     assert report.rank_at_center == 0
     assert report.witness["rank"] == 1
 
 
 def test_crc_empty_family_certified():
-    report = check_crc([], [0.0], points_at([0.0]), 1e-8)
+    report = crc([], [0.0], points_at([0.0]), 1e-8)
     assert report.verdict == "certified-by-sampling"
     assert report.rank_at_center == 0
     assert report.total_points == 0
@@ -179,18 +188,35 @@ def test_crc_empty_family_certified():
 def test_crc_without_sample_points_is_inconclusive():
     # Zero sample points are no evidence: a non-empty family is not certified.
     for points in ([], points_at([0.0, 0.0], samples_per_radius=0)):
-        report = check_crc(fns(["x1", "x2"], ["x1", "x2"]), [0.0, 0.0], points, 1e-8)
+        report = crc(fns(["x1", "x2"], ["x1", "x2"]), [0.0, 0.0], points, 1e-8)
         assert report.verdict == "inconclusive"
         assert report.rank_at_center == 2
         assert report.total_points == 0
 
 
 def test_crc_center_unevaluable_is_inconclusive():
-    report = check_crc(
+    report = crc(
         fns(["x^3 * sin(1/x)", "x^3"], ["x"]), [0.0], points_at([0.0]), 1e-8
     )
     assert report.verdict == "inconclusive"
     assert report.center_unevaluable_rows == (1,)
+
+
+def crc_of(jacobian, cols):
+    return check_crc(jacobian.select(cols), 1e-8)
+
+
+def test_crc_subset_view_reports_center_failures_within_the_subset():
+    # Row 2 of the family fails at the center; in a view it keeps its
+    # 1-based position within the view, and views without it are unaffected.
+    functions = fns(["x2", "x1^3 * sin(1/x1)", "x1"], ["x1", "x2"])
+    jacobian = sample_jacobian(functions, [0.0, 0.0], points_at([0.0, 0.0]))
+    assert crc_of(jacobian, [1]).center_unevaluable_rows == (1,)
+    assert crc_of(jacobian, [2, 1]).center_unevaluable_rows == (2,)
+    full = crc_of(jacobian, [0, 1, 2])
+    assert full.center_unevaluable_rows == (2,)
+    assert full.verdict == "inconclusive"
+    assert crc_of(jacobian, [0, 2]).verdict == "certified-by-sampling"
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +288,78 @@ def test_rcrcq_without_sample_points_is_inconclusive():
     assert report.verdict == "inconclusive"
 
 
+def chain(k, coeffs=None, extra=None):
+    """-x_i + c_i x_{i+1 mod k}^2 <= 0, optionally with x0^2 - c x1^2 <= 0."""
+    scales = [f"{c!r}*" for c in coeffs] if coeffs else [""] * k
+    inequalities = [f"-x{i} + {scales[i]}x{(i + 1) % k}^2" for i in range(k)]
+    if extra is not None:
+        inequalities.append(f"x0^2 - {extra!r}*x1^2")
+    return system(ins=inequalities, variables=tuple(f"x{i}" for i in range(k)))
+
+
+def assert_subsets_match_separate_checks(sys, x0, sampler):
+    aset = active_set(evaluate_point(sys, x0), 1e-8)
+    report = check_rcrcq(sys, x0, aset, sampler, 1e-8)
+    points = sampler.points_by_radius()
+    for j, subset_report in report.subsets:
+        functions = [sys.constraint(i) for i in j]
+        alone = check_crc(sample_jacobian(functions, x0, points), 1e-8)
+        assert subset_report == alone, j
+    return report
+
+
+coefficient = st.floats(0.5, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 4),
+    coeffs=st.lists(coefficient, min_size=4, max_size=4),
+    extra=st.one_of(st.none(), coefficient),
+)
+def test_rcrcq_subsets_equal_separate_crc_checks_on_chains(k, coeffs, extra):
+    x0 = [0.0] * k
+    report = assert_subsets_match_separate_checks(
+        chain(k, coeffs[:k], extra), x0, sampler_at(x0, samples_per_radius=8)
+    )
+    assert report.subset_count == 2 ** (k + (extra is not None))
+
+
+def test_rcrcq_skips_a_point_only_for_subsets_with_a_failed_row():
+    # log(1 + 20*x1) is unevaluable where x1 <= -0.05, at some radius-0.1
+    # points: subsets containing it skip them, the others do not.
+    sys = system(ins=["log(1 + 20*x1)", "x2"])
+    report = assert_subsets_match_separate_checks(sys, [0.0, 0.0], sampler_at([0.0, 0.0]))
+    skipped = {j: r.skipped_points for j, r in report.subsets}
+    assert skipped[()] == 0 and skipped[(2,)] == 0
+    assert skipped[(1,)] == skipped[(1, 2)] > 0
+    assert report.verdict == "certified-by-sampling"
+
+
+def test_rcrcq_evaluates_each_gradient_once_per_point(monkeypatch):
+    # The unscaled k = 4 chain: 4 gradients at the center and 160 sample
+    # points, one pivoted rank per non-empty subset's center, 16 subsets.
+    sys = chain(4)
+    x0 = np.zeros(4)
+    aset = active_set(evaluate_point(sys, x0), 1e-8)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(
+        Expression, "value_and_gradient", counting("gradient", Expression.value_and_gradient)
+    )
+    monkeypatch.setattr(rank, "numerical_rank", counting("rank", rank.numerical_rank))
+    monkeypatch.setattr(rank, "check_crc", counting("subset", rank.check_crc))
+    report = rank.check_rcrcq(sys, x0, aset, sampler_at(x0), 1e-8)
+    assert calls == {"gradient": 644, "rank": 15, "subset": 16}
+    assert report.subset_count == 16
+
+
 # ---------------------------------------------------------------------------
 # the dual-basis image check on certified families
 # ---------------------------------------------------------------------------
@@ -279,7 +377,7 @@ def test_crc_certified_implies_image_check_everywhere():
     for texts, names, x0 in cases:
         functions = fns(texts, names)
         s = sampler_at(x0)
-        report = check_crc(functions, x0, s.points_by_radius(), 1e-8)
+        report = crc(functions, x0, s.points_by_radius(), 1e-8)
         assert report.verdict == "certified-by-sampling"
         pivot_fns = [functions[i - 1] for i in report.pivot_indices]
         rows_x0 = np.array([g.gradient(x0) for g in pivot_fns])

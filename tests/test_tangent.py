@@ -291,6 +291,16 @@ def test_abadie_trivial_cone_consistent():
     assert report.probes == ()
 
 
+def test_abadie_skips_probe_points_outside_the_domain():
+    # log(x1) - x2 = 0 near x1 = 0.05: probes with t = 0.1 along -x1 leave
+    # the domain of log, which must skip them, not fail the whole section.
+    sys = make(eqs=["log(x1) - x2"])
+    x0 = [0.05, math.log(0.05)]
+    result = ljusternik_correct(sys, [1], x0, [-1.0, 0.0], 0.1, CFG)
+    assert not result.converged and "constraint 1" in result.diagnostic
+    assert abadie_verdict(sys, x0, CFG).verdict == "consistent"
+
+
 def test_abadie_infeasible_point_rejected():
     sys = make(eqs=["x1"])
     with pytest.raises(InfeasibleBasePointError):
