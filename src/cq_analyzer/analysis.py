@@ -20,7 +20,7 @@ import numpy as np
 from .config import ToolConfig
 from .dependence import ReconstructionError, classify_dependence, image_dimension_probe
 from .expr import DomainEvaluationError
-from .kkt import MissingObjectiveError, kkt_report
+from .kkt import CertificateVerificationError, MissingObjectiveError, kkt_report
 from .model import ConstraintDomainError, ConstraintSystem, active_set, evaluate_point
 from .rank import CERTIFIED, REFUTED, SubsetGuardError, check_rcrcq
 from .tangent import InfeasibleBasePointError, abadie_verdict
@@ -36,6 +36,7 @@ _CAPTURED = (
     SubsetGuardError,
     InfeasibleBasePointError,
     MissingObjectiveError,
+    CertificateVerificationError,
 )
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import exit_code_for, run_analyses, summary_line
-from .config import ToolConfig
+from .config import T_SCHEDULE_TAIL, ToolConfig
 from .problem import (
     FLOAT_OPTIONS,
     ProblemFileError,
@@ -111,7 +111,7 @@ def _config_from_args(args, file_options_cfg: ToolConfig) -> ToolConfig:
     if args.radii is not None:
         updates["radii"] = parse_schedule(args.radii)
     if args.t_schedule is not None:
-        updates["t_schedule"] = parse_schedule(args.t_schedule)
+        updates["t_schedule"] = parse_schedule(args.t_schedule, T_SCHEDULE_TAIL)
     seed = args.seed
     if seed is None and os.environ.get("CQ_ANALYZER_SEED"):
         try:

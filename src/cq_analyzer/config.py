@@ -10,9 +10,11 @@ from dataclasses import dataclass, replace
 
 from .rank import DEFAULT_RADII, NeighborhoodSampler
 
-__all__ = ["DEFAULT_T_SCHEDULE", "ToolConfig"]
+__all__ = ["DEFAULT_T_SCHEDULE", "T_SCHEDULE_TAIL", "ToolConfig"]
 
 DEFAULT_T_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+# The tangent probe judges convergence and safety on this many smallest t.
+T_SCHEDULE_TAIL = 3
 
 
 @dataclass(frozen=True)

@@ -12,31 +12,35 @@ Known functions: sin, cos, tan, exp, log, sqrt.  Numbers are decimals with
 an optional exponent.  Non-differentiable primitives (abs, min, max) are
 deliberately absent, so every parsed expression is C1 on its natural domain.
 
-Derivatives are computed by one forward-mode dual-number pass per point and
-are exact up to floating-point rounding.  Integer powers are expanded into
-repeated multiplication, which keeps expressions like ``t^3`` exact; a
-non-integer exponent falls back to ``exp(p*log(x))`` and requires a positive
-base.  Division by zero, logarithms and roots outside their domain, and
-overflow all raise :class:`DomainEvaluationError` instead of propagating
-non-finite values.
+Derivatives are computed in forward mode and are exact up to floating-point
+rounding.  On first use each expression is compiled into straight-line
+Python over float scalars, one function for the value and one for value and
+gradient.  Integer powers are expanded into repeated multiplication, which
+keeps expressions like ``t^3`` exact; a non-integer exponent falls back to
+``exp(p*log(x))`` and requires a positive base.  Division by zero,
+logarithms and roots outside their domain, trigonometric functions of an
+infinite argument and overflow all raise :class:`DomainEvaluationError`
+instead of propagating non-finite values.
 
-Expressions are immutable after parsing and evaluation is side-effect free,
-so a single :class:`Expression` may be shared across concurrent evaluators.
+Expressions are immutable after parsing (the compiled functions are a cache
+outside equality, hashing and repr) and evaluation is side-effect free, so a
+single :class:`Expression` may be shared across concurrent evaluators.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "ArityMismatchError",
     "DomainEvaluationError",
-    "DualNumber",
     "Expression",
     "ExpressionError",
     "ExprSyntaxError",
@@ -142,14 +146,6 @@ class Call:
 
 
 AstNode = Union[Num, Var, Neg, BinOp, IntPow, Pow, Call]
-
-
-@dataclass(frozen=True)
-class DualNumber:
-    """Value plus the vector of partial derivatives at the evaluation point."""
-
-    value: float
-    partials: Optional[np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -315,135 +311,221 @@ def _const_int(node: AstNode) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: one dual-number walker serves both plain evaluation
-# (partials is None) and gradient evaluation (partials seeded per variable).
+# Evaluation: forward mode (Griewank & Walther, *Evaluating Derivatives*, 2nd
+# ed., SIAM 2008) compiled to straight-line code.  A node carries partials for
+# the variables it depends on plus one "background" operand: every other
+# component of a dense pass starts at +0.0 and sees one formula applied to
+# equal inputs.  Each operation is the dense pass's own, so results match it
+# bit for bit, signed zeros and NaNs included.
 # ---------------------------------------------------------------------------
 
+_HOIST = 60  # a subtree of more statements is compiled as its own helper
 
-class _Evaluator:
-    def __init__(self, source: str, point: Sequence[float], n: int, want_grad: bool):
-        self.source = source
-        self.point = point
-        self.n = n
-        self.want_grad = want_grad
+_GLOBALS = {"_E": DomainEvaluationError, "_array": np.array, "_inf": math.inf,
+            **{f"_{name}": getattr(math, name) for name in (*FUNCTIONS, "isinf", "isfinite")}}
 
-    def frag(self, node: AstNode) -> str:
-        return self.source[node.span[0]:node.span[1]]
+# Folding two constants while generating runs the IEEE operation the code
+# would run.  A zero divisor reaches "/" only in a partial over a square that
+# underflowed to +0.0, where numpy's x / +0.0 equals x * inf.
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": lambda a, b: a / b if b else a * math.inf}
 
-    def run(self, node: AstNode) -> DualNumber:
-        d = self.eval(node)
-        if not math.isfinite(d.value) or (
-            d.partials is not None and not np.all(np.isfinite(d.partials))
-        ):
-            raise DomainEvaluationError("non-finite result", self.frag(node))
-        return d
 
-    def eval(self, node: AstNode) -> DualNumber:
-        grad = self.want_grad
+def _flat(r) -> list:
+    return [r[0]] if r[1] is None else [r[0], *r[1].values(), r[2]]
+
+
+class _Codegen:
+    """Straight-line code for one expression, with or without the gradient.
+
+    An operand is a float known while generating or the text of a Python
+    expression.  A node yields ``(value, partials, background)``: in gradient
+    mode ``partials`` maps each variable index the node depends on to an
+    operand; in value mode both are None.
+    """
+
+    def __init__(self, expr: "Expression", grad: bool):
+        self.source, self.n, self.grad = expr.source, len(expr.variables), grad
+        self.ns = dict(_GLOBALS)
+        self.lines, self.loaded = [], set()  # statements, variable indices read
+        self.names = (f"t{i}" for i in itertools.count(1))
+        self.const = ({}, 0.0) if grad else (None, None)  # a constant's partials, background
+
+    # -- operands -----------------------------------------------------------
+
+    def lit(self, op) -> str:
+        if isinstance(op, str):
+            return op
+        if math.isfinite(op):
+            return f"({op!r})" if math.copysign(1.0, op) < 0.0 else repr(op)
+        name = f"_k{len(self.ns)}"
+        self.ns[name] = op
+        return name
+
+    def let(self, op):
+        """Bind a compound operand to a fresh local; floats and names pass."""
+        if not isinstance(op, str) or op.isidentifier():
+            return op
+        name = next(self.names)
+        self.lines.append(f"{name} = {op}")
+        return name
+
+    def bin(self, a, sym: str, b):
+        if isinstance(a, float) and isinstance(b, float):
+            return _FOLD[sym](a, b)
+        if sym == "*" and (a == 1.0 or b == 1.0):  # 1.0 * x is x, bit for bit
+            return b if a == 1.0 else a
+        return f"({self.lit(a)} {sym} {self.lit(b)})"
+
+    def over(self, a, d):
+        """``a / d`` for a square ``d``, with numpy's result where d is +0.0."""
+        if isinstance(d, float):
+            return self.bin(a, "/", d) if d else self.bin(a, "*", math.inf)
+        a = self.lit(a)
+        return f"({a} / {d} if {d} else {a} * _inf)"
+
+    def neg(self, a):
+        return -a if isinstance(a, float) else f"(-{a})"
+
+    def each(self, f, *rs):
+        """Apply ``f`` to matching partials of ``rs`` and to their backgrounds."""
+        if not self.grad:
+            return None, None
+        support = sorted(set().union(*(r[1] for r in rs)))
+        return ({j: f(*(r[1].get(j, r[2]) for r in rs)) for j in support},
+                f(*(r[2] for r in rs)))
+
+    def bind(self, r):
+        v, parts = self.let(r[0]), r[1] and {j: self.let(p) for j, p in r[1].items()}
+        return v, parts, self.let(r[2])
+
+    def check(self, cond: str, message: str, node: AstNode) -> None:
+        self.lines.append(f"if {cond}: raise _E({message!r}, {self.source[slice(*node.span)]!r})")
+
+    def define(self, name: str, args: str, body: list[str], tail: str):
+        text = "".join(f"    {line}\n" for line in [*body, tail])
+        scope = dict(self.ns)  # globals that do not hold the function: no reference cycle
+        exec(compile(f"def {name}({args}):\n{text}", f"<expression {name}>", "exec"), scope)
+        return self.ns.setdefault(name, scope.pop(name))
+
+    # -- nodes --------------------------------------------------------------
+
+    def function(self, root: AstNode):
+        v, parts, bg = self.node(root)
+        out = [self.lit(v), *(self.lit(parts.get(j, bg)) for j in range(self.n) if self.grad)]
+        unknown = [op for op in dict.fromkeys(out) if op.isidentifier()]  # not a finite literal
+        if unknown:
+            self.check(" or ".join(f"not _isfinite({op})" for op in unknown),
+                       "non-finite result", root)
+        ret = f"{out[0]}, _array([{', '.join(out[1:])}])" if self.grad else out[0]
+        return self.define("_f", "x", self.lines, f"return {ret}")
+
+    def node(self, node: AstNode):
+        """Emit ``node``, recursing in one frame per tree level; a subtree of
+        more than _HOIST statements becomes a separately compiled helper."""
+        outer, loaded = self.lines, self.loaded
+        self.lines, self.loaded = [], set(loaded)
         if isinstance(node, Num):
-            return DualNumber(node.value, np.zeros(self.n) if grad else None)
-        if isinstance(node, Var):
-            p = None
-            if grad:
-                p = np.zeros(self.n)
-                p[node.index] = 1.0
-            return DualNumber(float(self.point[node.index]), p)
-        if isinstance(node, Neg):
-            a = self.eval(node.operand)
-            return DualNumber(-a.value, None if not grad else -a.partials)
-        if isinstance(node, BinOp):
-            a = self.eval(node.left)
-            b = self.eval(node.right)
-            if node.op == "+":
-                return DualNumber(a.value + b.value,
-                                  None if not grad else a.partials + b.partials)
-            if node.op == "-":
-                return DualNumber(a.value - b.value,
-                                  None if not grad else a.partials - b.partials)
+            r = (float(node.value), *self.const)
+        elif isinstance(node, Var):
+            i = node.index
+            if i not in self.loaded:
+                self.loaded.add(i)
+                self.lines.append(f"v{i} = float(x[{i}])")
+            r = (f"v{i}", *(({i: 1.0}, 0.0) if self.grad else self.const))
+        elif isinstance(node, Neg):
+            a = self.node(node.operand)
+            r = (self.neg(a[0]), *self.each(self.neg, a))
+        elif isinstance(node, BinOp):
+            a, b = self.node(node.left), self.node(node.right)
+            av, bv = a[0], b[0]
             if node.op == "*":
-                return DualNumber(
-                    a.value * b.value,
-                    None if not grad else a.partials * b.value + a.value * b.partials,
-                )
-            if b.value == 0.0:
-                raise DomainEvaluationError("division by zero", self.frag(node))
-            value = a.value / b.value
-            p = None
-            if grad:
-                p = (a.partials * b.value - a.value * b.partials) / (b.value * b.value)
-            return DualNumber(value, p)
-        if isinstance(node, IntPow):
-            base = self.eval(node.base)
-            p = abs(node.exponent)
-            out = DualNumber(1.0, np.zeros(self.n) if grad else None)
-            for _ in range(p):  # repeated multiplication keeps t^3 exact
-                out = DualNumber(
-                    out.value * base.value,
-                    None if not grad else out.partials * base.value + out.value * base.partials,
-                )
+                r = self.mul(a, b)
+            elif node.op in "+-":
+                r = (self.bin(av, node.op, bv),
+                     *self.each(lambda p, q: self.bin(p, node.op, q), a, b))
+            else:
+                self.check(f"{self.lit(bv)} == 0.0", "division by zero", node)
+                d = self.let(self.bin(bv, "*", bv)) if self.grad else None
+                r = (self.bin(av, "/", bv), *self.each(lambda p, q: self.over(
+                    self.bin(self.bin(p, "*", bv), "-", self.bin(av, "*", q)), d), a, b))
+        elif isinstance(node, IntPow):
+            base = self.node(node.base)
+            r, p = (1.0, *self.const), abs(node.exponent)
+            if p > 4 and isinstance(base[0], str):
+                r = self.power_loop(base, p)
+            else:
+                for _ in range(p):  # repeated multiplication keeps t^3 exact
+                    r = self.bind(self.mul(r, base))
             if node.exponent < 0:
-                if out.value == 0.0:
-                    raise DomainEvaluationError(
-                        "zero raised to a negative power", self.frag(node)
-                    )
-                value = 1.0 / out.value
-                pp = None if not grad else -out.partials / (out.value * out.value)
-                return DualNumber(value, pp)
-            return out
-        if isinstance(node, Pow):
-            base = self.eval(node.base)
-            if base.value <= 0.0:
-                raise DomainEvaluationError(
-                    "non-integer power of a non-positive base", self.frag(node)
-                )
-            exponent = self.eval(node.exponent)
-            # exp(p * log x): the dual chain supplies the derivative.
-            log_base = self.call_value("log", base, node)
-            product = DualNumber(
-                exponent.value * log_base.value,
-                None if not grad else exponent.partials * log_base.value
-                + exponent.value * log_base.partials,
-            )
-            return self.call_value("exp", product, node)
-        if isinstance(node, Call):
-            arg = self.eval(node.arg)
-            return self.call_value(node.func, arg, node)
-        raise AssertionError(f"unhandled node {node!r}")
+                self.check(f"{self.lit(r[0])} == 0.0", "zero raised to a negative power", node)
+                d = self.let(self.bin(r[0], "*", r[0])) if self.grad else None
+                r = (self.bin(1.0, "/", r[0]), *self.each(lambda q: self.over(self.neg(q), d), r))
+        elif isinstance(node, Pow):
+            base = self.node(node.base)
+            self.check(f"{self.lit(base[0])} <= 0.0",
+                       "non-integer power of a non-positive base", node)
+            exponent = self.node(node.exponent)
+            # exp(p * log x): the chain rule supplies the derivative.
+            log_base = self.bind(self.call("log", base, node))
+            r = self.call("exp", self.bind(self.mul(exponent, log_base)), node)
+        else:
+            r = self.call(node.func, self.node(node.arg), node)
+        r = self.bind(r)
+        body, self.lines = self.lines, outer
+        if len(body) <= _HOIST:
+            outer.extend(body)
+            return r
+        self.loaded = loaded
+        names = "".join(f"{op}, " for op in dict.fromkeys(_flat(r)) if isinstance(op, str))
+        helper, args = f"_h{len(self.ns)}", ", ".join(["x", *(f"v{i}" for i in sorted(loaded))])
+        self.define(helper, args, body, f"return {names}")
+        outer.append(f"{names}= {helper}({args})" if names else f"{helper}({args})")
+        return r
 
-    def call_value(self, func: str, arg: DualNumber, node: AstNode) -> DualNumber:
-        grad = self.want_grad
-        x = arg.value
-        if func == "sin":
-            return DualNumber(math.sin(x), None if not grad else math.cos(x) * arg.partials)
-        if func == "cos":
-            return DualNumber(math.cos(x), None if not grad else -math.sin(x) * arg.partials)
-        if func == "tan":
-            c = math.cos(x)
-            return DualNumber(math.tan(x), None if not grad else arg.partials / (c * c))
-        if func == "exp":
-            try:
-                v = math.exp(x)
-            except OverflowError:
-                raise DomainEvaluationError("overflow in exp", self.frag(node)) from None
-            return DualNumber(v, None if not grad else v * arg.partials)
-        if func == "log":
-            if x <= 0.0:
-                raise DomainEvaluationError(
-                    "logarithm of a non-positive value", self.frag(node)
-                )
-            return DualNumber(math.log(x), None if not grad else arg.partials / x)
-        if func == "sqrt":
-            if x < 0.0:
-                raise DomainEvaluationError(
-                    "square root of a negative value", self.frag(node)
-                )
-            if grad and x == 0.0:
-                raise DomainEvaluationError(
-                    "sqrt is not differentiable at zero", self.frag(node)
-                )
-            v = math.sqrt(x)
-            return DualNumber(v, None if not grad else arg.partials / (2.0 * v))
-        raise AssertionError(f"unknown function {func}")
+    def mul(self, a, b):
+        return (self.bin(a[0], "*", b[0]), *self.each(
+            lambda p, q: self.bin(self.bin(p, "*", b[0]), "+", self.bin(a[0], "*", q)), a, b))
+
+    def power_loop(self, base, p: int):
+        """``1.0 * base * ... * base`` with ``p`` factors, as a loop."""
+        k = next(self.names)
+        parts = {j: f"{k}_{j}" for j in sorted(base[1])} if self.grad else None
+        cur = (k, parts, f"{k}_b" if self.grad else None)
+        names = ", ".join(_flat(cur))
+        start = ", ".join(["1.0"] + ["0.0"] * (len(_flat(cur)) - 1))
+        step = ", ".join(self.lit(op) for op in _flat(self.mul(cur, base)))
+        self.lines += [f"{names} = {start}", f"for _ in range({p}):", f"    {names} = {step}"]
+        return cur
+
+    def call(self, func: str, a, node: AstNode):
+        """``func`` of ``a``; partials scale by ``factor`` or divide by ``divisor``."""
+        x, arg, grad = a[0], self.lit(a[0]), self.grad
+        value, factor, divisor = f"_{func}({arg})", None, None
+        if func in ("sin", "cos", "tan"):
+            self.check(f"_isinf({arg})", f"{func} of an infinite value", node)
+        if grad and func in ("sin", "cos"):
+            factor = self.let(f"_cos({arg})" if func == "sin" else f"(-_sin({arg}))")
+        elif grad and func == "tan":
+            c = self.let(f"_cos({arg})")
+            divisor = self.let(self.bin(c, "*", c))
+        elif func == "exp":
+            factor = value = next(self.names)
+            frag = self.source[slice(*node.span)]
+            self.lines += ["try:", f"    {value} = _exp({arg})", "except OverflowError:",
+                           f"    raise _E('overflow in exp', {frag!r}) from None"]
+        elif func == "log":
+            self.check(f"{arg} <= 0.0", "logarithm of a non-positive value", node)
+            divisor = x
+        elif func == "sqrt":
+            self.check(f"{arg} < 0.0", "square root of a negative value", node)
+            if grad:
+                self.check(f"{arg} == 0.0", "sqrt is not differentiable at zero", node)
+            value = self.let(value)
+            divisor = self.let(self.bin(2.0, "*", value)) if grad else None
+        if factor is not None:
+            return (value, *self.each(lambda p: self.bin(factor, "*", p), a))
+        return (value, *self.each(lambda p: self.bin(p, "/", divisor), a))
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +577,12 @@ class Expression:
     root: AstNode
     variables: tuple[str, ...]
     source: str = field(compare=False)
+    _value_code: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
+    _grad_code: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # Compiled functions (built on first use) do not pickle; a copy recompiles.
+        return {k: v for k, v in vars(self).items() if not k.endswith("_code")}
 
     @property
     def dimension(self) -> int:
@@ -509,19 +597,20 @@ class Expression:
     def evaluate(self, point: Sequence[float]) -> float:
         """IEEE double value of the expression at ``point``."""
         self._check_point(point)
-        ev = _Evaluator(self.source, point, len(self.variables), want_grad=False)
-        return ev.run(self.root).value
+        if self._value_code is None:
+            object.__setattr__(self, "_value_code", _Codegen(self, False).function(self.root))
+        return self._value_code(point)
 
     def gradient(self, point: Sequence[float]) -> np.ndarray:
         """Vector of partial derivatives, exact up to rounding."""
         return self.value_and_gradient(point)[1]
 
     def value_and_gradient(self, point: Sequence[float]) -> tuple[float, np.ndarray]:
-        """Value and gradient from a single dual-number pass."""
+        """Value and gradient from a single forward-mode pass."""
         self._check_point(point)
-        ev = _Evaluator(self.source, point, len(self.variables), want_grad=True)
-        d = ev.run(self.root)
-        return d.value, d.partials
+        if self._grad_code is None:
+            object.__setattr__(self, "_grad_code", _Codegen(self, True).function(self.root))
+        return self._grad_code(point)
 
     def unparse(self) -> str:
         return _unparse(self.root, _PREC_ADD)

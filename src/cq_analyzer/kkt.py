@@ -32,6 +32,7 @@ from .model import ConstraintSystem, active_set, evaluate_point
 from .rank import numerical_rank
 
 __all__ = [
+    "CertificateVerificationError",
     "KktReport",
     "MissingObjectiveError",
     "kkt_report",
@@ -44,6 +45,10 @@ PRIMAL_UNBOUNDED = "unbounded-below"
 
 class MissingObjectiveError(ValueError):
     """The analysis needs an objective and the system has none."""
+
+
+class CertificateVerificationError(RuntimeError):
+    """The computed descent direction failed its own verification."""
 
 
 @dataclass(frozen=True)
@@ -118,8 +123,8 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) -> K
         slope = float(pd.objective_gradient @ d)
         # The certificate is only reported once verified explicitly.
         if not cone_member(cone, d, tol) or slope >= 0.0:
-            raise RuntimeError(
-                "internal error: descent certificate failed verification "
+            raise CertificateVerificationError(
+                "descent certificate failed verification "
                 f"(member={cone_member(cone, d, tol)}, slope={slope})"
             )
         return KktReport(

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ToolConfig
+from .config import T_SCHEDULE_TAIL, ToolConfig
 from .expr import ExpressionError
 from .model import ConstraintSystem
 
@@ -134,14 +134,15 @@ class ProblemFile:
         if "radii" in opts:
             updates["radii"] = parse_schedule(opts["radii"])
         if "t_schedule" in opts:
-            updates["t_schedule"] = parse_schedule(opts["t_schedule"])
+            updates["t_schedule"] = parse_schedule(opts["t_schedule"], T_SCHEDULE_TAIL)
         if self.assert_local_min:
             updates["assert_local_min"] = True
         return cfg.with_options(**updates) if updates else cfg
 
 
-def parse_schedule(spec) -> tuple[float, ...]:
-    """Descending geometric schedule from "start:end:xFACTOR" or a list."""
+def parse_schedule(spec, min_length: int = 1) -> tuple[float, ...]:
+    """Descending geometric schedule of at least ``min_length`` entries from
+    "start:end:xFACTOR" or a list."""
     if isinstance(spec, (list, tuple)):
         values = tuple(_finite(v) for v in spec)
         if None in values:
@@ -176,6 +177,8 @@ def parse_schedule(spec) -> tuple[float, ...]:
         values, reverse=True
     ):
         raise ProblemFileError(f"bad schedule {spec!r}: must be positive descending")
+    if len(values) < min_length:
+        raise ProblemFileError(f"bad schedule {spec!r}: needs at least {min_length} values")
     return values
 
 
@@ -219,9 +222,9 @@ def parse_problem_dict(data: dict, origin: str = "<memory>") -> ProblemFile:
         for key in FLOAT_OPTIONS:
             if key in options:
                 check_float_option(key, options[key])
-        for key in ("radii", "t_schedule"):
+        for key, least in (("radii", 1), ("t_schedule", T_SCHEDULE_TAIL)):
             if key in options:
-                parse_schedule(options[key])
+                parse_schedule(options[key], least)
     except ProblemFileError as err:
         raise ProblemFileError(f"{origin}: {err}") from err
     pf = ProblemFile(

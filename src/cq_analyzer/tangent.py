@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cones import LinearizedCone, build_linearized_cone, cone_member, sample_cone_directions
-from .config import ToolConfig
+from .config import T_SCHEDULE_TAIL, ToolConfig
 from .expr import DomainEvaluationError
 from .model import (
     ActiveSet,
@@ -332,7 +332,7 @@ def probe_tangent(
         if ok:
             eps0 = t
 
-    tail = min(3, len(t_schedule))
+    tail = min(T_SCHEDULE_TAIL, len(t_schedule))
     tail_converged = all(converged_flags[-tail:])
     conv_ratios = [r for r, c in zip(ratios, converged_flags) if c]
     ratios_decreasing = all(

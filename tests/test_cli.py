@@ -138,6 +138,39 @@ def test_cli_rejects_invalid_float_flags_with_usage_exit(capsys, flags):
     assert out == ""
 
 
+def test_cli_rejects_short_t_schedule_in_file(capsys, tmp_path):
+    # One or two values leave the tangent probe no decay slope to fit, yet
+    # Abadie used to come out consistent with exit 0.
+    path = corpus_copy(tmp_path, "circle-point", options={"t_schedule": [0.001]})
+    code, out, err = run_cli(capsys, "abadie", path)
+    assert code == 64 and out == ""
+    assert "circle-point.json" in err and "at least 3 values" in err
+
+
+def test_cli_rejects_short_t_schedule_flag(capsys):
+    code, out, err = run_cli(
+        capsys, "abadie", corpus_file("circle-point"), "--t-schedule", "1e-3:1e-3:x10"
+    )
+    assert code == 64 and out == ""
+    assert "at least 3 values" in err
+
+
+def test_cli_trig_of_overflowed_argument_is_an_error_section(capsys, tmp_path):
+    # sin(x1^400) at x1 = 10 is sin(inf): this used to end in a bare
+    # "ValueError: math domain error" traceback with exit 1.
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "name": "overflow", "variables": ["x1", "x2"],
+        "equalities": ["x2 - sin(x1^400)"], "point": [10, 0],
+    }))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "machine")
+    assert code == 2
+    sections = json.loads(out)["analyses"]
+    for name in ("rcrcq", "abadie"):
+        assert sections[name]["error_kind"] == "ConstraintDomainError"
+        assert "sin of an infinite value in 'sin(x1^400)'" in sections[name]["error"]
+
+
 def test_problem_rejects_point_length_mismatch():
     with pytest.raises(ProblemFileError):
         parse_problem_dict({"name": "x", "variables": ["x", "y"], "point": [0.0]})

@@ -1,0 +1,133 @@
+"""Differential test: compiled evaluation against the former AST walker.
+
+The compiled code must reproduce the walker bit for bit (signed zeros and
+the gradient components outside an expression's support included) and raise
+the same exception with the same message.  The one intended difference: the
+walker let ``math.sin``/``cos``/``tan`` of an infinite argument escape as a
+bare ``ValueError``; the compiled code raises ``DomainEvaluationError``.
+"""
+
+import math
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from cq_analyzer.expr import FUNCTIONS, DomainEvaluationError, parse
+from expr_walker import walk_value, walk_value_and_gradient
+
+NAMES = ("x1", "x2", "x3")
+
+# Constants that reach the awkward corners: 1e300 products overflow to inf,
+# 1e-200 squares underflow to +0.0 (a zero partial denominator with a
+# non-zero value), 710 overflows exp, and integers become IntPow exponents.
+CONSTANTS = ("0", "1", "2", "0.5", "3.25", "1e300", "1e-170", "1e-200", "700", "710")
+
+VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-200, -1e-170, 1e300, 710.0,
+          math.pi / 2, math.inf, -math.inf, math.nan)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds("-({})".format, children),
+        st.builds("({}) {} ({})".format, children, st.sampled_from("+-*/"), children),
+        st.builds(lambda a, k: f"({a})^({k})", children, st.integers(-6, 9)),
+        st.builds("({})^({})".format, children, children),
+        st.builds("({})^{}".format, children, st.sampled_from(("0.5", "1.5", "2.25"))),
+        st.builds("{}({})".format, st.sampled_from(FUNCTIONS), children),
+    )
+
+
+texts = st.recursive(st.sampled_from(NAMES + CONSTANTS), _extend, max_leaves=10)
+points = st.lists(
+    st.lists(st.one_of(st.sampled_from(VALUES), st.floats(-4.0, 4.0)),
+             min_size=len(NAMES), max_size=len(NAMES)),
+    min_size=1, max_size=6,
+)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).view(np.int64).tolist()
+
+
+def _outcome(fn, e, x):
+    with np.errstate(all="ignore"):
+        try:
+            result = fn(e, x)
+        except (ValueError, ArithmeticError) as err:
+            return type(err), str(err)
+    if isinstance(result, tuple):
+        value, grad = result
+        assert type(value) is float and grad.dtype == np.float64
+        return "ok", _bits(value), _bits(grad)
+    assert type(result) is float
+    return "ok", _bits(result)
+
+
+def assert_matches_walker(text, x):
+    e = parse(text, NAMES)
+    for walked, compiled in (
+        (walk_value, lambda e, x: e.evaluate(x)),
+        (walk_value_and_gradient, lambda e, x: e.value_and_gradient(x)),
+    ):
+        want, got = _outcome(walked, e, x), _outcome(compiled, e, x)
+        if want[0] is ValueError and want[1] == "math domain error":
+            assert got[0] is DomainEvaluationError, (text, x, got)
+            assert "of an infinite value" in got[1], (text, x, got)
+        else:
+            assert got == want, (text, x)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(texts, points)
+@example("x1 / (1e-200 * x2)", [[1.0, 1.0, 0.0]])
+@example("(x1 / (1e-200 * x2))^0", [[1.0, 1.0, 0.0]])
+@example("sqrt(x1)^0", [[0.0, 1.0, 0.0], [4.0, 1.0, 0.0]])
+@example("(x1 - x2)^(-3) + x3^(-1)", [[1.0, 1.0, 2.0], [2.0, 1.0, 0.0], [-0.0, 0.0, 1.0]])
+@example("(x1 * x1 + 1)^(x2 / 3) - x3^0.5", [[1.0, 2.0, 4.0], [0.5, -1.0, 0.0]])
+@example("log(x1) + sqrt(x2)", [[0.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, -0.0, 0.0]])
+@example("exp(x1 * 700) - x2", [[1.0, 0.0, 0.0], [1.02, 0.0, 0.0], [-2.0, 0.0, 0.0]])
+@example("x1 * 1e300 * 1e300 * 0 + x2^9", [[1.0, 2.0, 3.0], [0.0, -0.5, 0.0]])
+@example("x2 - sin(x1^400)", [[10.0, 0.0, 0.0], [1.0, 0.5, 0.0]])
+def test_compiled_code_matches_walker(text, xs):
+    for x in xs:
+        assert_matches_walker(text, x)
+
+
+def test_long_expression_matches_walker():
+    # Hundreds of statements: subtrees are compiled as separate helpers.
+    text = " + ".join(f"({i % 7 + 1}) * x{i % 3 + 1}^2 * cos(x{(i + 1) % 3 + 1})"
+                      for i in range(120))
+    for x in ([0.3, -1.2, 2.0], [0.0, -0.0, 1e-200], [1e300, 1.0, 1.0]):
+        assert_matches_walker(text, x)
+    assert_matches_walker(f"sqrt(x1)^0 * ({text})", [0.0, 1.0, 1.0])
+
+
+def test_compiled_functions_are_cached_and_invisible():
+    e, same = parse("x1 * x2", NAMES), parse("x1 * x2", NAMES)
+    before = repr(e)
+    e.value_and_gradient([1.0, 2.0, 3.0])
+    compiled = e._grad_code
+    e.value_and_gradient([2.0, 2.0, 3.0])
+    assert e._grad_code is compiled and same._grad_code is None
+    assert e == same and hash(e) == hash(same) and repr(e) == before
+
+
+@pytest.mark.parametrize("func", ["sin", "cos", "tan"])
+def test_trig_of_infinite_argument_is_a_domain_error(func):
+    e = parse(f"x2 - {func}(x1^400)", ["x1", "x2"])
+    for fn in (e.evaluate, e.value_and_gradient):
+        with pytest.raises(DomainEvaluationError, match=f"{func} of an infinite value"):
+            fn([10.0, 0.0])
+
+
+def test_compiled_expression_pickles():
+    e = parse("x1 * sin(x2) + x3^2", NAMES)
+    x = [0.5, -1.0, 2.0]
+    value, grad = e.value_and_gradient(x)
+    again = pickle.loads(pickle.dumps(e))
+    assert again == e and again._grad_code is None
+    assert again.value_and_gradient(x)[0] == value
+    assert _bits(again.value_and_gradient(x)[1]) == _bits(grad)

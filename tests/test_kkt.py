@@ -236,3 +236,25 @@ def test_descent_certificate_is_cone_member():
     cone = build_linearized_cone(pd, aset_for(sys, x0))
     assert cone_member(cone, d, 1e-8)
     assert float(pd.objective_gradient @ d) < 0.0
+
+
+def test_failed_descent_certificate_is_an_error_section(monkeypatch, capsys):
+    # A certificate that fails its own verification used to escape
+    # run_analyses as a bare RuntimeError and end the CLI in a traceback.
+    from cq_analyzer import kkt
+    from cq_analyzer.analysis import exit_code_for
+    from cq_analyzer.cli import main
+    from cq_analyzer.corpus import CORPUS, corpus_path
+    from cq_analyzer.problem import load_problem_file
+
+    monkeypatch.setattr(kkt, "cone_member", lambda cone, d, tol: False)
+    path = str(corpus_path(CORPUS["sign-obstructed"].filename))
+    pf = load_problem_file(path)
+    with pytest.raises(kkt.CertificateVerificationError):
+        kkt_report(pf.to_system(), pf.x0, CFG)
+    sections = run_analyses(pf.to_system(), pf.x0, CFG, ["kkt"])
+    assert sections["kkt"]["error_kind"] == "CertificateVerificationError"
+    assert "descent certificate failed verification" in sections["kkt"]["error"]
+    assert exit_code_for(sections) == 2
+    assert main(["multipliers", path]) == 2
+    assert "kkt=error" in capsys.readouterr().out
