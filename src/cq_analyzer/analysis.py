@@ -9,6 +9,10 @@ When a run has both an ``rcrcq`` and a ``kkt`` section, the ``kkt`` section
 also carries the asserted-minimum check: a certified constant-rank
 qualification at a local minimum implies that multipliers exist, so their
 absence under ``assert_local_min`` is flagged as a contradiction.
+
+The ``rcrcq`` and ``dependence`` analyses read one sample plan and one
+:class:`~cq_analyzer.rank.SampleJacobian` over every constraint, built once
+per run, so each (constraint, sample point) gradient is evaluated once.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from .dependence import ReconstructionError, classify_dependence, image_dimensio
 from .expr import DomainEvaluationError
 from .kkt import CertificateVerificationError, MissingObjectiveError, kkt_report
 from .model import ConstraintDomainError, ConstraintSystem, active_set, evaluate_point
-from .rank import CERTIFIED, REFUTED, SubsetGuardError, check_rcrcq
+from .rank import (
+    CERTIFIED, REFUTED, SampleJacobian, SubsetGuardError, check_rcrcq, sample_jacobian,
+)
 from .tangent import InfeasibleBasePointError, abadie_verdict
 
 __all__ = ["ALL_ANALYSES", "exit_code_for", "run_analyses", "summary_line"]
@@ -40,35 +46,30 @@ _CAPTURED = (
 )
 
 
-def _run_rcrcq(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig) -> dict:
-    pd = evaluate_point(sys, x0)
-    aset = active_set(pd, cfg.tol_active)
-    return check_rcrcq(sys, x0, aset, cfg.sampler(x0), cfg.tol_rank).to_dict()
+def _run_rcrcq(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig,
+               jacobian: SampleJacobian) -> dict:
+    aset = active_set(evaluate_point(sys, x0), cfg.tol_active)
+    return check_rcrcq(sys, aset, jacobian, cfg.tol_rank).to_dict()
 
 
-def _run_abadie(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig) -> dict:
+def _run_abadie(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig, _jacobian) -> dict:
     return abadie_verdict(sys, x0, cfg).to_dict()
 
 
-def _run_dependence(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig) -> dict:
+def _run_dependence(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig,
+                    jacobian: SampleJacobian) -> dict:
     functions = list(sys.all_constraints)
     if not functions:
         return {"error": "the system has no constraint functions", "error_kind": "empty"}
-    from .dependence import FitConfig
-
-    sampler = cfg.sampler(x0)
     verdict = classify_dependence(
-        functions, x0, sampler, cfg.tol_rank,
-        FitConfig(degree=cfg.fit_degree, tolerance_rel=cfg.fit_tolerance_rel),
+        functions, jacobian, cfg.tol_rank, cfg.fit_degree, cfg.fit_tolerance_rel
     )
     section = verdict.to_dict()
-    section["image_dimension"] = image_dimension_probe(
-        functions, x0, sampler, cfg.tol_rank
-    )
+    section["image_dimension"] = image_dimension_probe(functions, jacobian, cfg.tol_rank)
     return section
 
 
-def _run_kkt(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig) -> dict:
+def _run_kkt(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig, _jacobian) -> dict:
     return kkt_report(sys, x0, cfg).to_dict()
 
 
@@ -87,12 +88,15 @@ def run_analyses(
     which: Sequence[str],
 ) -> dict:
     x0 = np.asarray(x0, dtype=float)
+    jacobian = None
+    if {"rcrcq", "dependence"} & set(which):
+        jacobian = sample_jacobian(list(sys.all_constraints), cfg.sampler(x0))
     sections: dict = {}
     for name in which:
         if name not in _RUNNERS:
             raise ValueError(f"unknown analysis '{name}'")
         try:
-            sections[name] = _RUNNERS[name](sys, x0, cfg)
+            sections[name] = _RUNNERS[name](sys, x0, cfg, jacobian)
         except _CAPTURED as err:
             sections[name] = {"error": str(err), "error_kind": type(err).__name__}
     rcrcq, kkt = sections.get("rcrcq"), sections.get("kkt")

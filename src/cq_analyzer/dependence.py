@@ -17,6 +17,7 @@ scope: only user-supplied witnesses are ever verified.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -28,19 +29,17 @@ from .rank import (
     CERTIFIED,
     CrcReport,
     NeighborhoodSampler,
+    SampleJacobian,
     check_crc,
     numerical_rank,
-    sample_jacobian,
 )
 
 __all__ = [
     "DependenceVerdict",
-    "FitConfig",
     "FittedMap",
     "ReconstructionError",
     "classify_dependence",
     "image_dimension_probe",
-    "laszlo_test",
     "reconstruct_dependent",
     "witness_check",
 ]
@@ -48,6 +47,10 @@ __all__ = [
 INDEPENDENT = "independent"
 DEPENDENT = "dependent-with-relation"
 CRC_FAILED = "crc-failed-inconclusive"
+
+# Ridge weight on the equilibrated polynomial fit: selects the minimal-norm
+# coefficients when monomial columns are dependent.
+_RIDGE = 1e-12
 
 
 class ReconstructionError(ValueError):
@@ -65,20 +68,6 @@ class ReconstructionError(ValueError):
         self.target_index = target_index
         self.residual = residual
         self.bound = bound
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    degree: int = 3
-    tolerance_rel: float = 1e-6   # bound is tolerance_rel * value scale
-    ridge: float = 1e-12
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "tolerance_rel": self.tolerance_rel,
-            "ridge": self.ridge,
-        }
 
 
 @dataclass(frozen=True)
@@ -141,48 +130,17 @@ class DependenceVerdict:
         }
 
 
-def laszlo_test(
-    functions: Sequence[Expression], x: Sequence[float], tol_rank: float
-) -> bool:
-    """True iff the gradient rank at ``x`` is below the function count.
-
-    Never raises: a gradient row that cannot be evaluated at ``x`` is treated
-    as absent, which can only lower the computed rank.  (With fewer than
-    kappa evaluable rows the answer is necessarily True; for families whose
-    unevaluable rows genuinely vanish at the point, such as curves with
-    oscillating coordinates at the origin, this reproduces the exact rank.)
-    """
-    kappa = len(functions)
-    if kappa == 0:
-        return False
-    rows = []
-    for f in functions:
-        try:
-            rows.append(f.gradient(x))
-        except DomainEvaluationError:
-            continue
-    if len(rows) < kappa:
-        return True
-    return numerical_rank(np.array(rows), tol_rank).rank < kappa
-
-
 def image_dimension_probe(
-    functions: Sequence[Expression],
-    x0: Sequence[float],
-    sampler: NeighborhoodSampler,
-    tol_rank: float = 1e-8,
+    functions: Sequence[Expression], jacobian: SampleJacobian, tol_rank: float = 1e-8
 ) -> int:
-    """Heuristic dimension of the local image of f near x0.
+    """Heuristic dimension of the local image of f near the center x0.
 
     Principal-component count of {f(x) - f(x0)} over the smallest-radius
-    samples; when f(x0) itself is unevaluable the samples are centered on
-    their mean instead.  An estimate of kappa is evidence for independence
-    (interior image); always returns.
+    samples of ``jacobian``'s plan; when f(x0) itself is unevaluable the
+    samples are centered on their mean instead.  An estimate of kappa is
+    evidence for independence (interior image); always returns.
     """
-    if not functions:
-        return 0
-    by_radius = sampler.points_by_radius()
-    _, layer = by_radius[-1]  # smallest radius
+    _, layer, _, _ = jacobian.layers[-1]  # smallest radius
     values = []
     for p in layer:
         try:
@@ -193,7 +151,7 @@ def image_dimension_probe(
         return 0
     y = np.array(values)
     try:
-        center = np.array([f.evaluate(np.asarray(x0, dtype=float)) for f in functions])
+        center = np.array([f.evaluate(jacobian.sampler.center) for f in functions])
     except DomainEvaluationError:
         center = y.mean(axis=0)
     return numerical_rank(y - center, tol_rank).rank
@@ -239,25 +197,26 @@ def _design_matrix(z: np.ndarray, exponents: Sequence[tuple[int, ...]]) -> np.nd
 
 def reconstruct_dependent(
     functions: Sequence[Expression],
-    x0: Sequence[float],
+    jacobian: SampleJacobian,
     pivot_indices: Sequence[int],
     target_index: int,
-    sampler: NeighborhoodSampler,
-    fit_config: FitConfig = FitConfig(),
+    degree: int = 3,
+    tolerance_rel: float = 1e-6,
 ) -> FittedMap:
-    """Fit f_target as a polynomial in the pivot function values near x0.
+    """Fit f_target as a polynomial of total degree <= ``degree`` in the pivot
+    function values near the center x0 of ``jacobian``'s sample plan.
 
-    Training uses the even-indexed sampler points, validation the odd-indexed
+    Training uses the even-indexed sample points, validation the odd-indexed
     ones; the recorded residual is the max held-out error.  Exceeding
     ``tolerance_rel`` times the value scale raises
     :class:`ReconstructionError`.
     """
     if target_index in pivot_indices:
         raise ValueError("target function is itself a pivot")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = jacobian.sampler.center
     pivots = [functions[i - 1] for i in pivot_indices]
     target = functions[target_index - 1]
-    points = sampler.points()
+    points = jacobian.points()
     y = np.array([[f.evaluate(p) for f in pivots] for p in points])
     w = np.array([target.evaluate(p) for p in points])
     center = np.array([f.evaluate(x0) for f in pivots])
@@ -265,7 +224,7 @@ def reconstruct_dependent(
 
     train = slice(0, None, 2)
     test = slice(1, None, 2)
-    exponents = _poly_exponents(len(pivots), fit_config.degree)
+    exponents = _poly_exponents(len(pivots), degree)
     a = _design_matrix(y[train] - center, exponents)
     rhs = w[train] - base_value
     # Column equilibration keeps the ridge penalty scale-free.
@@ -273,7 +232,7 @@ def reconstruct_dependent(
     col_norms[col_norms == 0.0] = 1.0
     a_scaled = a / col_norms
     k_cols = a.shape[1]
-    augmented = np.vstack([a_scaled, np.sqrt(fit_config.ridge) * np.eye(k_cols)])
+    augmented = np.vstack([a_scaled, np.sqrt(_RIDGE) * np.eye(k_cols)])
     rhs_aug = np.concatenate([rhs, np.zeros(k_cols)])
     coef_scaled, *_ = np.linalg.lstsq(augmented, rhs_aug, rcond=None)
     coefficients = coef_scaled / col_norms
@@ -285,45 +244,40 @@ def reconstruct_dependent(
         coefficients=tuple(float(cf) for cf in coefficients),
         center=tuple(float(v) for v in center),
         base_value=base_value,
-        training_radius=max(sampler.radii),
+        training_radius=max(jacobian.sampler.radii),
         cross_validated_residual=0.0,
     )
     held_out = [abs(fitted.predict(yy) - ww) for yy, ww in zip(y[test], w[test])]
     residual = float(max(held_out, default=0.0))
     scale = max(1.0, float(np.max(np.abs(w[train]), initial=0.0)))
-    bound = fit_config.tolerance_rel * scale
+    bound = tolerance_rel * scale
     if residual > bound:
         raise ReconstructionError(target_index, residual, bound)
-    return FittedMap(
-        target_index=fitted.target_index,
-        input_indices=fitted.input_indices,
-        exponents=fitted.exponents,
-        coefficients=fitted.coefficients,
-        center=fitted.center,
-        base_value=fitted.base_value,
-        training_radius=fitted.training_radius,
-        cross_validated_residual=residual,
-    )
+    return dataclasses.replace(fitted, cross_validated_residual=residual)
 
 
 def classify_dependence(
     functions: Sequence[Expression],
-    x0: Sequence[float],
-    sampler: NeighborhoodSampler,
+    jacobian: SampleJacobian,
     tol_rank: float,
-    fit_config: FitConfig = FitConfig(),
+    fit_degree: int = 3,
+    fit_tolerance_rel: float = 1e-6,
 ) -> DependenceVerdict:
     """Classify the family as independent / dependent-with-relation / inconclusive.
 
-    Requires a certified constant-rank check for either definite sense; with
-    k < kappa every non-pivot function must reconstruct within tolerance.
-    Reconstruction failures propagate as :class:`ReconstructionError`.
+    ``jacobian`` holds the gradients of ``functions`` from
+    :func:`~cq_analyzer.rank.sample_jacobian`.  Requires a certified
+    constant-rank check for either definite sense; with k < kappa every
+    non-pivot function must reconstruct within tolerance.  Reconstruction
+    failures propagate as :class:`ReconstructionError`.  The point test
+    ``laszlo_at_point`` holds when the gradient rank at the center is below
+    kappa; a row unevaluable there counts as absent, so it holds as well.
     """
     if not functions:
         raise ValueError("functions must be nonempty")
-    crc = check_crc(sample_jacobian(functions, x0, sampler.points_by_radius()), tol_rank)
-    laszlo = laszlo_test(functions, x0, tol_rank)
+    crc = check_crc(jacobian, tol_rank)
     kappa = len(functions)
+    laszlo = crc.rank_at_center is None or crc.rank_at_center < kappa
     if crc.verdict != CERTIFIED:
         return DependenceVerdict(
             sense=CRC_FAILED,
@@ -350,7 +304,7 @@ def classify_dependence(
             continue
         reconstructions.append(
             reconstruct_dependent(
-                functions, x0, crc.pivot_indices, l, sampler, fit_config
+                functions, jacobian, crc.pivot_indices, l, fit_degree, fit_tolerance_rel
             )
         )
     return DependenceVerdict(

@@ -52,6 +52,14 @@ __all__ = [
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
+# Deeper input is a syntax error.  Under the default limit of 1000 Python
+# frames, compiling recurses one frame per tree level (980 levels compile),
+# the generated == and repr about three (330 levels), and the parser five
+# per parenthesis or function argument (195 levels).  The bounds leave room
+# for the callers' frames.
+MAX_DEPTH = 250
+MAX_NESTING = 100
+
 
 class ExpressionError(ValueError):
     """Base class for every error raised by this module."""
@@ -201,6 +209,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        self.nesting = -1  # open parentheses; the top-level expr() makes it 0
         self.var_index = {name: i for i, name in enumerate(variables)}
 
     def peek(self) -> _Token:
@@ -227,10 +236,14 @@ class _Parser:
         return node
 
     def expr(self) -> AstNode:
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise self.fail(f"parentheses nest deeper than {MAX_NESTING} levels")
         node = self.term()
         while True:
             tok = self.accept_op("+", "-")
             if tok is None:
+                self.nesting -= 1
                 return node
             right = self.term()
             node = BinOp(tok.text, node, right, span=(node.span[0], right.span[1]))
@@ -252,15 +265,16 @@ class _Parser:
         return node
 
     def power(self) -> AstNode:
-        base = self.atom()
-        if self.accept_op("^") is None:
-            return base
-        exponent = self.power()  # right-associative
-        span = (base.span[0], exponent.span[1])
-        p = _const_int(exponent)
-        if p is not None:
-            return IntPow(base, p, span=span)
-        return Pow(base, exponent, span=span)
+        operands = [self.atom()]
+        while self.accept_op("^") is not None:
+            operands.append(self.atom())
+        node = operands.pop()
+        while operands:  # right-associative
+            base = operands.pop()
+            span = (base.span[0], node.span[1])
+            p = _const_int(node)
+            node = IntPow(base, p, span=span) if p is not None else Pow(base, node, span=span)
+        return node
 
     def atom(self) -> AstNode:
         tok = self.peek()
@@ -296,6 +310,18 @@ class _Parser:
                 raise self.fail("expected ')'")
             return node
         raise self.fail(f"expected a number, identifier, or '(', got '{tok.text or 'end of input'}'")
+
+
+def _check_depth(root: AstNode) -> None:
+    """Raise if the tree has more than MAX_DEPTH levels (walked without recursion)."""
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels",
+                                  node.span[0])
+        stack.extend((child, depth + 1) for child in vars(node).values()
+                     if isinstance(child, AstNode))
 
 
 def _const_int(node: AstNode) -> Optional[int]:
@@ -624,7 +650,8 @@ def parse(text: str, variables: Sequence[str]) -> Expression:
 
     Raises :class:`ExprSyntaxError`, :class:`UnknownIdentifierError`, or
     :class:`ArityMismatchError` on malformed input; every error carries the
-    0-based offset of the problem.
+    0-based offset of the problem.  Input nested deeper than ``MAX_DEPTH``
+    tree levels or ``MAX_NESTING`` parentheses is a syntax error.
     """
     for name in variables:
         if name in FUNCTIONS:
@@ -632,6 +659,7 @@ def parse(text: str, variables: Sequence[str]) -> Expression:
     if len(set(variables)) != len(tuple(variables)):
         raise ValueError("duplicate variable names")
     root = _Parser(text, variables).parse()
+    _check_depth(root)
     return Expression(root=root, variables=tuple(variables), source=text)
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "KktReport",
     "MissingObjectiveError",
     "kkt_report",
-    "stationarity_residual",
 ]
 
 PRIMAL_ZERO = "zero"
@@ -161,16 +160,3 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) -> K
         tolerance_used=tol,
     )
 
-
-def stationarity_residual(
-    sys: ConstraintSystem, x0: Sequence[float], lam: dict[int, float] | Sequence[tuple[int, float]]
-) -> float:
-    """||grad h0(x0) + sum_i lambda_i grad h_i(x0)||_2 for given multipliers."""
-    if sys.objective is None:
-        raise MissingObjectiveError("the constraint system has no objective")
-    pairs = dict(lam).items() if not isinstance(lam, dict) else lam.items()
-    pd = evaluate_point(sys, np.asarray(x0, dtype=float))
-    total = pd.objective_gradient.copy()
-    for i, v in pairs:
-        total = total + v * pd.row(i)
-    return float(np.linalg.norm(total))

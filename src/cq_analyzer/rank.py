@@ -196,15 +196,17 @@ class CrcReport:
 
 @dataclass(frozen=True)
 class SampleJacobian:
-    """Gradient rows of one function family at a center and its sample points.
+    """Gradient rows of one function family at a sampler's center and points.
 
     ``layers`` holds ``(radius, points, rows, failed)`` per sample radius:
     ``rows[p]`` is the (kappa, n) gradient matrix at ``points[p]`` and
     ``failed[p, i]`` marks a row that could not be evaluated there (its entries
     are zero).  :meth:`select` restricts every matrix to a subfamily without
-    evaluating anything again.
+    evaluating anything again.  The points are the sample plan of ``sampler``,
+    drawn once: every consumer reads them here.
     """
 
+    sampler: NeighborhoodSampler
     center_rows: np.ndarray               # (kappa, n)
     center_failed: np.ndarray             # (kappa,) bool
     layers: tuple[tuple[float, tuple[np.ndarray, ...], np.ndarray, np.ndarray], ...]
@@ -213,10 +215,15 @@ class SampleJacobian:
     def kappa(self) -> int:
         return self.center_rows.shape[0]
 
+    def points(self) -> list[np.ndarray]:
+        """Every sample point, ordered by (radius descending, sample index)."""
+        return [p for _, points, _, _ in self.layers for p in points]
+
     def select(self, cols: Sequence[int]) -> "SampleJacobian":
         """The subfamily of the 0-based rows ``cols``, in that order."""
         cols = list(cols)
         return SampleJacobian(
+            sampler=self.sampler,
             center_rows=self.center_rows[cols],
             center_failed=self.center_failed[cols],
             layers=tuple(
@@ -227,7 +234,7 @@ class SampleJacobian:
 
 
 def _gradient_rows(
-    functions: Sequence[Expression], x: np.ndarray, rows: np.ndarray, failed: np.ndarray
+    functions: Sequence[Expression], x: Sequence[float], rows: np.ndarray, failed: np.ndarray
 ) -> None:
     """Fill gradient rows at x; rows that fail to evaluate are marked, not raised."""
     for i, f in enumerate(functions):
@@ -238,29 +245,21 @@ def _gradient_rows(
 
 
 def sample_jacobian(
-    functions: Sequence[Expression],
-    x0: Sequence[float],
-    points_by_radius: Sequence[tuple[float, Sequence[np.ndarray]]],
+    functions: Sequence[Expression], sampler: NeighborhoodSampler
 ) -> SampleJacobian:
-    """Evaluate every gradient once at ``x0`` and at every sample point.
-
-    ``points_by_radius`` is the sample plan, as produced by
-    :meth:`NeighborhoodSampler.points_by_radius`.
-    """
-    x0 = np.asarray(x0, dtype=float)
+    """Evaluate every gradient once at the sampler's center and at each of its points."""
     kappa = len(functions)
-    n = functions[0].dimension if functions else len(x0)
-    center_rows = np.zeros((kappa, n))
+    center_rows = np.zeros((kappa, sampler.dimension))
     center_failed = np.zeros(kappa, dtype=bool)
-    _gradient_rows(functions, x0, center_rows, center_failed)
+    _gradient_rows(functions, sampler.center, center_rows, center_failed)
     layers = []
-    for radius, layer in points_by_radius:
-        rows = np.zeros((len(layer), kappa, n))
+    for radius, layer in sampler.points_by_radius():
+        rows = np.zeros((len(layer), kappa, sampler.dimension))
         failed = np.zeros((len(layer), kappa), dtype=bool)
         for p, point in enumerate(layer):
             _gradient_rows(functions, point, rows[p], failed[p])
         layers.append((radius, tuple(layer), rows, failed))
-    return SampleJacobian(center_rows, center_failed, tuple(layers))
+    return SampleJacobian(sampler, center_rows, center_failed, tuple(layers))
 
 
 def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
@@ -380,18 +379,17 @@ class RcrcqReport:
 
 def check_rcrcq(
     sys: ConstraintSystem,
-    x0: Sequence[float],
     aset: ActiveSet,
-    sampler: NeighborhoodSampler,
+    jacobian: SampleJacobian,
     tol_rank: float,
     max_active: int = 20,
 ) -> RcrcqReport:
     """Run the constant-rank check for every J with I_0 <= J <= I_0 + I(x0).
 
-    All subsets share one sample set, and each gradient of I_0 + I(x0) is
-    evaluated once per point: every subset is ranked from row slices of that
-    one :class:`SampleJacobian`, and a point is skipped for J only when a row
-    in J failed there.  The verdict aggregates per-subset verdicts with
+    ``jacobian`` holds every constraint of ``sys`` in index order, from
+    :func:`sample_jacobian`.  Every subset is ranked from row slices of it,
+    so no gradient is evaluated here, and a point is skipped for J only when
+    a row in J failed there.  The verdict aggregates per-subset verdicts with
     refuted dominating, then inconclusive, then certified.
     """
     active = tuple(sorted(aset.indices))
@@ -402,11 +400,6 @@ def check_rcrcq(
             "analyze an explicit subset list instead"
         )
     eq = tuple(sys.equality_indices)
-    family = tuple(sorted(set(eq) | set(active)))
-    column = {i: c for c, i in enumerate(family)}
-    jacobian = sample_jacobian(
-        [sys.constraint(i) for i in family], x0, sampler.points_by_radius()
-    )
 
     subsets = []
     base_ranks = []
@@ -414,7 +407,7 @@ def check_rcrcq(
     for size in range(len(active) + 1):
         for extra in itertools.combinations(active, size):
             j = tuple(sorted(set(eq) | set(extra)))
-            report = check_crc(jacobian.select([column[i] for i in j]), tol_rank)
+            report = check_crc(jacobian.select([i - 1 for i in j]), tol_rank)
             subsets.append((j, report))
             base_ranks.append((j, report.rank_at_center))
             verdicts.append(report.verdict)
@@ -432,5 +425,5 @@ def check_rcrcq(
         active_indices=active,
         equality_indices=eq,
         tolerance_used=tol_rank,
-        sampler_config=sampler.to_dict(),
+        sampler_config=jacobian.sampler.to_dict(),
     )

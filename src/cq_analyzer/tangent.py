@@ -127,6 +127,7 @@ def ljusternik_correct(
     residual_tol = cfg.corrector_tol * (1.0 + scale)
     rank0 = numerical_rank(rows0, cfg.tol_rank)
     pivot = tuple(j[p - 1] for p in rank0.pivot_indices)
+    pivot_pos = [p - 1 for p in rank0.pivot_indices]  # pivot rows' positions in J
     if not pivot:
         # All gradient rows vanish at the base: nothing to iterate along.
         converged = initial_residual <= residual_tol
@@ -141,7 +142,7 @@ def ljusternik_correct(
         final = math.inf
         for it in range(cfg.corrector_max_iter + 1):
             try:
-                values_j, _ = _rows_and_values(sys, j, base + r)
+                values_j, rows_j = _rows_and_values(sys, j, base + r)
             except ConstraintDomainError as err:
                 return CorrectionResult(
                     r=r, converged=False, iterations=it,
@@ -157,14 +158,7 @@ def ljusternik_correct(
                 )
             if it == cfg.corrector_max_iter:
                 break
-            try:
-                piv_values, piv_rows = _rows_and_values(sys, pivot, base + r)
-            except ConstraintDomainError as err:
-                return CorrectionResult(
-                    r=r, converged=False, iterations=it,
-                    initial_residual=initial_residual, final_residual=final,
-                    pivot_indices=pivot, diagnostic=str(err),
-                )
+            piv_values, piv_rows = values_j[pivot_pos], rows_j[pivot_pos]
             # Minimal-norm update: r_new = pinv(J)(J r - h) solves the
             # linearized system while discarding the null-space component
             # of the iterate, so the limit is the minimal-norm correction
@@ -524,22 +518,19 @@ def _correct_equalities(sys, eq_indices, x, gn_tol, cfg) -> Optional[np.ndarray]
         values, rows = _rows_and_values(sys, eq_indices, x)
     except ConstraintDomainError:
         return None
-    pivots = numerical_rank(rows, cfg.tol_rank).pivot_indices
-    pivot_idx = tuple(eq_indices[p - 1] for p in pivots)
-    if not pivot_idx:
+    pivots = [p - 1 for p in numerical_rank(rows, cfg.tol_rank).pivot_indices]
+    if not pivots:
         return x if float(np.max(np.abs(values), initial=0.0)) <= gn_tol else None
+    pivot_idx = tuple(eq_indices[p] for p in pivots)
+    values, rows = values[pivots], rows[pivots]
     for _ in range(cfg.corrector_max_iter):
+        if float(np.max(np.abs(values), initial=0.0)) <= gn_tol:
+            return x
+        x = x - np.linalg.pinv(rows) @ values
         try:
             values, rows = _rows_and_values(sys, pivot_idx, x)
         except ConstraintDomainError:
             return None
-        if float(np.max(np.abs(values), initial=0.0)) <= gn_tol:
-            return x
-        x = x - np.linalg.pinv(rows) @ values
-    try:
-        values, _ = _rows_and_values(sys, pivot_idx, x)
-    except ConstraintDomainError:
-        return None
     return x if float(np.max(np.abs(values), initial=0.0)) <= gn_tol else None
 
 

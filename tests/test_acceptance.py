@@ -13,12 +13,12 @@ from conftest import random_domain_points
 from cq_analyzer.cli import main as cli_main
 from cq_analyzer.config import ToolConfig
 from cq_analyzer.corpus import CORPUS, load_case
-from cq_analyzer.dependence import FitConfig, reconstruct_dependent, witness_check
+from cq_analyzer.dependence import classify_dependence, reconstruct_dependent, witness_check
 from cq_analyzer.expr import finite_diff_gradient, parse
 from cq_analyzer.kkt import kkt_report
 from cq_analyzer.model import active_set, evaluate_point
 from cq_analyzer.cones import build_linearized_cone, cone_member
-from cq_analyzer.rank import NeighborhoodSampler, check_rcrcq
+from cq_analyzer.rank import NeighborhoodSampler, check_rcrcq, sample_jacobian
 from cq_analyzer.tangent import abadie_verdict, probe_tangent, tangent_direction_estimate
 
 CFG = ToolConfig()
@@ -37,6 +37,10 @@ def _report(number: int, description: str, passed: bool, detail: str = "") -> No
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {number:2d} {status} - {description}{suffix}")
     assert passed, f"criterion {number}: {description}{suffix}"
+
+
+def _jacobian(system, x0):
+    return sample_jacobian(list(system.all_constraints), CFG.sampler(x0))
 
 
 def _all_corpus_systems():
@@ -72,8 +76,6 @@ def test_criterion_1_ad_matches_finite_differences():
 
 def test_criterion_2_rank_verdicts_match_hand_ranks():
     """CRC/RCRCQ verdicts match the hand-computed ranks on all nine cases."""
-    from cq_analyzer.dependence import laszlo_test
-
     expectations = {
         # name -> (rcrcq verdict or None, {J: rank at center})
         "coordinate-projections": ("certified-by-sampling", {(1, 2): 2}),
@@ -94,7 +96,7 @@ def test_criterion_2_rank_verdicts_match_hand_ranks():
         system = pf.to_system()
         pd = evaluate_point(system, pf.x0)
         report = check_rcrcq(
-            system, pf.x0, active_set(pd, CFG.tol_active), CFG.sampler(pf.x0), CFG.tol_rank
+            system, active_set(pd, CFG.tol_active), _jacobian(system, pf.x0), CFG.tol_rank
         )
         if report.verdict != verdict:
             failures.append(f"{name}: verdict {report.verdict} != {verdict}")
@@ -105,7 +107,10 @@ def test_criterion_2_rank_verdicts_match_hand_ranks():
     # The spiral curve: the gradient family is rank-deficient at 0
     # (hand rank 0 < 3), which the point test must report as dependent.
     _, pf = load_case("tornado-curve")
-    if not laszlo_test(list(pf.to_system().all_constraints), pf.x0, CFG.tol_rank):
+    system = pf.to_system()
+    functions = list(system.all_constraints)
+    verdict = classify_dependence(functions, _jacobian(system, pf.x0), CFG.tol_rank)
+    if not verdict.laszlo_at_point:
         failures.append("tornado-curve: rank test at 0 not dependent")
     _report(
         2,
@@ -123,8 +128,8 @@ def test_criterion_3_abadie_equivalence_on_certified_cases():
         _, pf = load_case(name)
         system = pf.to_system()
         rcrcq = check_rcrcq(
-            system, pf.x0, active_set(evaluate_point(system, pf.x0), CFG.tol_active),
-            CFG.sampler(pf.x0), CFG.tol_rank,
+            system, active_set(evaluate_point(system, pf.x0), CFG.tol_active),
+            _jacobian(system, pf.x0), CFG.tol_rank,
         )
         if rcrcq.verdict != "certified-by-sampling":
             failures.append(f"{name}: rcrcq {rcrcq.verdict}")
@@ -263,7 +268,7 @@ def test_criterion_8_dependence_reconstruction_residuals():
     ]
     for label, functions, x0, radii in polynomial_cases:
         sampler = NeighborhoodSampler(center=tuple(x0), radii=radii, seed=42)
-        fitted = reconstruct_dependent(functions, x0, (1,), 2, sampler, FitConfig())
+        fitted = reconstruct_dependent(functions, sample_jacobian(functions, sampler), (1,), 2)
         scale = max(1.0, max(abs(functions[1].evaluate(p)) for p in sampler.points()))
         if fitted.cross_validated_residual > 1e-6 * scale:
             failures.append(f"{label}: residual {fitted.cross_validated_residual:.2e}")
@@ -271,7 +276,9 @@ def test_criterion_8_dependence_reconstruction_residuals():
     sin_sampler = NeighborhoodSampler(
         center=(0.0, 0.0), radii=(1e-2, 1e-3, 1e-4), seed=42
     )
-    sin_fit = reconstruct_dependent(sin_functions, [0.0, 0.0], (1,), 2, sin_sampler)
+    sin_fit = reconstruct_dependent(
+        sin_functions, sample_jacobian(sin_functions, sin_sampler), (1,), 2
+    )
     if sin_fit.cross_validated_residual > 1e-5:
         failures.append(f"sin: residual {sin_fit.cross_validated_residual:.2e}")
     _report(

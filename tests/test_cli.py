@@ -171,6 +171,33 @@ def test_cli_trig_of_overflowed_argument_is_an_error_section(capsys, tmp_path):
         assert "sin of an infinite value in 'sin(x1^400)'" in sections[name]["error"]
 
 
+def deep_sum_problem(tmp_path, terms):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "name": "deep", "variables": ["x1", "x2"],
+        "equalities": [" + ".join(["x1*x2"] * terms)], "point": [0.0, 0.0],
+    }))
+    return str(path)
+
+
+def test_cli_rejects_an_over_deep_expression_with_usage_exit(capsys, tmp_path):
+    # Compiling recurses once per tree level: a 1000-term sum used to end
+    # rcrcq in a RecursionError traceback with exit 1.
+    code, out, err = run_cli(capsys, "rcrcq", deep_sum_problem(tmp_path, 1000))
+    assert code == 64 and out == ""
+    assert "problem 'deep'" in err and "deeper than 250 levels" in err
+
+
+def test_cli_analyzes_a_sum_of_240_terms(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "analyze", deep_sum_problem(tmp_path, 240),
+                           "--format", "machine")
+    sections = json.loads(out)["analyses"]
+    assert all("error" not in section for section in sections.values())
+    # The gradient 240 * (x2, x1) vanishes at the origin only.
+    assert sections["rcrcq"]["verdict"] == "refuted"
+    assert code == 1
+
+
 def test_problem_rejects_point_length_mismatch():
     with pytest.raises(ProblemFileError):
         parse_problem_dict({"name": "x", "variables": ["x", "y"], "point": [0.0]})

@@ -6,12 +6,11 @@ from cq_analyzer.dependence import (
     ReconstructionError,
     classify_dependence,
     image_dimension_probe,
-    laszlo_test,
     reconstruct_dependent,
     witness_check,
 )
 from cq_analyzer.expr import parse
-from cq_analyzer.rank import NeighborhoodSampler
+from cq_analyzer.rank import NeighborhoodSampler, numerical_rank, sample_jacobian
 
 TORNADO = ["x^3 * sin(1/x)", "x^3 * cos(1/x)", "x^3"]
 
@@ -24,24 +23,28 @@ def sampler_at(center, **kw):
     return NeighborhoodSampler(center=tuple(center), **kw)
 
 
+def jacobian_at(functions, center, **kw):
+    return sample_jacobian(functions, sampler_at(center, **kw))
+
+
+def classify(functions, center, **kw):
+    return classify_dependence(functions, jacobian_at(functions, center, **kw), 1e-8)
+
+
 # ---------------------------------------------------------------------------
 # classify_dependence
 # ---------------------------------------------------------------------------
 
 
 def test_classify_coordinate_projections_independent():
-    verdict = classify_dependence(
-        fns(["x1", "x2"], ["x1", "x2"]), [0.0, 0.0], sampler_at([0.0, 0.0]), 1e-8
-    )
+    verdict = classify(fns(["x1", "x2"], ["x1", "x2"]), [0.0, 0.0])
     assert verdict.sense == "independent"
     assert verdict.rank_k == 2 and verdict.kappa == 2
     assert not verdict.laszlo_at_point
 
 
 def test_classify_affine_pair_dependent():
-    verdict = classify_dependence(
-        fns(["x1", "2*x1 + 3"], ["x1", "x2"]), [0.0, 0.0], sampler_at([0.0, 0.0]), 1e-8
-    )
+    verdict = classify(fns(["x1", "2*x1 + 3"], ["x1", "x2"]), [0.0, 0.0])
     assert verdict.sense == "dependent-with-relation"
     assert verdict.rank_k == 1
     assert verdict.pivot_indices == (1,)
@@ -52,16 +55,14 @@ def test_classify_affine_pair_dependent():
 
 
 def test_classify_axis_squares_inconclusive():
-    verdict = classify_dependence(
-        fns(["x1^2", "x2^2"], ["x1", "x2"]), [0.0, 0.0], sampler_at([0.0, 0.0]), 1e-8
-    )
+    verdict = classify(fns(["x1^2", "x2^2"], ["x1", "x2"]), [0.0, 0.0])
     assert verdict.sense == "crc-failed-inconclusive"
     assert verdict.crc.verdict == "refuted"
 
 
 def test_classify_requires_functions():
     with pytest.raises(ValueError):
-        classify_dependence([], [0.0], sampler_at([0.0]), 1e-8)
+        classify([], [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +72,7 @@ def test_classify_requires_functions():
 
 def test_reconstruct_identity_map():
     functions = fns(["x1 + x2", "x1 + x2"], ["x1", "x2"])
-    fitted = reconstruct_dependent(
-        functions, [0.0, 0.0], (1,), 2, sampler_at([0.0, 0.0])
-    )
+    fitted = reconstruct_dependent(functions, jacobian_at(functions, [0.0, 0.0]), (1,), 2)
     assert fitted.cross_validated_residual <= 1e-12
     assert fitted.predict([0.37]) == pytest.approx(0.37, abs=1e-10)
 
@@ -81,7 +80,7 @@ def test_reconstruct_identity_map():
 def test_reconstruct_square_relation_at_generic_point():
     functions = fns(["x1", "x1^2"], ["x1", "x2"])
     x0 = [1.0, 0.0]
-    verdict = classify_dependence(functions, x0, sampler_at(x0), 1e-8)
+    verdict = classify(functions, x0)
     assert verdict.sense == "dependent-with-relation"
     assert verdict.pivot_indices == (1,)
     fitted = verdict.reconstructions[0]
@@ -94,8 +93,8 @@ def test_reconstruct_sin_composition_small_radius():
     # Cubic surrogate of sin on |y| <= ~1.4e-2; Taylor remainder |y|^5/120
     # bounds the best cubic error far below the asserted 1e-7.
     functions = fns(["x1 + x2", "sin(x1 + x2)"], ["x1", "x2"])
-    s = sampler_at([0.0, 0.0], radii=(1e-2, 1e-3, 1e-4))
-    fitted = reconstruct_dependent(functions, [0.0, 0.0], (1,), 2, s)
+    jacobian = jacobian_at(functions, [0.0, 0.0], radii=(1e-2, 1e-3, 1e-4))
+    fitted = reconstruct_dependent(functions, jacobian, (1,), 2)
     assert fitted.training_radius == 1e-2
     assert fitted.cross_validated_residual <= 1e-7
     assert fitted.predict([0.01]) == pytest.approx(math.sin(0.01), abs=1e-7)
@@ -104,16 +103,16 @@ def test_reconstruct_sin_composition_small_radius():
 def test_reconstruct_failure_carries_residual():
     # sin over a radius-1 ball is not a cubic to 1e-6: the fit must refuse.
     functions = fns(["x1 + x2", "sin(x1 + x2)"], ["x1", "x2"])
-    s = sampler_at([0.0, 0.0], radii=(1.0, 0.5))
+    jacobian = jacobian_at(functions, [0.0, 0.0], radii=(1.0, 0.5))
     with pytest.raises(ReconstructionError) as exc:
-        reconstruct_dependent(functions, [0.0, 0.0], (1,), 2, s)
+        reconstruct_dependent(functions, jacobian, (1,), 2)
     assert exc.value.residual > exc.value.bound
 
 
 def test_reconstruct_rejects_pivot_target():
     functions = fns(["x1", "x1^2"], ["x1", "x2"])
     with pytest.raises(ValueError):
-        reconstruct_dependent(functions, [1.0, 0.0], (1,), 1, sampler_at([1.0, 0.0]))
+        reconstruct_dependent(functions, jacobian_at(functions, [1.0, 0.0]), (1,), 1)
 
 
 def test_reconstruction_consistency_on_fresh_samples():
@@ -125,9 +124,8 @@ def test_reconstruction_consistency_on_fresh_samples():
     for texts, names, x0 in cases:
         functions = fns(texts, names)
         radii = (1e-2, 1e-3, 1e-4)
-        fitted = reconstruct_dependent(
-            functions, x0, (1,), 2, sampler_at(x0, radii=radii, seed=42)
-        )
+        jacobian = jacobian_at(functions, x0, radii=radii, seed=42)
+        fitted = reconstruct_dependent(functions, jacobian, (1,), 2)
         fresh = sampler_at(x0, radii=radii, seed=4242)
         allowed = 10.0 * max(fitted.cross_validated_residual, 1e-14)
         for p in fresh.points():
@@ -136,31 +134,37 @@ def test_reconstruction_consistency_on_fresh_samples():
 
 
 # ---------------------------------------------------------------------------
-# laszlo_test
+# the rank-at-a-point test (laszlo_at_point)
 # ---------------------------------------------------------------------------
+
+
+def laszlo_at(functions, x):
+    # Small radii keep the reconstruction that classification runs on a
+    # smooth rank-deficient family within its bound.
+    return classify(functions, x, radii=(1e-5, 1e-6, 1e-7)).laszlo_at_point
 
 
 def test_laszlo_tornado_true_at_origin():
     # All three derivatives vanish at 0 (rank 0 < 3); the two oscillating
     # rows are unevaluable there and counted as absent, reproducing rank 0.
-    assert laszlo_test(fns(TORNADO, ["x"]), [0.0], 1e-8)
+    assert laszlo_at(fns(TORNADO, ["x"]), [0.0])
 
 
 def test_laszlo_tornado_true_nearby_too():
     # Three functions of one variable: gradient rank is at most 1 < 3.
-    assert laszlo_test(fns(TORNADO, ["x"]), [0.01], 1e-8)
+    assert laszlo_at(fns(TORNADO, ["x"]), [0.01])
 
 
 def test_laszlo_coordinate_projections_false():
     functions = fns(["x1", "x2"], ["x1", "x2"])
     for x in ([0.0, 0.0], [0.3, -0.2], [5.0, 5.0]):
-        assert not laszlo_test(functions, x, 1e-8)
+        assert not laszlo_at(functions, x)
 
 
 def test_laszlo_cusp_true_at_zero_false_elsewhere():
     functions = fns(["t^3", "t^2"], ["t"])
-    assert laszlo_test(functions, [0.0], 1e-8)
-    assert laszlo_test(functions, [0.5], 1e-8)  # rank 1 < 2 away from 0 as well
+    assert laszlo_at(functions, [0.0])
+    assert laszlo_at(functions, [0.5])  # rank 1 < 2 away from 0 as well
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +173,20 @@ def test_laszlo_cusp_true_at_zero_false_elsewhere():
 
 
 def test_image_probe_full_rank_pair():
-    assert (
-        image_dimension_probe(
-            fns(["x1", "x2"], ["x1", "x2"]), [0.0, 0.0], sampler_at([0.0, 0.0])
-        )
-        == 2
-    )
+    functions = fns(["x1", "x2"], ["x1", "x2"])
+    assert image_dimension_probe(functions, jacobian_at(functions, [0.0, 0.0])) == 2
 
 
 def test_image_probe_repeated_function():
-    assert (
-        image_dimension_probe(
-            fns(["x1", "x1"], ["x1", "x2"]), [0.0, 0.0], sampler_at([0.0, 0.0])
-        )
-        == 1
-    )
+    functions = fns(["x1", "x1"], ["x1", "x2"])
+    assert image_dimension_probe(functions, jacobian_at(functions, [0.0, 0.0])) == 1
 
 
 def test_image_probe_tornado_curve():
     # The image is a curve in R^3; the center value is unevaluable at 0 so
     # the probe centers on the sample mean.
-    assert image_dimension_probe(fns(TORNADO, ["x"]), [0.0], sampler_at([0.0])) == 1
+    functions = fns(TORNADO, ["x"])
+    assert image_dimension_probe(functions, jacobian_at(functions, [0.0])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +234,7 @@ def test_independent_implies_laszlo_false_at_point():
     ]
     for texts, names, x0 in cases:
         functions = fns(texts, names)
-        verdict = classify_dependence(functions, x0, sampler_at(x0), 1e-8)
+        verdict = classify(functions, x0)
         assert verdict.sense == "independent"
         assert not verdict.laszlo_at_point
 
@@ -245,21 +242,22 @@ def test_independent_implies_laszlo_false_at_point():
 def test_local_stability_of_dependence():
     # Dependent at x0 stays dependent at every smallest-radius sample point.
     functions = fns(["x1", "2*x1 + 3"], ["x1", "x2"])
-    base = sampler_at([0.0, 0.0])
-    verdict = classify_dependence(functions, [0.0, 0.0], base, 1e-8)
+    jacobian = jacobian_at(functions, [0.0, 0.0])
+    verdict = classify_dependence(functions, jacobian, 1e-8)
     assert verdict.sense == "dependent-with-relation"
-    _, smallest_layer = base.points_by_radius()[-1]
+    _, smallest_layer, _, _ = jacobian.layers[-1]
     for p in smallest_layer:
-        shifted = classify_dependence(
-            functions, p, sampler_at(p, radii=(1e-4, 1e-5, 1e-6)), 1e-8
-        )
+        shifted = classify(functions, p, radii=(1e-4, 1e-5, 1e-6))
         assert shifted.sense == "dependent-with-relation"
 
 
 def test_dependent_implies_laszlo_true_on_neighborhood():
     functions = fns(["x1", "2*x1 + 3"], ["x1", "x2"])
-    s = sampler_at([0.0, 0.0])
-    verdict = classify_dependence(functions, [0.0, 0.0], s, 1e-8)
+    jacobian = jacobian_at(functions, [0.0, 0.0])
+    verdict = classify_dependence(functions, jacobian, 1e-8)
     assert verdict.sense == "dependent-with-relation"
-    for p in s.points():
-        assert laszlo_test(functions, p, 1e-8)
+    assert verdict.laszlo_at_point
+    # The point test at every sample point: the gradient rank there is below 2.
+    for p in jacobian.points():
+        rows = [f.gradient(p) for f in functions]
+        assert numerical_rank(rows, 1e-8).rank < len(functions)

@@ -11,6 +11,8 @@ from cq_analyzer.expr import (
     DomainEvaluationError,
     ExprSyntaxError,
     IntPow,
+    MAX_DEPTH,
+    MAX_NESTING,
     Num,
     UnknownIdentifierError,
     Var,
@@ -52,6 +54,26 @@ def test_parse_arity_errors():
         parse("sin", ["x"])
     with pytest.raises(ArityMismatchError):
         parse("x(2)", ["x"])
+
+
+def test_parse_depth_bounds():
+    # Left-deep sums and right-deep powers parse without recursion; the tree
+    # depth is bounded because compiling recurses once per level.
+    deepest_sum = " + ".join(["x"] * MAX_DEPTH)            # MAX_DEPTH levels
+    e = parse(deepest_sum, ["x"])
+    assert e.evaluate([1.0]) == MAX_DEPTH
+    # The dataclass-generated methods recurse too, more deeply per level.
+    assert e == parse(deepest_sum, ["x"]) and hash(e) and repr(e)
+    for text in (deepest_sum + " + x", "^".join(["x"] * (MAX_DEPTH + 1))):
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse(text, ["x"])
+    # Each parenthesis or function argument costs the parser several frames.
+    nested = "sin(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse(nested, ["x"]).evaluate([0.0]) == 0.0
+    for text in ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+                 "sin(" + nested + ")", "-(" + nested + ")"):
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_NESTING} levels"):
+            parse(text, ["x"])
 
 
 def test_parse_rejects_function_named_variable():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -24,12 +25,8 @@ def sampler_at(center, **kw):
     return NeighborhoodSampler(center=tuple(center), **kw)
 
 
-def points_at(center, **kw):
-    return sampler_at(center, **kw).points_by_radius()
-
-
-def crc(functions, x0, points, tol_rank):
-    return check_crc(sample_jacobian(functions, x0, points), tol_rank)
+def crc(functions, sampler, tol_rank):
+    return check_crc(sample_jacobian(functions, sampler), tol_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +151,7 @@ def fns(texts, names):
 
 def test_crc_coordinate_projections_certified():
     report = crc(
-        fns(["x1", "x2"], ["x1", "x2"]), [0.0, 0.0], points_at([0.0, 0.0]), 1e-8
+        fns(["x1", "x2"], ["x1", "x2"]), sampler_at([0.0, 0.0]), 1e-8
     )
     assert report.verdict == "certified-by-sampling"
     assert report.rank_at_center == 2
@@ -163,7 +160,7 @@ def test_crc_coordinate_projections_certified():
 
 def test_crc_axis_squares_refuted():
     report = crc(
-        fns(["x1^2", "x2^2"], ["x1", "x2"]), [0.0, 0.0], points_at([0.0, 0.0]), 1e-8
+        fns(["x1^2", "x2^2"], ["x1", "x2"]), sampler_at([0.0, 0.0]), 1e-8
     )
     assert report.verdict == "refuted"
     assert report.rank_at_center == 0
@@ -172,14 +169,14 @@ def test_crc_axis_squares_refuted():
 
 def test_crc_cusp_powers_refuted():
     # f' rows (3t^2) and (2t) vanish at 0 but not nearby.
-    report = crc(fns(["t^3", "t^2"], ["t"]), [0.0], points_at([0.0]), 1e-8)
+    report = crc(fns(["t^3", "t^2"], ["t"]), sampler_at([0.0]), 1e-8)
     assert report.verdict == "refuted"
     assert report.rank_at_center == 0
     assert report.witness["rank"] == 1
 
 
 def test_crc_empty_family_certified():
-    report = crc([], [0.0], points_at([0.0]), 1e-8)
+    report = crc([], sampler_at([0.0]), 1e-8)
     assert report.verdict == "certified-by-sampling"
     assert report.rank_at_center == 0
     assert report.total_points == 0
@@ -187,8 +184,10 @@ def test_crc_empty_family_certified():
 
 def test_crc_without_sample_points_is_inconclusive():
     # Zero sample points are no evidence: a non-empty family is not certified.
-    for points in ([], points_at([0.0, 0.0], samples_per_radius=0)):
-        report = crc(fns(["x1", "x2"], ["x1", "x2"]), [0.0, 0.0], points, 1e-8)
+    functions = fns(["x1", "x2"], ["x1", "x2"])
+    no_samples = sample_jacobian(functions, sampler_at([0.0, 0.0], samples_per_radius=0))
+    for jacobian in (dataclasses.replace(no_samples, layers=()), no_samples):
+        report = check_crc(jacobian, 1e-8)
         assert report.verdict == "inconclusive"
         assert report.rank_at_center == 2
         assert report.total_points == 0
@@ -196,7 +195,7 @@ def test_crc_without_sample_points_is_inconclusive():
 
 def test_crc_center_unevaluable_is_inconclusive():
     report = crc(
-        fns(["x^3 * sin(1/x)", "x^3"], ["x"]), [0.0], points_at([0.0]), 1e-8
+        fns(["x^3 * sin(1/x)", "x^3"], ["x"]), sampler_at([0.0]), 1e-8
     )
     assert report.verdict == "inconclusive"
     assert report.center_unevaluable_rows == (1,)
@@ -210,7 +209,7 @@ def test_crc_subset_view_reports_center_failures_within_the_subset():
     # Row 2 of the family fails at the center; in a view it keeps its
     # 1-based position within the view, and views without it are unaffected.
     functions = fns(["x2", "x1^3 * sin(1/x1)", "x1"], ["x1", "x2"])
-    jacobian = sample_jacobian(functions, [0.0, 0.0], points_at([0.0, 0.0]))
+    jacobian = sample_jacobian(functions, sampler_at([0.0, 0.0]))
     assert crc_of(jacobian, [1]).center_unevaluable_rows == (1,)
     assert crc_of(jacobian, [2, 1]).center_unevaluable_rows == (2,)
     full = crc_of(jacobian, [0, 1, 2])
@@ -228,10 +227,14 @@ def system(eqs=(), ins=(), variables=("x1", "x2")):
     return ConstraintSystem.from_strings("sys", variables, None, eqs, ins)
 
 
+def jacobian_at(sys, x0, **kw):
+    return sample_jacobian(list(sys.all_constraints), sampler_at(x0, **kw))
+
+
 def rcrcq_for(sys, x0, **kw):
     pd = evaluate_point(sys, x0)
     aset = active_set(pd, 1e-8)
-    return check_rcrcq(sys, x0, aset, sampler_at(x0, **kw), 1e-8)
+    return check_rcrcq(sys, aset, jacobian_at(sys, x0, **kw), 1e-8)
 
 
 def test_rcrcq_x_squared_leq_zero_refuted():
@@ -270,7 +273,7 @@ def test_rcrcq_guard():
     pd = evaluate_point(sys, np.zeros(22))
     aset = active_set(pd, 1e-8)
     with pytest.raises(SubsetGuardError):
-        check_rcrcq(sys, np.zeros(22), aset, sampler_at(np.zeros(22)), 1e-8)
+        check_rcrcq(sys, aset, jacobian_at(sys, np.zeros(22)), 1e-8)
 
 
 def test_rcrcq_refutation_dominates():
@@ -299,11 +302,9 @@ def chain(k, coeffs=None, extra=None):
 
 def assert_subsets_match_separate_checks(sys, x0, sampler):
     aset = active_set(evaluate_point(sys, x0), 1e-8)
-    report = check_rcrcq(sys, x0, aset, sampler, 1e-8)
-    points = sampler.points_by_radius()
+    report = check_rcrcq(sys, aset, sample_jacobian(list(sys.all_constraints), sampler), 1e-8)
     for j, subset_report in report.subsets:
-        functions = [sys.constraint(i) for i in j]
-        alone = check_crc(sample_jacobian(functions, x0, points), 1e-8)
+        alone = crc([sys.constraint(i) for i in j], sampler, 1e-8)
         assert subset_report == alone, j
     return report
 
@@ -355,7 +356,7 @@ def test_rcrcq_evaluates_each_gradient_once_per_point(monkeypatch):
     )
     monkeypatch.setattr(rank, "numerical_rank", counting("rank", rank.numerical_rank))
     monkeypatch.setattr(rank, "check_crc", counting("subset", rank.check_crc))
-    report = rank.check_rcrcq(sys, x0, aset, sampler_at(x0), 1e-8)
+    report = rank.check_rcrcq(sys, aset, jacobian_at(sys, x0), 1e-8)
     assert calls == {"gradient": 644, "rank": 15, "subset": 16}
     assert report.subset_count == 16
 
@@ -377,7 +378,7 @@ def test_crc_certified_implies_image_check_everywhere():
     for texts, names, x0 in cases:
         functions = fns(texts, names)
         s = sampler_at(x0)
-        report = crc(functions, x0, s.points_by_radius(), 1e-8)
+        report = crc(functions, s, 1e-8)
         assert report.verdict == "certified-by-sampling"
         pivot_fns = [functions[i - 1] for i in report.pivot_indices]
         rows_x0 = np.array([g.gradient(x0) for g in pivot_fns])

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from cq_analyzer.config import ToolConfig
 from cq_analyzer.expr import Expression
 from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
-from cq_analyzer.rank import check_rcrcq
+from cq_analyzer.rank import check_rcrcq, sample_jacobian
 from cq_analyzer.tangent import (
     InfeasibleBasePointError,
+    _correct_equalities,
     _feasible_at_scale,
     abadie_verdict,
     ljusternik_correct,
@@ -28,7 +30,8 @@ def aset_for(sys, x0):
 
 
 def rcrcq_verdict(sys, x0):
-    return check_rcrcq(sys, x0, aset_for(sys, x0), CFG.sampler(x0), CFG.tol_rank).verdict
+    jacobian = sample_jacobian(list(sys.all_constraints), CFG.sampler(x0))
+    return check_rcrcq(sys, aset_for(sys, x0), jacobian, CFG.tol_rank).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +72,49 @@ def test_correct_empty_j_set():
     sys = make(ins=["-x1"])
     result = ljusternik_correct(sys, (), [0.0, 0.0], [1.0, 0.0], 1e-2, CFG)
     assert result.converged and np.linalg.norm(result.r) == 0.0
+
+
+def count_evaluations(monkeypatch):
+    """Count value_and_gradient calls per (expression source, exact point)."""
+    calls = Counter()
+    original = Expression.value_and_gradient
+
+    def counting(self, point):
+        calls[self.source, np.asarray(point, dtype=float).tobytes()] += 1
+        return original(self, point)
+
+    monkeypatch.setattr(Expression, "value_and_gradient", counting)
+    return calls
+
+
+def test_corrector_evaluates_each_iterate_once(monkeypatch):
+    # Sphere and a curved surface through (1, 0, 0), both pivot rows; d is
+    # tangent to both, and t = 0.1 takes several Gauss-Newton steps.
+    sys = make(eqs=["x1^2 + x2^2 + x3^2 - 1", "x3 - x1*x2"], variables=("x1", "x2", "x3"))
+    d = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
+    calls = count_evaluations(monkeypatch)
+    result = ljusternik_correct(sys, (1, 2), [1.0, 0.0, 0.0], d, 0.1, CFG)
+    assert result.converged and result.iterations >= 2
+    assert result.pivot_indices == (1, 2)
+    # Once at x0 + t*d to select the pivots, then once per iterate from the
+    # cold start r = 0 to the converged one: the pivot rows are slices.
+    per_expression = Counter()
+    for (source, _), n in calls.items():
+        per_expression[source] += n
+    assert per_expression == {f.source: result.iterations + 2 for f in sys.equalities}
+
+
+def test_equality_projection_evaluates_each_iterate_once(monkeypatch):
+    # Two parallel rows: only the pivot row steps; every (row, point) pair is
+    # evaluated at most once, the starting point included.
+    sys = make(eqs=["x1^2 + x2^2 - 1", "2*x1^2 + 2*x2^2 - 2"])
+    calls = count_evaluations(monkeypatch)
+    x = _correct_equalities(sys, (1, 2), np.array([1.05, 0.02]), 1e-14, CFG)
+    assert x is not None
+    assert abs(x[0] ** 2 + x[1] ** 2 - 1.0) <= 1e-14
+    assert max(calls.values()) == 1
+    steps = sum(1 for source, _ in calls if source == sys.equalities[0].source) - 1
+    assert steps >= 2
 
 
 def test_correct_requires_positive_t():
