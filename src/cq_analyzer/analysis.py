@@ -12,7 +12,8 @@ absence under ``assert_local_min`` is flagged as a contradiction.
 
 The ``rcrcq`` and ``dependence`` analyses read one sample plan and one
 :class:`~cq_analyzer.rank.SampleJacobian` over every constraint, built once
-per run, so each (constraint, sample point) gradient is evaluated once.
+per run, so each (constraint, sample point) value and gradient is evaluated
+once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from .config import ToolConfig
 from .dependence import ReconstructionError, classify_dependence, image_dimension_probe
-from .expr import DomainEvaluationError
 from .kkt import CertificateVerificationError, MissingObjectiveError, kkt_report
 from .model import ConstraintDomainError, ConstraintSystem, active_set, evaluate_point
 from .rank import (
@@ -37,7 +37,6 @@ ALL_ANALYSES = ("rcrcq", "abadie", "dependence", "kkt")
 
 _CAPTURED = (
     ConstraintDomainError,
-    DomainEvaluationError,
     ReconstructionError,
     SubsetGuardError,
     InfeasibleBasePointError,
@@ -58,14 +57,11 @@ def _run_abadie(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig, _jacobia
 
 def _run_dependence(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig,
                     jacobian: SampleJacobian) -> dict:
-    functions = list(sys.all_constraints)
-    if not functions:
+    if not sys.all_constraints:
         return {"error": "the system has no constraint functions", "error_kind": "empty"}
-    verdict = classify_dependence(
-        functions, jacobian, cfg.tol_rank, cfg.fit_degree, cfg.fit_tolerance_rel
-    )
+    verdict = classify_dependence(jacobian, cfg.tol_rank, cfg.fit_degree, cfg.fit_tolerance_rel)
     section = verdict.to_dict()
-    section["image_dimension"] = image_dimension_probe(functions, jacobian, cfg.tol_rank)
+    section["image_dimension"] = image_dimension_probe(jacobian, cfg.tol_rank)
     return section
 
 

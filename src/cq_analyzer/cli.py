@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -122,7 +123,7 @@ def _config_from_args(args, file_options_cfg: ToolConfig) -> ToolConfig:
         if seed < 0:
             raise _UsageError(f"the seed must be non-negative, got {seed}")
         updates["seed"] = seed
-    return file_options_cfg.with_options(**updates) if updates else file_options_cfg
+    return replace(file_options_cfg, **updates) if updates else file_options_cfg
 
 
 def _run_file_command(args) -> int:

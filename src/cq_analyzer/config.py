@@ -6,7 +6,7 @@ reports can snapshot the exact configuration they ran under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .rank import DEFAULT_RADII, NeighborhoodSampler
 
@@ -37,9 +37,6 @@ class ToolConfig:
     fit_degree: int = 3
     fit_tolerance_rel: float = 1e-6
     assert_local_min: bool = False
-
-    def with_options(self, **kw) -> "ToolConfig":
-        return replace(self, **kw)
 
     def sampler(self, center) -> NeighborhoodSampler:
         return NeighborhoodSampler(

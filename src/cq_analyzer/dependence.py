@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import DomainEvaluationError, Expression
+from .expr import Expression
 from .rank import (
     CERTIFIED,
     CrcReport,
@@ -130,30 +130,27 @@ class DependenceVerdict:
         }
 
 
-def image_dimension_probe(
-    functions: Sequence[Expression], jacobian: SampleJacobian, tol_rank: float = 1e-8
-) -> int:
+def _evaluable_values(layers) -> np.ndarray:
+    """Values at the points of ``layers`` where every function evaluated, in plan order.
+
+    These are exactly the points :func:`~cq_analyzer.rank.check_crc` ranks.
+    """
+    return np.concatenate([values[~failed.any(axis=1)] for _, _, values, _, failed in layers])
+
+
+def image_dimension_probe(jacobian: SampleJacobian, tol_rank: float = 1e-8) -> int:
     """Heuristic dimension of the local image of f near the center x0.
 
     Principal-component count of {f(x) - f(x0)} over the smallest-radius
-    samples of ``jacobian``'s plan; when f(x0) itself is unevaluable the
-    samples are centered on their mean instead.  An estimate of kappa is
-    evidence for independence (interior image); always returns.
+    samples of ``jacobian``'s plan, read from its values; when f(x0) itself
+    is unevaluable the samples are centered on their mean instead.  An
+    estimate of kappa is evidence for independence (interior image); always
+    returns.
     """
-    _, layer, _, _ = jacobian.layers[-1]  # smallest radius
-    values = []
-    for p in layer:
-        try:
-            values.append([f.evaluate(p) for f in functions])
-        except DomainEvaluationError:
-            continue
-    if not values:
+    y = _evaluable_values(jacobian.layers[-1:])  # smallest radius
+    if not len(y):
         return 0
-    y = np.array(values)
-    try:
-        center = np.array([f.evaluate(jacobian.sampler.center) for f in functions])
-    except DomainEvaluationError:
-        center = y.mean(axis=0)
+    center = y.mean(axis=0) if jacobian.center_failed.any() else jacobian.center_values
     return numerical_rank(y - center, tol_rank).rank
 
 
@@ -196,7 +193,6 @@ def _design_matrix(z: np.ndarray, exponents: Sequence[tuple[int, ...]]) -> np.nd
 
 
 def reconstruct_dependent(
-    functions: Sequence[Expression],
     jacobian: SampleJacobian,
     pivot_indices: Sequence[int],
     target_index: int,
@@ -206,25 +202,26 @@ def reconstruct_dependent(
     """Fit f_target as a polynomial of total degree <= ``degree`` in the pivot
     function values near the center x0 of ``jacobian``'s sample plan.
 
-    Training uses the even-indexed sample points, validation the odd-indexed
-    ones; the recorded residual is the max held-out error.  Exceeding
-    ``tolerance_rel`` times the value scale raises
+    The values are read from ``jacobian``; a sample point where any function
+    of the family failed to evaluate is skipped, as the rank check skips it.
+    Training uses the even-indexed remaining points, validation the
+    odd-indexed ones; the recorded residual is the max held-out error.
+    Exceeding ``tolerance_rel`` times the value scale raises
     :class:`ReconstructionError`.
     """
     if target_index in pivot_indices:
         raise ValueError("target function is itself a pivot")
-    x0 = jacobian.sampler.center
-    pivots = [functions[i - 1] for i in pivot_indices]
-    target = functions[target_index - 1]
-    points = jacobian.points()
-    y = np.array([[f.evaluate(p) for f in pivots] for p in points])
-    w = np.array([target.evaluate(p) for p in points])
-    center = np.array([f.evaluate(x0) for f in pivots])
-    base_value = float(target.evaluate(x0))
+    if jacobian.center_failed.any():
+        raise ValueError("the family is unevaluable at the center")
+    cols = [i - 1 for i in pivot_indices]
+    values = _evaluable_values(jacobian.layers)
+    y, w = values[:, cols], values[:, target_index - 1]
+    center = jacobian.center_values[cols]
+    base_value = float(jacobian.center_values[target_index - 1])
 
     train = slice(0, None, 2)
     test = slice(1, None, 2)
-    exponents = _poly_exponents(len(pivots), degree)
+    exponents = _poly_exponents(len(cols), degree)
     a = _design_matrix(y[train] - center, exponents)
     rhs = w[train] - base_value
     # Column equilibration keeps the ridge penalty scale-free.
@@ -257,7 +254,6 @@ def reconstruct_dependent(
 
 
 def classify_dependence(
-    functions: Sequence[Expression],
     jacobian: SampleJacobian,
     tol_rank: float,
     fit_degree: int = 3,
@@ -265,18 +261,19 @@ def classify_dependence(
 ) -> DependenceVerdict:
     """Classify the family as independent / dependent-with-relation / inconclusive.
 
-    ``jacobian`` holds the gradients of ``functions`` from
-    :func:`~cq_analyzer.rank.sample_jacobian`.  Requires a certified
-    constant-rank check for either definite sense; with k < kappa every
-    non-pivot function must reconstruct within tolerance.  Reconstruction
-    failures propagate as :class:`ReconstructionError`.  The point test
-    ``laszlo_at_point`` holds when the gradient rank at the center is below
-    kappa; a row unevaluable there counts as absent, so it holds as well.
+    ``jacobian`` holds the values and gradients of the family from
+    :func:`~cq_analyzer.rank.sample_jacobian`; nothing is evaluated here.
+    Requires a certified constant-rank check for either definite sense; with
+    k < kappa every non-pivot function must reconstruct within tolerance.
+    Reconstruction failures propagate as :class:`ReconstructionError`.  The
+    point test ``laszlo_at_point`` holds when the gradient rank at the center
+    is below kappa; a row unevaluable there counts as absent, so it holds as
+    well.
     """
-    if not functions:
-        raise ValueError("functions must be nonempty")
+    if not jacobian.kappa:
+        raise ValueError("the function family must be nonempty")
     crc = check_crc(jacobian, tol_rank)
-    kappa = len(functions)
+    kappa = jacobian.kappa
     laszlo = crc.rank_at_center is None or crc.rank_at_center < kappa
     if crc.verdict != CERTIFIED:
         return DependenceVerdict(
@@ -304,7 +301,7 @@ def classify_dependence(
             continue
         reconstructions.append(
             reconstruct_dependent(
-                functions, jacobian, crc.pivot_indices, l, fit_degree, fit_tolerance_rel
+                jacobian, crc.pivot_indices, l, fit_degree, fit_tolerance_rel
             )
         )
     return DependenceVerdict(

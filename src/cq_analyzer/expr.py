@@ -46,7 +46,6 @@ __all__ = [
     "ExprSyntaxError",
     "FUNCTIONS",
     "UnknownIdentifierError",
-    "finite_diff_gradient",
     "parse",
 ]
 
@@ -661,24 +660,3 @@ def parse(text: str, variables: Sequence[str]) -> Expression:
     root = _Parser(text, variables).parse()
     _check_depth(root)
     return Expression(root=root, variables=tuple(variables), source=text)
-
-
-def finite_diff_gradient(e: Expression, point: Sequence[float], step: float) -> np.ndarray:
-    """Central-difference gradient with per-component step ``step*(1+|x_j|)``.
-
-    Serves as the independent oracle for :meth:`Expression.gradient`; raises
-    :class:`DomainEvaluationError` if any probe point leaves the domain.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    x = np.asarray(point, dtype=float)
-    e._check_point(x)
-    out = np.zeros(len(x))
-    for j in range(len(x)):
-        h = step * (1.0 + abs(x[j]))
-        up = x.copy()
-        up[j] += h
-        down = x.copy()
-        down[j] -= h
-        out[j] = (e.evaluate(up) - e.evaluate(down)) / (2.0 * h)
-    return out

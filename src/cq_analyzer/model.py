@@ -29,6 +29,7 @@ __all__ = [
     "active_set",
     "critical_active_set",
     "evaluate_point",
+    "evaluate_rows",
     "feasibility_check",
 ]
 
@@ -177,37 +178,50 @@ class CriticalSet:
     tolerance_used: float
 
 
+def evaluate_rows(
+    functions: Sequence[Expression], x: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, dict[int, DomainEvaluationError]]:
+    """Values and gradient rows of ``functions`` at ``x``, each evaluated once.
+
+    This is the one place a function family is evaluated.  A function that
+    leaves its domain keeps a zero value and a zero row, and ``errors`` maps
+    its 0-based position to the :class:`DomainEvaluationError`; the other
+    functions are still evaluated.  Any other exception propagates.
+    """
+    values = np.zeros(len(functions))
+    rows = np.zeros((len(functions), len(x)))
+    errors = {}
+    for i, f in enumerate(functions):
+        try:
+            values[i], rows[i] = f.value_and_gradient(x)
+        except DomainEvaluationError as err:
+            errors[i] = err
+    return values, rows, errors
+
+
 def evaluate_point(sys: ConstraintSystem, x: Sequence[float]) -> PointData:
     """Evaluate values and the Jacobian of ``sys`` at ``x``.
 
     Domain errors propagate as :class:`ConstraintDomainError` carrying the
-    offending constraint index.
+    lowest offending constraint index, or 0 when only the objective failed.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.dimension,):
         raise ValueError(f"point has shape {x.shape}, expected ({sys.dimension},)")
     m = sys.n_constraints
-    values = np.zeros(m)
-    jacobian = np.zeros((m, sys.dimension))
-    for i, e in enumerate(sys.all_constraints):
-        try:
-            values[i], jacobian[i] = e.value_and_gradient(x)
-        except DomainEvaluationError as err:
-            raise ConstraintDomainError(i + 1, err) from err
-    obj_value = obj_grad = None
-    if sys.objective is not None:
-        try:
-            obj_value, obj_grad = sys.objective.value_and_gradient(x)
-        except DomainEvaluationError as err:
-            raise ConstraintDomainError(0, err) from err
-        obj_grad = _read_only(obj_grad)
+    objective = (sys.objective,) if sys.objective is not None else ()
+    values, rows, errors = evaluate_rows(sys.all_constraints + objective, x)
+    if errors:
+        first = min(errors)
+        index = 0 if first == m else first + 1  # position m is the objective
+        raise ConstraintDomainError(index, errors[first]) from errors[first]
     return PointData(
         point=_read_only(x.copy()),
-        values=_read_only(values),
-        jacobian=_read_only(jacobian),
+        values=_read_only(values[:m]),
+        jacobian=_read_only(rows[:m]),
         equality_count=len(sys.equalities),
-        objective_value=obj_value,
-        objective_gradient=obj_grad,
+        objective_value=float(values[m]) if objective else None,
+        objective_gradient=_read_only(rows[m]) if objective else None,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -30,7 +30,6 @@ __all__ = [
     "load_problem_file",
     "parse_problem_dict",
     "parse_schedule",
-    "serialize_problem",
 ]
 
 OPTION_KEYS = (
@@ -137,7 +136,7 @@ class ProblemFile:
             updates["t_schedule"] = parse_schedule(opts["t_schedule"], T_SCHEDULE_TAIL)
         if self.assert_local_min:
             updates["assert_local_min"] = True
-        return cfg.with_options(**updates) if updates else cfg
+        return replace(cfg, **updates) if updates else cfg
 
 
 def parse_schedule(spec, min_length: int = 1) -> tuple[float, ...]:
@@ -254,23 +253,3 @@ def load_problem_file(path) -> ProblemFile:
             f"{path}: line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
     return parse_problem_dict(data, origin=str(path))
-
-
-def serialize_problem(pf: ProblemFile) -> dict:
-    """Round-trippable dict form (parse_problem_dict inverts it)."""
-    out: dict = {
-        "name": pf.name,
-        "variables": list(pf.variables),
-        "point": list(pf.point),
-    }
-    if pf.objective is not None:
-        out["objective"] = pf.objective
-    if pf.equalities:
-        out["equalities"] = list(pf.equalities)
-    if pf.inequalities:
-        out["inequalities"] = list(pf.inequalities)
-    if pf.options:
-        out["options"] = dict(pf.options)
-    if pf.assert_local_min:
-        out["assert_local_min"] = True
-    return out

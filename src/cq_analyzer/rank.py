@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random import PCG64, Generator
 
-from .expr import DomainEvaluationError, Expression
-from .model import ActiveSet, ConstraintSystem
+from .expr import Expression
+from .model import ActiveSet, ConstraintSystem, evaluate_rows
 
 __all__ = [
     "CrcReport",
@@ -196,70 +196,63 @@ class CrcReport:
 
 @dataclass(frozen=True)
 class SampleJacobian:
-    """Gradient rows of one function family at a sampler's center and points.
+    """Values and gradient rows of one function family at a sampler's center
+    and points.
 
-    ``layers`` holds ``(radius, points, rows, failed)`` per sample radius:
-    ``rows[p]`` is the (kappa, n) gradient matrix at ``points[p]`` and
-    ``failed[p, i]`` marks a row that could not be evaluated there (its entries
-    are zero).  :meth:`select` restricts every matrix to a subfamily without
-    evaluating anything again.  The points are the sample plan of ``sampler``,
-    drawn once: every consumer reads them here.
+    ``layers`` holds ``(radius, points, values, rows, failed)`` per sample
+    radius: ``values[p]`` and ``rows[p]`` are the (kappa,) values and the
+    (kappa, n) gradient matrix at ``points[p]``, and ``failed[p, i]`` marks a
+    function that could not be evaluated there (its value and row are zero).
+    :meth:`select` restricts every array to a subfamily without evaluating
+    anything again.  The points are the sample plan of ``sampler``, drawn
+    once: every consumer reads them here.
     """
 
     sampler: NeighborhoodSampler
+    center_values: np.ndarray             # (kappa,)
     center_rows: np.ndarray               # (kappa, n)
     center_failed: np.ndarray             # (kappa,) bool
-    layers: tuple[tuple[float, tuple[np.ndarray, ...], np.ndarray, np.ndarray], ...]
+    layers: tuple[
+        tuple[float, tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray], ...
+    ]
 
     @property
     def kappa(self) -> int:
         return self.center_rows.shape[0]
-
-    def points(self) -> list[np.ndarray]:
-        """Every sample point, ordered by (radius descending, sample index)."""
-        return [p for _, points, _, _ in self.layers for p in points]
 
     def select(self, cols: Sequence[int]) -> "SampleJacobian":
         """The subfamily of the 0-based rows ``cols``, in that order."""
         cols = list(cols)
         return SampleJacobian(
             sampler=self.sampler,
+            center_values=self.center_values[cols],
             center_rows=self.center_rows[cols],
             center_failed=self.center_failed[cols],
             layers=tuple(
-                (radius, points, rows[:, cols], failed[:, cols])
-                for radius, points, rows, failed in self.layers
+                (radius, points, values[:, cols], rows[:, cols], failed[:, cols])
+                for radius, points, values, rows, failed in self.layers
             ),
         )
-
-
-def _gradient_rows(
-    functions: Sequence[Expression], x: Sequence[float], rows: np.ndarray, failed: np.ndarray
-) -> None:
-    """Fill gradient rows at x; rows that fail to evaluate are marked, not raised."""
-    for i, f in enumerate(functions):
-        try:
-            rows[i] = f.gradient(x)
-        except DomainEvaluationError:
-            failed[i] = True
 
 
 def sample_jacobian(
     functions: Sequence[Expression], sampler: NeighborhoodSampler
 ) -> SampleJacobian:
-    """Evaluate every gradient once at the sampler's center and at each of its points."""
-    kappa = len(functions)
-    center_rows = np.zeros((kappa, sampler.dimension))
+    """Evaluate every function once at the sampler's center and at each of its points."""
+    kappa, n = len(functions), sampler.dimension
+    center_values, center_rows, errors = evaluate_rows(functions, sampler.center)
     center_failed = np.zeros(kappa, dtype=bool)
-    _gradient_rows(functions, sampler.center, center_rows, center_failed)
+    center_failed[list(errors)] = True
     layers = []
-    for radius, layer in sampler.points_by_radius():
-        rows = np.zeros((len(layer), kappa, sampler.dimension))
-        failed = np.zeros((len(layer), kappa), dtype=bool)
-        for p, point in enumerate(layer):
-            _gradient_rows(functions, point, rows[p], failed[p])
-        layers.append((radius, tuple(layer), rows, failed))
-    return SampleJacobian(sampler, center_rows, center_failed, tuple(layers))
+    for radius, points in sampler.points_by_radius():
+        values = np.zeros((len(points), kappa))
+        rows = np.zeros((len(points), kappa, n))
+        failed = np.zeros((len(points), kappa), dtype=bool)
+        for p, point in enumerate(points):
+            values[p], rows[p], errors = evaluate_rows(functions, point)
+            failed[p, list(errors)] = True
+        layers.append((radius, tuple(points), values, rows, failed))
+    return SampleJacobian(sampler, center_values, center_rows, center_failed, tuple(layers))
 
 
 def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
@@ -300,7 +293,7 @@ def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
     skipped = 0
     total = 0
     by_radius = []
-    for radius, points, rows, failed in jacobian.layers:
+    for radius, points, _, rows, failed in jacobian.layers:
         counts: dict[int, int] = {}
         for point, point_rows, point_failed in zip(points, rows, failed.any(axis=1)):
             total += 1

@@ -25,7 +25,6 @@ import numpy as np
 
 from .cones import LinearizedCone, build_linearized_cone, cone_member, sample_cone_directions
 from .config import T_SCHEDULE_TAIL, ToolConfig
-from .expr import DomainEvaluationError
 from .model import (
     ActiveSet,
     ConstraintDomainError,
@@ -34,6 +33,7 @@ from .model import (
     active_set,
     critical_active_set,
     evaluate_point,
+    evaluate_rows,
     feasibility_check,
 )
 from .rank import NeighborhoodSampler, numerical_rank
@@ -70,20 +70,10 @@ class CorrectionResult:
     diagnostic: Optional[str] = None
 
 
-def _rows_and_values(sys: ConstraintSystem, indices: Sequence[int], x: np.ndarray):
-    """Values and gradient rows of the constraints ``indices`` at x.
-
-    Domain errors propagate as :class:`ConstraintDomainError`, as in
-    :func:`evaluate_point`, so the corrector can skip an unevaluable point.
-    """
-    values = np.zeros(len(indices))
-    rows = np.zeros((len(indices), sys.dimension))
-    for k, i in enumerate(indices):
-        try:
-            values[k], rows[k] = sys.constraint(i).value_and_gradient(x)
-        except DomainEvaluationError as err:
-            raise ConstraintDomainError(i, err) from err
-    return values, rows
+def _domain_diagnostic(indices: Sequence[int], errors: dict) -> str:
+    """The domain error of the lowest failed constraint among ``indices``."""
+    first = min(errors)
+    return str(ConstraintDomainError(indices[first], errors[first]))
 
 
 def ljusternik_correct(
@@ -115,12 +105,13 @@ def ljusternik_correct(
             r=np.zeros(sys.dimension), converged=True, iterations=0,
             initial_residual=0.0, final_residual=0.0, pivot_indices=(),
         )
-    try:
-        values0, rows0 = _rows_and_values(sys, j, base)
-    except ConstraintDomainError as err:
+    functions = [sys.constraint(i) for i in j]
+    values0, rows0, errors = evaluate_rows(functions, base)
+    if errors:
         return CorrectionResult(
             r=None, converged=False, iterations=0, initial_residual=math.inf,
-            final_residual=math.inf, pivot_indices=(), diagnostic=str(err),
+            final_residual=math.inf, pivot_indices=(),
+            diagnostic=_domain_diagnostic(j, errors),
         )
     initial_residual = float(np.max(np.abs(values0), initial=0.0))
     scale = max(1.0, initial_residual)
@@ -141,13 +132,12 @@ def ljusternik_correct(
         r = r_start.copy()
         final = math.inf
         for it in range(cfg.corrector_max_iter + 1):
-            try:
-                values_j, rows_j = _rows_and_values(sys, j, base + r)
-            except ConstraintDomainError as err:
+            values_j, rows_j, errors = evaluate_rows(functions, base + r)
+            if errors:
                 return CorrectionResult(
                     r=r, converged=False, iterations=it,
                     initial_residual=initial_residual, final_residual=final,
-                    pivot_indices=pivot, diagnostic=str(err),
+                    pivot_indices=pivot, diagnostic=_domain_diagnostic(j, errors),
                 )
             final = float(np.max(np.abs(values_j), initial=0.0))
             if final <= residual_tol:
@@ -276,7 +266,7 @@ def probe_tangent(
         raise ValueError("t_schedule must be positive and strictly descending")
     crit = critical_active_set(pd, aset, d, cfg.tol_critical)
     j = crit.j_set
-    inactive = tuple(i for i in pd.inequality_indices if i not in set(j))
+    inactive = [sys.constraint(i) for i in pd.inequality_indices if i not in set(j)]
 
     r_norms, ratios, converged_flags = [], [], []
     final_residuals, initial_residuals, inactive_ok = [], [], []
@@ -296,16 +286,8 @@ def probe_tangent(
             rn = float(np.linalg.norm(result.r))
             r_norms.append(rn)
             ratios.append(rn / t)
-            ok = True
-            for i in inactive:
-                try:
-                    if sys.constraint(i).evaluate(x0 + t * d + result.r) >= 0.0:
-                        ok = False
-                        break
-                except DomainEvaluationError:
-                    ok = False
-                    break
-            inactive_ok.append(ok)
+            values, _, errors = evaluate_rows(inactive, x0 + t * d + result.r)
+            inactive_ok.append(not errors and bool(np.all(values < 0.0)))
         else:
             r_norms.append(None)
             ratios.append(None)
@@ -514,34 +496,31 @@ def tangent_direction_estimate(
 
 def _correct_equalities(sys, eq_indices, x, gn_tol, cfg) -> Optional[np.ndarray]:
     """Gauss-Newton onto the equality pivot rows; None on failure."""
-    try:
-        values, rows = _rows_and_values(sys, eq_indices, x)
-    except ConstraintDomainError:
+    values, rows, errors = evaluate_rows([sys.constraint(i) for i in eq_indices], x)
+    if errors:
         return None
     pivots = [p - 1 for p in numerical_rank(rows, cfg.tol_rank).pivot_indices]
     if not pivots:
         return x if float(np.max(np.abs(values), initial=0.0)) <= gn_tol else None
-    pivot_idx = tuple(eq_indices[p] for p in pivots)
+    pivot_functions = [sys.constraint(eq_indices[p]) for p in pivots]
     values, rows = values[pivots], rows[pivots]
     for _ in range(cfg.corrector_max_iter):
         if float(np.max(np.abs(values), initial=0.0)) <= gn_tol:
             return x
         x = x - np.linalg.pinv(rows) @ values
-        try:
-            values, rows = _rows_and_values(sys, pivot_idx, x)
-        except ConstraintDomainError:
+        values, rows, errors = evaluate_rows(pivot_functions, x)
+        if errors:
             return None
     return x if float(np.max(np.abs(values), initial=0.0)) <= gn_tol else None
 
 
 def _feasible_at_scale(sys, indices, x, radius, tol_feas) -> bool:
     """Constraint violations must be o(radius): <= tol * r * (1 + |grad|)."""
+    values, rows, errors = evaluate_rows([sys.constraint(i) for i in indices], x)
+    if errors:
+        return False
     n_eq = len(sys.equalities)
-    for i in indices:
-        try:
-            value, grad = sys.constraint(i).value_and_gradient(x)
-        except DomainEvaluationError:
-            return False
+    for i, value, grad in zip(indices, values, rows):
         bound = tol_feas * radius * (1.0 + float(np.linalg.norm(grad)))
         if i <= n_eq:
             if abs(value) > bound:

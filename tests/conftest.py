@@ -1,7 +1,8 @@
 import numpy as np
 from numpy.random import PCG64, Generator
 
-from cq_analyzer.expr import DomainEvaluationError, finite_diff_gradient
+from cq_analyzer.expr import DomainEvaluationError
+from finite_diff import finite_diff_gradient
 
 
 def random_domain_points(e, count, seed, low=0.1, high=2.0):

@@ -9,12 +9,13 @@ import time
 
 import numpy as np
 from conftest import random_domain_points
+from finite_diff import finite_diff_gradient
 
 from cq_analyzer.cli import main as cli_main
 from cq_analyzer.config import ToolConfig
 from cq_analyzer.corpus import CORPUS, load_case
 from cq_analyzer.dependence import classify_dependence, reconstruct_dependent, witness_check
-from cq_analyzer.expr import finite_diff_gradient, parse
+from cq_analyzer.expr import parse
 from cq_analyzer.kkt import kkt_report
 from cq_analyzer.model import active_set, evaluate_point
 from cq_analyzer.cones import build_linearized_cone, cone_member
@@ -108,8 +109,7 @@ def test_criterion_2_rank_verdicts_match_hand_ranks():
     # (hand rank 0 < 3), which the point test must report as dependent.
     _, pf = load_case("tornado-curve")
     system = pf.to_system()
-    functions = list(system.all_constraints)
-    verdict = classify_dependence(functions, _jacobian(system, pf.x0), CFG.tol_rank)
+    verdict = classify_dependence(_jacobian(system, pf.x0), CFG.tol_rank)
     if not verdict.laszlo_at_point:
         failures.append("tornado-curve: rank test at 0 not dependent")
     _report(
@@ -268,7 +268,7 @@ def test_criterion_8_dependence_reconstruction_residuals():
     ]
     for label, functions, x0, radii in polynomial_cases:
         sampler = NeighborhoodSampler(center=tuple(x0), radii=radii, seed=42)
-        fitted = reconstruct_dependent(functions, sample_jacobian(functions, sampler), (1,), 2)
+        fitted = reconstruct_dependent(sample_jacobian(functions, sampler), (1,), 2)
         scale = max(1.0, max(abs(functions[1].evaluate(p)) for p in sampler.points()))
         if fitted.cross_validated_residual > 1e-6 * scale:
             failures.append(f"{label}: residual {fitted.cross_validated_residual:.2e}")
@@ -276,9 +276,7 @@ def test_criterion_8_dependence_reconstruction_residuals():
     sin_sampler = NeighborhoodSampler(
         center=(0.0, 0.0), radii=(1e-2, 1e-3, 1e-4), seed=42
     )
-    sin_fit = reconstruct_dependent(
-        sin_functions, sample_jacobian(sin_functions, sin_sampler), (1,), 2
-    )
+    sin_fit = reconstruct_dependent(sample_jacobian(sin_functions, sin_sampler), (1,), 2)
     if sin_fit.cross_validated_residual > 1e-5:
         failures.append(f"sin: residual {sin_fit.cross_validated_residual:.2e}")
     _report(

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from cq_analyzer.dependence import (
     reconstruct_dependent,
     witness_check,
 )
-from cq_analyzer.expr import parse
+from cq_analyzer.expr import Expression, parse
 from cq_analyzer.rank import NeighborhoodSampler, numerical_rank, sample_jacobian
 
 TORNADO = ["x^3 * sin(1/x)", "x^3 * cos(1/x)", "x^3"]
@@ -28,7 +29,7 @@ def jacobian_at(functions, center, **kw):
 
 
 def classify(functions, center, **kw):
-    return classify_dependence(functions, jacobian_at(functions, center, **kw), 1e-8)
+    return classify_dependence(jacobian_at(functions, center, **kw), 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +73,7 @@ def test_classify_requires_functions():
 
 def test_reconstruct_identity_map():
     functions = fns(["x1 + x2", "x1 + x2"], ["x1", "x2"])
-    fitted = reconstruct_dependent(functions, jacobian_at(functions, [0.0, 0.0]), (1,), 2)
+    fitted = reconstruct_dependent(jacobian_at(functions, [0.0, 0.0]), (1,), 2)
     assert fitted.cross_validated_residual <= 1e-12
     assert fitted.predict([0.37]) == pytest.approx(0.37, abs=1e-10)
 
@@ -94,7 +95,7 @@ def test_reconstruct_sin_composition_small_radius():
     # bounds the best cubic error far below the asserted 1e-7.
     functions = fns(["x1 + x2", "sin(x1 + x2)"], ["x1", "x2"])
     jacobian = jacobian_at(functions, [0.0, 0.0], radii=(1e-2, 1e-3, 1e-4))
-    fitted = reconstruct_dependent(functions, jacobian, (1,), 2)
+    fitted = reconstruct_dependent(jacobian, (1,), 2)
     assert fitted.training_radius == 1e-2
     assert fitted.cross_validated_residual <= 1e-7
     assert fitted.predict([0.01]) == pytest.approx(math.sin(0.01), abs=1e-7)
@@ -105,14 +106,14 @@ def test_reconstruct_failure_carries_residual():
     functions = fns(["x1 + x2", "sin(x1 + x2)"], ["x1", "x2"])
     jacobian = jacobian_at(functions, [0.0, 0.0], radii=(1.0, 0.5))
     with pytest.raises(ReconstructionError) as exc:
-        reconstruct_dependent(functions, jacobian, (1,), 2)
+        reconstruct_dependent(jacobian, (1,), 2)
     assert exc.value.residual > exc.value.bound
 
 
 def test_reconstruct_rejects_pivot_target():
     functions = fns(["x1", "x1^2"], ["x1", "x2"])
     with pytest.raises(ValueError):
-        reconstruct_dependent(functions, jacobian_at(functions, [1.0, 0.0]), (1,), 1)
+        reconstruct_dependent(jacobian_at(functions, [1.0, 0.0]), (1,), 1)
 
 
 def test_reconstruction_consistency_on_fresh_samples():
@@ -125,12 +126,28 @@ def test_reconstruction_consistency_on_fresh_samples():
         functions = fns(texts, names)
         radii = (1e-2, 1e-3, 1e-4)
         jacobian = jacobian_at(functions, x0, radii=radii, seed=42)
-        fitted = reconstruct_dependent(functions, jacobian, (1,), 2)
+        fitted = reconstruct_dependent(jacobian, (1,), 2)
         fresh = sampler_at(x0, radii=radii, seed=4242)
         allowed = 10.0 * max(fitted.cross_validated_residual, 1e-14)
         for p in fresh.points():
             y = [functions[0].evaluate(p)]
             assert abs(fitted.predict(y) - functions[1].evaluate(p)) <= allowed
+
+
+def test_classification_and_image_probe_evaluate_nothing(monkeypatch):
+    # Some radius-0.1 points leave the domain of log; the family stays exactly
+    # dependent where it evaluates, so a reconstruction runs too.
+    functions = fns(["x1", "2*x1 + 0*log(x2 + 0.05)"], ["x1", "x2"])
+    jacobian = jacobian_at(functions, [0.0, 0.0])
+    calls = Counter()
+    for method in ("evaluate", "value_and_gradient"):
+        def counting(self, point, _method=method, _original=getattr(Expression, method)):
+            calls[_method] += 1
+            return _original(self, point)
+        monkeypatch.setattr(Expression, method, counting)
+    assert classify_dependence(jacobian, 1e-8).sense == "dependent-with-relation"
+    assert image_dimension_probe(jacobian) == 1
+    assert calls == {}
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +191,19 @@ def test_laszlo_cusp_true_at_zero_false_elsewhere():
 
 def test_image_probe_full_rank_pair():
     functions = fns(["x1", "x2"], ["x1", "x2"])
-    assert image_dimension_probe(functions, jacobian_at(functions, [0.0, 0.0])) == 2
+    assert image_dimension_probe(jacobian_at(functions, [0.0, 0.0])) == 2
 
 
 def test_image_probe_repeated_function():
     functions = fns(["x1", "x1"], ["x1", "x2"])
-    assert image_dimension_probe(functions, jacobian_at(functions, [0.0, 0.0])) == 1
+    assert image_dimension_probe(jacobian_at(functions, [0.0, 0.0])) == 1
 
 
 def test_image_probe_tornado_curve():
     # The image is a curve in R^3; the center value is unevaluable at 0 so
     # the probe centers on the sample mean.
     functions = fns(TORNADO, ["x"])
-    assert image_dimension_probe(functions, jacobian_at(functions, [0.0])) == 1
+    assert image_dimension_probe(jacobian_at(functions, [0.0])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +260,9 @@ def test_local_stability_of_dependence():
     # Dependent at x0 stays dependent at every smallest-radius sample point.
     functions = fns(["x1", "2*x1 + 3"], ["x1", "x2"])
     jacobian = jacobian_at(functions, [0.0, 0.0])
-    verdict = classify_dependence(functions, jacobian, 1e-8)
+    verdict = classify_dependence(jacobian, 1e-8)
     assert verdict.sense == "dependent-with-relation"
-    _, smallest_layer, _, _ = jacobian.layers[-1]
+    _, smallest_layer, _, _, _ = jacobian.layers[-1]
     for p in smallest_layer:
         shifted = classify(functions, p, radii=(1e-4, 1e-5, 1e-6))
         assert shifted.sense == "dependent-with-relation"
@@ -254,10 +271,10 @@ def test_local_stability_of_dependence():
 def test_dependent_implies_laszlo_true_on_neighborhood():
     functions = fns(["x1", "2*x1 + 3"], ["x1", "x2"])
     jacobian = jacobian_at(functions, [0.0, 0.0])
-    verdict = classify_dependence(functions, jacobian, 1e-8)
+    verdict = classify_dependence(jacobian, 1e-8)
     assert verdict.sense == "dependent-with-relation"
     assert verdict.laszlo_at_point
     # The point test at every sample point: the gradient rank there is below 2.
-    for p in jacobian.points():
+    for p in jacobian.sampler.points():
         rows = [f.gradient(p) for f in functions]
         assert numerical_rank(rows, 1e-8).rank < len(functions)

@@ -1,0 +1,29 @@
+"""tools/dump_outputs.py writes every output of one seed, each with its exit code."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_dump_of_one_seed_holds_every_command_and_exit_code(tmp_path):
+    outdir = tmp_path / "dump"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "dump_outputs.py"), "--src", str(ROOT / "src"),
+         "--seed", "5150", str(outdir)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in outdir.iterdir())
+    # corpus in two formats, then 2 rounds x (4 chains + 6 manifolds) x 3 commands.
+    assert len(names) == 2 + 2 * 10 * 3
+    assert "corpus.text.txt" in names and "analyze-manifold-s5150-r1-5.dependence.txt" in names
+    for name in names:
+        status, _, body = (outdir / name).read_text(encoding="utf-8").partition("\n")
+        assert status in ("exit 0", "exit 1", "exit 2"), name
+        assert "--- stderr" not in body, name
+        if name != "corpus.text.txt":
+            json.loads(body)
+    assert (outdir / "corpus.machine.txt").read_text(encoding="utf-8").startswith("exit 0\n")

@@ -16,9 +16,9 @@ from cq_analyzer.expr import (
     Num,
     UnknownIdentifierError,
     Var,
-    finite_diff_gradient,
     parse,
 )
+from finite_diff import finite_diff_gradient
 
 
 def test_parse_addition_shape():

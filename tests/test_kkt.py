@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -156,7 +158,7 @@ def test_objective_scaling_scales_multipliers():
 def candidate_sections(sys, x0):
     """Sections of the RCRCQ / Abadie / KKT run at an asserted local minimum."""
     return run_analyses(
-        sys, x0, CFG.with_options(assert_local_min=True), ["rcrcq", "abadie", "kkt"]
+        sys, x0, replace(CFG, assert_local_min=True), ["rcrcq", "abadie", "kkt"]
     )
 
 

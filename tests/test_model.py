@@ -7,8 +7,10 @@ from cq_analyzer.model import (
     active_set,
     critical_active_set,
     evaluate_point,
+    evaluate_rows,
     feasibility_check,
 )
+from cq_analyzer.expr import DomainEvaluationError, parse
 
 
 def make(name="sys", variables=("x1", "x2"), objective=None, eqs=(), ins=()):
@@ -53,6 +55,41 @@ def test_evaluate_point_domain_error_carries_index():
     with pytest.raises(ConstraintDomainError) as exc:
         evaluate_point(sys, [0.0])
     assert exc.value.constraint_index == 2
+
+
+def test_evaluate_point_reports_the_lowest_failed_index_then_the_objective():
+    sys = make(variables=("x",), objective="log(x)", eqs=["x", "1/x", "sqrt(x - 1)"])
+    with pytest.raises(ConstraintDomainError) as exc:
+        evaluate_point(sys, [0.0])
+    assert exc.value.constraint_index == 2
+    assert str(exc.value) == "constraint 2: division by zero in '1/x'"
+    sys = make(variables=("x",), objective="log(x)", eqs=["x"])
+    with pytest.raises(ConstraintDomainError) as exc:
+        evaluate_point(sys, [0.0])
+    assert exc.value.constraint_index == 0
+    assert str(exc.value).startswith("objective: logarithm of a non-positive value")
+
+
+def test_evaluate_rows_keeps_zeros_and_the_error_of_each_failed_function():
+    names = ["x1", "x2"]
+    functions = [parse(t, names) for t in ("x1*x2", "log(x1)", "x2^2", "1/x2")]
+    values, rows, errors = evaluate_rows(functions, [-1.0, 0.0])
+    assert sorted(errors) == [1, 3]
+    assert all(isinstance(e, DomainEvaluationError) for e in errors.values())
+    assert "logarithm" in str(errors[1]) and "division by zero" in str(errors[3])
+    assert np.array_equal(values, [-0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(rows, [[0.0, -1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    # Every function is evaluated, the ones after a failure included.
+    for i in (0, 2):
+        value, grad = functions[i].value_and_gradient([-1.0, 0.0])
+        assert values[i] == value and np.array_equal(rows[i], grad)
+
+
+def test_evaluate_rows_of_no_functions_and_non_domain_errors():
+    values, rows, errors = evaluate_rows([], [1.0, 2.0])
+    assert values.shape == (0,) and rows.shape == (0, 2) and errors == {}
+    with pytest.raises(ValueError):
+        evaluate_rows([parse("x1", ["x1", "x2"])], [1.0, 2.0, 3.0])
 
 
 def test_active_set_selects_by_tolerance():

@@ -193,6 +193,29 @@ def test_crc_without_sample_points_is_inconclusive():
         assert report.total_points == 0
 
 
+def test_sample_jacobian_keeps_values_and_select_slices_them():
+    # log(1 + 20*x1) fails where x1 <= -0.05: zero value and row, flagged.
+    functions = fns(["x1*x2", "log(1 + 20*x1)", "x2"], ["x1", "x2"])
+    jacobian = sample_jacobian(functions, sampler_at([0.0, 0.0], samples_per_radius=8))
+    assert np.array_equal(jacobian.center_values, [0.0, 0.0, 0.0])
+    failures = 0
+    for _, points, values, rows, failed in jacobian.layers:
+        for point, v, g, bad in zip(points, values, rows, failed):
+            for f, vi, gi, b in zip(functions, v, g, bad):
+                if b:
+                    failures += 1
+                    assert vi == 0.0 and not np.any(gi)
+                else:
+                    value, grad = f.value_and_gradient(point)
+                    assert vi == value and np.array_equal(gi, grad)
+    assert failures > 0
+    sub = jacobian.select([2, 0])
+    assert np.array_equal(sub.center_values, jacobian.center_values[[2, 0]])
+    for (_, _, values, rows, failed), (_, _, v, g, b) in zip(jacobian.layers, sub.layers):
+        assert np.array_equal(v, values[:, [2, 0]]) and np.array_equal(g, rows[:, [2, 0]])
+        assert np.array_equal(b, failed[:, [2, 0]])
+
+
 def test_crc_center_unevaluable_is_inconclusive():
     report = crc(
         fns(["x^3 * sin(1/x)", "x^3"], ["x"]), sampler_at([0.0]), 1e-8
@@ -324,6 +347,50 @@ def test_rcrcq_subsets_equal_separate_crc_checks_on_chains(k, coeffs, extra):
         chain(k, coeffs[:k], extra), x0, sampler_at(x0, samples_per_radius=8)
     )
     assert report.subset_count == 2 ** (k + (extra is not None))
+
+
+def center_ranks(report, relabel=lambda i: i):
+    """Each subset's rank at the center, keyed by its relabelled index set."""
+    return {tuple(sorted(relabel(i) for i in j)): r.rank_at_center for j, r in report.subsets}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 4),
+    coeffs=st.lists(coefficient, min_size=4, max_size=4),
+    extra=st.one_of(st.none(), coefficient),
+    data=st.data(),
+)
+def test_rcrcq_is_invariant_under_inequality_reordering(k, coeffs, extra, data):
+    sys = chain(k, coeffs[:k], extra)
+    x0 = [0.0] * k
+    order = data.draw(st.permutations(range(sys.n_constraints)))
+    reordered = system(ins=[sys.inequalities[i].source for i in order], variables=sys.variables)
+    before = rcrcq_for(sys, x0, samples_per_radius=8)
+    after = rcrcq_for(reordered, x0, samples_per_radius=8)
+    assert after.verdict == before.verdict
+    # Constraint i of the chain is constraint order.index(i - 1) + 1 after reordering.
+    assert center_ranks(after) == center_ranks(before, lambda i: order.index(i - 1) + 1)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 4),
+    coeffs=st.lists(coefficient, min_size=4, max_size=4),
+    extra=st.one_of(st.none(), coefficient),
+    factors=st.lists(coefficient, min_size=5, max_size=5),
+)
+def test_rcrcq_is_invariant_under_positive_row_scaling(k, coeffs, extra, factors):
+    sys = chain(k, coeffs[:k], extra)
+    x0 = [0.0] * k
+    scaled = system(
+        ins=[f"{s!r}*({g.source})" for s, g in zip(factors, sys.inequalities)],
+        variables=sys.variables,
+    )
+    before = rcrcq_for(sys, x0, samples_per_radius=8)
+    after = rcrcq_for(scaled, x0, samples_per_radius=8)
+    assert after.verdict == before.verdict
+    assert center_ranks(after) == center_ranks(before)
 
 
 def test_rcrcq_skips_a_point_only_for_subsets_with_a_failed_row():

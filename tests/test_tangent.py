@@ -202,13 +202,15 @@ def test_probe_inactive_domain_error_counts_as_unsafe():
 def test_probe_inactive_check_propagates_non_domain_errors(monkeypatch):
     sys = make(ins=["-x1", "x1 - 1"], variables=("x1",))
     x0 = [0.0]
+    pd, aset = evaluate_point(sys, x0), aset_for(sys, x0)
 
     def broken(self, point):
         raise ValueError("point has the wrong dimension")
 
-    monkeypatch.setattr(Expression, "evaluate", broken)
+    # J(d) is empty, so the inactive check is the only evaluation left.
+    monkeypatch.setattr(Expression, "value_and_gradient", broken)
     with pytest.raises(ValueError, match="wrong dimension"):
-        probe_tangent(sys, x0, aset_for(sys, x0), [1.0], CFG.t_schedule, CFG)
+        probe_tangent(sys, x0, aset, [1.0], CFG.t_schedule, CFG, pd=pd)
 
 
 def test_feasible_at_scale_propagates_non_domain_errors():
