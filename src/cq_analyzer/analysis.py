@@ -59,7 +59,7 @@ def _run_dependence(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig,
                     jacobian: SampleJacobian) -> dict:
     if not sys.all_constraints:
         return {"error": "the system has no constraint functions", "error_kind": "empty"}
-    verdict = classify_dependence(jacobian, cfg.tol_rank, cfg.fit_degree, cfg.fit_tolerance_rel)
+    verdict = classify_dependence(jacobian, cfg.tol_rank, cfg.fit_degree)
     section = verdict.to_dict()
     section["image_dimension"] = image_dimension_probe(jacobian, cfg.tol_rank)
     return section

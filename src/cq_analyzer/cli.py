@@ -23,14 +23,8 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import exit_code_for, run_analyses, summary_line
-from .config import T_SCHEDULE_TAIL, ToolConfig
-from .problem import (
-    FLOAT_OPTIONS,
-    ProblemFileError,
-    check_float_option,
-    load_problem_file,
-    parse_schedule,
-)
+from .config import ToolConfig
+from .problem import OPTIONS, ProblemFileError, load_problem_file, resolve_options
 from .report import REPORT_VERSION, emit_report
 
 EXIT_OK = 0
@@ -93,42 +87,22 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args, file_options_cfg: ToolConfig) -> ToolConfig:
-    if args.samples is not None and args.samples < 1:
-        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
-    for key in FLOAT_OPTIONS:
-        if getattr(args, key) is not None:
-            check_float_option(key, getattr(args, key))
-    updates = {}
-    for attr, value in (
-        ("tol_rank", args.tol_rank),
-        ("tol_active", args.tol_active),
-        ("tol_feas", args.tol_feas),
-        ("tol_cone", args.tol_cone),
-        ("ratio_tol", args.ratio_tol),
-        ("samples_per_radius", args.samples),
-    ):
-        if value is not None:
-            updates[attr] = value
-    if args.radii is not None:
-        updates["radii"] = parse_schedule(args.radii)
-    if args.t_schedule is not None:
-        updates["t_schedule"] = parse_schedule(args.t_schedule, T_SCHEDULE_TAIL)
-    seed = args.seed
-    if seed is None and os.environ.get("CQ_ANALYZER_SEED"):
+    """Apply the given flags, checked by the option table, on top of the file's."""
+    given = {key: getattr(args, key) for key in OPTIONS if getattr(args, key, None) is not None}
+    updates = resolve_options(given, lambda key: "--" + key.replace("_", "-"))
+    env_seed = os.environ.get("CQ_ANALYZER_SEED")
+    if "seed" not in given and env_seed:
         try:
-            seed = int(os.environ["CQ_ANALYZER_SEED"])
+            seed = int(env_seed)
         except ValueError as err:
             raise _UsageError(f"CQ_ANALYZER_SEED must be an integer: {err}") from err
-    if seed is not None:
-        if seed < 0:
-            raise _UsageError(f"the seed must be non-negative, got {seed}")
-        updates["seed"] = seed
-    return replace(file_options_cfg, **updates) if updates else file_options_cfg
+        updates.update(resolve_options({"seed": seed}, lambda _: "CQ_ANALYZER_SEED"))
+    return replace(file_options_cfg, **updates)
 
 
 def _run_file_command(args) -> int:
     pf = load_problem_file(args.file)
-    system = pf.to_system()
+    system = pf.system
     cfg = _config_from_args(args, pf.config(ToolConfig()))
     which = _ANALYSIS_COMMANDS[args.command]
     if which is None:
@@ -141,7 +115,7 @@ def _run_file_command(args) -> int:
     report = {
         "report_version": REPORT_VERSION,
         "tool": {"name": "cq-analyzer", "version": __version__},
-        "problem": {"name": pf.name, "file": Path(args.file).name},
+        "problem": {"name": system.name, "file": Path(args.file).name},
         "config": cfg.to_dict(),
         "analyses": sections,
         "summary": summary_line(sections),

@@ -31,7 +31,7 @@ __all__ = [
     "LinearizedCone",
     "build_linearized_cone",
     "cone_member",
-    "dual_cone_member",
+    "dual_cone_decomposition",
     "kernel_basis",
     "nonneg_lstsq",
     "sample_cone_directions",
@@ -224,45 +224,32 @@ def _solve_cone_coefficients(c: LinearizedCone, v: np.ndarray) -> tuple[np.ndarr
     return lam, v - rows.T @ lam
 
 
-def dual_cone_member(
+def dual_cone_decomposition(
     c: LinearizedCone, v: Sequence[float], tol: float
-) -> Optional[ConeCoefficients]:
-    """Decompose v over the cone's rows, or return None when v is not in the dual.
+) -> tuple[Optional[ConeCoefficients], np.ndarray]:
+    """Decompose v over the cone's rows: the coefficients (None when v is not
+    in the dual) and the residual r = v - sum lambda_i row_i.
 
-    Success means ``|sum lambda_i row_i - v| <= tol * (1 + |v|)`` with the
-    sign convention of :class:`ConeCoefficients`.  When the active rows are
-    dependent the multiplier set is a polytope and the minimal-norm element
-    is returned.
+    Success means ``|r| <= tol * (1 + |v|)`` with the sign convention of
+    :class:`ConeCoefficients`.  When the active rows are dependent the
+    multiplier set is a polytope and the minimal-norm element is returned.
+    When v is outside the dual cone, <row_i, r> <= 0 on inequality rows,
+    = 0 on equality rows, and <v, r> = |r|^2 > 0: r lies in the cone and
+    certifies that <v, d> is positive somewhere on it.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (c.dimension,):
         raise ValueError(f"vector has shape {v.shape}, expected ({c.dimension},)")
     if len(c.eq_indices) + len(c.ineq_indices) == 0:
-        if float(np.linalg.norm(v)) <= tol * (1.0 + float(np.linalg.norm(v))):
-            return ConeCoefficients(values=(), residual=float(np.linalg.norm(v)))
-        return None
-    lam, residual_vec = _solve_cone_coefficients(c, v)
+        lam, residual_vec = (), v.copy()
+    else:
+        lam, residual_vec = _solve_cone_coefficients(c, v)
     residual = float(np.linalg.norm(residual_vec))
     if residual > tol * (1.0 + float(np.linalg.norm(v))):
-        return None
+        return None, residual_vec
     indices = c.eq_indices + c.ineq_indices
     pairs = tuple(sorted((int(i), float(l)) for i, l in zip(indices, lam)))
-    return ConeCoefficients(values=pairs, residual=residual)
-
-
-def dual_cone_residual_direction(c: LinearizedCone, v: Sequence[float]) -> np.ndarray:
-    """Least-squares residual of the dual decomposition of v.
-
-    When v is outside the dual cone the residual r = v - sum lambda_i row_i
-    satisfies <row_i, r> <= 0 on inequality rows, = 0 on equality rows, and
-    <v, r> = |r|^2 > 0; r therefore lies in the cone and certifies that
-    <v, d> is positive somewhere on it.
-    """
-    v = np.asarray(v, dtype=float)
-    if len(c.eq_indices) + len(c.ineq_indices) == 0:
-        return v.copy()
-    _, residual_vec = _solve_cone_coefficients(c, v)
-    return residual_vec
+    return ConeCoefficients(values=pairs, residual=residual), residual_vec
 
 
 def kernel_basis(rows: np.ndarray, tol_rank: float) -> np.ndarray:

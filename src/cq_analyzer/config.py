@@ -1,20 +1,40 @@
 """Shared analysis configuration with the documented defaults.
 
 Every tolerance and schedule that influences a verdict lives here so that
-reports can snapshot the exact configuration they ran under.
+reports can snapshot the exact configuration they ran under.  The
+:class:`ToolConfig` fields are the settings a problem file or a flag can
+change; the module constants below are fixed, and the snapshot lists them
+too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .rank import DEFAULT_RADII, NeighborhoodSampler
 
-__all__ = ["DEFAULT_T_SCHEDULE", "T_SCHEDULE_TAIL", "ToolConfig"]
+__all__ = [
+    "ANGULAR_TOL", "CORRECTOR_MAX_ITER", "CORRECTOR_TOL", "DEFAULT_T_SCHEDULE", "DIRECTION_COUNT",
+    "ESTIMATE_PROBES", "FIT_TOLERANCE_REL", "T_SCHEDULE_TAIL", "TOL_CRITICAL", "ToolConfig",
+]
 
 DEFAULT_T_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 # The tangent probe judges convergence and safety on this many smallest t.
 T_SCHEDULE_TAIL = 3
+TOL_CRITICAL = 1e-8  # h_i is critical along d when |<grad h_i, d>| is below this
+DIRECTION_COUNT = 16  # cone directions probed for gamma in T
+ESTIMATE_PROBES = 32  # sample points per radius of the tangent estimate
+ANGULAR_TOL = 1e-2  # radians within which estimated directions match
+CORRECTOR_TOL = 1e-12  # corrector stops at ||h_J||_inf <= CORRECTOR_TOL * (1 + scale)
+CORRECTOR_MAX_ITER = 50
+FIT_TOLERANCE_REL = 1e-6  # dependence fit bound, relative to the value scale
+
+_FIXED = {
+    "tol_critical": TOL_CRITICAL, "direction_count": DIRECTION_COUNT,
+    "estimate_probes": ESTIMATE_PROBES, "angular_tol": ANGULAR_TOL,
+    "corrector_tol": CORRECTOR_TOL, "corrector_max_iter": CORRECTOR_MAX_ITER,
+    "fit_tolerance_rel": FIT_TOLERANCE_REL,
+}
 
 
 @dataclass(frozen=True)
@@ -23,19 +43,12 @@ class ToolConfig:
     tol_active: float = 1e-8
     tol_feas: float = 1e-8
     tol_cone: float = 1e-8
-    tol_critical: float = 1e-8
     seed: int = 42
     radii: tuple[float, ...] = DEFAULT_RADII
     samples_per_radius: int = 32
     t_schedule: tuple[float, ...] = DEFAULT_T_SCHEDULE
     ratio_tol: float = 1e-3
-    direction_count: int = 16
-    estimate_probes: int = 32
-    angular_tol: float = 1e-2
-    corrector_tol: float = 1e-12
-    corrector_max_iter: int = 50
     fit_degree: int = 3
-    fit_tolerance_rel: float = 1e-6
     assert_local_min: bool = False
 
     def sampler(self, center) -> NeighborhoodSampler:
@@ -47,23 +60,7 @@ class ToolConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "tol_rank": self.tol_rank,
-            "tol_active": self.tol_active,
-            "tol_feas": self.tol_feas,
-            "tol_cone": self.tol_cone,
-            "tol_critical": self.tol_critical,
-            "seed": int(self.seed),
-            "radii": list(self.radii),
-            "samples_per_radius": self.samples_per_radius,
-            "t_schedule": list(self.t_schedule),
-            "ratio_tol": self.ratio_tol,
-            "direction_count": self.direction_count,
-            "estimate_probes": self.estimate_probes,
-            "angular_tol": self.angular_tol,
-            "corrector_tol": self.corrector_tol,
-            "corrector_max_iter": self.corrector_max_iter,
-            "fit_degree": self.fit_degree,
-            "fit_tolerance_rel": self.fit_tolerance_rel,
-            "assert_local_min": self.assert_local_min,
-        }
+        """The settings and the fixed constants, as the report snapshots them."""
+        out = {**asdict(self), **_FIXED}
+        out["radii"], out["t_schedule"] = list(self.radii), list(self.t_schedule)
+        return out

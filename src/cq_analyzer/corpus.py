@@ -265,7 +265,7 @@ def run_case(name: str, base_cfg: ToolConfig | None = None) -> dict:
     """Re-analyze one bundled case and compare against its golden verdicts."""
     case, pf = load_case(name)
     cfg = pf.config(base_cfg or ToolConfig())
-    system = pf.to_system()
+    system = pf.system
     sections = run_analyses(system, pf.x0, cfg, which=case.analyses)
 
     if case.witness_relation is not None:

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import FIT_TOLERANCE_REL
 from .expr import Expression
 from .rank import (
     CERTIFIED,
@@ -197,7 +198,6 @@ def reconstruct_dependent(
     pivot_indices: Sequence[int],
     target_index: int,
     degree: int = 3,
-    tolerance_rel: float = 1e-6,
 ) -> FittedMap:
     """Fit f_target as a polynomial of total degree <= ``degree`` in the pivot
     function values near the center x0 of ``jacobian``'s sample plan.
@@ -206,7 +206,7 @@ def reconstruct_dependent(
     of the family failed to evaluate is skipped, as the rank check skips it.
     Training uses the even-indexed remaining points, validation the
     odd-indexed ones; the recorded residual is the max held-out error.
-    Exceeding ``tolerance_rel`` times the value scale raises
+    Exceeding ``FIT_TOLERANCE_REL`` times the value scale raises
     :class:`ReconstructionError`.
     """
     if target_index in pivot_indices:
@@ -247,7 +247,7 @@ def reconstruct_dependent(
     held_out = [abs(fitted.predict(yy) - ww) for yy, ww in zip(y[test], w[test])]
     residual = float(max(held_out, default=0.0))
     scale = max(1.0, float(np.max(np.abs(w[train]), initial=0.0)))
-    bound = tolerance_rel * scale
+    bound = FIT_TOLERANCE_REL * scale
     if residual > bound:
         raise ReconstructionError(target_index, residual, bound)
     return dataclasses.replace(fitted, cross_validated_residual=residual)
@@ -257,7 +257,6 @@ def classify_dependence(
     jacobian: SampleJacobian,
     tol_rank: float,
     fit_degree: int = 3,
-    fit_tolerance_rel: float = 1e-6,
 ) -> DependenceVerdict:
     """Classify the family as independent / dependent-with-relation / inconclusive.
 
@@ -300,9 +299,7 @@ def classify_dependence(
         if l in crc.pivot_indices:
             continue
         reconstructions.append(
-            reconstruct_dependent(
-                jacobian, crc.pivot_indices, l, fit_degree, fit_tolerance_rel
-            )
+            reconstruct_dependent(jacobian, crc.pivot_indices, l, fit_degree)
         )
     return DependenceVerdict(
         sense=DEPENDENT,

@@ -24,8 +24,7 @@ from .cones import (
     ConeCoefficients,
     build_linearized_cone,
     cone_member,
-    dual_cone_member,
-    dual_cone_residual_direction,
+    dual_cone_decomposition,
 )
 from .config import ToolConfig
 from .model import ConstraintSystem, active_set, evaluate_point
@@ -106,17 +105,9 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) -> K
     tol = cfg.tol_cone
     cone = build_linearized_cone(pd, aset)
     target = -pd.objective_gradient
-    coeffs = dual_cone_member(cone, target, tol)
-
-    active_rows_idx = cone.eq_indices + cone.ineq_indices
-    if active_rows_idx:
-        rows = np.vstack([cone.eq_rows, cone.ineq_rows])
-        unique = numerical_rank(rows, tol).rank == rows.shape[0]
-    else:
-        unique = True
+    coeffs, residual_dir = dual_cone_decomposition(cone, target, tol)
 
     if coeffs is None:
-        residual_dir = dual_cone_residual_direction(cone, target)
         norm = float(np.linalg.norm(residual_dir))
         d = residual_dir / norm
         slope = float(pd.objective_gradient @ d)
@@ -139,6 +130,11 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) -> K
             tolerance_used=tol,
         )
 
+    if cone.eq_indices + cone.ineq_indices:
+        rows = np.vstack([cone.eq_rows, cone.ineq_rows])
+        unique = numerical_rank(rows, tol).rank == rows.shape[0]
+    else:
+        unique = True
     lam = coeffs.as_dict()
     full = tuple(
         (i, float(lam.get(i, 0.0))) for i in range(1, sys.n_constraints + 1)

@@ -3,17 +3,19 @@
 Keys: name, variables, objective (optional), equalities, inequalities,
 point, options (tolerance/sampler overrides), assert_local_min.  Expression
 strings use the expression-language grammar.  Option keys are restricted to
-the documented set below; anything else is rejected so that typos cannot
-silently change an analysis.
+the documented set in :data:`OPTIONS`, which also checks each value; the
+command-line flags resolve through the same table, so that typos and bad
+values cannot silently change an analysis.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,33 +24,14 @@ from .expr import ExpressionError
 from .model import ConstraintSystem
 
 __all__ = [
-    "FLOAT_OPTIONS",
-    "OPTION_KEYS",
+    "OPTIONS",
     "ProblemFile",
     "ProblemFileError",
-    "check_float_option",
     "load_problem_file",
     "parse_problem_dict",
     "parse_schedule",
+    "resolve_options",
 ]
-
-OPTION_KEYS = (
-    "tol_rank",
-    "tol_active",
-    "tol_feas",
-    "tol_cone",
-    "seed",
-    "radii",
-    "samples",
-    "t_schedule",
-    "ratio_tol",
-    "fit_degree",
-)
-
-FLOAT_OPTIONS = ("tol_rank", "tol_active", "tol_feas", "tol_cone", "ratio_tol")
-
-# Integer options and their least admissible value.
-_INT_OPTIONS = {"seed": 0, "samples": 1, "fit_degree": 1}
 
 _TOP_LEVEL_KEYS = (
     "name",
@@ -77,66 +60,71 @@ def _finite(value) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-def check_float_option(key: str, value) -> None:
-    """Reject a value of the float option ``key`` that no analysis can use.
-
-    Every float option must be a finite number; ``tol_rank`` is a relative
-    singular-value cutoff and must lie in (0, 1).
-    """
+def _finite_float(value) -> float:
     if _finite(value) is None:
-        raise ProblemFileError(f"option '{key}' must be a finite number, got {value!r}")
-    if key == "tol_rank" and not 0.0 < value < 1.0:
-        raise ProblemFileError(f"option 'tol_rank' must lie in (0, 1), got {value!r}")
+        raise ProblemFileError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _unit_interval(value) -> float:
+    # tol_rank is a relative singular-value cutoff.
+    number = _finite_float(value)
+    if not 0.0 < number < 1.0:
+        raise ProblemFileError(f"must lie in (0, 1), got {value!r}")
+    return number
+
+
+def _integer(least: int, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "a positive" if least else "a non-negative"
+        raise ProblemFileError(f"must be {kind} integer, got {value!r}")
+    return value
+
+
+# Option key -> (ToolConfig field, check returning the value to set).
+OPTIONS: dict[str, tuple[str, Callable]] = {
+    "tol_rank": ("tol_rank", _unit_interval),
+    "tol_active": ("tol_active", _finite_float),
+    "tol_feas": ("tol_feas", _finite_float),
+    "tol_cone": ("tol_cone", _finite_float),
+    "seed": ("seed", partial(_integer, 0)),
+    "radii": ("radii", lambda value: parse_schedule(value)),
+    "samples": ("samples_per_radius", partial(_integer, 1)),
+    "t_schedule": ("t_schedule", lambda value: parse_schedule(value, T_SCHEDULE_TAIL)),
+    "ratio_tol": ("ratio_tol", _finite_float),
+    "fit_degree": ("fit_degree", partial(_integer, 1)),
+}
+
+
+def resolve_options(options: dict, label: Callable[[str], str]) -> dict:
+    """The :class:`ToolConfig` updates for ``options``, each value checked.
+
+    A bad value raises :class:`ProblemFileError` naming it by ``label(key)``.
+    """
+    updates = {}
+    for key, value in options.items():
+        field, check = OPTIONS[key]
+        try:
+            updates[field] = check(value)
+        except ProblemFileError as err:
+            raise ProblemFileError(f"{label(key)}: {err}") from err
+    return updates
 
 
 @dataclass(frozen=True)
 class ProblemFile:
-    name: str
-    variables: tuple[str, ...]
-    objective: Optional[str]
-    equalities: tuple[str, ...]
-    inequalities: tuple[str, ...]
+    system: ConstraintSystem
     point: tuple[float, ...]
-    options: dict = field(default_factory=dict)
-    assert_local_min: bool = False
-
-    def to_system(self) -> ConstraintSystem:
-        try:
-            return ConstraintSystem.from_strings(
-                self.name,
-                self.variables,
-                self.objective,
-                self.equalities,
-                self.inequalities,
-            )
-        except ExpressionError as err:
-            raise ProblemFileError(f"problem '{self.name}': {err}") from err
+    # ToolConfig updates from the file's options and assert_local_min.
+    settings: dict
 
     @property
     def x0(self) -> np.ndarray:
         return np.asarray(self.point, dtype=float)
 
     def config(self, base: ToolConfig) -> ToolConfig:
-        """Apply this file's option overrides on top of ``base``."""
-        cfg = base
-        opts = self.options
-        updates: dict = {}
-        for key in FLOAT_OPTIONS:
-            if key in opts:
-                updates[key] = float(opts[key])
-        if "seed" in opts:
-            updates["seed"] = int(opts["seed"])
-        if "samples" in opts:
-            updates["samples_per_radius"] = int(opts["samples"])
-        if "fit_degree" in opts:
-            updates["fit_degree"] = int(opts["fit_degree"])
-        if "radii" in opts:
-            updates["radii"] = parse_schedule(opts["radii"])
-        if "t_schedule" in opts:
-            updates["t_schedule"] = parse_schedule(opts["t_schedule"], T_SCHEDULE_TAIL)
-        if self.assert_local_min:
-            updates["assert_local_min"] = True
-        return replace(cfg, **updates) if updates else cfg
+        """Apply this file's settings on top of ``base``."""
+        return replace(base, **self.settings)
 
 
 def parse_schedule(spec, min_length: int = 1) -> tuple[float, ...]:
@@ -181,6 +169,10 @@ def parse_schedule(spec, min_length: int = 1) -> tuple[float, ...]:
     return values
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def parse_problem_dict(data: dict, origin: str = "<memory>") -> ProblemFile:
     if not isinstance(data, dict):
         raise ProblemFileError(f"{origin}: top level must be an object")
@@ -191,8 +183,14 @@ def parse_problem_dict(data: dict, origin: str = "<memory>") -> ProblemFile:
         if key not in data:
             raise ProblemFileError(f"{origin}: missing required key '{key}'")
     variables = data["variables"]
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise ProblemFileError(f"{origin}: 'variables' must be a list of names")
+    if not _is_strings(variables) or len(set(variables)) < len(variables):
+        raise ProblemFileError(f"{origin}: 'variables' must be a list of distinct names")
+    objective = data.get("objective")
+    if objective is not None and not isinstance(objective, str):
+        raise ProblemFileError(f"{origin}: 'objective' must be a string or null")
+    for key in ("equalities", "inequalities"):
+        if data.get(key) is not None and not _is_strings(data[key]):
+            raise ProblemFileError(f"{origin}: '{key}' must be a list of strings")
     point = data["point"]
     if not isinstance(point, list) or len(point) != len(variables):
         raise ProblemFileError(
@@ -202,42 +200,28 @@ def parse_problem_dict(data: dict, origin: str = "<memory>") -> ProblemFile:
         raise ProblemFileError(
             f"{origin}: 'point' entries must be finite numbers, got {point!r}"
         )
-    options = data.get("options") or {}
+    assert_local_min = data.get("assert_local_min", False)
+    if not isinstance(assert_local_min, bool):
+        raise ProblemFileError(f"{origin}: 'assert_local_min' must be true or false")
+    options = {} if data.get("options") is None else data["options"]
     if not isinstance(options, dict):
         raise ProblemFileError(f"{origin}: 'options' must be an object")
-    bad = sorted(set(options) - set(OPTION_KEYS))
+    bad = sorted(set(options) - set(OPTIONS))
     if bad:
         raise ProblemFileError(
-            f"{origin}: unknown option keys {bad}; allowed: {list(OPTION_KEYS)}"
+            f"{origin}: unknown option keys {bad}; allowed: {list(OPTIONS)}"
         )
-    for key, least in _INT_OPTIONS.items():
-        value = options.get(key, least)
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            kind = "a positive" if least else "a non-negative"
-            raise ProblemFileError(
-                f"{origin}: option '{key}' must be {kind} integer, got {value!r}"
-            )
+    settings = resolve_options(options, lambda key: f"{origin}: option '{key}'")
+    settings["assert_local_min"] = assert_local_min
+    name = str(data["name"])
     try:
-        for key in FLOAT_OPTIONS:
-            if key in options:
-                check_float_option(key, options[key])
-        for key, least in (("radii", 1), ("t_schedule", T_SCHEDULE_TAIL)):
-            if key in options:
-                parse_schedule(options[key], least)
-    except ProblemFileError as err:
-        raise ProblemFileError(f"{origin}: {err}") from err
-    pf = ProblemFile(
-        name=str(data["name"]),
-        variables=tuple(variables),
-        objective=data.get("objective"),
-        equalities=tuple(data.get("equalities") or ()),
-        inequalities=tuple(data.get("inequalities") or ()),
-        point=tuple(float(v) for v in point),
-        options=dict(options),
-        assert_local_min=bool(data.get("assert_local_min", False)),
-    )
-    pf.to_system()  # validate all expressions now, with a good error message
-    return pf
+        system = ConstraintSystem.from_strings(
+            name, variables, objective, data.get("equalities") or (),
+            data.get("inequalities") or (),
+        )
+    except ExpressionError as err:
+        raise ProblemFileError(f"problem '{name}': {err}") from err
+    return ProblemFile(system, tuple(float(v) for v in point), settings)
 
 
 def load_problem_file(path) -> ProblemFile:

@@ -40,6 +40,8 @@ DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 CERTIFIED = "certified-by-sampling"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
+# check_rcrcq refuses more active constraints than this (2^20 subsets).
+MAX_ACTIVE = 20
 
 
 class SubsetGuardError(ValueError):
@@ -375,7 +377,6 @@ def check_rcrcq(
     aset: ActiveSet,
     jacobian: SampleJacobian,
     tol_rank: float,
-    max_active: int = 20,
 ) -> RcrcqReport:
     """Run the constant-rank check for every J with I_0 <= J <= I_0 + I(x0).
 
@@ -386,7 +387,7 @@ def check_rcrcq(
     refuted dominating, then inconclusive, then certified.
     """
     active = tuple(sorted(aset.indices))
-    if len(active) > max_active:
+    if len(active) > MAX_ACTIVE:
         raise SubsetGuardError(
             f"|I(x0)| = {len(active)} active constraints would require "
             f"2^{len(active)} subset checks; raise the activity tolerance or "

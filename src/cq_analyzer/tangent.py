@@ -24,7 +24,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cones import LinearizedCone, build_linearized_cone, cone_member, sample_cone_directions
-from .config import T_SCHEDULE_TAIL, ToolConfig
+from .config import (
+    ANGULAR_TOL, CORRECTOR_MAX_ITER, CORRECTOR_TOL, DIRECTION_COUNT, ESTIMATE_PROBES,
+    T_SCHEDULE_TAIL, TOL_CRITICAL, ToolConfig,
+)
 from .model import (
     ActiveSet,
     ConstraintDomainError,
@@ -90,7 +93,7 @@ def ljusternik_correct(
     Pivot rows are re-selected at x0 + t*d by numerical rank; every step
     solves the linearized pivot system by pseudoinverse (the minimal-norm
     update), while convergence is judged on the full J residual with
-    ``||h_J||_inf <= corrector_tol * (1 + scale)``.  Returns a non-converged
+    ``||h_J||_inf <= CORRECTOR_TOL * (1 + scale)``.  Returns a non-converged
     result (r is the last iterate) instead of raising; domain errors during
     iteration are reported in the diagnostic.
     """
@@ -115,7 +118,7 @@ def ljusternik_correct(
         )
     initial_residual = float(np.max(np.abs(values0), initial=0.0))
     scale = max(1.0, initial_residual)
-    residual_tol = cfg.corrector_tol * (1.0 + scale)
+    residual_tol = CORRECTOR_TOL * (1.0 + scale)
     rank0 = numerical_rank(rows0, cfg.tol_rank)
     pivot = tuple(j[p - 1] for p in rank0.pivot_indices)
     pivot_pos = [p - 1 for p in rank0.pivot_indices]  # pivot rows' positions in J
@@ -131,7 +134,7 @@ def ljusternik_correct(
     def iterate(r_start: np.ndarray) -> CorrectionResult:
         r = r_start.copy()
         final = math.inf
-        for it in range(cfg.corrector_max_iter + 1):
+        for it in range(CORRECTOR_MAX_ITER + 1):
             values_j, rows_j, errors = evaluate_rows(functions, base + r)
             if errors:
                 return CorrectionResult(
@@ -146,7 +149,7 @@ def ljusternik_correct(
                     initial_residual=initial_residual, final_residual=final,
                     pivot_indices=pivot,
                 )
-            if it == cfg.corrector_max_iter:
+            if it == CORRECTOR_MAX_ITER:
                 break
             piv_values, piv_rows = values_j[pivot_pos], rows_j[pivot_pos]
             # Minimal-norm update: r_new = pinv(J)(J r - h) solves the
@@ -155,7 +158,7 @@ def ljusternik_correct(
             # regardless of the warm start.
             r = np.linalg.pinv(piv_rows) @ (piv_rows @ r - piv_values)
         return CorrectionResult(
-            r=r, converged=False, iterations=cfg.corrector_max_iter,
+            r=r, converged=False, iterations=CORRECTOR_MAX_ITER,
             initial_residual=initial_residual, final_residual=final,
             pivot_indices=pivot, diagnostic="iteration cap reached",
         )
@@ -264,7 +267,7 @@ def probe_tangent(
     t_schedule = tuple(float(t) for t in t_schedule)
     if list(t_schedule) != sorted(t_schedule, reverse=True) or min(t_schedule) <= 0:
         raise ValueError("t_schedule must be positive and strictly descending")
-    crit = critical_active_set(pd, aset, d, cfg.tol_critical)
+    crit = critical_active_set(pd, aset, d, TOL_CRITICAL)
     j = crit.j_set
     inactive = [sys.constraint(i) for i in pd.inequality_indices if i not in set(j)]
 
@@ -450,7 +453,7 @@ def tangent_direction_estimate(
     eq_indices = tuple(sys.equality_indices)
     all_indices = tuple(range(1, sys.n_constraints + 1))
     gn_tol = 1e-14 * (1.0 + float(np.max(np.abs(x0), initial=0.0)))
-    cos_tol = math.cos(cfg.angular_tol)
+    cos_tol = math.cos(ANGULAR_TOL)
 
     layers: list[tuple[float, list[np.ndarray]]] = []
     for radius, points in sampler.points_by_radius():
@@ -504,7 +507,7 @@ def _correct_equalities(sys, eq_indices, x, gn_tol, cfg) -> Optional[np.ndarray]
         return x if float(np.max(np.abs(values), initial=0.0)) <= gn_tol else None
     pivot_functions = [sys.constraint(eq_indices[p]) for p in pivots]
     values, rows = values[pivots], rows[pivots]
-    for _ in range(cfg.corrector_max_iter):
+    for _ in range(CORRECTOR_MAX_ITER):
         if float(np.max(np.abs(values), initial=0.0)) <= gn_tol:
             return x
         x = x - np.linalg.pinv(rows) @ values
@@ -577,14 +580,14 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) 
         )
     aset = active_set(pd, cfg.tol_active)
     cone = build_linearized_cone(pd, aset)
-    sample = sample_cone_directions(cone, cfg.direction_count, cfg.seed + 1, cfg.tol_cone)
+    sample = sample_cone_directions(cone, DIRECTION_COUNT, cfg.seed + 1, cfg.tol_cone)
 
     probes = tuple(
         probe_tangent(sys, x0, aset, d, cfg.t_schedule, cfg, pd=pd)
         for d in sample.directions
     )
     estimates = tangent_direction_estimate(
-        sys, x0, cfg.estimate_probes, cfg.radii, cfg.seed + 2, cfg
+        sys, x0, ESTIMATE_PROBES, cfg.radii, cfg.seed + 2, cfg
     )
     # A direction estimated from feasible points at radius r carries an
     # O(r) angular resolution (curvature drift), so membership is tested at

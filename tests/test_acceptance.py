@@ -12,7 +12,7 @@ from conftest import random_domain_points
 from finite_diff import finite_diff_gradient
 
 from cq_analyzer.cli import main as cli_main
-from cq_analyzer.config import ToolConfig
+from cq_analyzer.config import ESTIMATE_PROBES, ToolConfig
 from cq_analyzer.corpus import CORPUS, load_case
 from cq_analyzer.dependence import classify_dependence, reconstruct_dependent, witness_check
 from cq_analyzer.expr import parse
@@ -47,7 +47,7 @@ def _jacobian(system, x0):
 def _all_corpus_systems():
     for name in sorted(CORPUS):
         case, pf = load_case(name)
-        yield name, case, pf, pf.to_system()
+        yield name, case, pf, pf.system
 
 
 def test_criterion_1_ad_matches_finite_differences():
@@ -94,7 +94,7 @@ def test_criterion_2_rank_verdicts_match_hand_ranks():
     failures = []
     for name, (verdict, ranks) in expectations.items():
         _, pf = load_case(name)
-        system = pf.to_system()
+        system = pf.system
         pd = evaluate_point(system, pf.x0)
         report = check_rcrcq(
             system, active_set(pd, CFG.tol_active), _jacobian(system, pf.x0), CFG.tol_rank
@@ -108,7 +108,7 @@ def test_criterion_2_rank_verdicts_match_hand_ranks():
     # The spiral curve: the gradient family is rank-deficient at 0
     # (hand rank 0 < 3), which the point test must report as dependent.
     _, pf = load_case("tornado-curve")
-    system = pf.to_system()
+    system = pf.system
     verdict = classify_dependence(_jacobian(system, pf.x0), CFG.tol_rank)
     if not verdict.laszlo_at_point:
         failures.append("tornado-curve: rank test at 0 not dependent")
@@ -126,7 +126,7 @@ def test_criterion_3_abadie_equivalence_on_certified_cases():
     failures = []
     for name in CERTIFIED_CASES:
         _, pf = load_case(name)
-        system = pf.to_system()
+        system = pf.system
         rcrcq = check_rcrcq(
             system, active_set(evaluate_point(system, pf.x0), CFG.tol_active),
             _jacobian(system, pf.x0), CFG.tol_rank,
@@ -158,7 +158,7 @@ def test_criterion_3_abadie_equivalence_on_certified_cases():
 def test_criterion_4_abadie_counterexample_detected():
     """{x^2 <= 0} at 0: verdict violated, Gamma = R, explicit witness."""
     _, pf = load_case("x-squared-leq-zero")
-    report = abadie_verdict(pf.to_system(), pf.x0, CFG)
+    report = abadie_verdict(pf.system, pf.x0, CFG)
     gamma_is_whole_line = (
         report.cone.eq_rows.shape[0] == 0
         and report.cone.ineq_rows.shape == (1, 1)
@@ -181,7 +181,7 @@ def test_criterion_4_abadie_counterexample_detected():
 def test_criterion_5_corrector_decay_on_circle():
     """Circle at (1,0), d = e2: ||r(t)|| within 20% of t^2/2; slope in [1.8, 2.2]."""
     _, pf = load_case("circle-point")
-    system = pf.to_system()
+    system = pf.system
     pd = evaluate_point(system, pf.x0)
     probe = probe_tangent(
         system, pf.x0, active_set(pd, CFG.tol_active), [0.0, 1.0], CFG.t_schedule, CFG
@@ -209,7 +209,7 @@ def test_criterion_6_tangent_estimates_inside_cone_universally():
     failures = []
     for name, _, pf, system in _all_corpus_systems():
         estimates = tangent_direction_estimate(
-            system, pf.x0, CFG.estimate_probes, CFG.radii, CFG.seed + 2, CFG
+            system, pf.x0, ESTIMATE_PROBES, CFG.radii, CFG.seed + 2, CFG
         )
         if not estimates.directions:
             continue  # vacuous: isolated or unstable feasible set
@@ -244,7 +244,7 @@ def test_criterion_7_kkt_duality_and_minimal_norm():
             if report.stationarity > 1e-10 * scale:
                 failures.append(f"{name}: stationarity {report.stationarity:.2e}")
     _, pf = load_case("duplicate-bounds")
-    lam = kkt_report(pf.to_system(), pf.x0, CFG).multiplier_dict()
+    lam = kkt_report(pf.system, pf.x0, CFG).multiplier_dict()
     if abs(lam[1] - 0.2) > 1e-8 or abs(lam[2] - 0.4) > 1e-8:
         failures.append(f"duplicate-bounds multipliers {lam}")
     _report(
@@ -302,7 +302,7 @@ def test_criterion_9_corpus_run_byte_identical(capsys):
 def test_criterion_10_witness_relation_residual():
     """y1^2 - y2^3 over (t^3, t^2): residual <= 1e-14 on the sample set."""
     _, pf = load_case("cusp-powers")
-    system = pf.to_system()
+    system = pf.system
     relation = parse("y1^2 - y2^3", ["y1", "y2"])
     sampler = NeighborhoodSampler(center=tuple(pf.x0), radii=CFG.radii, seed=CFG.seed)
     residual = witness_check(relation, list(system.all_constraints), sampler)

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 
 from cq_analyzer.cli import main
+from cq_analyzer.config import ToolConfig
 from cq_analyzer.corpus import CORPUS, corpus_path
+from cq_analyzer.model import ConstraintSystem
 from cq_analyzer.problem import (
+    OPTIONS,
     ProblemFileError,
     load_problem_file,
     parse_problem_dict,
@@ -30,11 +34,11 @@ def run_cli(capsys, *argv):
 
 def test_load_corpus_problem():
     pf = load_problem_file(corpus_file("circle-point"))
-    assert pf.name == "circle-point"
-    assert pf.variables == ("x1", "x2")
-    assert pf.objective == "-x1"
+    assert pf.system.name == "circle-point"
+    assert pf.system.variables == ("x1", "x2")
+    assert pf.system.objective.source == "-x1"
     assert pf.point == (1.0, 0.0)
-    assert pf.assert_local_min
+    assert pf.settings["assert_local_min"]
 
 
 def test_problem_rejects_unknown_keys():
@@ -389,6 +393,104 @@ def test_cli_flag_overrides_file_option(capsys, tmp_path):
     report = json.loads(out)
     assert report["config"]["seed"] == 11          # flag beats file option
     assert report["config"]["tol_rank"] == 1e-6    # file option beats default
+
+
+# Option key -> (non-default file value, the same value as a flag, another
+# non-default flag value); fit_degree has no flag.
+OPTION_VALUES = {
+    "tol_rank": (1e-7, "1e-7", "1e-6"),
+    "tol_active": (1e-7, "1e-7", "1e-6"),
+    "tol_feas": (1e-7, "1e-7", "1e-6"),
+    "tol_cone": (1e-7, "1e-7", "1e-6"),
+    "seed": (7, "7", "11"),
+    "radii": ("1e-2:1e-4:x10", "1e-2:1e-4:x10", "1e-1:1e-3:x10"),
+    "samples": (8, "8", "4"),
+    "t_schedule": ([0.1, 0.01, 0.001, 0.0001], "1e-1:1e-4:x10", "1e-2:1e-5:x10"),
+    "ratio_tol": (1e-2, "1e-2", "1e-1"),
+    "fit_degree": (2, None, None),
+}
+FLAGGED = [key for key, (_, flag, _) in OPTION_VALUES.items() if flag is not None]
+
+
+def config_snapshot(capsys, path, *flags):
+    code, out, err = run_cli(capsys, "rcrcq", path, "--format", "machine", *flags)
+    assert code == 0, err
+    return json.loads(out)["config"]
+
+
+def test_tool_config_fields_are_the_option_table_and_assert_local_min():
+    fields = [f.name for f in dataclasses.fields(ToolConfig)]
+    assert sorted(fields) == sorted([field for field, _ in OPTIONS.values()] + ["assert_local_min"])
+
+
+@pytest.mark.parametrize("key", sorted(OPTIONS))
+def test_file_option_and_flag_give_the_same_snapshot(capsys, tmp_path, key):
+    value, flag_value, _ = OPTION_VALUES[key]
+    default = config_snapshot(capsys, corpus_file("circle-point"))
+    from_file = config_snapshot(
+        capsys, corpus_copy(tmp_path, "circle-point", options={key: value})
+    )
+    field = OPTIONS[key][0]
+    assert from_file[field] != default[field]
+    assert {k for k in default if default[k] != from_file[k]} == {field}
+    if flag_value is not None:
+        flag = "--" + key.replace("_", "-")
+        assert config_snapshot(capsys, corpus_file("circle-point"), flag, flag_value) == from_file
+
+
+@pytest.mark.parametrize("key", FLAGGED)
+def test_flag_beats_file_option(capsys, tmp_path, key):
+    value, _, other = OPTION_VALUES[key]
+    flag = "--" + key.replace("_", "-")
+    path = corpus_copy(tmp_path, "circle-point", options={key: value})
+    assert config_snapshot(capsys, path, flag, other) == config_snapshot(
+        capsys, corpus_file("circle-point"), flag, other
+    )
+
+
+@pytest.mark.parametrize(
+    "flags", [["--tol-rank", "2"], ["--tol-feas", "nan"], ["--seed", "-1"], ["--samples", "0"],
+              ["--radii", "x"], ["--t-schedule", "1e-3:1e-3:x10"]],
+)
+def test_cli_flag_errors_name_the_flag(capsys, flags):
+    code, out, err = run_cli(capsys, "rcrcq", corpus_file("circle-point"), *flags)
+    assert code == 64 and out == ""
+    assert err.startswith(f"cq-analyzer: {flags[0]}: ")
+
+
+def test_cli_parses_each_problem_file_once(capsys, monkeypatch):
+    calls = []
+    parse_system = ConstraintSystem.from_strings.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args[0])
+        return parse_system(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ConstraintSystem, "from_strings", classmethod(counted))
+    code, _, _ = run_cli(capsys, "analyze", corpus_file("circle-point"))
+    assert code == 0
+    assert calls == ["circle-point"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("objective", 5), ("inequalities", [5]), ("equalities", "x"), ("assert_local_min", "false"),
+     ("options", []), ("variables", ["x", "x"])],
+)
+def test_cli_rejects_malformed_top_level_field_with_usage_exit(capsys, tmp_path, field, value):
+    # A number objective or constraint ended in a TypeError traceback with
+    # exit 1; a string of equalities was read as a list of its characters;
+    # "false" counted as an asserted local minimum; an empty list of options
+    # passed for an empty object; a repeated variable name ended in a
+    # ValueError traceback.  All ran at load time.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "name": "bad", "variables": ["x"], "objective": "x", "equalities": [],
+        "inequalities": ["x"], "point": [0.0], field: value,
+    }))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 64 and out == ""
+    assert "bad.json" in err and f"'{field}'" in err
 
 
 def test_cli_env_seed_used_when_flag_absent(capsys, monkeypatch):

@@ -8,8 +8,7 @@ from cq_analyzer.cones import (
     LinearizedCone,
     build_linearized_cone,
     cone_member,
-    dual_cone_member,
-    dual_cone_residual_direction,
+    dual_cone_decomposition,
     kernel_basis,
     nonneg_lstsq,
     sample_cone_directions,
@@ -155,20 +154,20 @@ def test_nnls_zero_rhs():
 
 
 # ---------------------------------------------------------------------------
-# dual_cone_member
+# dual_cone_decomposition
 # ---------------------------------------------------------------------------
 
 
 def test_dual_member_zero_vector():
     cone = make_cone([[1.0, 0.0]], [[0.0, -1.0]])
-    coeffs = dual_cone_member(cone, [0.0, 0.0], 1e-8)
+    coeffs = dual_cone_decomposition(cone, [0.0, 0.0], 1e-8)[0]
     assert coeffs is not None
     assert all(abs(v) <= 1e-10 for _, v in coeffs.values)
 
 
 def test_dual_member_hand_expansion():
     cone = make_cone([], [[-1.0, 0.0], [0.0, -1.0]])
-    coeffs = dual_cone_member(cone, [-1.0, -1.0], 1e-8)
+    coeffs = dual_cone_decomposition(cone, [-1.0, -1.0], 1e-8)[0]
     assert coeffs is not None
     lam = coeffs.as_dict()
     assert lam[1] == pytest.approx(1.0, abs=1e-9)
@@ -177,14 +176,14 @@ def test_dual_member_hand_expansion():
 
 def test_dual_member_sign_obstruction():
     cone = make_cone([], [[-1.0, 0.0]])
-    assert dual_cone_member(cone, [1.0, 0.0], 1e-8) is None
+    assert dual_cone_decomposition(cone, [1.0, 0.0], 1e-8)[0] is None
 
 
 def test_dual_member_minimal_norm_duplicate_rows():
     # rows (-1) and (-2); v = -1 has solutions {l1 + 2 l2 = 1, l >= 0};
     # min |l| is the projection (0.2, 0.4) (closed form; grid-checked below).
     cone = make_cone([], [[-1.0], [-2.0]])
-    coeffs = dual_cone_member(cone, [-1.0], 1e-8)
+    coeffs = dual_cone_decomposition(cone, [-1.0], 1e-8)[0]
     lam = coeffs.as_dict()
     assert lam[1] == pytest.approx(0.2, abs=1e-8)
     assert lam[2] == pytest.approx(0.4, abs=1e-8)
@@ -195,15 +194,15 @@ def test_dual_member_minimal_norm_duplicate_rows():
 
 def test_dual_member_free_equality_coefficient():
     cone = make_cone([[2.0, 0.0]], [])
-    coeffs = dual_cone_member(cone, [-1.0, 0.0], 1e-8)
+    coeffs = dual_cone_decomposition(cone, [-1.0, 0.0], 1e-8)[0]
     assert coeffs is not None
     assert coeffs.as_dict()[1] == pytest.approx(-0.5, abs=1e-9)
 
 
 def test_dual_member_no_rows():
     cone = make_cone([], [], n=2)
-    assert dual_cone_member(cone, [0.0, 0.0], 1e-8) is not None
-    assert dual_cone_member(cone, [1.0, 0.0], 1e-8) is None
+    assert dual_cone_decomposition(cone, [0.0, 0.0], 1e-8)[0] is not None
+    assert dual_cone_decomposition(cone, [1.0, 0.0], 1e-8)[0] is None
 
 
 def corpus_cones():
@@ -213,7 +212,7 @@ def corpus_cones():
     cones = []
     for name in sorted(CORPUS):
         _, pf = load_case(name)
-        sys = pf.to_system()
+        sys = pf.system
         try:
             pd = evaluate_point(sys, pf.x0)
         except ConstraintDomainError:
@@ -236,7 +235,7 @@ def test_farkas_consistency_property():
         sample = sample_cone_directions(cone, 24, seed=5)
         for _ in range(100):
             v = rng.standard_normal(n)
-            coeffs = dual_cone_member(cone, v, 1e-8)
+            coeffs = dual_cone_decomposition(cone, v, 1e-8)[0]
             if coeffs is None:
                 continue
             for d in sample.directions:
@@ -246,8 +245,8 @@ def test_farkas_consistency_property():
 def test_residual_direction_certifies_exclusion():
     cone = make_cone([], [[-1.0, 0.0]])
     v = np.array([1.0, 0.5])
-    assert dual_cone_member(cone, v, 1e-8) is None
-    r = dual_cone_residual_direction(cone, v)
+    coeffs, r = dual_cone_decomposition(cone, v, 1e-8)
+    assert coeffs is None
     assert np.linalg.norm(r) > 1e-6
     assert cone_member(cone, r / np.linalg.norm(r), 1e-8)
     assert float(v @ r) > 0.0

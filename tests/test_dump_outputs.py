@@ -17,9 +17,11 @@ def test_dump_of_one_seed_holds_every_command_and_exit_code(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     names = sorted(p.name for p in outdir.iterdir())
-    # corpus in two formats, then 2 rounds x (4 chains + 6 manifolds) x 3 commands.
-    assert len(names) == 2 + 2 * 10 * 3
+    # corpus in two formats and once with every flag, then 2 rounds x
+    # (4 chains + 6 manifolds) x 3 commands, and one problem with every option.
+    assert len(names) == 3 + 2 * 10 * 3 + 1
     assert "corpus.text.txt" in names and "analyze-manifold-s5150-r1-5.dependence.txt" in names
+    assert {"corpus.flags.txt", "analyze-manifold-s5150-r0-0.options.analyze.txt"} <= set(names)
     for name in names:
         status, _, body = (outdir / name).read_text(encoding="utf-8").partition("\n")
         assert status in ("exit 0", "exit 1", "exit 2"), name

@@ -238,10 +238,36 @@ def test_failed_descent_certificate_is_an_error_section(monkeypatch, capsys):
     path = str(corpus_path(CORPUS["sign-obstructed"].filename))
     pf = load_problem_file(path)
     with pytest.raises(kkt.CertificateVerificationError):
-        kkt_report(pf.to_system(), pf.x0, CFG)
-    sections = run_analyses(pf.to_system(), pf.x0, CFG, ["kkt"])
+        kkt_report(pf.system, pf.x0, CFG)
+    sections = run_analyses(pf.system, pf.x0, CFG, ["kkt"])
     assert sections["kkt"]["error_kind"] == "CertificateVerificationError"
     assert "descent certificate failed verification" in sections["kkt"]["error"]
     assert exit_code_for(sections) == 2
     assert main(["multipliers", path]) == 2
     assert "kkt=error" in capsys.readouterr().out
+
+
+def test_dual_infeasible_report_solves_the_cone_problem_once(monkeypatch):
+    # On sign-obstructed the dual cone excludes -grad h0: the membership
+    # solve and the residual direction used to be two nonneg_lstsq solves,
+    # plus a numerical_rank for a minimal-norm flag this branch never reads.
+    from cq_analyzer import cones, kkt
+    from cq_analyzer.corpus import load_case
+
+    counts = {"nonneg_lstsq": 0, "numerical_rank": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cones, "nonneg_lstsq")
+    counted(kkt, "numerical_rank")
+    _, pf = load_case("sign-obstructed")
+    report = kkt_report(pf.system, pf.x0, CFG)
+    assert not report.dual_feasible and report.descent_certificate is not None
+    assert counts == {"nonneg_lstsq": 1, "numerical_rank": 0}

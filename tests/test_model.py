@@ -201,7 +201,7 @@ def test_jacobian_first_order_consistency_on_corpus():
 
     for name in sorted(CORPUS):
         _, pf = load_case(name)
-        sys = pf.to_system()
+        sys = pf.system
         try:
             pd = evaluate_point(sys, pf.x0)
         except ConstraintDomainError:

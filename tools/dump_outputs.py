@@ -6,9 +6,16 @@ Writes one file per command to OUTDIR, holding the exit code on its first
 line and then everything the command wrote:
 
 - ``corpus run all`` in text and in machine format;
+- ``corpus run all`` in machine format with every option flag set to a
+  non-default value (``FLAGS``);
 - ``analyze``, ``rcrcq`` and ``dependence`` in machine format on every
   problem of rounds 0 and 1 of both generated workloads of ``perfbench``
-  (``workloads.round_problems``), for each seed (default 5150).
+  (``workloads.round_problems``), for each seed (default 5150);
+- ``analyze`` in machine format on the first ``analyze-manifold`` problem of
+  each seed with an ``options`` block that sets every option key
+  (``OPTIONS``).
+
+Usage errors are not dumped; the tests cover their wording.
 
 The program is imported from ``--src``; the problems always come from this
 checkout's ``perfbench``.  ``diff -r`` of two dumps is the byte-identity
@@ -26,6 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import contextlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -34,6 +42,14 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("rcrcq-chain", "analyze-manifold")
 ROUNDS = (0, 1)
 COMMANDS = ("analyze", "rcrcq", "dependence")
+# Every option flag, each at a value other than its default.
+FLAGS = ["--seed", "7", "--samples", "8", "--radii", "1e-2:1e-4:x10",
+         "--t-schedule", "1e-1:1e-4:x10", "--tol-rank", "1e-7", "--ratio-tol", "1e-2",
+         "--tol-feas", "1e-7", "--tol-cone", "1e-7", "--tol-active", "1e-7"]
+# Every problem-file option key, each at a value other than its default.
+OPTIONS = {"tol_rank": 1e-7, "tol_active": 1e-7, "tol_feas": 1e-7, "tol_cone": 1e-7,
+           "seed": 7, "radii": "1e-2:1e-4:x10", "samples": 8,
+           "t_schedule": [1e-1, 1e-2, 1e-3, 1e-4], "ratio_tol": 1e-2, "fit_degree": 2}
 
 
 def load_cli(src: Path):
@@ -67,8 +83,14 @@ def dump(cli, seeds: list[int], outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = {f"corpus.{fmt}": ["corpus", "run", "all", "--format", fmt]
                for fmt in ("text", "machine")}
+    outputs["corpus.flags"] = ["corpus", "run", "all", "--format", "machine", *FLAGS]
     with tempfile.TemporaryDirectory() as problems:
         for seed in seeds:
+            first = workloads.round_problems("analyze-manifold", seed, 0)[0]
+            path = Path(problems) / f"{first.name}.options.json"
+            path.write_text(json.dumps(dict(first.data, options=OPTIONS)), encoding="utf-8")
+            outputs[f"{first.name}.options.analyze"] = [
+                "analyze", str(path), "--format", "machine"]
             for workload in WORKLOADS:
                 for index in ROUNDS:
                     for problem in workloads.round_problems(workload, seed, index):
