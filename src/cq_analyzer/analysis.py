@@ -11,9 +11,11 @@ qualification at a local minimum implies that multipliers exist, so their
 absence under ``assert_local_min`` is flagged as a contradiction.
 
 The ``rcrcq`` and ``dependence`` analyses read one sample plan and one
-:class:`~cq_analyzer.rank.SampleJacobian` over every constraint, built once
-per run, so each (constraint, sample point) value and gradient is evaluated
-once.
+:class:`~cq_analyzer.rank.SampleJacobian`, built once per run, so each
+(constraint, sample point) value and gradient is evaluated at most once.
+The plan covers every constraint when ``dependence`` runs; for ``rcrcq``
+alone it covers only the equalities and the active inequalities, the rows
+RCRCQ ranks.
 """
 
 from __future__ import annotations
@@ -46,8 +48,12 @@ _CAPTURED = (
 
 
 def _run_rcrcq(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig,
-               jacobian: SampleJacobian) -> dict:
+               jacobian: Optional[SampleJacobian]) -> dict:
     aset = active_set(evaluate_point(sys, x0), cfg.tol_active)
+    if jacobian is None:
+        # No other analysis reads the plan: sample only the rows RCRCQ ranks.
+        rows = sys.equality_indices + aset.indices
+        jacobian = sample_jacobian([sys.constraint(i) for i in rows], cfg.sampler(x0))
     return check_rcrcq(sys, aset, jacobian, cfg.tol_rank).to_dict()
 
 
@@ -85,7 +91,7 @@ def run_analyses(
 ) -> dict:
     x0 = np.asarray(x0, dtype=float)
     jacobian = None
-    if {"rcrcq", "dependence"} & set(which):
+    if "dependence" in which:
         jacobian = sample_jacobian(list(sys.all_constraints), cfg.sampler(x0))
     sections: dict = {}
     for name in which:

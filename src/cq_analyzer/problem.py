@@ -182,6 +182,8 @@ def parse_problem_dict(data: dict, origin: str = "<memory>") -> ProblemFile:
     for key in ("name", "variables", "point"):
         if key not in data:
             raise ProblemFileError(f"{origin}: missing required key '{key}'")
+    if not isinstance(data["name"], str):
+        raise ProblemFileError(f"{origin}: 'name' must be a string")
     variables = data["variables"]
     if not _is_strings(variables) or len(set(variables)) < len(variables):
         raise ProblemFileError(f"{origin}: 'variables' must be a list of distinct names")
@@ -213,7 +215,7 @@ def parse_problem_dict(data: dict, origin: str = "<memory>") -> ProblemFile:
         )
     settings = resolve_options(options, lambda key: f"{origin}: option '{key}'")
     settings["assert_local_min"] = assert_local_min
-    name = str(data["name"])
+    name = data["name"]
     try:
         system = ConstraintSystem.from_strings(
             name, variables, objective, data.get("equalities") or (),

@@ -5,8 +5,9 @@ cutoff: k = #{sigma_i > tol_rank * sigma_max}.  Neighborhood quantifiers
 ("there exists a neighbourhood ...") are replaced by a deterministic, seeded
 sampler over a descending radius schedule; positive verdicts are therefore
 labeled ``certified-by-sampling``, never proved.  A refutation, by contrast,
-always carries a concrete witness point whose rank differs from the rank at
-the center.
+always carries a concrete witness point whose rank rises above the rank at
+the center; a lower rank refutes nothing, since the rank cannot fall below
+its center value near the center.
 """
 
 from __future__ import annotations
@@ -58,49 +59,73 @@ class RankResult:
     tolerance_used: float
 
 
-def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult:
-    """Rank and pivot rows of a small dense matrix.
+def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult | tuple[RankResult, ...]:
+    """Rank and pivot rows of a small dense matrix, or of each matrix of a stack.
 
-    The rank is the number of singular values exceeding
-    ``tol_rank * sigma_max`` (zero for an all-zero or empty matrix).  Pivot
-    rows are chosen greedily by largest residual norm relative to the
-    original row norm, projecting out each chosen row; ties keep the lowest
-    index.  The relative normalization makes the selection invariant under
-    row scaling, matching the scale invariance of the rank itself.
+    ``rows`` is one (m, n) matrix, which gives one :class:`RankResult`, or a
+    (P, m, n) stack, which gives a tuple of P results from one stacked SVD
+    and one pivot selection run for all P matrices at once; a matrix is
+    ranked bit for bit alike either way.  The rank is the number of singular
+    values exceeding ``tol_rank * sigma_max`` (zero for an all-zero or empty
+    matrix).  Pivot rows are chosen greedily by largest residual norm
+    relative to the original row norm, projecting out each chosen row; ties
+    keep the lowest index.  The relative normalization makes the selection
+    invariant under row scaling, matching the scale invariance of the rank
+    itself.
     """
     rows = np.asarray(rows, dtype=float)
-    rank, sigma = _rank(rows, tol_rank)
-    pivots = _select_pivots(rows, rank)
-    return RankResult(rank, tuple(float(s) for s in sigma), pivots, tol_rank)
+    if rows.ndim not in (2, 3):
+        raise ValueError("expected a 2-d array of rows or a 3-d stack of them")
+    stack = rows[None] if rows.ndim == 2 else rows
+    ranks, sigma = _ranks(stack, tol_rank)
+    nonzero = stack.any(axis=(1, 2))
+    results = tuple(
+        RankResult(int(k), tuple(float(s) for s in sig) if nz else (), piv, tol_rank)
+        for k, sig, nz, piv in zip(ranks, sigma, nonzero, _select_pivots(stack, ranks))
+    )
+    return results[0] if rows.ndim == 2 else results
 
 
-def _rank(rows: np.ndarray, tol_rank: float) -> tuple[int, np.ndarray]:
-    """Numerical rank and descending singular values, without pivots."""
+def _ranks(stack: np.ndarray, tol_rank: float) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical ranks (P,) and descending singular values (P, min(m, n)) of a
+    (P, m, n) stack, from one stacked SVD, without pivots."""
     if not 0.0 < tol_rank < 1.0:
         raise ValueError("tol_rank must lie in (0, 1)")
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("expected a 2-d array of rows")
-    if rows.size == 0 or not np.any(rows):
-        return 0, np.zeros(0)
-    sigma = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(sigma > tol_rank * sigma[0])), sigma
+    if stack.size == 0:
+        return np.zeros(len(stack), dtype=int), np.zeros((len(stack), 0))
+    sigma = np.linalg.svd(stack, compute_uv=False)
+    return np.sum(sigma > tol_rank * sigma[:, :1], axis=1), sigma
 
 
-def _select_pivots(rows: np.ndarray, rank: int) -> tuple[int, ...]:
-    norms = np.linalg.norm(rows, axis=1)
-    residual = rows.copy()
-    chosen: list[int] = []
-    for _ in range(rank):
-        rel = np.zeros(len(rows))
-        nonzero = norms > 0.0
-        rel[nonzero] = np.linalg.norm(residual[nonzero], axis=1) / norms[nonzero]
-        rel[chosen] = -1.0
-        best = int(np.argmax(rel))  # argmax keeps the lowest index on ties
-        chosen.append(best)
-        q = residual[best] / np.linalg.norm(residual[best])
-        residual = residual - np.outer(residual @ q, q)
-    return tuple(i + 1 for i in chosen)
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each equal bit for bit to
+    ``np.linalg.norm`` of that one vector (a dot product, which
+    ``np.linalg.norm(..., axis=-1)`` is not)."""
+    return np.sqrt(np.matmul(vectors[..., None, :], vectors[..., :, None]))[..., 0, 0]
+
+
+def _select_pivots(stack: np.ndarray, ranks: np.ndarray) -> list[tuple[int, ...]]:
+    """Greedy pivot rows of every matrix of a (P, m, n) stack, one step for
+    all matrices that still need a pivot at a time."""
+    count, m, _ = stack.shape
+    norms = np.linalg.norm(stack, axis=-1)
+    residual = stack.copy()
+    chosen = np.zeros((count, int(ranks.max(initial=0))), dtype=int)
+    taken = np.zeros((count, m), dtype=bool)
+    for step in range(chosen.shape[1]):
+        live = np.flatnonzero(ranks > step)
+        res, row_norms = residual[live], norms[live]
+        rel = np.zeros((len(live), m))
+        nonzero = row_norms > 0.0
+        rel[nonzero] = np.linalg.norm(res, axis=-1)[nonzero] / row_norms[nonzero]
+        rel[taken[live]] = -1.0
+        best = np.argmax(rel, axis=1)  # argmax keeps the lowest index on ties
+        picked = res[np.arange(len(live)), best]
+        q = picked / _norms(picked)[:, None]
+        residual[live] = res - np.matmul(res, q[:, :, None]) * q[:, None, :]
+        chosen[live, step] = best
+        taken[live, best] = True
+    return [tuple(int(i) + 1 for i in row[:k]) for row, k in zip(chosen, ranks)]
 
 
 @dataclass(frozen=True)
@@ -263,9 +288,14 @@ def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
     ``jacobian`` holds the family's gradients, evaluated once per point by
     :func:`sample_jacobian` (or a :meth:`SampleJacobian.select` view of a
     larger family), so no gradient is evaluated here.  Certified-by-sampling
-    means the numerical rank at every sampled point equals the rank at the
-    center; pivots are selected at the center only.  A sample point is
-    skipped and counted when a row of this family failed to evaluate there;
+    means the numerical rank at no sampled point exceeds the rank at the
+    center; pivots are selected at the center only.  Only a rise refutes:
+    near the center the rank of a continuous gradient family cannot fall
+    below its rank there (lower semicontinuity), so a point of lower rank
+    only shows that the sampled ball is wider than the neighbourhood in
+    question.  Such points are counted in ``notes`` and decide nothing.  A
+    sample point is skipped and counted when a row of this family failed to
+    evaluate there;
     failures of rows outside the family do not count.  No sample points,
     more than 20% skipped points, or an unevaluable gradient at the center
     itself yields ``inconclusive`` (a refutation witness still dominates).
@@ -294,6 +324,8 @@ def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
     witness = None
     skipped = 0
     total = 0
+    drops = 0
+    drop_radius = None
     by_radius = []
     for radius, points, _, rows, failed in jacobian.layers:
         counts: dict[int, int] = {}
@@ -302,11 +334,22 @@ def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
             if point_failed:
                 skipped += 1
                 continue
-            rank_here = _rank(point_rows, tol_rank)[0]
+            rank_here = int(_ranks(point_rows[None], tol_rank)[0][0])
             counts[rank_here] = counts.get(rank_here, 0) + 1
-            if center_rank is not None and rank_here != center_rank and witness is None:
+            if center_rank is None:
+                continue
+            if rank_here > center_rank and witness is None:
                 witness = {"point": [float(v) for v in point], "rank": rank_here}
+            elif rank_here < center_rank:
+                drops += 1
+                if drop_radius is None:
+                    drop_radius = radius
         by_radius.append((radius, tuple(sorted(counts.items()))))
+    if drops:
+        notes.append(
+            f"sample points of rank below the center rank: {drops}, the largest "
+            f"at radius {drop_radius:g}; a drop does not refute constant rank"
+        )
 
     if witness is not None:
         verdict = REFUTED
@@ -380,10 +423,10 @@ def check_rcrcq(
 ) -> RcrcqReport:
     """Run the constant-rank check for every J with I_0 <= J <= I_0 + I(x0).
 
-    ``jacobian`` holds every constraint of ``sys`` in index order, from
-    :func:`sample_jacobian`.  Every subset is ranked from row slices of it,
-    so no gradient is evaluated here, and a point is skipped for J only when
-    a row in J failed there.  The verdict aggregates per-subset verdicts with
+    ``jacobian`` holds, in index order, either every constraint of ``sys``
+    or only I_0 + I(x0), from :func:`sample_jacobian`.  Every subset is
+    ranked from row slices of it, so no gradient is evaluated here, and a
+    point is skipped for J only when a row in J failed there.  The verdict aggregates per-subset verdicts with
     refuted dominating, then inconclusive, then certified.
     """
     active = tuple(sorted(aset.indices))
@@ -394,6 +437,15 @@ def check_rcrcq(
             "analyze an explicit subset list instead"
         )
     eq = tuple(sys.equality_indices)
+    covered = range(1, sys.n_constraints + 1)
+    if jacobian.kappa < sys.n_constraints:
+        covered = eq + active
+    if jacobian.kappa != len(covered):
+        raise ValueError(
+            f"the sample Jacobian has {jacobian.kappa} rows; expected "
+            f"{sys.n_constraints} or |I_0 + I(x0)| = {len(eq + active)}"
+        )
+    row = {index: k for k, index in enumerate(covered)}
 
     subsets = []
     base_ranks = []
@@ -401,7 +453,7 @@ def check_rcrcq(
     for size in range(len(active) + 1):
         for extra in itertools.combinations(active, size):
             j = tuple(sorted(set(eq) | set(extra)))
-            report = check_crc(jacobian.select([i - 1 for i in j]), tol_rank)
+            report = check_crc(jacobian.select([row[i] for i in j]), tol_rank)
             subsets.append((j, report))
             base_ranks.append((j, report.rank_at_center))
             verdicts.append(report.verdict)

@@ -32,6 +32,7 @@ from .model import (
     ActiveSet,
     ConstraintDomainError,
     ConstraintSystem,
+    CriticalSet,
     PointData,
     active_set,
     critical_active_set,
@@ -39,7 +40,7 @@ from .model import (
     evaluate_rows,
     feasibility_check,
 )
-from .rank import NeighborhoodSampler, numerical_rank
+from .rank import NeighborhoodSampler, _norms, numerical_rank
 
 __all__ = [
     "AbadieReport",
@@ -95,80 +96,155 @@ def ljusternik_correct(
     update), while convergence is judged on the full J residual with
     ``||h_J||_inf <= CORRECTOR_TOL * (1 + scale)``.  Returns a non-converged
     result (r is the last iterate) instead of raising; domain errors during
-    iteration are reported in the diagnostic.
+    iteration are reported in the diagnostic.  A non-converged warm start
+    is retried from r = 0.
+    """
+    return _correct_lockstep(sys, x0, t, [(j_set, d, warm_start)], cfg)[0]
+
+
+@dataclass(frozen=True)
+class _Correction:
+    """What one job's Gauss-Newton iterations hold fixed: J, the base point
+    x0 + t*d, the pivot rows chosen there and the residual tolerance."""
+
+    functions: list
+    j: tuple[int, ...]
+    base: np.ndarray
+    pivot: tuple[int, ...]
+    pivot_pos: list[int]               # pivot rows' positions in J
+    initial_residual: float
+    residual_tol: float
+
+    def result(self, r, converged, iterations, final, diagnostic=None) -> CorrectionResult:
+        return CorrectionResult(
+            r=r, converged=converged, iterations=iterations,
+            initial_residual=self.initial_residual, final_residual=final,
+            pivot_indices=self.pivot, diagnostic=diagnostic,
+        )
+
+
+def _pinv_steps(systems: dict) -> dict:
+    """``pinv(A) @ b`` for every ``key: (A, b)``, one stacked pinv per shape of A.
+
+    Each solution equals the one-matrix ``np.linalg.pinv(A) @ b`` bit for bit.
+    """
+    groups: dict = {}
+    for key, (a, _) in systems.items():
+        groups.setdefault(a.shape, []).append(key)
+    steps = {}
+    for keys in groups.values():
+        a = np.stack([systems[k][0] for k in keys])
+        b = np.stack([systems[k][1] for k in keys])
+        steps.update(zip(keys, np.matmul(np.linalg.pinv(a), b[..., None])[..., 0]))
+    return steps
+
+
+def _correct_lockstep(sys, x0, t, jobs, cfg) -> list[CorrectionResult]:
+    """:func:`ljusternik_correct` for every ``(j_set, d, warm_start)`` job at one t.
+
+    The jobs are corrected in lockstep: the base points are ranked with one
+    stacked SVD per J, and every Gauss-Newton step takes one stacked pinv per
+    pivot count over the jobs still iterating.  A job leaves the batch when
+    it converges, leaves the domain or reaches the iteration cap; a warm
+    start that did not converge is retried from r = 0 in a second batch.
+    Each result equals the one the job would get alone, bit for bit.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     x0 = np.asarray(x0, dtype=float)
-    d = np.asarray(d, dtype=float)
-    j = tuple(sorted(j_set))
-    base = x0 + t * d
-    if not j:
-        return CorrectionResult(
-            r=np.zeros(sys.dimension), converged=True, iterations=0,
-            initial_residual=0.0, final_residual=0.0, pivot_indices=(),
-        )
-    functions = [sys.constraint(i) for i in j]
-    values0, rows0, errors = evaluate_rows(functions, base)
-    if errors:
-        return CorrectionResult(
-            r=None, converged=False, iterations=0, initial_residual=math.inf,
-            final_residual=math.inf, pivot_indices=(),
-            diagnostic=_domain_diagnostic(j, errors),
-        )
-    initial_residual = float(np.max(np.abs(values0), initial=0.0))
-    scale = max(1.0, initial_residual)
-    residual_tol = CORRECTOR_TOL * (1.0 + scale)
-    rank0 = numerical_rank(rows0, cfg.tol_rank)
-    pivot = tuple(j[p - 1] for p in rank0.pivot_indices)
-    pivot_pos = [p - 1 for p in rank0.pivot_indices]  # pivot rows' positions in J
-    if not pivot:
-        # All gradient rows vanish at the base: nothing to iterate along.
-        converged = initial_residual <= residual_tol
-        return CorrectionResult(
-            r=np.zeros(sys.dimension), converged=converged, iterations=0,
-            initial_residual=initial_residual, final_residual=initial_residual,
-            pivot_indices=(), diagnostic=None if converged else "zero-gradient pivot",
-        )
+    results: list[Optional[CorrectionResult]] = [None] * len(jobs)
+    at_base: dict = {}                    # j -> [(job, functions, base, values, rows)]
+    for k, (j_set, d, _) in enumerate(jobs):
+        j = tuple(sorted(j_set))
+        if not j:
+            results[k] = CorrectionResult(
+                r=np.zeros(sys.dimension), converged=True, iterations=0,
+                initial_residual=0.0, final_residual=0.0, pivot_indices=(),
+            )
+            continue
+        functions = [sys.constraint(i) for i in j]
+        base = x0 + t * np.asarray(d, dtype=float)
+        values0, rows0, errors = evaluate_rows(functions, base)
+        if errors:
+            results[k] = CorrectionResult(
+                r=None, converged=False, iterations=0, initial_residual=math.inf,
+                final_residual=math.inf, pivot_indices=(),
+                diagnostic=_domain_diagnostic(j, errors),
+            )
+            continue
+        at_base.setdefault(j, []).append((k, functions, base, values0, rows0))
 
-    def iterate(r_start: np.ndarray) -> CorrectionResult:
-        r = r_start.copy()
-        final = math.inf
-        for it in range(CORRECTOR_MAX_ITER + 1):
-            values_j, rows_j, errors = evaluate_rows(functions, base + r)
+    states: dict = {}
+    for j, members in at_base.items():
+        ranked = numerical_rank(np.stack([rows0 for *_, rows0 in members]), cfg.tol_rank)
+        for (k, functions, base, values0, _), rank0 in zip(members, ranked):
+            initial_residual = _max_abs(values0)
+            residual_tol = CORRECTOR_TOL * (1.0 + max(1.0, initial_residual))
+            pivot_pos = [p - 1 for p in rank0.pivot_indices]
+            if not pivot_pos:
+                # All gradient rows vanish at the base: nothing to iterate along.
+                converged = initial_residual <= residual_tol
+                results[k] = CorrectionResult(
+                    r=np.zeros(sys.dimension), converged=converged, iterations=0,
+                    initial_residual=initial_residual, final_residual=initial_residual,
+                    pivot_indices=(), diagnostic=None if converged else "zero-gradient pivot",
+                )
+                continue
+            states[k] = _Correction(
+                functions, j, base, tuple(j[p] for p in pivot_pos), pivot_pos,
+                initial_residual, residual_tol,
+            )
+
+    warm = {k: jobs[k][2] for k in states if jobs[k][2] is not None}
+    starts = {k: warm.get(k, np.zeros(sys.dimension)) for k in states}
+    for k, result in _iterate_lockstep(states, starts).items():
+        results[k] = result
+    retry = [k for k in warm if not results[k].converged]
+    cold = _iterate_lockstep({k: states[k] for k in retry},
+                             {k: np.zeros(sys.dimension) for k in retry})
+    for k, result in cold.items():
+        if result.converged:
+            results[k] = result
+    return results
+
+
+def _iterate_lockstep(states: dict, starts: dict) -> dict:
+    """Gauss-Newton iterations of every state from its start, in lockstep."""
+    results = {}
+    live = {k: starts[k].copy() for k in states}
+    final = dict.fromkeys(states, math.inf)
+    for it in range(CORRECTOR_MAX_ITER + 1):
+        evaluated = {}
+        for k, r in list(live.items()):
+            state = states[k]
+            values_j, rows_j, errors = evaluate_rows(state.functions, state.base + r)
             if errors:
-                return CorrectionResult(
-                    r=r, converged=False, iterations=it,
-                    initial_residual=initial_residual, final_residual=final,
-                    pivot_indices=pivot, diagnostic=_domain_diagnostic(j, errors),
-                )
-            final = float(np.max(np.abs(values_j), initial=0.0))
-            if final <= residual_tol:
-                return CorrectionResult(
-                    r=r, converged=True, iterations=it,
-                    initial_residual=initial_residual, final_residual=final,
-                    pivot_indices=pivot,
-                )
-            if it == CORRECTOR_MAX_ITER:
-                break
-            piv_values, piv_rows = values_j[pivot_pos], rows_j[pivot_pos]
+                results[k] = state.result(r, False, it, final[k],
+                                          _domain_diagnostic(state.j, errors))
+                del live[k]
+            else:
+                evaluated[k] = (values_j, rows_j)
+        final.update(_max_abs_each({k: values for k, (values, _) in evaluated.items()}))
+        systems = {}
+        for k, (values_j, rows_j) in evaluated.items():
+            state, r = states[k], live[k]
+            if final[k] <= state.residual_tol:
+                results[k] = state.result(r, True, it, final[k])
+                del live[k]
+                continue
+            piv_values, piv_rows = values_j[state.pivot_pos], rows_j[state.pivot_pos]
             # Minimal-norm update: r_new = pinv(J)(J r - h) solves the
             # linearized system while discarding the null-space component
             # of the iterate, so the limit is the minimal-norm correction
             # regardless of the warm start.
-            r = np.linalg.pinv(piv_rows) @ (piv_rows @ r - piv_values)
-        return CorrectionResult(
-            r=r, converged=False, iterations=CORRECTOR_MAX_ITER,
-            initial_residual=initial_residual, final_residual=final,
-            pivot_indices=pivot, diagnostic="iteration cap reached",
-        )
-
-    result = iterate(warm_start if warm_start is not None else np.zeros(sys.dimension))
-    if not result.converged and warm_start is not None:
-        cold = iterate(np.zeros(sys.dimension))
-        if cold.converged:
-            return cold
-    return result
+            systems[k] = (piv_rows, piv_rows @ r - piv_values)
+        if it == CORRECTOR_MAX_ITER or not live:
+            break
+        live.update(_pinv_steps(systems))
+    for k, r in live.items():
+        results[k] = states[k].result(r, False, CORRECTOR_MAX_ITER, final[k],
+                                      "iteration cap reached")
+    return results
 
 
 @dataclass(frozen=True)
@@ -257,44 +333,83 @@ def probe_tangent(
     collapses back to x0), or non-convergence at every t without residual
     reduction (the corrector stalls).
     """
+    return _probe_directions(sys, x0, aset, [d], t_schedule, cfg, pd)[0]
+
+
+def _probe_directions(
+    sys: ConstraintSystem,
+    x0: Sequence[float],
+    aset: ActiveSet,
+    directions: Sequence[Sequence[float]],
+    t_schedule: Sequence[float],
+    cfg: ToolConfig,
+    pd: Optional[PointData] = None,
+) -> list[TangentProbe]:
+    """:func:`probe_tangent` for every direction, corrected in lockstep at each t.
+
+    Each probe equals the one its direction would get alone, bit for bit.
+    """
     x0 = np.asarray(x0, dtype=float)
-    d = np.asarray(d, dtype=float)
+    directions = [np.asarray(d, dtype=float) for d in directions]
     if pd is None:
         pd = evaluate_point(sys, x0)
     cone = build_linearized_cone(pd, aset)
-    if not cone_member(cone, d, 10.0 * cfg.tol_cone):
+    if not all(cone_member(cone, d, 10.0 * cfg.tol_cone) for d in directions):
         raise ValueError("direction is not in the linearized cone")
     t_schedule = tuple(float(t) for t in t_schedule)
     if list(t_schedule) != sorted(t_schedule, reverse=True) or min(t_schedule) <= 0:
         raise ValueError("t_schedule must be positive and strictly descending")
-    crit = critical_active_set(pd, aset, d, TOL_CRITICAL)
-    j = crit.j_set
-    inactive = [sys.constraint(i) for i in pd.inequality_indices if i not in set(j)]
-
-    r_norms, ratios, converged_flags = [], [], []
-    final_residuals, initial_residuals, inactive_ok = [], [], []
-    prev: Optional[tuple[float, np.ndarray]] = None
-    zero_floor = 1e-13 * (1.0 + float(np.max(np.abs(x0), initial=0.0)))
+    crits = [critical_active_set(pd, aset, d, TOL_CRITICAL) for d in directions]
+    inactive = [
+        [sys.constraint(i) for i in pd.inequality_indices if i not in set(crit.j_set)]
+        for crit in crits
+    ]
+    corrections: list[list[CorrectionResult]] = [[] for _ in directions]
+    inactive_ok: list[list[Optional[bool]]] = [[] for _ in directions]
+    prev: list[Optional[tuple[float, np.ndarray]]] = [None] * len(directions)
     for t in t_schedule:
         # Warm start from the previous correction, prescaled quadratically:
         # ||r|| = O(t^2) under the theory, and an unscaled warm start would
         # seed a tangential offset of the previous magnitude.
-        warm = None if prev is None else prev[1] * (t / prev[0]) ** 2
-        result = ljusternik_correct(sys, j, x0, d, t, cfg, warm_start=warm)
-        converged_flags.append(result.converged)
-        final_residuals.append(result.final_residual)
-        initial_residuals.append(result.initial_residual)
-        if result.converged:
-            prev = (t, result.r)
-            rn = float(np.linalg.norm(result.r))
-            r_norms.append(rn)
-            ratios.append(rn / t)
-            values, _, errors = evaluate_rows(inactive, x0 + t * d + result.r)
-            inactive_ok.append(not errors and bool(np.all(values < 0.0)))
-        else:
-            r_norms.append(None)
-            ratios.append(None)
-            inactive_ok.append(None)
+        jobs = [
+            (crit.j_set, d, None if last is None else last[1] * (t / last[0]) ** 2)
+            for crit, d, last in zip(crits, directions, prev)
+        ]
+        for k, result in enumerate(_correct_lockstep(sys, x0, t, jobs, cfg)):
+            corrections[k].append(result)
+            if result.converged:
+                prev[k] = (t, result.r)
+                values, _, errors = evaluate_rows(
+                    inactive[k], x0 + t * directions[k] + result.r
+                )
+                inactive_ok[k].append(not errors and bool(np.all(values < 0.0)))
+            else:
+                inactive_ok[k].append(None)
+    zero_floor = 1e-13 * (1.0 + float(np.max(np.abs(x0), initial=0.0)))
+    return [
+        _judge_probe(d, crit, bool(inact), t_schedule, results, tuple(ok), zero_floor, cfg)
+        for d, crit, inact, results, ok in zip(
+            directions, crits, inactive, corrections, inactive_ok
+        )
+    ]
+
+
+def _judge_probe(
+    d: np.ndarray,
+    crit: CriticalSet,
+    has_inactive: bool,
+    t_schedule: tuple[float, ...],
+    corrections: list[CorrectionResult],
+    inactive_ok: tuple[Optional[bool], ...],
+    zero_floor: float,
+    cfg: ToolConfig,
+) -> TangentProbe:
+    """The probe verdict of one direction from its corrections along the schedule."""
+    converged_flags = [c.converged for c in corrections]
+    final_residuals = [c.final_residual for c in corrections]
+    initial_residuals = [c.initial_residual for c in corrections]
+    r_norms = [float(np.linalg.norm(c.r)) if c.converged else None for c in corrections]
+    ratios = [None if rn is None else rn / t for rn, t in zip(r_norms, t_schedule)]
 
     slope_pts = [
         (t, r)
@@ -322,7 +437,7 @@ def probe_tangent(
     # for all t below some eps0 > 0), so only the small-t tail is required;
     # a near-boundary cone direction may violate an inactive constraint at
     # the coarsest t and still be tangent.
-    safe = all(ok is True for ok in inactive_ok[-tail:]) if inactive else True
+    safe = all(ok is True for ok in inactive_ok[-tail:]) if has_inactive else True
 
     passed = (
         tail_converged
@@ -372,10 +487,10 @@ def probe_tangent(
     )
     return TangentProbe(
         direction=d,
-        j_set=j,
+        j_set=crit.j_set,
         critical_set=crit.critical,
         trace=trace,
-        inactive_ok=tuple(inactive_ok),
+        inactive_ok=inactive_ok,
         inactive_eps0=eps0,
         passed=passed,
         hard_fail=hard_fail,
@@ -457,19 +572,18 @@ def tangent_direction_estimate(
 
     layers: list[tuple[float, list[np.ndarray]]] = []
     for radius, points in sampler.points_by_radius():
-        kept: list[np.ndarray] = []
-        for p in points:
-            x = p.copy()
-            if eq_indices:
-                x = _correct_equalities(sys, eq_indices, x, gn_tol, cfg)
-                if x is None:
-                    continue
-            dist = float(np.linalg.norm(x - x0))
-            if not (0.3 * radius <= dist <= 3.0 * radius):
-                continue
-            if not _feasible_at_scale(sys, all_indices, x, radius, cfg.tol_feas):
-                continue
-            kept.append((x - x0) / dist)
+        if eq_indices:
+            corrected = _correct_equalities(sys, eq_indices, points, gn_tol, cfg)
+            points = [x for x in corrected if x is not None]
+        xs = np.array(points).reshape(len(points), sys.dimension)
+        offsets = xs - x0
+        dists = _norms(offsets)
+        at_scale = (0.3 * radius <= dists) & (dists <= 3.0 * radius)
+        feasible = np.zeros(len(xs), dtype=bool)
+        feasible[at_scale] = _feasible_at_scale(
+            sys, all_indices, xs[at_scale], radius, cfg.tol_feas
+        )
+        kept = [offset / dist for offset, dist in zip(offsets[feasible], dists[feasible])]
         layers.append((radius, _cluster_directions(kept, cos_tol)))
 
     chain_span = min(3, len(layers))
@@ -497,40 +611,75 @@ def tangent_direction_estimate(
     )
 
 
-def _correct_equalities(sys, eq_indices, x, gn_tol, cfg) -> Optional[np.ndarray]:
-    """Gauss-Newton onto the equality pivot rows; None on failure."""
-    values, rows, errors = evaluate_rows([sys.constraint(i) for i in eq_indices], x)
-    if errors:
-        return None
-    pivots = [p - 1 for p in numerical_rank(rows, cfg.tol_rank).pivot_indices]
-    if not pivots:
-        return x if float(np.max(np.abs(values), initial=0.0)) <= gn_tol else None
-    pivot_functions = [sys.constraint(eq_indices[p]) for p in pivots]
-    values, rows = values[pivots], rows[pivots]
-    for _ in range(CORRECTOR_MAX_ITER):
-        if float(np.max(np.abs(values), initial=0.0)) <= gn_tol:
-            return x
-        x = x - np.linalg.pinv(rows) @ values
-        values, rows, errors = evaluate_rows(pivot_functions, x)
-        if errors:
-            return None
-    return x if float(np.max(np.abs(values), initial=0.0)) <= gn_tol else None
+def _correct_equalities(sys, eq_indices, xs, gn_tol, cfg) -> list[Optional[np.ndarray]]:
+    """Gauss-Newton of every point of ``xs`` onto its equality pivot rows; None
+    where a point fails.
+
+    The points are corrected in lockstep: one stacked rank picks every
+    point's pivot rows, and each step takes one stacked pinv per pivot count
+    over the points still iterating.  A point leaves the batch when it
+    converges, leaves the domain or reaches the iteration cap, and ends
+    exactly where it would have ended alone.
+    """
+    functions = [sys.constraint(i) for i in eq_indices]
+    out: list[Optional[np.ndarray]] = [None] * len(xs)
+    start = {k: (x, *evaluate_rows(functions, x)) for k, x in enumerate(xs)}
+    start = {k: entry for k, entry in start.items() if not entry[3]}
+    live = {}                               # k -> (x, pivot functions, values, rows)
+    if start:
+        ranked = numerical_rank(np.stack([rows for _, _, rows, _ in start.values()]),
+                                cfg.tol_rank)
+        for (k, (x, values, rows, _)), result in zip(start.items(), ranked):
+            pivots = [p - 1 for p in result.pivot_indices]
+            if pivots:
+                live[k] = (x, [functions[p] for p in pivots], values[pivots], rows[pivots])
+            elif _max_abs(values) <= gn_tol:
+                out[k] = x
+    for it in range(CORRECTOR_MAX_ITER + 1):
+        residuals = _max_abs_each({k: values for k, (_, _, values, _) in live.items()})
+        for k in [k for k, residual in residuals.items() if residual <= gn_tol]:
+            out[k] = live.pop(k)[0]
+        if not live or it == CORRECTOR_MAX_ITER:
+            break
+        steps = _pinv_steps({k: (rows, values) for k, (_, _, values, rows) in live.items()})
+        for k, step in steps.items():
+            x, pivot_functions = live[k][0] - step, live[k][1]
+            values, rows, errors = evaluate_rows(pivot_functions, x)
+            if errors:
+                del live[k]
+            else:
+                live[k] = (x, pivot_functions, values, rows)
+    return out
 
 
-def _feasible_at_scale(sys, indices, x, radius, tol_feas) -> bool:
-    """Constraint violations must be o(radius): <= tol * r * (1 + |grad|)."""
-    values, rows, errors = evaluate_rows([sys.constraint(i) for i in indices], x)
-    if errors:
-        return False
-    n_eq = len(sys.equalities)
-    for i, value, grad in zip(indices, values, rows):
-        bound = tol_feas * radius * (1.0 + float(np.linalg.norm(grad)))
-        if i <= n_eq:
-            if abs(value) > bound:
-                return False
-        elif value > bound:
-            return False
-    return True
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values), initial=0.0))
+
+
+def _max_abs_each(vectors: dict) -> dict:
+    """:func:`_max_abs` of every ``key: vector``, one reduction per vector length."""
+    groups: dict = {}
+    for key, v in vectors.items():
+        groups.setdefault(len(v), []).append(key)
+    out = {}
+    for keys in groups.values():
+        stacked = np.abs(np.stack([vectors[k] for k in keys]))
+        out.update(zip(keys, np.max(stacked, axis=1, initial=0.0).tolist()))
+    return out
+
+
+def _feasible_at_scale(sys, indices, xs, radius, tol_feas) -> np.ndarray:
+    """Per point of ``xs``: are the constraint violations o(radius), i.e. at
+    most tol * r * (1 + |grad|)?  A point outside a domain is not feasible."""
+    functions = [sys.constraint(i) for i in indices]
+    evaluated = [evaluate_rows(functions, x) for x in xs]
+    shape = (len(evaluated), len(functions))
+    values = np.array([v for v, _, _ in evaluated]).reshape(shape)
+    rows = np.array([r for _, r, _ in evaluated]).reshape(shape + (sys.dimension,))
+    bound = tol_feas * radius * (1.0 + _norms(rows))
+    violation = np.where(np.asarray(indices) <= len(sys.equalities), np.abs(values), values)
+    evaluable = np.array([not errors for _, _, errors in evaluated], dtype=bool)
+    return evaluable & ~np.any(violation > bound, axis=1)
 
 
 @dataclass(frozen=True)
@@ -582,10 +731,7 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) 
     cone = build_linearized_cone(pd, aset)
     sample = sample_cone_directions(cone, DIRECTION_COUNT, cfg.seed + 1, cfg.tol_cone)
 
-    probes = tuple(
-        probe_tangent(sys, x0, aset, d, cfg.t_schedule, cfg, pd=pd)
-        for d in sample.directions
-    )
+    probes = tuple(_probe_directions(sys, x0, aset, sample.directions, cfg.t_schedule, cfg, pd))
     estimates = tangent_direction_estimate(
         sys, x0, ESTIMATE_PROBES, cfg.radii, cfg.seed + 2, cfg
     )

@@ -1,0 +1,230 @@
+"""The former one-point rank and corrector code, kept as a test oracle.
+
+Before the tangent estimator and the cone-direction probes corrected their
+points in lockstep batches, every matrix was ranked on its own and every
+point or direction ran its own Gauss-Newton loop with one ``pinv`` per step.
+The functions below are that code, unchanged but for their names;
+``tests/test_lockstep_oracle.py`` checks that the stacked rank and the
+batched correctors reproduce them bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+
+from cq_analyzer.config import ANGULAR_TOL, CORRECTOR_MAX_ITER, CORRECTOR_TOL
+from cq_analyzer.model import evaluate_rows
+from cq_analyzer.rank import NeighborhoodSampler, RankResult
+from cq_analyzer.tangent import (
+    CorrectionResult,
+    TangentEstimate,
+    _cluster_directions,
+    _domain_diagnostic,
+)
+
+
+def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult:
+    """Rank and pivot rows of one small dense matrix."""
+    rows = np.asarray(rows, dtype=float)
+    rank, sigma = _rank(rows, tol_rank)
+    pivots = _select_pivots(rows, rank)
+    return RankResult(rank, tuple(float(s) for s in sigma), pivots, tol_rank)
+
+
+def _rank(rows: np.ndarray, tol_rank: float) -> tuple[int, np.ndarray]:
+    if not 0.0 < tol_rank < 1.0:
+        raise ValueError("tol_rank must lie in (0, 1)")
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("expected a 2-d array of rows")
+    if rows.size == 0 or not np.any(rows):
+        return 0, np.zeros(0)
+    sigma = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(sigma > tol_rank * sigma[0])), sigma
+
+
+def _select_pivots(rows: np.ndarray, rank: int) -> tuple[int, ...]:
+    norms = np.linalg.norm(rows, axis=1)
+    residual = rows.copy()
+    chosen: list[int] = []
+    for _ in range(rank):
+        rel = np.zeros(len(rows))
+        nonzero = norms > 0.0
+        rel[nonzero] = np.linalg.norm(residual[nonzero], axis=1) / norms[nonzero]
+        rel[chosen] = -1.0
+        best = int(np.argmax(rel))  # argmax keeps the lowest index on ties
+        chosen.append(best)
+        q = residual[best] / np.linalg.norm(residual[best])
+        residual = residual - np.outer(residual @ q, q)
+    return tuple(i + 1 for i in chosen)
+
+
+def ljusternik_correct(
+    sys,
+    j_set: Sequence[int],
+    x0: Sequence[float],
+    d: Sequence[float],
+    t: float,
+    cfg,
+    warm_start: Optional[np.ndarray] = None,
+) -> CorrectionResult:
+    """One direction's minimal-norm Gauss-Newton correction at one t."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    x0 = np.asarray(x0, dtype=float)
+    d = np.asarray(d, dtype=float)
+    j = tuple(sorted(j_set))
+    base = x0 + t * d
+    if not j:
+        return CorrectionResult(
+            r=np.zeros(sys.dimension), converged=True, iterations=0,
+            initial_residual=0.0, final_residual=0.0, pivot_indices=(),
+        )
+    functions = [sys.constraint(i) for i in j]
+    values0, rows0, errors = evaluate_rows(functions, base)
+    if errors:
+        return CorrectionResult(
+            r=None, converged=False, iterations=0, initial_residual=math.inf,
+            final_residual=math.inf, pivot_indices=(),
+            diagnostic=_domain_diagnostic(j, errors),
+        )
+    initial_residual = float(np.max(np.abs(values0), initial=0.0))
+    scale = max(1.0, initial_residual)
+    residual_tol = CORRECTOR_TOL * (1.0 + scale)
+    rank0 = numerical_rank(rows0, cfg.tol_rank)
+    pivot = tuple(j[p - 1] for p in rank0.pivot_indices)
+    pivot_pos = [p - 1 for p in rank0.pivot_indices]
+    if not pivot:
+        converged = initial_residual <= residual_tol
+        return CorrectionResult(
+            r=np.zeros(sys.dimension), converged=converged, iterations=0,
+            initial_residual=initial_residual, final_residual=initial_residual,
+            pivot_indices=(), diagnostic=None if converged else "zero-gradient pivot",
+        )
+
+    def iterate(r_start: np.ndarray) -> CorrectionResult:
+        r = r_start.copy()
+        final = math.inf
+        for it in range(CORRECTOR_MAX_ITER + 1):
+            values_j, rows_j, errors = evaluate_rows(functions, base + r)
+            if errors:
+                return CorrectionResult(
+                    r=r, converged=False, iterations=it,
+                    initial_residual=initial_residual, final_residual=final,
+                    pivot_indices=pivot, diagnostic=_domain_diagnostic(j, errors),
+                )
+            final = float(np.max(np.abs(values_j), initial=0.0))
+            if final <= residual_tol:
+                return CorrectionResult(
+                    r=r, converged=True, iterations=it,
+                    initial_residual=initial_residual, final_residual=final,
+                    pivot_indices=pivot,
+                )
+            if it == CORRECTOR_MAX_ITER:
+                break
+            piv_values, piv_rows = values_j[pivot_pos], rows_j[pivot_pos]
+            r = np.linalg.pinv(piv_rows) @ (piv_rows @ r - piv_values)
+        return CorrectionResult(
+            r=r, converged=False, iterations=CORRECTOR_MAX_ITER,
+            initial_residual=initial_residual, final_residual=final,
+            pivot_indices=pivot, diagnostic="iteration cap reached",
+        )
+
+    result = iterate(warm_start if warm_start is not None else np.zeros(sys.dimension))
+    if not result.converged and warm_start is not None:
+        cold = iterate(np.zeros(sys.dimension))
+        if cold.converged:
+            return cold
+    return result
+
+
+def correct_equalities(sys, eq_indices, x, gn_tol, cfg) -> Optional[np.ndarray]:
+    """Gauss-Newton of one point onto the equality pivot rows; None on failure."""
+    values, rows, errors = evaluate_rows([sys.constraint(i) for i in eq_indices], x)
+    if errors:
+        return None
+    pivots = [p - 1 for p in numerical_rank(rows, cfg.tol_rank).pivot_indices]
+    if not pivots:
+        return x if float(np.max(np.abs(values), initial=0.0)) <= gn_tol else None
+    pivot_functions = [sys.constraint(eq_indices[p]) for p in pivots]
+    values, rows = values[pivots], rows[pivots]
+    for _ in range(CORRECTOR_MAX_ITER):
+        if float(np.max(np.abs(values), initial=0.0)) <= gn_tol:
+            return x
+        x = x - np.linalg.pinv(rows) @ values
+        values, rows, errors = evaluate_rows(pivot_functions, x)
+        if errors:
+            return None
+    return x if float(np.max(np.abs(values), initial=0.0)) <= gn_tol else None
+
+
+def feasible_at_scale(sys, indices, x, radius, tol_feas) -> bool:
+    """Are one point's constraint violations at most tol * r * (1 + |grad|)?"""
+    values, rows, errors = evaluate_rows([sys.constraint(i) for i in indices], x)
+    if errors:
+        return False
+    n_eq = len(sys.equalities)
+    for i, value, grad in zip(indices, values, rows):
+        bound = tol_feas * radius * (1.0 + float(np.linalg.norm(grad)))
+        if i <= n_eq:
+            if abs(value) > bound:
+                return False
+        elif value > bound:
+            return False
+    return True
+
+
+def tangent_direction_estimate(sys, x0, count, radius_schedule, seed, cfg) -> TangentEstimate:
+    """Tangent directions from probes corrected and filtered one at a time."""
+    x0 = np.asarray(x0, dtype=float)
+    sampler = NeighborhoodSampler(
+        center=tuple(x0),
+        radii=tuple(float(r) for r in radius_schedule),
+        samples_per_radius=count,
+        seed=seed,
+    )
+    eq_indices = tuple(sys.equality_indices)
+    all_indices = tuple(range(1, sys.n_constraints + 1))
+    gn_tol = 1e-14 * (1.0 + float(np.max(np.abs(x0), initial=0.0)))
+    cos_tol = math.cos(ANGULAR_TOL)
+
+    layers = []
+    for radius, points in sampler.points_by_radius():
+        kept = []
+        for p in points:
+            x = p.copy()
+            if eq_indices:
+                x = correct_equalities(sys, eq_indices, x, gn_tol, cfg)
+                if x is None:
+                    continue
+            dist = float(np.linalg.norm(x - x0))
+            if not (0.3 * radius <= dist <= 3.0 * radius):
+                continue
+            if not feasible_at_scale(sys, all_indices, x, radius, cfg.tol_feas):
+                continue
+            kept.append((x - x0) / dist)
+        layers.append((radius, _cluster_directions(kept, cos_tol)))
+
+    chain_span = min(3, len(layers))
+    tail = layers[-chain_span:]
+    stable = []
+    for rep in tail[-1][1]:
+        current = rep
+        ok = True
+        for radius, reps in reversed(tail[:-1]):
+            match = next((r for r in reps if float(current @ r) >= cos_tol), None)
+            if match is None:
+                ok = False
+                break
+            current = match
+        if ok:
+            stable.append(rep)
+    stable = _cluster_directions(stable, cos_tol)
+    return TangentEstimate(
+        directions=tuple(stable),
+        trivial=not stable,
+        per_radius_counts=tuple((r, len(reps)) for r, reps in layers),
+    )

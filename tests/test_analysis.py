@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from collections import Counter
 
 import numpy as np
 
@@ -7,6 +8,7 @@ import cq_analyzer
 from cq_analyzer import rank
 from cq_analyzer.analysis import run_analyses
 from cq_analyzer.config import ToolConfig
+from cq_analyzer.expr import Expression
 from cq_analyzer.model import ConstraintSystem
 
 FULL = ["rcrcq", "abadie", "dependence", "kkt"]
@@ -80,3 +82,29 @@ def test_rcrcq_skips_no_point_for_an_inactive_inequality():
     assert [s["subset"] for s in section["subsets"]] == [[1], [1, 3]]
     assert all(s["skipped_points"] == 0 for s in section["subsets"])
     assert section["verdict"] == "certified-by-sampling"
+
+
+def test_rcrcq_alone_evaluates_an_inactive_inequality_only_at_the_point(monkeypatch):
+    # Without dependence, the sample plan covers I_0 and I(x0) only: the
+    # inactive log row is evaluated once, at x0, for the active set, instead
+    # of at the center and at all 160 sample points.
+    calls = Counter()
+    original = Expression.value_and_gradient
+
+    def counting(self, point):
+        calls[self.source] += 1
+        return original(self, point)
+
+    monkeypatch.setattr(Expression, "value_and_gradient", counting)
+    system = ConstraintSystem.from_strings(
+        "inactive-log", ("x1", "x2"), equalities=("x2",),
+        inequalities=("log(x1 + 0.05) - 10", "-x1"),
+    )
+    cfg = ToolConfig()
+    section = run_analyses(system, np.zeros(2), cfg, ["rcrcq"])["rcrcq"]
+    assert section["verdict"] == "certified-by-sampling"
+    samples = len(cfg.radii) * cfg.samples_per_radius
+    assert calls == {"x2": 2 + samples, "log(x1 + 0.05) - 10": 1, "-x1": 2 + samples}
+    calls.clear()
+    run_analyses(system, np.zeros(2), cfg, ["rcrcq", "dependence"])
+    assert calls["log(x1 + 0.05) - 10"] == 2 + samples

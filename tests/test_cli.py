@@ -122,6 +122,44 @@ def test_cli_rejects_invalid_values_with_usage_exit(capsys, tmp_path, text):
     assert "bad.json" in err
 
 
+@pytest.mark.parametrize("name", [None, 3, 2.5, True, ["line"], {"a": "b"}])
+def test_problem_rejects_a_name_that_is_not_a_string(name):
+    with pytest.raises(ProblemFileError) as exc:
+        parse_problem_dict({**_with(), "name": name})
+    assert "'name' must be a string" in str(exc.value)
+
+
+def test_cli_rejects_a_null_name_with_usage_exit(capsys, tmp_path):
+    # Read as the string "None" and analyzed, exit 0, until names were checked.
+    path = tmp_path / "null-name.json"
+    path.write_text('{"name": null, "variables": ["x"], "inequalities": ["x"], "point": [0.0]}')
+    code, out, err = run_cli(capsys, "rcrcq", str(path))
+    assert code == 64
+    assert out == ""
+    assert "null-name.json" in err and "name" in err
+
+
+def test_cli_certifies_a_line_whose_sampled_rank_drops(capsys, tmp_path):
+    # The gradient 1 - 10x vanishes at x = 0.1, a sample point of the largest
+    # radius, so 16 points there have rank 0.  The rank at 0 is 1 (LICQ), and
+    # a drop below the center rank refutes nothing: RCRCQ is certified.
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"name": "line", "variables": ["x"],
+                                "equalities": ["x - 5*x^2"], "point": [0.0]}))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "machine")
+    assert code == 0
+    analyses = json.loads(out)["analyses"]
+    assert analyses["rcrcq"]["verdict"] == "certified-by-sampling"
+    assert analyses["dependence"]["sense"] == "independent"
+    [subset] = analyses["rcrcq"]["subsets"]
+    assert subset["witness"] is None
+    assert subset["rank_counts_by_radius"][0]["rank_counts"] == {"0": 16, "1": 16}
+    assert subset["notes"] == [
+        "sample points of rank below the center rank: 16, the largest at "
+        "radius 0.1; a drop does not refute constant rank"
+    ]
+
+
 @pytest.mark.parametrize("flags", [["--tol-rank", "2"], ["--tol-feas", "nan"]])
 def test_cli_rejects_invalid_float_flags_with_usage_exit(capsys, flags):
     code, out, err = run_cli(capsys, "rcrcq", corpus_file("circle-point"), *flags)

@@ -1,0 +1,306 @@
+"""Differential tests: stacked rank and lockstep correctors against one-point code.
+
+``numerical_rank`` on a (P, m, n) stack, the estimator's batched equality
+projection, the batched feasibility filter and the lockstep cone-direction
+corrector must reproduce the former one-matrix, one-point and one-direction
+code of ``tests/one_point_oracle.py`` bit for bit: ranks, singular values,
+pivots, iterates, iteration counts, residuals and diagnostics.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import one_point_oracle as oracle
+from cq_analyzer.cones import build_linearized_cone, sample_cone_directions
+from cq_analyzer.config import ToolConfig
+from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
+from cq_analyzer.rank import _norms, numerical_rank
+from cq_analyzer.tangent import (
+    _correct_equalities,
+    _correct_lockstep,
+    _feasible_at_scale,
+    _probe_directions,
+    probe_tangent,
+    tangent_direction_estimate,
+)
+
+CFG = ToolConfig()
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def assert_same_rank(got, expected):
+    assert got.rank == expected.rank
+    assert _bits(got.singular_values) == _bits(expected.singular_values)
+    assert got.pivot_indices == expected.pivot_indices
+    assert got.tolerance_used == expected.tolerance_used
+
+
+def assert_same_point(got, expected):
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert _bits(got) == _bits(expected)
+
+
+def assert_same_correction(got, expected):
+    assert_same_point(got.r, expected.r)
+    assert got.converged == expected.converged
+    assert got.iterations == expected.iterations
+    assert _bits(got.initial_residual) == _bits(expected.initial_residual)
+    assert _bits(got.final_residual) == _bits(expected.final_residual)
+    assert got.pivot_indices == expected.pivot_indices
+    assert got.diagnostic == expected.diagnostic
+
+
+# ---------------------------------------------------------------------------
+# stacked numerical_rank
+# ---------------------------------------------------------------------------
+
+ENTRIES = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.25, 1e-9, 1e8)),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def stacks(draw):
+    """(P, m, n) stacks with plain, all-zero, rank-deficient and row-scaled matrices."""
+    count, m, n = draw(st.integers(0, 5)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    flat = draw(st.lists(ENTRIES, min_size=count * m * n, max_size=count * m * n))
+    stack = np.array(flat, dtype=float).reshape(count, m, n)
+    for matrix in stack:
+        kind = draw(st.sampled_from(("plain", "zero", "deficient", "scaled")))
+        if kind == "zero":
+            matrix[:] = 0.0
+        elif kind == "deficient" and m >= 2:
+            a, b = draw(ENTRIES), draw(ENTRIES)
+            matrix[-1] = a * matrix[0] + b * matrix[m // 2]
+        elif kind == "scaled":
+            powers = draw(st.lists(st.integers(-8, 8), min_size=m, max_size=m))
+            matrix *= 10.0 ** np.array(powers, dtype=float)[:, None]
+    return stack
+
+
+@SETTINGS
+@given(stack=stacks(), tol_rank=st.sampled_from((1e-8, 1e-3, 0.5)))
+def test_stacked_rank_matches_per_matrix_ranks(stack, tol_rank):
+    results = numerical_rank(stack, tol_rank)
+    assert isinstance(results, tuple) and len(results) == len(stack)
+    for matrix, result in zip(stack, results):
+        expected = oracle.numerical_rank(matrix, tol_rank)
+        assert_same_rank(result, expected)
+        assert_same_rank(numerical_rank(matrix, tol_rank), expected)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (2, 3, 3)])
+def test_stacked_rank_of_empty_and_zero_stacks(shape):
+    results = numerical_rank(np.zeros(shape), 1e-8)
+    assert len(results) == shape[0]
+    assert all(r.rank == 0 and r.singular_values == () and r.pivot_indices == ()
+               for r in results)
+
+
+def test_rank_rejects_other_dimensions():
+    with pytest.raises(ValueError):
+        numerical_rank(np.zeros(3), 1e-8)
+    with pytest.raises(ValueError):
+        numerical_rank(np.zeros((1, 1, 1, 1)), 1e-8)
+
+
+@SETTINGS
+@given(st.lists(st.lists(ENTRIES, min_size=4, max_size=4), min_size=1, max_size=8))
+def test_norms_match_the_one_vector_norm(vectors):
+    vectors = np.array(vectors)
+    assert _bits(_norms(vectors)) == _bits([np.linalg.norm(v) for v in vectors])
+
+
+# ---------------------------------------------------------------------------
+# the estimator's equality projection and feasibility filter
+# ---------------------------------------------------------------------------
+
+# (equalities, inequalities, x0): a circle with a parallel copy, a curve whose
+# gradient vanishes at x1 = 0.1, a log that leaves its domain for
+# x1 <= -0.05, a square with a zero gradient on x1 = 0, and an unsatisfiable
+# equality whose Gauss-Newton steps run to the iteration cap.
+FAMILIES = [
+    (("x1^2 + x2^2 - 1", "2*x1^2 + 2*x2^2 - 2"), ("x2 - 0.5",), (1.0, 0.0)),
+    (("x1 - 5*x1^2",), ("-x2",), (0.0, 0.0)),
+    (("log(x1 + 0.05) - x2",), ("x1 - 0.2",), (0.0, math.log(0.05))),
+    (("x1^2", "x1 + x2^2"), (), (0.0, 0.0)),
+    (("x1^2 + 1", "x2"), ("x1^2 - x2",), (0.0, 0.0)),
+]
+
+
+def family(index):
+    eqs, ins, x0 = FAMILIES[index]
+    return ConstraintSystem.from_strings("family", ("x1", "x2"), None, eqs, ins), np.array(x0)
+
+
+offsets = st.lists(
+    st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)), min_size=0, max_size=12
+)
+
+
+def probe_points(x0, deltas):
+    # Exact special points ride along: the base point and x1 = 0.1, -0.05.
+    special = [x0.copy(), np.array([0.1, x0[1]]), np.array([-0.05, x0[1]])]
+    return special + [x0 + np.array(delta) for delta in deltas]
+
+
+@SETTINGS
+@given(index=st.integers(0, len(FAMILIES) - 1), deltas=offsets,
+       gn_tol=st.sampled_from((1e-14, 1e-8)))
+def test_batched_equality_projection_matches_one_point_projection(index, deltas, gn_tol):
+    sys, x0 = family(index)
+    points = probe_points(x0, deltas)
+    eq = sys.equality_indices
+    batch = _correct_equalities(sys, eq, points, gn_tol, CFG)
+    assert len(batch) == len(points)
+    for got, point in zip(batch, points):
+        assert_same_point(got, oracle.correct_equalities(sys, eq, point, gn_tol, CFG))
+
+
+def test_equality_projection_cases_are_all_reached():
+    # The families above do reach each way a point can end.
+    outcomes = set()
+    for index in range(len(FAMILIES)):
+        sys, x0 = family(index)
+        for point in probe_points(x0, [(0.03, 0.01), (-0.12, 0.05)]):
+            x = oracle.correct_equalities(sys, sys.equality_indices, point, 1e-14, CFG)
+            outcomes.add((index, x is None))
+    assert (2, True) in outcomes       # left the domain of log
+    assert (4, True) in outcomes       # iteration cap without convergence
+    assert (3, False) in outcomes      # zero gradient at the base point, converged
+
+
+def test_equality_projection_at_the_iteration_cap():
+    # Gauss-Newton on x1^2 = 0 halves x1 per step, so from 0.9e-7 * 2^k it
+    # needs k steps to reach |x1^2| <= 1e-14: k = 50 converges on the last
+    # step the cap allows, k = 51 does not.
+    sys = ConstraintSystem.from_strings("square", ("x1", "x2"), None, ("x1^2",), ())
+    points = [np.array([0.9e-7 * 2.0 ** k, 0.0]) for k in (48, 49, 50, 51, 52)]
+    batch = _correct_equalities(sys, (1,), points, 1e-14, CFG)
+    expected = [oracle.correct_equalities(sys, (1,), p, 1e-14, CFG) for p in points]
+    assert [x is None for x in expected] == [False, False, False, True, True]
+    for got, want in zip(batch, expected):
+        assert_same_point(got, want)
+
+
+@SETTINGS
+@given(index=st.integers(0, len(FAMILIES) - 1), deltas=offsets,
+       radius=st.sampled_from((1e-1, 1e-3)))
+def test_batched_feasibility_matches_one_point_feasibility(index, deltas, radius):
+    sys, x0 = family(index)
+    points = probe_points(x0, deltas)
+    indices = tuple(range(1, sys.n_constraints + 1))
+    batch = _feasible_at_scale(sys, indices, points, radius, 1e-2)
+    expected = [oracle.feasible_at_scale(sys, indices, p, radius, 1e-2) for p in points]
+    assert batch.tolist() == expected
+
+
+@pytest.mark.parametrize("index", range(len(FAMILIES)))
+@pytest.mark.parametrize("seed", [44, 45])
+def test_batched_estimate_matches_one_point_estimate(index, seed):
+    sys, x0 = family(index)
+    radii = (0.3, 1e-1, 1e-2, 1e-3, 1e-4)
+    got = tangent_direction_estimate(sys, x0, 32, radii, seed, CFG)
+    expected = oracle.tangent_direction_estimate(sys, x0, 32, radii, seed, CFG)
+    assert got.per_radius_counts == expected.per_radius_counts
+    assert got.trivial == expected.trivial
+    assert [_bits(d) for d in got.directions] == [_bits(d) for d in expected.directions]
+
+
+# ---------------------------------------------------------------------------
+# the lockstep cone-direction corrector
+# ---------------------------------------------------------------------------
+
+# Near x0 = (1, 0, 0): a sphere, a saddle, a log that leaves its domain for
+# x1 <= 0.9 + x2, a cylinder whose gradient vanishes on its axis x1 = 1,
+# x3 = 0, an unsatisfiable equality and a scaled copy of the sphere.
+CORRECTOR_SYSTEM = ConstraintSystem.from_strings(
+    "lockstep", ("x1", "x2", "x3"), None,
+    ("x1^2 + x2^2 + x3^2 - 1", "x3 - x1*x2", "log(x1 - x2 - 0.9) - log(0.1)",
+     "(x1 - 1)^2 + x3^2 - 0.01", "x2^2 + 1", "2*x1^2 + 2*x2^2 + 2*x3^2 - 2"),
+)
+X0 = np.array([1.0, 0.0, 0.0])
+
+directions = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+jobs = st.lists(
+    st.tuples(
+        st.sets(st.integers(1, 6), max_size=3),
+        directions,
+        st.one_of(st.none(), st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05),
+                                      st.floats(-0.05, 0.05))),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def oracle_corrections(t, job_list):
+    return [oracle.ljusternik_correct(CORRECTOR_SYSTEM, j, X0, d, t, CFG, warm)
+            for j, d, warm in job_list]
+
+
+def as_arrays(job_list):
+    return [(j, np.array(d), None if w is None else np.array(w)) for j, d, w in job_list]
+
+
+@SETTINGS
+@given(job_list=jobs, t=st.sampled_from((0.5, 1e-1, 1e-3)))
+def test_lockstep_corrections_match_one_direction_corrections(job_list, t):
+    job_list = as_arrays(job_list)
+    batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, t, job_list, CFG)
+    for got, expected in zip(batch, oracle_corrections(t, job_list), strict=True):
+        assert_same_correction(got, expected)
+
+
+def test_lockstep_corrector_cases_are_all_reached():
+    # One batch, every way a job can end, each matched by the one-direction loop.
+    job_list = as_arrays([
+        ((), (0.0, 1.0, 0.0), None),                        # empty J
+        ((1, 2), (0.0, 0.6, 0.8), None),                    # converges
+        ((1, 2), (0.0, 0.6, 0.8), (0.01, -0.02, 0.0)),      # warm start
+        ((3,), (-1.0, 0.0, 0.0), None),                     # leaves the domain at the base
+        ((3,), (1.8, 0.0, 0.0), None),                      # leaves it while iterating
+        ((4,), (0.0, 1.0, 0.0), None),                      # zero gradient at the base
+        ((5,), (0.3, 0.5, 0.0), None),                      # iteration cap
+        ((5,), (0.3, 0.5, 0.0), (0.01, 0.01, 0.01)),        # cap, cold retry too
+        ((1, 6), (0.0, 0.0, 1.0), None),                    # parallel rows, one pivot
+    ])
+    t = 0.5
+    batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, t, job_list, CFG)
+    expected = oracle_corrections(t, job_list)
+    for got, want in zip(batch, expected, strict=True):
+        assert_same_correction(got, want)
+    diagnostics = {r.diagnostic for r in expected}
+    assert "iteration cap reached" in diagnostics
+    assert "zero-gradient pivot" in diagnostics
+    assert any(r.iterations == 0 and r.r is None for r in expected)
+    domain = [r.iterations for r in expected if "constraint 3" in (r.diagnostic or "")]
+    assert 0 in domain and any(domain)
+    assert sum(r.converged for r in expected) >= 3
+
+
+@pytest.mark.parametrize("eqs, ins, x0", [
+    (("x1^2 + x2^2 - 1",), ("x2",), (1.0, 0.0)),
+    ((), ("x1^2 + x2^2 - 1", "-x2"), (1.0, 0.0)),
+    (("x1 + x2", "2*x1 + 2*x2"), (), (0.0, 0.0)),
+    (("log(x1) - x2",), (), (0.05, math.log(0.05))),
+    ((), ("x1^2",), (0.0, 0.0)),
+])
+def test_lockstep_probes_match_one_direction_probes(eqs, ins, x0):
+    sys = ConstraintSystem.from_strings("probe", ("x1", "x2"), None, eqs, ins)
+    pd = evaluate_point(sys, x0)
+    aset = active_set(pd, CFG.tol_active)
+    sample = sample_cone_directions(build_linearized_cone(pd, aset), 16, 43, CFG.tol_cone)
+    batch = _probe_directions(sys, x0, aset, sample.directions, CFG.t_schedule, CFG, pd)
+    alone = [probe_tangent(sys, x0, aset, d, CFG.t_schedule, CFG, pd=pd)
+             for d in sample.directions]
+    assert [p.to_dict() for p in batch] == [p.to_dict() for p in alone]

@@ -175,6 +175,41 @@ def test_crc_cusp_powers_refuted():
     assert report.witness["rank"] == 1
 
 
+def test_crc_rank_drop_is_noted_and_refutes_nothing():
+    # 1 - 10x vanishes at the radius-0.1 point x = 0.1: rank 0 there, rank 1
+    # at the center and everywhere closer.  Only a rise would refute.
+    report = crc(fns(["x - 5*x^2"], ["x"]), sampler_at([0.0]), 1e-8)
+    assert report.verdict == "certified-by-sampling"
+    assert report.witness is None
+    assert dict(report.rank_counts_by_radius[0][1]) == {0: 16, 1: 16}
+    assert report.notes == (
+        "sample points of rank below the center rank: 16, the largest at "
+        "radius 0.1; a drop does not refute constant rank",
+    )
+
+
+def test_crc_witness_is_the_first_rise_not_an_earlier_drop():
+    # A hand-made plan around a rank-1 center: a drop to rank 0 comes first,
+    # then a rise to rank 2, then another drop at the smaller radius.
+    center = np.array([[1.0, 0.0], [0.0, 0.0]])
+    layers = []
+    drop, rise = np.zeros((2, 2)), np.eye(2)
+    for radius, point_rows in ((0.1, [drop, rise]), (0.01, [drop])):
+        count = len(point_rows)
+        points = tuple(np.array([radius, float(k)]) for k in range(count))
+        layers.append((radius, points, np.zeros((count, 2)), np.array(point_rows),
+                       np.zeros((count, 2), dtype=bool)))
+    jacobian = rank.SampleJacobian(sampler_at([0.0, 0.0]), np.zeros(2), center,
+                                   np.zeros(2, dtype=bool), tuple(layers))
+    report = check_crc(jacobian, 1e-8)
+    assert report.verdict == "refuted"
+    assert report.witness == {"point": [0.1, 1.0], "rank": 2}
+    assert report.notes == (
+        "sample points of rank below the center rank: 2, the largest at "
+        "radius 0.1; a drop does not refute constant rank",
+    )
+
+
 def test_crc_empty_family_certified():
     report = crc([], sampler_at([0.0]), 1e-8)
     assert report.verdict == "certified-by-sampling"
@@ -297,6 +332,21 @@ def test_rcrcq_guard():
     aset = active_set(pd, 1e-8)
     with pytest.raises(SubsetGuardError):
         check_rcrcq(sys, aset, jacobian_at(sys, np.zeros(22)), 1e-8)
+
+
+def test_rcrcq_reads_a_jacobian_of_the_active_rows_only():
+    # x2 - 1 <= 0 is inactive at the origin: a plan over I_0 + I(x0) alone
+    # gives the same report as one over every constraint.
+    sys = system(eqs=["x1"], ins=["x2 - 1", "x2", "x1 + x2^2"])
+    x0 = [0.0, 0.0]
+    aset = active_set(evaluate_point(sys, x0), 1e-8)
+    assert aset.indices == (3, 4)
+    rows = [sys.constraint(i) for i in (1, 3, 4)]
+    active_only = sample_jacobian(rows, sampler_at(x0))
+    full = check_rcrcq(sys, aset, jacobian_at(sys, x0), 1e-8)
+    assert check_rcrcq(sys, aset, active_only, 1e-8) == full
+    with pytest.raises(ValueError):
+        check_rcrcq(sys, aset, sample_jacobian(rows[:2], sampler_at(x0)), 1e-8)
 
 
 def test_rcrcq_refutation_dominates():

@@ -109,7 +109,7 @@ def test_equality_projection_evaluates_each_iterate_once(monkeypatch):
     # evaluated at most once, the starting point included.
     sys = make(eqs=["x1^2 + x2^2 - 1", "2*x1^2 + 2*x2^2 - 2"])
     calls = count_evaluations(monkeypatch)
-    x = _correct_equalities(sys, (1, 2), np.array([1.05, 0.02]), 1e-14, CFG)
+    [x] = _correct_equalities(sys, (1, 2), [np.array([1.05, 0.02])], 1e-14, CFG)
     assert x is not None
     assert abs(x[0] ** 2 + x[1] ** 2 - 1.0) <= 1e-14
     assert max(calls.values()) == 1
@@ -217,9 +217,9 @@ def test_feasible_at_scale_propagates_non_domain_errors():
     # A domain error marks the point infeasible; a wrong-dimension point is
     # a programming error and must surface.
     sys = make(ins=["log(x1)"])
-    assert not _feasible_at_scale(sys, (1,), np.array([-1.0, 0.0]), 0.1, 1e-8)
+    assert not _feasible_at_scale(sys, (1,), [np.array([-1.0, 0.0])], 0.1, 1e-8)[0]
     with pytest.raises(ValueError):
-        _feasible_at_scale(sys, (1,), np.zeros(3), 0.1, 1e-8)
+        _feasible_at_scale(sys, (1,), [np.zeros(3)], 0.1, 1e-8)
 
 
 def test_probe_rejects_non_cone_direction():
