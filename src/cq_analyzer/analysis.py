@@ -8,7 +8,11 @@ and the exit-code mapping treats it as inconclusive.
 When a run has both an ``rcrcq`` and a ``kkt`` section, the ``kkt`` section
 also carries the asserted-minimum check: a certified constant-rank
 qualification at a local minimum implies that multipliers exist, so their
-absence under ``assert_local_min`` is flagged as a contradiction.
+absence under ``assert_local_min`` is flagged as a contradiction.  Likewise,
+when a run has both an ``rcrcq`` and an ``abadie`` section, the ``abadie``
+section carries the theorem check: RCRCQ implies the Abadie condition, so a
+certified RCRCQ next to a violated Abadie check is flagged as a
+contradiction.
 
 The ``rcrcq`` and ``dependence`` analyses read one sample plan and one
 :class:`~cq_analyzer.rank.SampleJacobian`, built once per run, so each
@@ -101,10 +105,29 @@ def run_analyses(
             sections[name] = _RUNNERS[name](sys, x0, cfg, jacobian)
         except _CAPTURED as err:
             sections[name] = {"error": str(err), "error_kind": type(err).__name__}
-    rcrcq, kkt = sections.get("rcrcq"), sections.get("kkt")
-    if rcrcq and kkt and "error" not in rcrcq and "error" not in kkt:
-        _check_asserted_minimum(kkt, rcrcq["verdict"], cfg.assert_local_min)
+    rcrcq, abadie, kkt = sections.get("rcrcq"), sections.get("abadie"), sections.get("kkt")
+    if rcrcq and "error" not in rcrcq:
+        if abadie and "error" not in abadie:
+            _check_theorem(abadie, rcrcq["verdict"])
+        if kkt and "error" not in kkt:
+            _check_asserted_minimum(kkt, rcrcq["verdict"], cfg.assert_local_min)
     return sections
+
+
+def _check_theorem(abadie: dict, rcrcq_verdict: str) -> None:
+    """Add ``contradiction`` to an abadie section, and a note when it is true.
+
+    Under RCRCQ the Abadie condition holds, so a certified RCRCQ next to a
+    violated Abadie check indicts the sampling or the tolerances.
+    """
+    contradiction = rcrcq_verdict == CERTIFIED and abadie["verdict"] == "violated"
+    abadie["contradiction"] = contradiction
+    if contradiction:
+        abadie["notes"] = [
+            "constant rank certified, yet a cone direction is not tangent: "
+            "RCRCQ implies the Abadie condition, so the sampling or the "
+            "tolerances must be wrong"
+        ]
 
 
 def _check_asserted_minimum(kkt: dict, rcrcq_verdict: str, assert_local_min: bool) -> None:

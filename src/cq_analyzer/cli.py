@@ -70,7 +70,7 @@ def build_parser() -> _Parser:
     for name, help_text in (
         ("analyze", "run every applicable analysis"),
         ("rcrcq", "constant-rank qualification check over all active subsets"),
-        ("abadie", "two-sided tangent/linearized cone comparison"),
+        ("abadie", "Abadie check: linearized cone within the tangent cone"),
         ("multipliers", "Lagrange multipliers and the linearized primal/dual pair"),
         ("dependence", "functional dependence classification"),
     ):

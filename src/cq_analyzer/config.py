@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass
 from .rank import DEFAULT_RADII, NeighborhoodSampler
 
 __all__ = [
-    "ANGULAR_TOL", "CORRECTOR_MAX_ITER", "CORRECTOR_TOL", "DEFAULT_T_SCHEDULE", "DIRECTION_COUNT",
-    "ESTIMATE_PROBES", "FIT_TOLERANCE_REL", "T_SCHEDULE_TAIL", "TOL_CRITICAL", "ToolConfig",
+    "CORRECTOR_MAX_ITER", "CORRECTOR_TOL", "DEFAULT_T_SCHEDULE", "DIRECTION_COUNT",
+    "FIT_TOLERANCE_REL", "T_SCHEDULE_TAIL", "TOL_CRITICAL", "ToolConfig",
 ]
 
 DEFAULT_T_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -23,15 +23,12 @@ DEFAULT_T_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 T_SCHEDULE_TAIL = 3
 TOL_CRITICAL = 1e-8  # h_i is critical along d when |<grad h_i, d>| is below this
 DIRECTION_COUNT = 16  # cone directions probed for gamma in T
-ESTIMATE_PROBES = 32  # sample points per radius of the tangent estimate
-ANGULAR_TOL = 1e-2  # radians within which estimated directions match
 CORRECTOR_TOL = 1e-12  # corrector stops at ||h_J||_inf <= CORRECTOR_TOL * (1 + scale)
 CORRECTOR_MAX_ITER = 50
 FIT_TOLERANCE_REL = 1e-6  # dependence fit bound, relative to the value scale
 
 _FIXED = {
     "tol_critical": TOL_CRITICAL, "direction_count": DIRECTION_COUNT,
-    "estimate_probes": ESTIMATE_PROBES, "angular_tol": ANGULAR_TOL,
     "corrector_tol": CORRECTOR_TOL, "corrector_max_iter": CORRECTOR_MAX_ITER,
     "fit_tolerance_rel": FIT_TOLERANCE_REL,
 }

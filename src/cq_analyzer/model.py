@@ -115,9 +115,6 @@ class ConstraintSystem:
             raise IndexError(f"constraint index {index} out of range")
         return self.all_constraints[index - 1]
 
-    def is_equality(self, index: int) -> bool:
-        return 1 <= index <= len(self.equalities)
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 __all__ = ["REPORT_VERSION", "emit_report", "machine_dumps", "render_text"]
 
@@ -138,13 +138,8 @@ def _render_abadie(section: dict, lines: list[str]) -> None:
     )
     for probe in section["gamma_in_T_evidence"]:
         _render_trace(probe, lines)
-    for entry in section["T_in_gamma_evidence"]:
-        flag = "member" if entry["member"] else (
-            "OUTSIDE (hard)" if entry["hard_failure"] else "outside (soft)"
-        )
-        lines.append(f"  tangent estimate {_fmt(entry['direction'])}: {flag}")
-    if not section["T_in_gamma_evidence"]:
-        lines.append("  tangent estimates: none (trivial or isolated feasible set)")
+    for note in section.get("notes", []):
+        lines.append(f"  note: {note}")
 
 
 def _render_dependence(section: dict, lines: list[str]) -> None:

@@ -1,18 +1,18 @@
-"""Tangent-cone probing and the two-sided numerical Abadie verdict.
+"""Tangent-cone probing and the numerical Abadie verdict.
 
 For a cone direction d the corrector seeks r(t) with the critical constraint
 subset J(d) restored to zero at x0 + t*d + r(t).  A direction is numerical
 evidence for membership in the tangent cone when the correction exists along
 the whole shrinking t-schedule with ||r(t)||/t decreasing to (numerically)
 zero; the observable signature of the o(t) requirement is a log-log decay
-slope above 1.  The converse inclusion is probed by estimating tangent
-directions from corrected feasible points at shrinking radii and testing
-them against the linearized cone.
+slope above 1.  Only the inclusion Gamma within T is probed: the tangent
+cone lies in the linearized cone for any C1 constraints (Nocedal & Wright,
+Numerical Optimization, 2nd ed., Lemma 12.2(i)).
 
 Verdicts are evidence, not proofs: "consistent" means no sampled direction
-contradicted the Abadie equality, "violated" carries a concrete witness
+contradicted the Abadie inclusion, "violated" carries a concrete witness
 (a cone direction whose correction collapses back to the base point or
-stalls, or a tangent estimate that fails cone membership by a wide margin).
+stalls).
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 
 from .cones import LinearizedCone, build_linearized_cone, cone_member, sample_cone_directions
 from .config import (
-    ANGULAR_TOL, CORRECTOR_MAX_ITER, CORRECTOR_TOL, DIRECTION_COUNT, ESTIMATE_PROBES,
-    T_SCHEDULE_TAIL, TOL_CRITICAL, ToolConfig,
+    CORRECTOR_MAX_ITER, CORRECTOR_TOL, DIRECTION_COUNT, T_SCHEDULE_TAIL, TOL_CRITICAL, ToolConfig,
 )
 from .model import (
     ActiveSet,
@@ -40,18 +39,16 @@ from .model import (
     evaluate_rows,
     feasibility_check,
 )
-from .rank import NeighborhoodSampler, _norms, numerical_rank
+from .rank import numerical_rank
 
 __all__ = [
     "AbadieReport",
     "CorrectionTrace",
     "InfeasibleBasePointError",
-    "TangentEstimate",
     "TangentProbe",
     "abadie_verdict",
     "ljusternik_correct",
     "probe_tangent",
-    "tangent_direction_estimate",
 ]
 
 CONSISTENT = "consistent"
@@ -498,160 +495,6 @@ def _judge_probe(
     )
 
 
-@dataclass(frozen=True)
-class TangentEstimate:
-    """Stable tangent-direction estimates from corrected feasible probes."""
-
-    directions: tuple[np.ndarray, ...]
-    trivial: bool                      # no stable direction at all
-    per_radius_counts: tuple[tuple[float, int], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "directions": [[float(v) for v in d] for d in self.directions],
-            "trivial": self.trivial,
-            "per_radius_counts": [
-                {"radius": r, "feasible_directions": c}
-                for r, c in self.per_radius_counts
-            ],
-        }
-
-
-def _cluster_directions(directions: list[np.ndarray], cos_tol: float):
-    """Greedy angular clustering; returns normalized cluster means in order."""
-    clusters: list[list[np.ndarray]] = []
-    for d in directions:
-        for members in clusters:
-            if float(d @ members[0]) >= cos_tol:
-                members.append(d)
-                break
-        else:
-            clusters.append([d])
-    reps = []
-    for members in clusters:
-        mean = np.mean(members, axis=0)
-        norm = np.linalg.norm(mean)
-        reps.append(members[0] if norm == 0.0 else mean / norm)
-    return reps
-
-
-def tangent_direction_estimate(
-    sys: ConstraintSystem,
-    x0: Sequence[float],
-    count: int,
-    radius_schedule: Sequence[float],
-    seed: int,
-    cfg: Optional[ToolConfig] = None,
-) -> TangentEstimate:
-    """Estimate tangent directions from feasible points at shrinking radii.
-
-    Random sphere probes are corrected onto the equality constraints by
-    Gauss-Newton and then filtered: the corrected point must stay at the
-    probed scale (within [0.3 r, 3 r] of the base point; a probe that
-    collapses onto x0 indicates no feasible direction at that scale) and
-    every constraint value must be within ``tol_feas * r * (1 + |grad|)``
-    (violations must vanish faster than the scale probed, mirroring the
-    o(t) in the tangent-cone definition).  Directions are clustered per
-    radius and only clusters that persist across the three smallest radii,
-    matching within the angular tolerance link by link, are returned (taken
-    at the smallest radius).  An empty result is flagged: the feasible set
-    offers no stable direction, e.g. an isolated point.
-    """
-    cfg = cfg or ToolConfig()
-    x0 = np.asarray(x0, dtype=float)
-    sampler = NeighborhoodSampler(
-        center=tuple(x0),
-        radii=tuple(float(r) for r in radius_schedule),
-        samples_per_radius=count,
-        seed=seed,
-    )
-    eq_indices = tuple(sys.equality_indices)
-    all_indices = tuple(range(1, sys.n_constraints + 1))
-    gn_tol = 1e-14 * (1.0 + float(np.max(np.abs(x0), initial=0.0)))
-    cos_tol = math.cos(ANGULAR_TOL)
-
-    layers: list[tuple[float, list[np.ndarray]]] = []
-    for radius, points in sampler.points_by_radius():
-        if eq_indices:
-            corrected = _correct_equalities(sys, eq_indices, points, gn_tol, cfg)
-            points = [x for x in corrected if x is not None]
-        xs = np.array(points).reshape(len(points), sys.dimension)
-        offsets = xs - x0
-        dists = _norms(offsets)
-        at_scale = (0.3 * radius <= dists) & (dists <= 3.0 * radius)
-        feasible = np.zeros(len(xs), dtype=bool)
-        feasible[at_scale] = _feasible_at_scale(
-            sys, all_indices, xs[at_scale], radius, cfg.tol_feas
-        )
-        kept = [offset / dist for offset, dist in zip(offsets[feasible], dists[feasible])]
-        layers.append((radius, _cluster_directions(kept, cos_tol)))
-
-    chain_span = min(3, len(layers))
-    tail = layers[-chain_span:]
-    stable: list[np.ndarray] = []
-    for rep in tail[-1][1]:  # clusters at the smallest radius
-        current = rep
-        ok = True
-        for radius, reps in reversed(tail[:-1]):
-            match = next(
-                (r for r in reps if float(current @ r) >= cos_tol), None
-            )
-            if match is None:
-                ok = False
-                break
-            current = match
-        if ok:
-            stable.append(rep)
-    stable = _cluster_directions(stable, cos_tol)
-
-    return TangentEstimate(
-        directions=tuple(stable),
-        trivial=not stable,
-        per_radius_counts=tuple((r, len(reps)) for r, reps in layers),
-    )
-
-
-def _correct_equalities(sys, eq_indices, xs, gn_tol, cfg) -> list[Optional[np.ndarray]]:
-    """Gauss-Newton of every point of ``xs`` onto its equality pivot rows; None
-    where a point fails.
-
-    The points are corrected in lockstep: one stacked rank picks every
-    point's pivot rows, and each step takes one stacked pinv per pivot count
-    over the points still iterating.  A point leaves the batch when it
-    converges, leaves the domain or reaches the iteration cap, and ends
-    exactly where it would have ended alone.
-    """
-    functions = [sys.constraint(i) for i in eq_indices]
-    out: list[Optional[np.ndarray]] = [None] * len(xs)
-    start = {k: (x, *evaluate_rows(functions, x)) for k, x in enumerate(xs)}
-    start = {k: entry for k, entry in start.items() if not entry[3]}
-    live = {}                               # k -> (x, pivot functions, values, rows)
-    if start:
-        ranked = numerical_rank(np.stack([rows for _, _, rows, _ in start.values()]),
-                                cfg.tol_rank)
-        for (k, (x, values, rows, _)), result in zip(start.items(), ranked):
-            pivots = [p - 1 for p in result.pivot_indices]
-            if pivots:
-                live[k] = (x, [functions[p] for p in pivots], values[pivots], rows[pivots])
-            elif _max_abs(values) <= gn_tol:
-                out[k] = x
-    for it in range(CORRECTOR_MAX_ITER + 1):
-        residuals = _max_abs_each({k: values for k, (_, _, values, _) in live.items()})
-        for k in [k for k, residual in residuals.items() if residual <= gn_tol]:
-            out[k] = live.pop(k)[0]
-        if not live or it == CORRECTOR_MAX_ITER:
-            break
-        steps = _pinv_steps({k: (rows, values) for k, (_, _, values, rows) in live.items()})
-        for k, step in steps.items():
-            x, pivot_functions = live[k][0] - step, live[k][1]
-            values, rows, errors = evaluate_rows(pivot_functions, x)
-            if errors:
-                del live[k]
-            else:
-                live[k] = (x, pivot_functions, values, rows)
-    return out
-
-
 def _max_abs(values: np.ndarray) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
@@ -668,29 +511,13 @@ def _max_abs_each(vectors: dict) -> dict:
     return out
 
 
-def _feasible_at_scale(sys, indices, xs, radius, tol_feas) -> np.ndarray:
-    """Per point of ``xs``: are the constraint violations o(radius), i.e. at
-    most tol * r * (1 + |grad|)?  A point outside a domain is not feasible."""
-    functions = [sys.constraint(i) for i in indices]
-    evaluated = [evaluate_rows(functions, x) for x in xs]
-    shape = (len(evaluated), len(functions))
-    values = np.array([v for v, _, _ in evaluated]).reshape(shape)
-    rows = np.array([r for _, r, _ in evaluated]).reshape(shape + (sys.dimension,))
-    bound = tol_feas * radius * (1.0 + _norms(rows))
-    violation = np.where(np.asarray(indices) <= len(sys.equalities), np.abs(values), values)
-    evaluable = np.array([not errors for _, _, errors in evaluated], dtype=bool)
-    return evaluable & ~np.any(violation > bound, axis=1)
-
-
 @dataclass(frozen=True)
 class AbadieReport:
-    """Two-sided numerical evidence for the Abadie equality Gamma = T."""
+    """Numerical evidence for the Abadie inclusion Gamma within T."""
 
     verdict: str
     cone: LinearizedCone
     probes: tuple[TangentProbe, ...]
-    estimates: TangentEstimate
-    estimate_memberships: tuple[tuple[tuple[float, ...], bool, bool], ...]
     trivial_cone: bool
     witness: Optional[dict]
     config: dict
@@ -700,11 +527,6 @@ class AbadieReport:
             "verdict": self.verdict,
             "cone": self.cone.to_dict(),
             "gamma_in_T_evidence": [p.to_dict() for p in self.probes],
-            "T_in_gamma_evidence": [
-                {"direction": list(d), "member": m, "hard_failure": h}
-                for d, m, h in self.estimate_memberships
-            ],
-            "tangent_estimates": self.estimates.to_dict(),
             "trivial_cone": self.trivial_cone,
             "witness": self.witness,
             "config": dict(self.config),
@@ -712,13 +534,12 @@ class AbadieReport:
 
 
 def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) -> AbadieReport:
-    """Render consistent / violated / inconclusive with two-sided evidence.
+    """Render consistent / violated / inconclusive from the cone-direction probes.
 
-    Gamma-side: sampled cone directions must all pass :func:`probe_tangent`.
-    T-side: estimated tangent directions must all pass :func:`cone_member`
-    at the estimator's resolution (the finest probing radius).  ``violated``
-    requires a hard witness on either side; all-pass yields ``consistent``;
-    anything softer is ``inconclusive``.
+    Sampled cone directions must all pass :func:`probe_tangent`.  A hard
+    failure is the witness for ``violated``; all-pass yields ``consistent``;
+    anything softer is ``inconclusive``.  The converse inclusion T within
+    Gamma holds for any C1 constraints, so it is not sampled.
     """
     x0 = np.asarray(x0, dtype=float)
     pd = evaluate_point(sys, x0)
@@ -730,20 +551,7 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) 
     aset = active_set(pd, cfg.tol_active)
     cone = build_linearized_cone(pd, aset)
     sample = sample_cone_directions(cone, DIRECTION_COUNT, cfg.seed + 1, cfg.tol_cone)
-
     probes = tuple(_probe_directions(sys, x0, aset, sample.directions, cfg.t_schedule, cfg, pd))
-    estimates = tangent_direction_estimate(
-        sys, x0, ESTIMATE_PROBES, cfg.radii, cfg.seed + 2, cfg
-    )
-    # A direction estimated from feasible points at radius r carries an
-    # O(r) angular resolution (curvature drift), so membership is tested at
-    # the resolution of the finest radius probed, never finer.
-    est_tol = max(cfg.tol_cone, min(cfg.radii))
-    memberships = []
-    for d in estimates.directions:
-        member = cone_member(cone, d, est_tol)
-        hard = not member and not cone_member(cone, d, 10.0 * est_tol)
-        memberships.append((tuple(float(v) for v in d), member, hard))
 
     witness = None
     for p in probes:
@@ -754,19 +562,10 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) 
                 "detail": p.fail_reason,
             }
             break
-    if witness is None:
-        for d, member, hard in memberships:
-            if hard:
-                witness = {
-                    "kind": "tangent-estimate-outside-cone",
-                    "direction": list(d),
-                    "detail": "cone membership fails at 10x tolerance",
-                }
-                break
 
     if witness is not None:
         verdict = VIOLATED
-    elif all(p.passed for p in probes) and all(m for _, m, _ in memberships):
+    elif all(p.passed for p in probes):
         verdict = CONSISTENT
     else:
         verdict = INCONCLUSIVE
@@ -775,8 +574,6 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) 
         verdict=verdict,
         cone=cone,
         probes=probes,
-        estimates=estimates,
-        estimate_memberships=tuple(memberships),
         trivial_cone=sample.trivial,
         witness=witness,
         config=cfg.to_dict(),

@@ -1,29 +1,36 @@
-"""The former one-point rank and corrector code, kept as a test oracle.
+"""The former one-point rank and corrector code, and the tangent estimator,
+kept as test oracles.
 
-Before the tangent estimator and the cone-direction probes corrected their
-points in lockstep batches, every matrix was ranked on its own and every
-point or direction ran its own Gauss-Newton loop with one ``pinv`` per step.
-The functions below are that code, unchanged but for their names;
+Before the cone-direction probes corrected their directions in lockstep
+batches, every matrix was ranked on its own and every direction ran its own
+Gauss-Newton loop with one ``pinv`` per step.  ``numerical_rank`` and
+``ljusternik_correct`` below are that code, unchanged but for their names;
 ``tests/test_lockstep_oracle.py`` checks that the stacked rank and the
-batched correctors reproduce them bit for bit.
+lockstep corrector reproduce them bit for bit.
+
+``tangent_direction_estimate`` estimates tangent directions from corrected
+feasible points at shrinking radii.  The Abadie check no longer runs it: the
+tangent cone lies in the linearized cone for any C1 constraints (Nocedal &
+Wright, Numerical Optimization, 2nd ed., Lemma 12.2(i)).  The tests keep
+checking that inclusion with it and ``cones.cone_member``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from cq_analyzer.config import ANGULAR_TOL, CORRECTOR_MAX_ITER, CORRECTOR_TOL
-from cq_analyzer.model import evaluate_rows
+from cq_analyzer.cones import build_linearized_cone, cone_member
+from cq_analyzer.config import CORRECTOR_MAX_ITER, CORRECTOR_TOL
+from cq_analyzer.model import active_set, evaluate_point, evaluate_rows
 from cq_analyzer.rank import NeighborhoodSampler, RankResult
-from cq_analyzer.tangent import (
-    CorrectionResult,
-    TangentEstimate,
-    _cluster_directions,
-    _domain_diagnostic,
-)
+from cq_analyzer.tangent import CorrectionResult, _domain_diagnostic
+
+ESTIMATE_PROBES = 32  # sample points per radius of the tangent estimate
+ANGULAR_TOL = 1e-2  # radians within which estimated directions match
 
 
 def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult:
@@ -177,8 +184,50 @@ def feasible_at_scale(sys, indices, x, radius, tol_feas) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class TangentEstimate:
+    """Stable tangent-direction estimates from corrected feasible probes."""
+
+    directions: tuple[np.ndarray, ...]
+    trivial: bool                      # no stable direction at all
+    per_radius_counts: tuple[tuple[float, int], ...]
+
+
+def _cluster_directions(directions: list[np.ndarray], cos_tol: float):
+    """Greedy angular clustering; returns normalized cluster means in order."""
+    clusters: list[list[np.ndarray]] = []
+    for d in directions:
+        for members in clusters:
+            if float(d @ members[0]) >= cos_tol:
+                members.append(d)
+                break
+        else:
+            clusters.append([d])
+    reps = []
+    for members in clusters:
+        mean = np.mean(members, axis=0)
+        norm = np.linalg.norm(mean)
+        reps.append(members[0] if norm == 0.0 else mean / norm)
+    return reps
+
+
 def tangent_direction_estimate(sys, x0, count, radius_schedule, seed, cfg) -> TangentEstimate:
-    """Tangent directions from probes corrected and filtered one at a time."""
+    """Estimate tangent directions from feasible points at shrinking radii.
+
+    Random sphere probes are corrected onto the equality constraints by
+    Gauss-Newton and then filtered: the corrected point must stay at the
+    probed scale (within [0.3 r, 3 r] of the base point; a probe that
+    collapses onto x0 indicates no feasible direction at that scale) and
+    every constraint value must be within ``tol_feas * r * (1 + |grad|)``
+    (violations must vanish faster than the scale probed, mirroring the
+    o(t) in the tangent-cone definition).  Directions are clustered per
+    radius and only clusters that persist across the three smallest radii,
+    matching within the angular tolerance link by link, are returned (taken
+    at the smallest radius).  An empty result is flagged: the feasible set
+    offers no stable direction, e.g. an isolated point.  A direction
+    estimated at radius r carries an O(r) angular resolution, so cone
+    membership is tested at ``max(tol_cone, min(radii))``.
+    """
     x0 = np.asarray(x0, dtype=float)
     sampler = NeighborhoodSampler(
         center=tuple(x0),
@@ -228,3 +277,27 @@ def tangent_direction_estimate(sys, x0, count, radius_schedule, seed, cfg) -> Ta
         trivial=not stable,
         per_radius_counts=tuple((r, len(reps)) for r, reps in layers),
     )
+
+
+def estimate_memberships(sys, x0, cfg) -> list[tuple[tuple[float, ...], bool, bool]]:
+    """``(direction, member, hard_failure)`` per tangent estimate.
+
+    A direction is a member when it lies in the linearized cone at the
+    estimate's resolution ``max(tol_cone, min(radii))``, and a hard failure
+    when it lies outside it even at 10x that tolerance.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    estimates = tangent_direction_estimate(
+        sys, x0, ESTIMATE_PROBES, cfg.radii, cfg.seed + 2, cfg
+    )
+    if not estimates.directions:
+        return []
+    pd = evaluate_point(sys, x0)
+    cone = build_linearized_cone(pd, active_set(pd, cfg.tol_active))
+    est_tol = max(cfg.tol_cone, min(cfg.radii))
+    memberships = []
+    for d in estimates.directions:
+        member = cone_member(cone, d, est_tol)
+        hard = not member and not cone_member(cone, d, 10.0 * est_tol)
+        memberships.append((tuple(float(v) for v in d), member, hard))
+    return memberships

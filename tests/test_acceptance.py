@@ -10,9 +10,10 @@ import time
 import numpy as np
 from conftest import random_domain_points
 from finite_diff import finite_diff_gradient
+from one_point_oracle import ESTIMATE_PROBES, estimate_memberships, tangent_direction_estimate
 
 from cq_analyzer.cli import main as cli_main
-from cq_analyzer.config import ESTIMATE_PROBES, ToolConfig
+from cq_analyzer.config import ToolConfig
 from cq_analyzer.corpus import CORPUS, load_case
 from cq_analyzer.dependence import classify_dependence, reconstruct_dependent, witness_check
 from cq_analyzer.expr import parse
@@ -20,7 +21,7 @@ from cq_analyzer.kkt import kkt_report
 from cq_analyzer.model import active_set, evaluate_point
 from cq_analyzer.cones import build_linearized_cone, cone_member
 from cq_analyzer.rank import NeighborhoodSampler, check_rcrcq, sample_jacobian
-from cq_analyzer.tangent import abadie_verdict, probe_tangent, tangent_direction_estimate
+from cq_analyzer.tangent import abadie_verdict, probe_tangent
 
 CFG = ToolConfig()
 
@@ -143,7 +144,7 @@ def test_criterion_3_abadie_equivalence_on_certified_cases():
             slope = probe.trace.decay_slope
             if slope is not None and slope < 1.5:
                 failures.append(f"{name}: decay slope {slope:.3f} < 1.5")
-        for direction, member, _ in report.estimate_memberships:
+        for direction, member, _ in estimate_memberships(system, pf.x0, CFG):
             if not member:
                 failures.append(f"{name}: tangent estimate {direction} outside cone")
     elapsed = time.perf_counter() - start

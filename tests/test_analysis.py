@@ -3,13 +3,16 @@ import pkgutil
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import cq_analyzer
-from cq_analyzer import rank
+from cq_analyzer import analysis, rank
 from cq_analyzer.analysis import run_analyses
 from cq_analyzer.config import ToolConfig
+from cq_analyzer.corpus import CORPUS, load_case
 from cq_analyzer.expr import Expression
 from cq_analyzer.model import ConstraintSystem
+from cq_analyzer.report import render_text
 
 FULL = ["rcrcq", "abadie", "dependence", "kkt"]
 
@@ -108,3 +111,39 @@ def test_rcrcq_alone_evaluates_an_inactive_inequality_only_at_the_point(monkeypa
     calls.clear()
     run_analyses(system, np.zeros(2), cfg, ["rcrcq", "dependence"])
     assert calls["log(x1 + 0.05) - 10"] == 2 + samples
+
+
+def test_certified_rcrcq_with_violated_abadie_is_a_contradiction(monkeypatch):
+    # RCRCQ implies the Abadie condition: a violated Abadie check next to a
+    # certified RCRCQ is flagged, and the note says what must be wrong.
+    real = analysis._RUNNERS["abadie"]
+
+    def violated(*args):
+        section = real(*args)
+        section["verdict"] = "violated"
+        return section
+
+    monkeypatch.setitem(analysis._RUNNERS, "abadie", violated)
+    _, pf = load_case("circle-point")
+    cfg = pf.config(ToolConfig())
+    sections = run_analyses(pf.system, pf.x0, cfg, FULL)
+    assert sections["rcrcq"]["verdict"] == "certified-by-sampling"
+    abadie = sections["abadie"]
+    assert abadie["contradiction"] is True
+    [note] = abadie["notes"]
+    assert "the sampling or the tolerances must be wrong" in note
+    assert f"  note: {note}" in render_text({"analyses": sections}).splitlines()
+    # Without an rcrcq section there is nothing to contradict.
+    assert "contradiction" not in run_analyses(pf.system, pf.x0, cfg, ["abadie"])["abadie"]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_no_corpus_case_contradicts_the_theorem(name):
+    _, pf = load_case(name)
+    sections = run_analyses(pf.system, pf.x0, pf.config(ToolConfig()), ["rcrcq", "abadie"])
+    rcrcq, abadie = sections["rcrcq"], sections["abadie"]
+    if "error" in rcrcq or "error" in abadie:
+        assert "contradiction" not in abadie
+    else:
+        assert abadie["contradiction"] is False
+        assert "notes" not in abadie

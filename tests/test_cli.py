@@ -376,7 +376,7 @@ def test_cli_analyze_includes_config_snapshot(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["report_version"] == 2
+    assert report["report_version"] == 3
     assert report["config"]["tol_rank"] == 1e-7
     assert report["config"]["seed"] == 42
     assert set(report["analyses"]) == {"rcrcq", "abadie", "dependence", "kkt"}

@@ -1,10 +1,9 @@
-"""Differential tests: stacked rank and lockstep correctors against one-point code.
+"""Differential tests: stacked rank and lockstep corrector against one-point code.
 
-``numerical_rank`` on a (P, m, n) stack, the estimator's batched equality
-projection, the batched feasibility filter and the lockstep cone-direction
-corrector must reproduce the former one-matrix, one-point and one-direction
-code of ``tests/one_point_oracle.py`` bit for bit: ranks, singular values,
-pivots, iterates, iteration counts, residuals and diagnostics.
+``numerical_rank`` on a (P, m, n) stack and the lockstep cone-direction
+corrector must reproduce the former one-matrix and one-direction code of
+``tests/one_point_oracle.py`` bit for bit: ranks, singular values, pivots,
+iterates, iteration counts, residuals and diagnostics.
 """
 
 import math
@@ -19,14 +18,7 @@ from cq_analyzer.cones import build_linearized_cone, sample_cone_directions
 from cq_analyzer.config import ToolConfig
 from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
 from cq_analyzer.rank import _norms, numerical_rank
-from cq_analyzer.tangent import (
-    _correct_equalities,
-    _correct_lockstep,
-    _feasible_at_scale,
-    _probe_directions,
-    probe_tangent,
-    tangent_direction_estimate,
-)
+from cq_analyzer.tangent import _correct_lockstep, _probe_directions, probe_tangent
 
 CFG = ToolConfig()
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -119,102 +111,6 @@ def test_rank_rejects_other_dimensions():
 def test_norms_match_the_one_vector_norm(vectors):
     vectors = np.array(vectors)
     assert _bits(_norms(vectors)) == _bits([np.linalg.norm(v) for v in vectors])
-
-
-# ---------------------------------------------------------------------------
-# the estimator's equality projection and feasibility filter
-# ---------------------------------------------------------------------------
-
-# (equalities, inequalities, x0): a circle with a parallel copy, a curve whose
-# gradient vanishes at x1 = 0.1, a log that leaves its domain for
-# x1 <= -0.05, a square with a zero gradient on x1 = 0, and an unsatisfiable
-# equality whose Gauss-Newton steps run to the iteration cap.
-FAMILIES = [
-    (("x1^2 + x2^2 - 1", "2*x1^2 + 2*x2^2 - 2"), ("x2 - 0.5",), (1.0, 0.0)),
-    (("x1 - 5*x1^2",), ("-x2",), (0.0, 0.0)),
-    (("log(x1 + 0.05) - x2",), ("x1 - 0.2",), (0.0, math.log(0.05))),
-    (("x1^2", "x1 + x2^2"), (), (0.0, 0.0)),
-    (("x1^2 + 1", "x2"), ("x1^2 - x2",), (0.0, 0.0)),
-]
-
-
-def family(index):
-    eqs, ins, x0 = FAMILIES[index]
-    return ConstraintSystem.from_strings("family", ("x1", "x2"), None, eqs, ins), np.array(x0)
-
-
-offsets = st.lists(
-    st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)), min_size=0, max_size=12
-)
-
-
-def probe_points(x0, deltas):
-    # Exact special points ride along: the base point and x1 = 0.1, -0.05.
-    special = [x0.copy(), np.array([0.1, x0[1]]), np.array([-0.05, x0[1]])]
-    return special + [x0 + np.array(delta) for delta in deltas]
-
-
-@SETTINGS
-@given(index=st.integers(0, len(FAMILIES) - 1), deltas=offsets,
-       gn_tol=st.sampled_from((1e-14, 1e-8)))
-def test_batched_equality_projection_matches_one_point_projection(index, deltas, gn_tol):
-    sys, x0 = family(index)
-    points = probe_points(x0, deltas)
-    eq = sys.equality_indices
-    batch = _correct_equalities(sys, eq, points, gn_tol, CFG)
-    assert len(batch) == len(points)
-    for got, point in zip(batch, points):
-        assert_same_point(got, oracle.correct_equalities(sys, eq, point, gn_tol, CFG))
-
-
-def test_equality_projection_cases_are_all_reached():
-    # The families above do reach each way a point can end.
-    outcomes = set()
-    for index in range(len(FAMILIES)):
-        sys, x0 = family(index)
-        for point in probe_points(x0, [(0.03, 0.01), (-0.12, 0.05)]):
-            x = oracle.correct_equalities(sys, sys.equality_indices, point, 1e-14, CFG)
-            outcomes.add((index, x is None))
-    assert (2, True) in outcomes       # left the domain of log
-    assert (4, True) in outcomes       # iteration cap without convergence
-    assert (3, False) in outcomes      # zero gradient at the base point, converged
-
-
-def test_equality_projection_at_the_iteration_cap():
-    # Gauss-Newton on x1^2 = 0 halves x1 per step, so from 0.9e-7 * 2^k it
-    # needs k steps to reach |x1^2| <= 1e-14: k = 50 converges on the last
-    # step the cap allows, k = 51 does not.
-    sys = ConstraintSystem.from_strings("square", ("x1", "x2"), None, ("x1^2",), ())
-    points = [np.array([0.9e-7 * 2.0 ** k, 0.0]) for k in (48, 49, 50, 51, 52)]
-    batch = _correct_equalities(sys, (1,), points, 1e-14, CFG)
-    expected = [oracle.correct_equalities(sys, (1,), p, 1e-14, CFG) for p in points]
-    assert [x is None for x in expected] == [False, False, False, True, True]
-    for got, want in zip(batch, expected):
-        assert_same_point(got, want)
-
-
-@SETTINGS
-@given(index=st.integers(0, len(FAMILIES) - 1), deltas=offsets,
-       radius=st.sampled_from((1e-1, 1e-3)))
-def test_batched_feasibility_matches_one_point_feasibility(index, deltas, radius):
-    sys, x0 = family(index)
-    points = probe_points(x0, deltas)
-    indices = tuple(range(1, sys.n_constraints + 1))
-    batch = _feasible_at_scale(sys, indices, points, radius, 1e-2)
-    expected = [oracle.feasible_at_scale(sys, indices, p, radius, 1e-2) for p in points]
-    assert batch.tolist() == expected
-
-
-@pytest.mark.parametrize("index", range(len(FAMILIES)))
-@pytest.mark.parametrize("seed", [44, 45])
-def test_batched_estimate_matches_one_point_estimate(index, seed):
-    sys, x0 = family(index)
-    radii = (0.3, 1e-1, 1e-2, 1e-3, 1e-4)
-    got = tangent_direction_estimate(sys, x0, 32, radii, seed, CFG)
-    expected = oracle.tangent_direction_estimate(sys, x0, 32, radii, seed, CFG)
-    assert got.per_radius_counts == expected.per_radius_counts
-    assert got.trivial == expected.trivial
-    assert [_bits(d) for d in got.directions] == [_bits(d) for d in expected.directions]
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,6 @@ def test_constraint_index_lookup():
     sys = make(eqs=["x1"], ins=["x2"])
     assert sys.constraint(1).unparse() == "x1"
     assert sys.constraint(2).unparse() == "x2"
-    assert sys.is_equality(1) and not sys.is_equality(2)
     with pytest.raises(IndexError):
         sys.constraint(3)
 
