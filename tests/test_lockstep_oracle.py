@@ -3,7 +3,9 @@
 ``numerical_rank`` on a (P, m, n) stack and the lockstep cone-direction
 corrector must reproduce the former one-matrix and one-direction code of
 ``tests/one_point_oracle.py`` bit for bit: ranks, singular values, pivots,
-iterates, iteration counts, residuals and diagnostics.
+iterates, iteration counts, residuals and diagnostics.  The estimator
+oracle's one-point equality projection is checked at its outcomes and its
+iteration cap.
 """
 
 import math
@@ -111,6 +113,80 @@ def test_rank_rejects_other_dimensions():
 def test_norms_match_the_one_vector_norm(vectors):
     vectors = np.array(vectors)
     assert _bits(_norms(vectors)) == _bits([np.linalg.norm(v) for v in vectors])
+
+
+# ---------------------------------------------------------------------------
+# equality projection: the lockstep corrector and the estimator oracle's
+# one-point Gauss-Newton projection
+# ---------------------------------------------------------------------------
+
+# (equalities, inequalities, x0): a circle with a parallel copy, a curve whose
+# gradient vanishes at x1 = 0.1, a log that leaves its domain for
+# x1 <= -0.05, a square with a zero gradient on x1 = 0, and an unsatisfiable
+# equality whose Gauss-Newton steps run to the iteration cap.
+FAMILIES = [
+    (("x1^2 + x2^2 - 1", "2*x1^2 + 2*x2^2 - 2"), ("x2 - 0.5",), (1.0, 0.0)),
+    (("x1 - 5*x1^2",), ("-x2",), (0.0, 0.0)),
+    (("log(x1 + 0.05) - x2",), ("x1 - 0.2",), (0.0, math.log(0.05))),
+    (("x1^2", "x1 + x2^2"), (), (0.0, 0.0)),
+    (("x1^2 + 1", "x2"), ("x1^2 - x2",), (0.0, 0.0)),
+]
+
+
+def family(index):
+    eqs, ins, x0 = FAMILIES[index]
+    return ConstraintSystem.from_strings("family", ("x1", "x2"), None, eqs, ins), np.array(x0)
+
+
+offsets = st.lists(
+    st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)), min_size=0, max_size=12
+)
+
+
+def probe_points(x0, deltas):
+    # Exact special points ride along: the base point and x1 = 0.1, -0.05.
+    special = [x0.copy(), np.array([0.1, x0[1]]), np.array([-0.05, x0[1]])]
+    return special + [x0 + np.array(delta) for delta in deltas]
+
+
+@SETTINGS
+@given(index=st.integers(0, len(FAMILIES) - 1), deltas=offsets,
+       t=st.sampled_from((1.0, 1e-1)))
+def test_batched_equality_projection_matches_one_point_projection(index, deltas, t):
+    # The lockstep corrector projects every probe point x0 + t*d onto the
+    # family's equalities at once, as the one-point corrector does alone.
+    sys, x0 = family(index)
+    eq = sys.equality_indices
+    job_list = [(eq, (point - x0) / t, None) for point in probe_points(x0, deltas)]
+    batch = _correct_lockstep(sys, x0, t, job_list, CFG)
+    for got, (j, d, _) in zip(batch, job_list, strict=True):
+        assert_same_correction(got, oracle.ljusternik_correct(sys, j, x0, d, t, CFG))
+
+
+def test_equality_projection_cases_are_all_reached():
+    # The families above do reach each way the estimator oracle's projection
+    # of a point can end.
+    outcomes = set()
+    for index in range(len(FAMILIES)):
+        sys, x0 = family(index)
+        for point in probe_points(x0, [(0.03, 0.01), (-0.12, 0.05)]):
+            x = oracle.correct_equalities(sys, sys.equality_indices, point, 1e-14, CFG)
+            outcomes.add((index, x is None))
+    assert (2, True) in outcomes       # left the domain of log
+    assert (4, True) in outcomes       # iteration cap without convergence
+    assert (3, False) in outcomes      # zero gradient at the base point, converged
+
+
+def test_equality_projection_at_the_iteration_cap():
+    # Gauss-Newton on x1^2 = 0 halves x1 per step, so from 0.9e-7 * 2^k it
+    # needs k steps to reach |x1^2| <= 1e-14: k = 50 converges on the last
+    # step the cap allows, k = 51 does not.
+    sys = ConstraintSystem.from_strings("square", ("x1", "x2"), None, ("x1^2",), ())
+    points = [np.array([0.9e-7 * 2.0 ** k, 0.0]) for k in (48, 49, 50, 51, 52)]
+    got = [oracle.correct_equalities(sys, (1,), p, 1e-14, CFG) for p in points]
+    assert [x is None for x in got] == [False, False, False, True, True]
+    for x, p in zip(got[:3], points):
+        assert x[0] ** 2 <= 1e-14 and x[1] == p[1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from one_point_oracle import estimate_memberships, tangent_direction_estimate
+from one_point_oracle import (
+    correct_equalities,
+    estimate_memberships,
+    feasible_at_scale,
+    tangent_direction_estimate,
+)
 
 from cq_analyzer.config import ToolConfig
 from cq_analyzer.expr import Expression
@@ -102,6 +107,20 @@ def test_corrector_evaluates_each_iterate_once(monkeypatch):
     assert per_expression == {f.source: result.iterations + 2 for f in sys.equalities}
 
 
+def test_equality_projection_evaluates_each_iterate_once(monkeypatch):
+    # The estimator oracle's projection on two parallel rows: only the pivot
+    # row steps; every (row, point) pair is evaluated at most once, the
+    # starting point included.
+    sys = make(eqs=["x1^2 + x2^2 - 1", "2*x1^2 + 2*x2^2 - 2"])
+    calls = count_evaluations(monkeypatch)
+    x = correct_equalities(sys, (1, 2), np.array([1.05, 0.02]), 1e-14, CFG)
+    assert x is not None
+    assert abs(x[0] ** 2 + x[1] ** 2 - 1.0) <= 1e-14
+    assert max(calls.values()) == 1
+    steps = sum(1 for source, _ in calls if source == sys.equalities[0].source) - 1
+    assert steps >= 2
+
+
 def test_correct_requires_positive_t():
     sys = make(eqs=["x1"])
     with pytest.raises(ValueError):
@@ -196,6 +215,16 @@ def test_probe_inactive_check_propagates_non_domain_errors(monkeypatch):
     monkeypatch.setattr(Expression, "value_and_gradient", broken)
     with pytest.raises(ValueError, match="wrong dimension"):
         probe_tangent(sys, x0, aset, [1.0], CFG.t_schedule, CFG, pd=pd)
+
+
+def test_feasible_at_scale_propagates_non_domain_errors():
+    # In the estimator oracle's filter a domain error marks the point
+    # infeasible; a wrong-dimension point is a programming error and must
+    # surface.
+    sys = make(ins=["log(x1)"])
+    assert not feasible_at_scale(sys, (1,), np.array([-1.0, 0.0]), 0.1, 1e-8)
+    with pytest.raises(ValueError):
+        feasible_at_scale(sys, (1,), np.zeros(3), 0.1, 1e-8)
 
 
 def test_probe_rejects_non_cone_direction():
