@@ -280,15 +280,6 @@ class ConeDirectionSample:
     trivial: bool               # no nonzero member was found at all
     stalled: bool               # rejection ended before `requested` directions
 
-    def to_dict(self) -> dict:
-        return {
-            "directions": [[float(v) for v in d] for d in self.directions],
-            "requested": self.requested,
-            "attempts": self.attempts,
-            "trivial": self.trivial,
-            "stalled": self.stalled,
-        }
-
 
 def sample_cone_directions(
     c: LinearizedCone, count: int, seed: int, tol: float = 1e-8
@@ -301,6 +292,11 @@ def sample_cone_directions(
     candidate.  Near-duplicates are dropped.  Fewer than ``count``
     directions may be returned; a cone with no nonzero member found is
     flagged trivial.
+
+    A kernel of dimension 0 or 1 gets no random draws (``attempts`` is 0):
+    a draw projected onto the span of one basis vector b normalizes to +-b,
+    which the basis loop has already offered, so it could only be a
+    duplicate or be rejected again.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -330,7 +326,7 @@ def sample_cone_directions(
     rng = Generator(PCG64(int(seed)))
     attempts = 0
     max_attempts = 20 * count
-    while len(accepted) < count and attempts < max_attempts and basis.shape[0] > 0:
+    while len(accepted) < count and attempts < max_attempts and basis.shape[0] > 1:
         attempts += 1
         g = rng.standard_normal(n)
         offer(basis.T @ (basis @ g))

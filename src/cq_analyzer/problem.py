@@ -128,8 +128,8 @@ class ProblemFile:
 
 
 def parse_schedule(spec, min_length: int = 1) -> tuple[float, ...]:
-    """Descending geometric schedule of at least ``min_length`` entries from
-    "start:end:xFACTOR" or a list."""
+    """Strictly descending schedule of at least ``min_length`` entries from a
+    geometric "start:end:xFACTOR" or a list."""
     if isinstance(spec, (list, tuple)):
         values = tuple(_finite(v) for v in spec)
         if None in values:
@@ -160,10 +160,8 @@ def parse_schedule(spec, min_length: int = 1) -> tuple[float, ...]:
             v /= factor
         values.append(end)
         values = tuple(values)
-    if not values or any(v <= 0 for v in values) or list(values) != sorted(
-        values, reverse=True
-    ):
-        raise ProblemFileError(f"bad schedule {spec!r}: must be positive descending")
+    if not values or values[-1] <= 0 or any(a <= b for a, b in zip(values, values[1:])):
+        raise ProblemFileError(f"bad schedule {spec!r}: must be positive and strictly descending")
     if len(values) < min_length:
         raise ProblemFileError(f"bad schedule {spec!r}: needs at least {min_length} values")
     return values

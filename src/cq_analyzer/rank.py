@@ -128,6 +128,14 @@ def _select_pivots(stack: np.ndarray, ranks: np.ndarray) -> list[tuple[int, ...]
     return [tuple(int(i) + 1 for i in row[:k]) for row, k in zip(chosen, ranks)]
 
 
+def _nonzero_normal(rng: Generator, n: int) -> np.ndarray:
+    """A standard normal n-vector, redrawn while it is zero."""
+    g = rng.standard_normal(n)
+    while _norms(g) == 0.0:
+        g = rng.standard_normal(n)
+    return g
+
+
 @dataclass(frozen=True)
 class NeighborhoodSampler:
     """Deterministic seeded sphere samples around a center, per radius.
@@ -147,7 +155,7 @@ class NeighborhoodSampler:
         radii = tuple(float(r) for r in self.radii)
         if not radii or any(r <= 0 for r in radii):
             raise ValueError("radii must be positive")
-        if list(radii) != sorted(radii, reverse=True):
+        if any(a <= b for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly descending")
         object.__setattr__(self, "radii", radii)
 
@@ -156,21 +164,26 @@ class NeighborhoodSampler:
         return len(self.center)
 
     def points_by_radius(self) -> list[tuple[float, list[np.ndarray]]]:
-        """[(radius, [point, ...]), ...] with radii descending."""
+        """[(radius, [point, ...]), ...] with radii descending.
+
+        Each radius layer is one draw of ``samples_per_radius`` normal
+        vectors, the same stream as one draw per point.  A zero vector, which
+        is essentially impossible, is redrawn: the layer is then drawn again
+        one point at a time from the state it started from.
+        """
         rng = Generator(PCG64(int(self.seed)))
         center = np.asarray(self.center)
-        n = len(center)
+        shape = (self.samples_per_radius, len(center))
         out = []
         for r in self.radii:
-            layer = []
-            for _ in range(self.samples_per_radius):
-                g = rng.standard_normal(n)
-                norm = np.linalg.norm(g)
-                while norm == 0.0:  # essentially impossible, but deterministic
-                    g = rng.standard_normal(n)
-                    norm = np.linalg.norm(g)
-                layer.append(center + (r / norm) * g)
-            out.append((r, layer))
+            state = rng.bit_generator.state
+            g = rng.standard_normal(shape)
+            norms = _norms(g)
+            if not norms.all():
+                rng.bit_generator.state = state
+                g = np.array([_nonzero_normal(rng, shape[1]) for _ in range(shape[0])])
+                norms = _norms(g)
+            out.append((r, list(center + (r / norms)[:, None] * g)))
         return out
 
     def points(self) -> list[np.ndarray]:

@@ -354,7 +354,7 @@ def _probe_directions(
     if not all(cone_member(cone, d, 10.0 * cfg.tol_cone) for d in directions):
         raise ValueError("direction is not in the linearized cone")
     t_schedule = tuple(float(t) for t in t_schedule)
-    if list(t_schedule) != sorted(t_schedule, reverse=True) or min(t_schedule) <= 0:
+    if any(a <= b for a, b in zip(t_schedule, t_schedule[1:])) or min(t_schedule) <= 0:
         raise ValueError("t_schedule must be positive and strictly descending")
     crits = [critical_active_set(pd, aset, d, TOL_CRITICAL) for d in directions]
     inactive = [

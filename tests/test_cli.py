@@ -184,6 +184,19 @@ def test_cli_rejects_short_t_schedule_flag(capsys):
     assert "at least 3 values" in err
 
 
+@pytest.mark.parametrize(
+    "key, schedule", [("t_schedule", [0.1, 0.01, 0.01, 0.001]), ("radii", [0.1, 0.1, 0.01])]
+)
+def test_cli_rejects_repeated_schedule_value_in_file(capsys, tmp_path, key, schedule):
+    # A repeated value was accepted with exit 0: the probe ran t = 0.01 twice
+    # (leaving two distinct values in its 3-value tail), the plan drew the
+    # 0.1 layer twice.
+    path = corpus_copy(tmp_path, "circle-point", options={key: schedule})
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 64 and out == ""
+    assert f"option '{key}'" in err and "strictly descending" in err
+
+
 def test_cli_trig_of_overflowed_argument_is_an_error_section(capsys, tmp_path):
     # sin(x1^400) at x1 = 10 is sin(inf): this used to end in a bare
     # "ValueError: math domain error" traceback with exit 1.

@@ -140,6 +140,11 @@ def test_sampler_rejects_increasing_radii():
         sampler_at([0.0], radii=(1e-3, 1e-2))
 
 
+def test_sampler_rejects_repeated_radius():
+    with pytest.raises(ValueError, match="strictly descending"):
+        sampler_at([0.0], radii=(1e-1, 1e-1, 1e-2))
+
+
 # ---------------------------------------------------------------------------
 # check_crc
 # ---------------------------------------------------------------------------

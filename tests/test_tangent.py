@@ -141,6 +141,13 @@ def test_probe_unconstrained_passes_trivially():
     assert all(r == 0.0 for r in probe.trace.r_norms)
 
 
+def test_probe_rejects_repeated_t():
+    sys = make()
+    x0 = [0.3, -0.4]
+    with pytest.raises(ValueError, match="strictly descending"):
+        probe_tangent(sys, x0, aset_for(sys, x0), [1.0, 0.0], (0.1, 0.01, 0.01, 0.001), CFG)
+
+
 def test_probe_parallel_equalities_exact_kernel():
     sys = make(eqs=["x1 + x2", "2*x1 + 2*x2"])
     x0 = [0.0, 0.0]
