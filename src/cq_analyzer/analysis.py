@@ -19,19 +19,26 @@ The ``rcrcq`` and ``dependence`` analyses read one sample plan and one
 (constraint, sample point) value and gradient is evaluated at most once.
 The plan covers every constraint when ``dependence`` runs; for ``rcrcq``
 alone it covers only the equalities and the active inequalities, the rows
-RCRCQ ranks.
+RCRCQ ranks.  Each row set is ranked once per run: when every inequality is
+active, the dependence family is one of RCRCQ's subsets, and the
+``dependence`` section reads that subset's report.  The base point is
+evaluated once per run, for every section that reads it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import ToolConfig
-from .dependence import ReconstructionError, classify_dependence, image_dimension_probe
+from .dependence import (
+    ReconstructionError, classify_dependence, image_dimension_probe, witness_check,
+)
+from .expr import parse
 from .kkt import CertificateVerificationError, MissingObjectiveError, kkt_report
-from .model import ConstraintDomainError, ConstraintSystem, active_set, evaluate_point
+from .model import ConstraintDomainError, ConstraintSystem, PointData, active_set, evaluate_point
 from .rank import (
     CERTIFIED, REFUTED, SampleJacobian, SubsetGuardError, check_rcrcq, sample_jacobian,
 )
@@ -51,32 +58,69 @@ _CAPTURED = (
 )
 
 
-def _run_rcrcq(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig,
-               jacobian: Optional[SampleJacobian]) -> dict:
-    aset = active_set(evaluate_point(sys, x0), cfg.tol_active)
+@dataclass
+class _Run:
+    """What the sections of one run share: the sample Jacobian when
+    ``dependence`` runs, RCRCQ's subset reports once ``rcrcq`` has run, and
+    the base-point evaluation, made on first use."""
+
+    sys: ConstraintSystem
+    x0: np.ndarray
+    cfg: ToolConfig
+    jacobian: Optional[SampleJacobian]
+    witness_relation: Optional[str]
+    subsets: dict = field(default_factory=dict)    # J -> CrcReport
+    _point: object = field(default=None, init=False)  # PointData or its domain error
+
+    def point(self) -> PointData:
+        """The evaluation of the system at x0; its domain error is raised to
+        every section that reads it."""
+        if self._point is None:
+            try:
+                self._point = evaluate_point(self.sys, self.x0)
+            except ConstraintDomainError as err:
+                self._point = err
+        if isinstance(self._point, ConstraintDomainError):
+            raise self._point
+        return self._point
+
+
+def _run_rcrcq(run: _Run) -> dict:
+    sys, cfg, jacobian = run.sys, run.cfg, run.jacobian
+    aset = active_set(run.point(), cfg.tol_active)
     if jacobian is None:
         # No other analysis reads the plan: sample only the rows RCRCQ ranks.
         rows = sys.equality_indices + aset.indices
-        jacobian = sample_jacobian([sys.constraint(i) for i in rows], cfg.sampler(x0))
-    return check_rcrcq(sys, aset, jacobian, cfg.tol_rank).to_dict()
+        jacobian = sample_jacobian([sys.constraint(i) for i in rows], cfg.sampler(run.x0))
+    report = check_rcrcq(sys, aset, jacobian, cfg.tol_rank)
+    run.subsets = dict(report.subsets)
+    return report.to_dict()
 
 
-def _run_abadie(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig, _jacobian) -> dict:
-    return abadie_verdict(sys, x0, cfg).to_dict()
+def _run_abadie(run: _Run) -> dict:
+    return abadie_verdict(run.sys, run.x0, run.cfg, run.point()).to_dict()
 
 
-def _run_dependence(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig,
-                    jacobian: SampleJacobian) -> dict:
+def _run_dependence(run: _Run) -> dict:
+    sys, cfg, jacobian = run.sys, run.cfg, run.jacobian
     if not sys.all_constraints:
         return {"error": "the system has no constraint functions", "error_kind": "empty"}
-    verdict = classify_dependence(jacobian, cfg.tol_rank, cfg.fit_degree)
+    # With every inequality active, RCRCQ has ranked this family already.
+    crc = run.subsets.get(tuple(range(1, sys.n_constraints + 1)))
+    verdict = classify_dependence(jacobian, cfg.tol_rank, cfg.fit_degree, crc)
     section = verdict.to_dict()
     section["image_dimension"] = image_dimension_probe(jacobian, cfg.tol_rank)
+    if run.witness_relation is not None:
+        names = [f"y{i}" for i in range(1, jacobian.kappa + 1)]
+        section["witness_relation"] = run.witness_relation
+        section["witness_residual"] = witness_check(parse(run.witness_relation, names), jacobian)
     return section
 
 
-def _run_kkt(sys: ConstraintSystem, x0: np.ndarray, cfg: ToolConfig, _jacobian) -> dict:
-    return kkt_report(sys, x0, cfg).to_dict()
+def _run_kkt(run: _Run) -> dict:
+    # A missing objective is reported before the base point is read.
+    point = run.point() if run.sys.objective is not None else None
+    return kkt_report(run.sys, run.x0, run.cfg, point).to_dict()
 
 
 _RUNNERS = {
@@ -92,17 +136,22 @@ def run_analyses(
     x0: Sequence[float],
     cfg: ToolConfig,
     which: Sequence[str],
+    witness_relation: Optional[str] = None,
 ) -> dict:
+    """The report sections of the analyses ``which``.  A ``witness_relation``
+    F(y1, ..., y_kappa) over the constraint values is reported in the
+    ``dependence`` section with its largest residual over the sample plan."""
     x0 = np.asarray(x0, dtype=float)
     jacobian = None
     if "dependence" in which:
         jacobian = sample_jacobian(list(sys.all_constraints), cfg.sampler(x0))
+    run = _Run(sys, x0, cfg, jacobian, witness_relation)
     sections: dict = {}
     for name in which:
         if name not in _RUNNERS:
             raise ValueError(f"unknown analysis '{name}'")
         try:
-            sections[name] = _RUNNERS[name](sys, x0, cfg, jacobian)
+            sections[name] = _RUNNERS[name](run)
         except _CAPTURED as err:
             sections[name] = {"error": str(err), "error_kind": type(err).__name__}
     rcrcq, abadie, kkt = sections.get("rcrcq"), sections.get("abadie"), sections.get("kkt")

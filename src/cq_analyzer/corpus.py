@@ -15,8 +15,6 @@ from typing import Optional
 from . import __version__
 from .analysis import run_analyses
 from .config import ToolConfig
-from .dependence import witness_check
-from .expr import parse
 from .problem import ProblemFile, load_problem_file
 from .report import REPORT_VERSION
 
@@ -265,19 +263,7 @@ def run_case(name: str, base_cfg: ToolConfig | None = None) -> dict:
     """Re-analyze one bundled case and compare against its golden verdicts."""
     case, pf = load_case(name)
     cfg = pf.config(base_cfg or ToolConfig())
-    system = pf.system
-    sections = run_analyses(system, pf.x0, cfg, which=case.analyses)
-
-    if case.witness_relation is not None:
-        functions = list(system.all_constraints)
-        relation = parse(
-            case.witness_relation, [f"y{i}" for i in range(1, len(functions) + 1)]
-        )
-        residual = witness_check(relation, functions, cfg.sampler(pf.x0))
-        dep = sections.get("dependence")
-        if dep is not None and "error" not in dep:
-            dep["witness_relation"] = case.witness_relation
-            dep["witness_residual"] = residual
+    sections = run_analyses(pf.system, pf.x0, cfg, case.analyses, case.witness_relation)
 
     checks = []
     for key, label, compare in _CHECKS:

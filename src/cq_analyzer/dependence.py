@@ -29,7 +29,6 @@ from .expr import Expression
 from .rank import (
     CERTIFIED,
     CrcReport,
-    NeighborhoodSampler,
     SampleJacobian,
     check_crc,
     numerical_rank,
@@ -155,23 +154,22 @@ def image_dimension_probe(jacobian: SampleJacobian, tol_rank: float = 1e-8) -> i
     return numerical_rank(y - center, tol_rank).rank
 
 
-def witness_check(
-    relation: Expression,
-    functions: Sequence[Expression],
-    sampler: NeighborhoodSampler,
-) -> float:
+def witness_check(relation: Expression, jacobian: SampleJacobian) -> float:
     """Max over samples of |F(f_1(x), ..., f_kappa(x))| for a supplied F.
 
-    Verifies an explicit dependence witness; domain errors propagate.
+    Verifies an explicit dependence witness at the sample points of
+    ``jacobian``'s plan, reading the function values from it: nothing but F
+    is evaluated here.  A point where a function of the family failed to
+    evaluate is skipped, as the rank check skips it; domain errors of F
+    propagate.
     """
-    if relation.dimension != len(functions):
+    if relation.dimension != jacobian.kappa:
         raise ValueError(
-            f"relation has {relation.dimension} inputs but {len(functions)} "
+            f"relation has {relation.dimension} inputs but {jacobian.kappa} "
             "functions were supplied"
         )
     worst = 0.0
-    for p in sampler.points():
-        y = [f.evaluate(p) for f in functions]
+    for y in _evaluable_values(jacobian.layers).tolist():
         worst = max(worst, abs(relation.evaluate(y)))
     return worst
 
@@ -257,11 +255,15 @@ def classify_dependence(
     jacobian: SampleJacobian,
     tol_rank: float,
     fit_degree: int = 3,
+    crc: Optional[CrcReport] = None,
 ) -> DependenceVerdict:
     """Classify the family as independent / dependent-with-relation / inconclusive.
 
     ``jacobian`` holds the values and gradients of the family from
     :func:`~cq_analyzer.rank.sample_jacobian`; nothing is evaluated here.
+    ``crc`` is the family's constant-rank report when the caller has already
+    ranked these rows of this Jacobian, as RCRCQ does for I_0 + I(x0) when
+    every inequality is active; without it the family is ranked here.
     Requires a certified constant-rank check for either definite sense; with
     k < kappa every non-pivot function must reconstruct within tolerance.
     Reconstruction failures propagate as :class:`ReconstructionError`.  The
@@ -271,7 +273,8 @@ def classify_dependence(
     """
     if not jacobian.kappa:
         raise ValueError("the function family must be nonempty")
-    crc = check_crc(jacobian, tol_rank)
+    if crc is None:
+        crc = check_crc(jacobian, tol_rank)
     kappa = jacobian.kappa
     laszlo = crc.rank_at_center is None or crc.rank_at_center < kappa
     if crc.verdict != CERTIFIED:

@@ -27,7 +27,7 @@ from .cones import (
     dual_cone_decomposition,
 )
 from .config import ToolConfig
-from .model import ConstraintSystem, active_set, evaluate_point
+from .model import ConstraintSystem, PointData, active_set, evaluate_point
 from .rank import numerical_rank
 
 __all__ = [
@@ -89,18 +89,21 @@ class KktReport:
         }
 
 
-def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) -> KktReport:
+def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
+               pd: Optional[PointData] = None) -> KktReport:
     """KKT analysis with the active set taken at cfg.tol_active.
 
     The multipliers cover every constraint, zero over inactive inequalities;
     they are None when the dual cone excludes -grad h0, and the report then
     carries the verified descent certificate instead.  With dependent active
     rows the minimal-norm element of the multiplier polytope is returned.
-    Dual-cone membership is decided at cfg.tol_cone.
+    Dual-cone membership is decided at cfg.tol_cone.  ``pd`` is the
+    evaluation of ``sys`` at ``x0`` when the caller has it.
     """
     if sys.objective is None:
         raise MissingObjectiveError("the constraint system has no objective")
-    pd = evaluate_point(sys, np.asarray(x0, dtype=float))
+    if pd is None:
+        pd = evaluate_point(sys, np.asarray(x0, dtype=float))
     aset = active_set(pd, cfg.tol_active)
     tol = cfg.tol_cone
     cone = build_linearized_cone(pd, aset)

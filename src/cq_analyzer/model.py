@@ -176,23 +176,33 @@ class CriticalSet:
 
 
 def evaluate_rows(
-    functions: Sequence[Expression], x: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, dict[int, DomainEvaluationError]]:
-    """Values and gradient rows of ``functions`` at ``x``, each evaluated once.
+    functions: Sequence[Expression], x: Sequence[float] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Values and gradient rows of ``functions`` at one point or a batch of points.
 
-    This is the one place a function family is evaluated.  A function that
-    leaves its domain keeps a zero value and a zero row, and ``errors`` maps
-    its 0-based position to the :class:`DomainEvaluationError`; the other
-    functions are still evaluated.  Any other exception propagates.
+    This is the one place a function family is evaluated, each function once
+    per point.  ``x`` is one (n,) point, which gives (kappa,) values and
+    (kappa, n) rows, or a (P, n) batch, which gives (P, kappa) values and
+    (P, kappa, n) rows.  A function that leaves its domain keeps a zero value
+    and a zero row, and ``errors`` maps its 0-based position, or for a batch
+    its (point, position) pair, to the :class:`DomainEvaluationError`; the
+    other functions are still evaluated.  Any other exception propagates.
     """
-    values = np.zeros(len(functions))
-    rows = np.zeros((len(functions), len(x)))
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError("expected one point or a 2-d batch of points")
+    batch = x[None] if x.ndim == 1 else x
+    values = np.zeros((len(batch), len(functions)))
+    rows = np.zeros((len(batch), len(functions), batch.shape[1]))
     errors = {}
-    for i, f in enumerate(functions):
-        try:
-            values[i], rows[i] = f.value_and_gradient(x)
-        except DomainEvaluationError as err:
-            errors[i] = err
+    for p, point in enumerate(batch.tolist()):
+        for i, f in enumerate(functions):
+            try:
+                values[p, i], rows[p, i] = f.value_and_gradient(point)
+            except DomainEvaluationError as err:
+                errors[p, i] = err
+    if x.ndim == 1:
+        return values[0], rows[0], {i: err for (_, i), err in errors.items()}
     return values, rows, errors
 
 

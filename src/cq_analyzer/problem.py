@@ -45,6 +45,11 @@ _TOP_LEVEL_KEYS = (
 )
 
 
+# A radius or t schedule may hold at most this many values: each radius is a
+# layer of sample points, each t a round of corrections.
+MAX_SCHEDULE_LENGTH = 100
+
+
 class ProblemFileError(ValueError):
     """A malformed problem file, with location diagnostics where available."""
 
@@ -128,9 +133,14 @@ class ProblemFile:
 
 
 def parse_schedule(spec, min_length: int = 1) -> tuple[float, ...]:
-    """Strictly descending schedule of at least ``min_length`` entries from a
-    geometric "start:end:xFACTOR" or a list."""
+    """Strictly descending schedule of ``min_length`` to
+    :data:`MAX_SCHEDULE_LENGTH` entries from a geometric "start:end:xFACTOR"
+    or a list."""
     if isinstance(spec, (list, tuple)):
+        if len(spec) > MAX_SCHEDULE_LENGTH:
+            raise ProblemFileError(
+                f"bad schedule: {len(spec)} values, at most {MAX_SCHEDULE_LENGTH} allowed"
+            )
         values = tuple(_finite(v) for v in spec)
         if None in values:
             raise ProblemFileError(
@@ -156,6 +166,10 @@ def parse_schedule(spec, min_length: int = 1) -> tuple[float, ...]:
         values = []
         v = start
         while v > end * (1.0 + 1e-9):
+            if len(values) == MAX_SCHEDULE_LENGTH - 1:
+                raise ProblemFileError(
+                    f"bad schedule {spec!r}: more than {MAX_SCHEDULE_LENGTH} values"
+                )
             values.append(v)
             v /= factor
         values.append(end)
@@ -185,6 +199,8 @@ def parse_problem_dict(data: dict, origin: str = "<memory>") -> ProblemFile:
     variables = data["variables"]
     if not _is_strings(variables) or len(set(variables)) < len(variables):
         raise ProblemFileError(f"{origin}: 'variables' must be a list of distinct names")
+    if not variables:
+        raise ProblemFileError(f"{origin}: 'variables' must name at least one variable")
     objective = data.get("objective")
     if objective is not None and not isinstance(objective, str):
         raise ProblemFileError(f"{origin}: 'objective' must be a string or null")

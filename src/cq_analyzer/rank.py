@@ -157,6 +157,9 @@ class NeighborhoodSampler:
             raise ValueError("radii must be positive")
         if any(a <= b for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly descending")
+        if not self.center:
+            # A zero-dimensional normal vector is always zero: it could never be redrawn.
+            raise ValueError("the center needs at least one coordinate")
         object.__setattr__(self, "radii", radii)
 
     @property
@@ -278,19 +281,19 @@ class SampleJacobian:
 def sample_jacobian(
     functions: Sequence[Expression], sampler: NeighborhoodSampler
 ) -> SampleJacobian:
-    """Evaluate every function once at the sampler's center and at each of its points."""
-    kappa, n = len(functions), sampler.dimension
+    """Evaluate every function once at the sampler's center and at each of its
+    points, with one :func:`~cq_analyzer.model.evaluate_rows` call per radius
+    layer."""
     center_values, center_rows, errors = evaluate_rows(functions, sampler.center)
-    center_failed = np.zeros(kappa, dtype=bool)
+    center_failed = np.zeros(len(functions), dtype=bool)
     center_failed[list(errors)] = True
     layers = []
     for radius, points in sampler.points_by_radius():
-        values = np.zeros((len(points), kappa))
-        rows = np.zeros((len(points), kappa, n))
-        failed = np.zeros((len(points), kappa), dtype=bool)
-        for p, point in enumerate(points):
-            values[p], rows[p], errors = evaluate_rows(functions, point)
-            failed[p, list(errors)] = True
+        batch = np.reshape(points, (len(points), sampler.dimension))
+        values, rows, errors = evaluate_rows(functions, batch)
+        failed = np.zeros(values.shape, dtype=bool)
+        for p, i in errors:
+            failed[p, i] = True
         layers.append((radius, tuple(points), values, rows, failed))
     return SampleJacobian(sampler, center_values, center_rows, center_failed, tuple(layers))
 

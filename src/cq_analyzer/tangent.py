@@ -100,147 +100,150 @@ def ljusternik_correct(
 
 
 @dataclass(frozen=True)
-class _Correction:
-    """What one job's Gauss-Newton iterations hold fixed: J, the base point
-    x0 + t*d, the pivot rows chosen there and the residual tolerance."""
+class _Group:
+    """Jobs with one J and one pivot count, one row per job: what their
+    Gauss-Newton iterations hold fixed, namely the base points x0 + t*d, the
+    pivot rows chosen there (as positions in J) and the residual tolerances."""
 
     functions: list
     j: tuple[int, ...]
-    base: np.ndarray
-    pivot: tuple[int, ...]
-    pivot_pos: list[int]               # pivot rows' positions in J
-    initial_residual: float
-    residual_tol: float
+    jobs: list[int]
+    base: np.ndarray                   # (P, n)
+    pivot_pos: np.ndarray              # (P, pivot count)
+    initial_residual: np.ndarray       # (P,)
+    residual_tol: np.ndarray           # (P,)
 
-    def result(self, r, converged, iterations, final, diagnostic=None) -> CorrectionResult:
+    def take(self, rows: list[int]) -> "_Group":
+        return _Group(self.functions, self.j, [self.jobs[p] for p in rows], self.base[rows],
+                      self.pivot_pos[rows], self.initial_residual[rows],
+                      self.residual_tol[rows])
+
+    def result(self, p, r, converged, iterations, final, diagnostic=None) -> CorrectionResult:
         return CorrectionResult(
             r=r, converged=converged, iterations=iterations,
-            initial_residual=self.initial_residual, final_residual=final,
-            pivot_indices=self.pivot, diagnostic=diagnostic,
+            initial_residual=float(self.initial_residual[p]), final_residual=float(final),
+            pivot_indices=tuple(self.j[q] for q in self.pivot_pos[p]), diagnostic=diagnostic,
         )
 
 
-def _pinv_steps(systems: dict) -> dict:
-    """``pinv(A) @ b`` for every ``key: (A, b)``, one stacked pinv per shape of A.
-
-    Each solution equals the one-matrix ``np.linalg.pinv(A) @ b`` bit for bit.
-    """
-    groups: dict = {}
-    for key, (a, _) in systems.items():
-        groups.setdefault(a.shape, []).append(key)
-    steps = {}
-    for keys in groups.values():
-        a = np.stack([systems[k][0] for k in keys])
-        b = np.stack([systems[k][1] for k in keys])
-        steps.update(zip(keys, np.matmul(np.linalg.pinv(a), b[..., None])[..., 0]))
-    return steps
+def _errors_by_point(errors: dict) -> dict:
+    """Batch ``evaluate_rows`` errors regrouped as point -> {position: error}."""
+    by_point: dict = {}
+    for (p, i), err in errors.items():
+        by_point.setdefault(p, {})[i] = err
+    return by_point
 
 
 def _correct_lockstep(sys, x0, t, jobs, cfg) -> list[CorrectionResult]:
     """:func:`ljusternik_correct` for every ``(j_set, d, warm_start)`` job at one t.
 
-    The jobs are corrected in lockstep: the base points are ranked with one
-    stacked SVD per J, and every Gauss-Newton step takes one stacked pinv per
-    pivot count over the jobs still iterating.  A job leaves the batch when
-    it converges, leaves the domain or reaches the iteration cap; a warm
-    start that did not converge is retried from r = 0 in a second batch.
-    Each result equals the one the job would get alone, bit for bit.
+    The jobs are corrected in lockstep: the base points of each J are
+    evaluated in one call and ranked with one stacked SVD, and the jobs of
+    each (J, pivot count) group iterate as one array, so that a Gauss-Newton
+    step is one evaluation and one stacked pinv for the whole group.  A job
+    leaves its group when it converges, leaves the domain or reaches the
+    iteration cap; a warm start that did not converge is retried from r = 0
+    in a second pass.  Each result equals the one the job would get alone,
+    bit for bit.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     x0 = np.asarray(x0, dtype=float)
+    n = sys.dimension
     results: list[Optional[CorrectionResult]] = [None] * len(jobs)
-    at_base: dict = {}                    # j -> [(job, functions, base, values, rows)]
-    for k, (j_set, d, _) in enumerate(jobs):
+    by_j: dict = {}                        # J -> job numbers
+    for k, (j_set, _, _) in enumerate(jobs):
         j = tuple(sorted(j_set))
         if not j:
             results[k] = CorrectionResult(
-                r=np.zeros(sys.dimension), converged=True, iterations=0,
+                r=np.zeros(n), converged=True, iterations=0,
                 initial_residual=0.0, final_residual=0.0, pivot_indices=(),
             )
             continue
+        by_j.setdefault(j, []).append(k)
+
+    for j, members in by_j.items():
         functions = [sys.constraint(i) for i in j]
-        base = x0 + t * np.asarray(d, dtype=float)
+        base = np.array([x0 + t * np.asarray(jobs[k][1], dtype=float) for k in members])
         values0, rows0, errors = evaluate_rows(functions, base)
-        if errors:
-            results[k] = CorrectionResult(
+        failed = _errors_by_point(errors)
+        for p, point_errors in failed.items():
+            results[members[p]] = CorrectionResult(
                 r=None, converged=False, iterations=0, initial_residual=math.inf,
                 final_residual=math.inf, pivot_indices=(),
-                diagnostic=_domain_diagnostic(j, errors),
+                diagnostic=_domain_diagnostic(j, point_errors),
             )
+        ok = [p for p in range(len(members)) if p not in failed]
+        if not ok:
             continue
-        at_base.setdefault(j, []).append((k, functions, base, values0, rows0))
-
-    states: dict = {}
-    for j, members in at_base.items():
-        ranked = numerical_rank(np.stack([rows0 for *_, rows0 in members]), cfg.tol_rank)
-        for (k, functions, base, values0, _), rank0 in zip(members, ranked):
-            initial_residual = _max_abs(values0)
-            residual_tol = CORRECTOR_TOL * (1.0 + max(1.0, initial_residual))
-            pivot_pos = [p - 1 for p in rank0.pivot_indices]
-            if not pivot_pos:
-                # All gradient rows vanish at the base: nothing to iterate along.
-                converged = initial_residual <= residual_tol
-                results[k] = CorrectionResult(
-                    r=np.zeros(sys.dimension), converged=converged, iterations=0,
-                    initial_residual=initial_residual, final_residual=initial_residual,
-                    pivot_indices=(), diagnostic=None if converged else "zero-gradient pivot",
-                )
+        initial = np.max(np.abs(values0), axis=1, initial=0.0)
+        residual_tol = CORRECTOR_TOL * (1.0 + np.maximum(1.0, initial))
+        by_count: dict = {}                # pivot count -> [(p, pivot positions in J)]
+        for p, rank0 in zip(ok, numerical_rank(rows0[ok], cfg.tol_rank)):
+            pos = [i - 1 for i in rank0.pivot_indices]
+            if pos:
+                by_count.setdefault(len(pos), []).append((p, pos))
                 continue
-            states[k] = _Correction(
-                functions, j, base, tuple(j[p] for p in pivot_pos), pivot_pos,
-                initial_residual, residual_tol,
+            # All gradient rows vanish at the base: nothing to iterate along.
+            converged = bool(initial[p] <= residual_tol[p])
+            results[members[p]] = CorrectionResult(
+                r=np.zeros(n), converged=converged, iterations=0,
+                initial_residual=float(initial[p]), final_residual=float(initial[p]),
+                pivot_indices=(), diagnostic=None if converged else "zero-gradient pivot",
             )
-
-    warm = {k: jobs[k][2] for k in states if jobs[k][2] is not None}
-    starts = {k: warm.get(k, np.zeros(sys.dimension)) for k in states}
-    for k, result in _iterate_lockstep(states, starts).items():
-        results[k] = result
-    retry = [k for k in warm if not results[k].converged]
-    cold = _iterate_lockstep({k: states[k] for k in retry},
-                             {k: np.zeros(sys.dimension) for k in retry})
-    for k, result in cold.items():
-        if result.converged:
-            results[k] = result
+        for pivots in by_count.values():
+            ps = [p for p, _ in pivots]
+            group = _Group(functions, j, [members[p] for p in ps], base[ps],
+                           np.array([pos for _, pos in pivots]), initial[ps], residual_tol[ps])
+            warm = [jobs[k][2] for k in group.jobs]
+            starts = np.array([np.zeros(n) if w is None else w for w in warm], dtype=float)
+            done = _iterate_lockstep(group, starts)
+            retry = [p for p, w in enumerate(warm) if w is not None and not done[p].converged]
+            if retry:
+                cold = _iterate_lockstep(group.take(retry), np.zeros((len(retry), n)))
+                for p, result in zip(retry, cold):
+                    if result.converged:
+                        done[p] = result
+            for k, result in zip(group.jobs, done):
+                results[k] = result
     return results
 
 
-def _iterate_lockstep(states: dict, starts: dict) -> dict:
-    """Gauss-Newton iterations of every state from its start, in lockstep."""
-    results = {}
-    live = {k: starts[k].copy() for k in states}
-    final = dict.fromkeys(states, math.inf)
+def _iterate_lockstep(group: _Group, starts: np.ndarray) -> list[CorrectionResult]:
+    """Gauss-Newton iterations of every job of ``group`` from its row of
+    ``starts``, in lockstep; the results in the group's row order."""
+    results: list[Optional[CorrectionResult]] = [None] * len(group.jobs)
+    live = np.arange(len(group.jobs))      # group rows still iterating
+    r = starts
+    final = np.full(len(live), math.inf)
     for it in range(CORRECTOR_MAX_ITER + 1):
-        evaluated = {}
-        for k, r in list(live.items()):
-            state = states[k]
-            values_j, rows_j, errors = evaluate_rows(state.functions, state.base + r)
-            if errors:
-                results[k] = state.result(r, False, it, final[k],
-                                          _domain_diagnostic(state.j, errors))
-                del live[k]
-            else:
-                evaluated[k] = (values_j, rows_j)
-        final.update(_max_abs_each({k: values for k, (values, _) in evaluated.items()}))
-        systems = {}
-        for k, (values_j, rows_j) in evaluated.items():
-            state, r = states[k], live[k]
-            if final[k] <= state.residual_tol:
-                results[k] = state.result(r, True, it, final[k])
-                del live[k]
-                continue
-            piv_values, piv_rows = values_j[state.pivot_pos], rows_j[state.pivot_pos]
-            # Minimal-norm update: r_new = pinv(J)(J r - h) solves the
-            # linearized system while discarding the null-space component
-            # of the iterate, so the limit is the minimal-norm correction
-            # regardless of the warm start.
-            systems[k] = (piv_rows, piv_rows @ r - piv_values)
-        if it == CORRECTOR_MAX_ITER or not live:
+        values, rows, errors = evaluate_rows(group.functions, group.base[live] + r)
+        failed = _errors_by_point(errors)
+        for p, point_errors in failed.items():
+            results[live[p]] = group.result(live[p], r[p], False, it, final[p],
+                                            _domain_diagnostic(group.j, point_errors))
+        ok = np.ones(len(live), dtype=bool)
+        ok[list(failed)] = False
+        final[ok] = np.max(np.abs(values[ok]), axis=1, initial=0.0)
+        converged = ok & (final <= group.residual_tol[live])
+        for p in np.flatnonzero(converged):
+            results[live[p]] = group.result(live[p], r[p], True, it, final[p])
+        keep = ok & ~converged
+        live, r, final, values, rows = live[keep], r[keep], final[keep], values[keep], rows[keep]
+        if it == CORRECTOR_MAX_ITER or not len(live):
             break
-        live.update(_pinv_steps(systems))
-    for k, r in live.items():
-        results[k] = states[k].result(r, False, CORRECTOR_MAX_ITER, final[k],
-                                      "iteration cap reached")
+        # Minimal-norm update: r_new = pinv(J)(J r - h) solves the linearized
+        # system while discarding the null-space component of the iterate,
+        # so the limit is the minimal-norm correction regardless of the warm
+        # start.
+        pos = group.pivot_pos[live]
+        at = np.arange(len(live))[:, None]
+        piv_values, piv_rows = values[at, pos], rows[at, pos]
+        rhs = np.matmul(piv_rows, r[:, :, None])[..., 0] - piv_values
+        r = np.matmul(np.linalg.pinv(piv_rows), rhs[..., None])[..., 0]
+    for p, row in enumerate(live):
+        results[row] = group.result(row, r[p], False, CORRECTOR_MAX_ITER, final[p],
+                                    "iteration cap reached")
     return results
 
 
@@ -358,8 +361,7 @@ def _probe_directions(
         raise ValueError("t_schedule must be positive and strictly descending")
     crits = [critical_active_set(pd, aset, d, TOL_CRITICAL) for d in directions]
     inactive = [
-        [sys.constraint(i) for i in pd.inequality_indices if i not in set(crit.j_set)]
-        for crit in crits
+        tuple(i for i in pd.inequality_indices if i not in set(crit.j_set)) for crit in crits
     ]
     corrections: list[list[CorrectionResult]] = [[] for _ in directions]
     inactive_ok: list[list[Optional[bool]]] = [[] for _ in directions]
@@ -372,16 +374,21 @@ def _probe_directions(
             (crit.j_set, d, None if last is None else last[1] * (t / last[0]) ** 2)
             for crit, d, last in zip(crits, directions, prev)
         ]
+        by_inactive: dict = {}             # inactive set -> converged directions
         for k, result in enumerate(_correct_lockstep(sys, x0, t, jobs, cfg)):
             corrections[k].append(result)
             if result.converged:
                 prev[k] = (t, result.r)
-                values, _, errors = evaluate_rows(
-                    inactive[k], x0 + t * directions[k] + result.r
-                )
-                inactive_ok[k].append(not errors and bool(np.all(values < 0.0)))
-            else:
-                inactive_ok[k].append(None)
+                by_inactive.setdefault(inactive[k], []).append(k)
+        ok_at_t: dict = {}
+        for indices, ks in by_inactive.items():
+            points = np.array([x0 + t * directions[k] + corrections[k][-1].r for k in ks])
+            values, _, errors = evaluate_rows([sys.constraint(i) for i in indices], points)
+            failed = {p for p, _ in errors}
+            for p, k in enumerate(ks):
+                ok_at_t[k] = p not in failed and bool(np.all(values[p] < 0.0))
+        for k in range(len(directions)):
+            inactive_ok[k].append(ok_at_t.get(k))
     zero_floor = 1e-13 * (1.0 + float(np.max(np.abs(x0), initial=0.0)))
     return [
         _judge_probe(d, crit, bool(inact), t_schedule, results, tuple(ok), zero_floor, cfg)
@@ -495,22 +502,6 @@ def _judge_probe(
     )
 
 
-def _max_abs(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values), initial=0.0))
-
-
-def _max_abs_each(vectors: dict) -> dict:
-    """:func:`_max_abs` of every ``key: vector``, one reduction per vector length."""
-    groups: dict = {}
-    for key, v in vectors.items():
-        groups.setdefault(len(v), []).append(key)
-    out = {}
-    for keys in groups.values():
-        stacked = np.abs(np.stack([vectors[k] for k in keys]))
-        out.update(zip(keys, np.max(stacked, axis=1, initial=0.0).tolist()))
-    return out
-
-
 @dataclass(frozen=True)
 class AbadieReport:
     """Numerical evidence for the Abadie inclusion Gamma within T."""
@@ -533,16 +524,19 @@ class AbadieReport:
         }
 
 
-def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig) -> AbadieReport:
+def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
+                   pd: Optional[PointData] = None) -> AbadieReport:
     """Render consistent / violated / inconclusive from the cone-direction probes.
 
     Sampled cone directions must all pass :func:`probe_tangent`.  A hard
     failure is the witness for ``violated``; all-pass yields ``consistent``;
     anything softer is ``inconclusive``.  The converse inclusion T within
-    Gamma holds for any C1 constraints, so it is not sampled.
+    Gamma holds for any C1 constraints, so it is not sampled.  ``pd`` is the
+    evaluation of ``sys`` at ``x0`` when the caller has it.
     """
     x0 = np.asarray(x0, dtype=float)
-    pd = evaluate_point(sys, x0)
+    if pd is None:
+        pd = evaluate_point(sys, x0)
     feas = feasibility_check(pd, cfg.tol_feas)
     if not feas.feasible:
         raise InfeasibleBasePointError(

@@ -306,7 +306,7 @@ def test_criterion_10_witness_relation_residual():
     system = pf.system
     relation = parse("y1^2 - y2^3", ["y1", "y2"])
     sampler = NeighborhoodSampler(center=tuple(pf.x0), radii=CFG.radii, seed=CFG.seed)
-    residual = witness_check(relation, list(system.all_constraints), sampler)
+    residual = witness_check(relation, sample_jacobian(list(system.all_constraints), sampler))
     _report(
         10,
         "explicit witness relation composes to <= 1e-14 over the samples",

@@ -1,18 +1,24 @@
 import importlib
 import pkgutil
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cq_analyzer
-from cq_analyzer import analysis, rank
+from cq_analyzer import analysis, model, rank
 from cq_analyzer.analysis import run_analyses
 from cq_analyzer.config import ToolConfig
 from cq_analyzer.corpus import CORPUS, load_case
 from cq_analyzer.expr import Expression
 from cq_analyzer.model import ConstraintSystem
+from cq_analyzer.problem import parse_problem_dict
 from cq_analyzer.report import render_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 FULL = ["rcrcq", "abadie", "dependence", "kkt"]
 
@@ -68,6 +74,55 @@ def test_analyses_without_rcrcq_or_dependence_sample_no_jacobian(monkeypatch):
     calls = count_calls(monkeypatch, rank.sample_jacobian)
     run_analyses(chain(), np.zeros(2), ToolConfig(), ["abadie", "kkt"])
     assert calls == []
+
+
+def test_analyze_evaluates_the_base_point_once(monkeypatch):
+    # rcrcq, abadie and kkt read one evaluation of x0 (each used to make its own).
+    problem = workloads.round_problems("analyze-manifold", 1, 0)[0]
+    pf = parse_problem_dict(problem.data)
+    assert pf.system.objective is not None and pf.system.inequalities
+    calls = count_calls(monkeypatch, model.evaluate_point)
+    sections = run_analyses(pf.system, pf.x0, pf.config(ToolConfig()), FULL)
+    assert all("error" not in section for section in sections.values())
+    assert len(calls) == 1
+
+
+def test_an_unevaluable_base_point_is_each_sections_error():
+    # log(x1) at x1 = 0: every section reading x0 reports the one domain error;
+    # kkt names the missing objective first, and dependence reads no base point.
+    error = {
+        "error": "constraint 2: logarithm of a non-positive value in 'log(x1)'",
+        "error_kind": "ConstraintDomainError",
+    }
+    for objective in (None, "x1 + x2"):
+        system = ConstraintSystem.from_strings(
+            "log", ("x1", "x2"), objective, equalities=("x2",), inequalities=("log(x1)",),
+        )
+        sections = run_analyses(system, np.zeros(2), ToolConfig(), FULL)
+        assert sections["rcrcq"] == sections["abadie"] == error
+        if objective is None:
+            assert sections["kkt"]["error_kind"] == "MissingObjectiveError"
+        else:
+            assert sections["kkt"] == error
+        assert sections["dependence"]["sense"] == "crc-failed-inconclusive"
+
+
+def test_all_active_family_is_ranked_once_per_row_set(monkeypatch):
+    # Every inequality of the chain is active, so the dependence family is
+    # RCRCQ's largest subset: the dependence section reads that subset's
+    # report instead of ranking the same rows again.
+    calls = count_calls(monkeypatch, rank.check_crc)
+    sections = run_analyses(chain(), np.zeros(2), ToolConfig(), FULL)
+    subsets = sections["rcrcq"]["subsets"]
+    assert [s["subset"] for s in subsets] == [[], [1], [2], [1, 2]]
+    assert len(calls) == len(subsets)
+    largest = {key: value for key, value in subsets[-1].items() if key != "subset"}
+    assert sections["dependence"]["crc"] == largest
+    # Without an rcrcq section, dependence ranks its family itself, alike.
+    calls.clear()
+    alone = run_analyses(chain(), np.zeros(2), ToolConfig(), ["dependence"])
+    assert len(calls) == 1
+    assert alone["dependence"] == sections["dependence"]
 
 
 def test_rcrcq_skips_no_point_for_an_inactive_inequality():

@@ -197,6 +197,37 @@ def test_cli_rejects_repeated_schedule_value_in_file(capsys, tmp_path, key, sche
     assert f"option '{key}'" in err and "strictly descending" in err
 
 
+def test_problem_rejects_an_empty_variable_list(tmp_path):
+    # With no variables every normal vector of the sample plan is empty, so
+    # its zero-norm redraw never ended: analyze did not return.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({
+        "name": "empty", "variables": [], "equalities": [], "inequalities": [], "point": [],
+    }))
+    with pytest.raises(ProblemFileError) as exc:
+        load_problem_file(path)
+    assert "empty.json" in str(exc.value) and "'variables'" in str(exc.value)
+
+
+def test_cli_rejects_an_overlong_schedule_list_in_file(capsys, tmp_path):
+    # 101 radii were accepted with exit 0: 101 layers of sample points.
+    radii = [0.1 * 0.9 ** k for k in range(101)]
+    path = corpus_copy(tmp_path, "circle-point", options={"radii": radii})
+    code, out, err = run_cli(capsys, "rcrcq", path)
+    assert code == 64 and out == ""
+    assert "option 'radii'" in err and "at most 100" in err
+
+
+def test_cli_rejects_an_overlong_geometric_schedule_flag(capsys):
+    # A factor just above 1 expanded to hundreds of thousands of radii.
+    with pytest.raises(ProblemFileError):
+        parse_schedule("1:0.5:x1.000001")
+    code, out, err = run_cli(capsys, "rcrcq", corpus_file("circle-point"),
+                             "--radii", "1e-1:1e-3:x1.04")
+    assert code == 64 and out == ""
+    assert "--radii" in err and "more than 100 values" in err
+
+
 def test_cli_trig_of_overflowed_argument_is_an_error_section(capsys, tmp_path):
     # sin(x1^400) at x1 = 10 is sin(inf): this used to end in a bare
     # "ValueError: math domain error" traceback with exit 1.

@@ -11,7 +11,7 @@ from cq_analyzer.dependence import (
     witness_check,
 )
 from cq_analyzer.expr import Expression, parse
-from cq_analyzer.rank import NeighborhoodSampler, numerical_rank, sample_jacobian
+from cq_analyzer.rank import NeighborhoodSampler, check_crc, numerical_rank, sample_jacobian
 
 TORNADO = ["x^3 * sin(1/x)", "x^3 * cos(1/x)", "x^3"]
 
@@ -216,27 +216,36 @@ def test_witness_cusp_relation_zero_residual():
     # Note the orientation: y1^3 - y2^2 composed in listed order would give
     # t^9 - t^4, which is NOT identically zero.
     relation = parse("y1^2 - y2^3", ["y1", "y2"])
-    residual = witness_check(relation, fns(["t^3", "t^2"], ["t"]), sampler_at([0.0]))
+    residual = witness_check(relation, jacobian_at(fns(["t^3", "t^2"], ["t"]), [0.0]))
     assert residual <= 1e-14
 
 
 def test_witness_equal_functions():
     relation = parse("y1 - y2", ["y1", "y2"])
     functions = fns(["x1 + x2", "x1 + x2"], ["x1", "x2"])
-    assert witness_check(relation, functions, sampler_at([0.0, 0.0])) == 0.0
+    assert witness_check(relation, jacobian_at(functions, [0.0, 0.0])) == 0.0
 
 
 def test_witness_clear_failure():
     relation = parse("y1 + 1", ["y1", "y2"])
     functions = fns(["x1", "x2"], ["x1", "x2"])
-    residual = witness_check(relation, functions, sampler_at([0.0, 0.0]))
+    residual = witness_check(relation, jacobian_at(functions, [0.0, 0.0]))
     assert residual >= 0.9
+
+
+def test_witness_skips_the_points_the_rank_check_skips():
+    # log(x1) leaves its domain at the radius-0.1 points with x1 <= 0; the
+    # witness check reads the plan's values and skips those points too.
+    jacobian = jacobian_at(fns(["log(x1)", "2*log(x1)"], ["x1"]), [0.05])
+    skipped = sum(int(failed.any(axis=1).sum()) for *_, failed in jacobian.layers)
+    assert skipped == check_crc(jacobian, 1e-8).skipped_points > 0
+    assert witness_check(parse("y2 - 2*y1", ["y1", "y2"]), jacobian) == 0.0
 
 
 def test_witness_arity_mismatch():
     relation = parse("y1", ["y1"])
     with pytest.raises(ValueError):
-        witness_check(relation, fns(["x1", "x2"], ["x1", "x2"]), sampler_at([0.0, 0.0]))
+        witness_check(relation, jacobian_at(fns(["x1", "x2"], ["x1", "x2"]), [0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -276,3 +276,38 @@ def test_lockstep_probes_match_one_direction_probes(eqs, ins, x0):
     alone = [probe_tangent(sys, x0, aset, d, CFG.t_schedule, CFG, pd=pd)
              for d in sample.directions]
     assert [p.to_dict() for p in batch] == [p.to_dict() for p in alone]
+
+
+def test_lockstep_groups_mix_pivot_counts_domain_exits_and_cold_retries():
+    # At t = 0.1: J = (2, 4) holds jobs of pivot count 1 (on the cylinder's
+    # axis) and 2; in the one-pivot group of J = (3,) one job leaves the
+    # domain at its first step while the others go on; two warm starts leave
+    # the domain at once and fall back to the cold retry, one warm start
+    # converges on its own.
+    job_list = as_arrays([
+        ((3,), (1.8, 0.0, 0.0), None),
+        ((3,), (0.5, 0.5, 0.0), None),
+        ((3,), (1.6, 0.0, 0.1), None),
+        ((3,), (1.6, 0.0, 0.1), (-5.0, 0.0, 0.0)),
+        ((3,), (0.0, 0.0, 1.0), (-5.0, 0.0, 0.0)),
+        ((3,), (0.5, 0.5, 0.0), (0.001, 0.0, 0.0)),
+        ((2, 4), (0.0, 1.0, 0.0), None),
+        ((2, 4), (0.3, 0.5, 0.2), None),
+        ((2, 4), (0.0, 1.0, 0.0), (0.01, 0.0, 0.0)),
+        ((1, 2), (0.0, 0.6, 0.8), None),
+        ((1, 6), (0.0, 0.0, 1.0), None),
+    ])
+    t = 1e-1
+    batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, t, job_list, CFG)
+    expected = oracle_corrections(t, job_list)
+    for got, want in zip(batch, expected, strict=True):
+        assert_same_correction(got, want)
+    assert {len(r.pivot_indices) for r in expected[6:9]} == {1, 2}
+    assert expected[0].iterations == 1 and "constraint 3" in expected[0].diagnostic
+    assert expected[2].converged and expected[2].iterations > 1
+    for k in (3, 4):
+        j, d, _ = job_list[k]
+        cold = oracle.ljusternik_correct(CORRECTOR_SYSTEM, j, X0, d, t, CFG)
+        assert expected[k].converged
+        assert_same_correction(expected[k], cold)
+    assert expected[5].converged and expected[5].iterations != expected[1].iterations

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cq_analyzer.model import (
     ConstraintDomainError,
@@ -90,6 +92,56 @@ def test_evaluate_rows_of_no_functions_and_non_domain_errors():
     assert values.shape == (0,) and rows.shape == (0, 2) and errors == {}
     with pytest.raises(ValueError):
         evaluate_rows([parse("x1", ["x1", "x2"])], [1.0, 2.0, 3.0])
+
+
+# Each leaves its domain somewhere near the origin, except the first.
+BATCH_FUNCTIONS = [
+    parse(text, ["x1", "x2"])
+    for text in ("x1*x2 + sin(x1)", "log(x1)", "sqrt(x2 - x1)", "1/(x1 + x2)", "tan(x2)^2")
+]
+COORDINATES = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1.5707963267948966)),
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    points=st.lists(st.tuples(COORDINATES, COORDINATES), min_size=0, max_size=10),
+    subset=st.lists(st.integers(0, len(BATCH_FUNCTIONS) - 1), min_size=0, max_size=6),
+)
+def test_batched_evaluate_rows_matches_one_point_calls(points, subset):
+    functions = [BATCH_FUNCTIONS[i] for i in subset]
+    batch = np.array(points, dtype=float).reshape(len(points), 2)
+    values, rows, errors = evaluate_rows(functions, batch)
+    assert values.shape == (len(points), len(functions))
+    assert rows.shape == (len(points), len(functions), 2)
+    for p, point in enumerate(batch):
+        one_values, one_rows, one_errors = evaluate_rows(functions, point)
+        assert _bits(values[p]) == _bits(one_values)
+        assert _bits(rows[p]) == _bits(one_rows)
+        assert {i for (q, i) in errors if q == p} == set(one_errors)
+        for i, f in enumerate(functions):
+            try:
+                value, grad = f.value_and_gradient(list(point))
+            except DomainEvaluationError as err:
+                assert type(errors[p, i]) is type(err) and str(errors[p, i]) == str(err)
+                assert str(one_errors[i]) == str(err)
+                continue
+            assert (p, i) not in errors
+            assert _bits(values[p, i]) == _bits(value) and _bits(rows[p, i]) == _bits(grad)
+
+
+def test_batched_evaluate_rows_reports_each_failed_pair():
+    points = np.array([[1.0, 2.0], [-1.0, 1.0], [0.5, -0.5], [2.0, 1.0]])
+    _, _, errors = evaluate_rows(BATCH_FUNCTIONS, points)
+    assert sorted(errors) == [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)]
+    with pytest.raises(ValueError):
+        evaluate_rows(BATCH_FUNCTIONS, np.zeros((2, 2, 2)))
 
 
 def test_active_set_selects_by_tolerance():

@@ -145,6 +145,12 @@ def test_sampler_rejects_repeated_radius():
         sampler_at([0.0], radii=(1e-1, 1e-1, 1e-2))
 
 
+def test_sampler_rejects_an_empty_center():
+    # Its normal vectors would all be empty, and the zero-norm redraw endless.
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        sampler_at([])
+
+
 # ---------------------------------------------------------------------------
 # check_crc
 # ---------------------------------------------------------------------------
