@@ -87,12 +87,14 @@ class _Run:
 
 def _run_rcrcq(run: _Run) -> dict:
     sys, cfg, jacobian = run.sys, run.cfg, run.jacobian
-    aset = active_set(run.point(), cfg.tol_active)
+    active = active_set(run.point(), cfg.tol_active)
+    rows = sys.equality_indices + active
     if jacobian is None:
         # No other analysis reads the plan: sample only the rows RCRCQ ranks.
-        rows = sys.equality_indices + aset.indices
         jacobian = sample_jacobian([sys.constraint(i) for i in rows], cfg.sampler(run.x0))
-    report = check_rcrcq(sys, aset, jacobian, cfg.tol_rank)
+    else:
+        jacobian = jacobian.select([i - 1 for i in rows])
+    report = check_rcrcq(sys, active, jacobian, cfg.tol_rank)
     run.subsets = dict(report.subsets)
     return report.to_dict()
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random import PCG64, Generator
 
-from .model import ActiveSet, PointData
+from .model import PointData
 
 __all__ = [
     "ConeCoefficients",
@@ -74,17 +74,12 @@ class ConeCoefficients:
     def as_dict(self) -> dict[int, float]:
         return dict(self.values)
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda": {str(i): v for i, v in self.values},
-            "residual": self.residual,
-        }
 
-
-def build_linearized_cone(pd: PointData, aset: ActiveSet) -> LinearizedCone:
-    """Copy equality rows and active inequality rows out of the Jacobian."""
+def build_linearized_cone(pd: PointData, active: Sequence[int]) -> LinearizedCone:
+    """Copy equality rows and the rows of the active inequalities ``active``
+    out of the Jacobian."""
     eq_idx = pd.equality_indices
-    ineq_idx = tuple(sorted(aset.indices))
+    ineq_idx = tuple(sorted(active))
     n = pd.dimension
     eq_rows = (
         np.array([pd.row(i) for i in eq_idx]) if eq_idx else np.zeros((0, n))

@@ -20,12 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cones import (
-    ConeCoefficients,
-    build_linearized_cone,
-    cone_member,
-    dual_cone_decomposition,
-)
+from .cones import build_linearized_cone, cone_member, dual_cone_decomposition
 from .config import ToolConfig
 from .model import ConstraintSystem, PointData, active_set, evaluate_point
 from .rank import numerical_rank
@@ -54,7 +49,6 @@ class KktReport:
     """Multiplier existence, stationarity residual, and the linearized LP pair."""
 
     multipliers: Optional[tuple[tuple[int, float], ...]]  # all constraints, index order
-    active_coefficients: Optional[ConeCoefficients]
     stationarity: float            # ||grad h0 + sum lambda_i grad h_i|| at the result
     dual_feasible: bool
     primal_value: str              # "zero" | "unbounded-below"
@@ -104,9 +98,9 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
         raise MissingObjectiveError("the constraint system has no objective")
     if pd is None:
         pd = evaluate_point(sys, np.asarray(x0, dtype=float))
-    aset = active_set(pd, cfg.tol_active)
+    active = active_set(pd, cfg.tol_active)
     tol = cfg.tol_cone
-    cone = build_linearized_cone(pd, aset)
+    cone = build_linearized_cone(pd, active)
     target = -pd.objective_gradient
     coeffs, residual_dir = dual_cone_decomposition(cone, target, tol)
 
@@ -122,14 +116,13 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
             )
         return KktReport(
             multipliers=None,
-            active_coefficients=None,
             stationarity=norm,
             dual_feasible=False,
             primal_value=PRIMAL_UNBOUNDED,
             descent_certificate=tuple(float(v) for v in d),
             descent_slope=slope,
             minimal_norm_selected=False,
-            active_indices=tuple(aset.indices),
+            active_indices=active,
             tolerance_used=tol,
         )
 
@@ -148,14 +141,13 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
     stationarity = float(np.linalg.norm(total))
     return KktReport(
         multipliers=full,
-        active_coefficients=coeffs,
         stationarity=stationarity,
         dual_feasible=True,
         primal_value=PRIMAL_ZERO,
         descent_certificate=None,
         descent_slope=None,
         minimal_norm_selected=not unique,
-        active_indices=tuple(aset.indices),
+        active_indices=active,
         tolerance_used=tol,
     )
 

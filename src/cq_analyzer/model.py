@@ -20,11 +20,8 @@ import numpy as np
 from .expr import DomainEvaluationError, Expression, parse
 
 __all__ = [
-    "ActiveSet",
     "ConstraintDomainError",
     "ConstraintSystem",
-    "CriticalSet",
-    "FeasibilityResult",
     "PointData",
     "active_set",
     "critical_active_set",
@@ -151,58 +148,30 @@ class PointData:
         return float(self.values[index - 1])
 
 
-@dataclass(frozen=True)
-class ActiveSet:
-    """Inequality indices active at the base point under ``tolerance_used``."""
-
-    indices: tuple[int, ...]
-    tolerance_used: float
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    violations: tuple[tuple[int, float], ...]  # (constraint index, magnitude)
-    tolerance_used: float
-
-
-@dataclass(frozen=True)
-class CriticalSet:
-    """Active inequalities whose gradient is orthogonal to a direction d."""
-
-    critical: tuple[int, ...]   # I(x0, d)
-    j_set: tuple[int, ...]      # J(d) = I_0 union I(x0, d)
-    tolerance_used: float
-
-
 def evaluate_rows(
-    functions: Sequence[Expression], x: Sequence[float] | np.ndarray
+    functions: Sequence[Expression], points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Values and gradient rows of ``functions`` at one point or a batch of points.
+    """Values and gradient rows of ``functions`` at a (P, n) batch of points.
 
     This is the one place a function family is evaluated, each function once
-    per point.  ``x`` is one (n,) point, which gives (kappa,) values and
-    (kappa, n) rows, or a (P, n) batch, which gives (P, kappa) values and
-    (P, kappa, n) rows.  A function that leaves its domain keeps a zero value
-    and a zero row, and ``errors`` maps its 0-based position, or for a batch
-    its (point, position) pair, to the :class:`DomainEvaluationError`; the
-    other functions are still evaluated.  Any other exception propagates.
+    per point: (P, kappa) values and (P, kappa, n) rows.  A function that
+    leaves its domain keeps a zero value and a zero row, and ``errors`` maps
+    its (point, position) pair, both 0-based, to the
+    :class:`DomainEvaluationError`; the other functions are still evaluated.
+    Any other exception propagates.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ValueError("expected one point or a 2-d batch of points")
-    batch = x[None] if x.ndim == 1 else x
-    values = np.zeros((len(batch), len(functions)))
-    rows = np.zeros((len(batch), len(functions), batch.shape[1]))
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError("expected a 2-d batch of points")
+    values = np.zeros((len(points), len(functions)))
+    rows = np.zeros((len(points), len(functions), points.shape[1]))
     errors = {}
-    for p, point in enumerate(batch.tolist()):
+    for p, point in enumerate(points.tolist()):
         for i, f in enumerate(functions):
             try:
                 values[p, i], rows[p, i] = f.value_and_gradient(point)
             except DomainEvaluationError as err:
                 errors[p, i] = err
-    if x.ndim == 1:
-        return values[0], rows[0], {i: err for (_, i), err in errors.items()}
     return values, rows, errors
 
 
@@ -217,11 +186,12 @@ def evaluate_point(sys: ConstraintSystem, x: Sequence[float]) -> PointData:
         raise ValueError(f"point has shape {x.shape}, expected ({sys.dimension},)")
     m = sys.n_constraints
     objective = (sys.objective,) if sys.objective is not None else ()
-    values, rows, errors = evaluate_rows(sys.all_constraints + objective, x)
+    values, rows, errors = evaluate_rows(sys.all_constraints + objective, x[None])
     if errors:
         first = min(errors)
-        index = 0 if first == m else first + 1  # position m is the objective
+        index = 0 if first[1] == m else first[1] + 1  # position m is the objective
         raise ConstraintDomainError(index, errors[first]) from errors[first]
+    values, rows = values[0], rows[0]
     return PointData(
         point=_read_only(x.copy()),
         values=_read_only(values[:m]),
@@ -232,18 +202,16 @@ def evaluate_point(sys: ConstraintSystem, x: Sequence[float]) -> PointData:
     )
 
 
-def active_set(pd: PointData, tol_active: float) -> ActiveSet:
+def active_set(pd: PointData, tol_active: float) -> tuple[int, ...]:
     """Inequality indices with |h_i(x0)| <= tol_active; equalities never qualify."""
     if tol_active <= 0:
         raise ValueError("tol_active must be positive")
-    indices = tuple(
-        i for i in pd.inequality_indices if abs(pd.value(i)) <= tol_active
-    )
-    return ActiveSet(indices=indices, tolerance_used=tol_active)
+    return tuple(i for i in pd.inequality_indices if abs(pd.value(i)) <= tol_active)
 
 
-def feasibility_check(pd: PointData, tol: float) -> FeasibilityResult:
-    """True iff |h_i| <= tol on equalities and h_i <= tol on inequalities."""
+def feasibility_check(pd: PointData, tol: float) -> tuple[tuple[int, float], ...]:
+    """The (constraint index, magnitude) violations beyond ``tol``: |h_i| > tol
+    on equalities, h_i > tol on inequalities; empty when the point is feasible."""
     violations = []
     for i in pd.equality_indices:
         if abs(pd.value(i)) > tol:
@@ -251,15 +219,14 @@ def feasibility_check(pd: PointData, tol: float) -> FeasibilityResult:
     for i in pd.inequality_indices:
         if pd.value(i) > tol:
             violations.append((i, pd.value(i)))
-    return FeasibilityResult(
-        feasible=not violations, violations=tuple(violations), tolerance_used=tol
-    )
+    return tuple(violations)
 
 
 def critical_active_set(
-    pd: PointData, aset: ActiveSet, d: Sequence[float], tol: float
-) -> CriticalSet:
-    """I(x0,d): active inequalities with <grad h_i, d> ~ 0, plus J(d).
+    pd: PointData, active: Sequence[int], d: Sequence[float], tol: float
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """I(x0,d), the active inequalities with <grad h_i, d> ~ 0, and
+    J(d) = I_0 union I(x0,d).
 
     The inner-product test is scaled relative to the row and direction norms
     so large-gradient rows do not appear spuriously critical.
@@ -269,10 +236,10 @@ def critical_active_set(
         raise ValueError(f"direction has shape {d.shape}, expected ({pd.dimension},)")
     dn = float(np.linalg.norm(d))
     critical = []
-    for i in aset.indices:
+    for i in active:
         row = pd.row(i)
         bound = tol * (1.0 + float(np.linalg.norm(row)) * dn)
         if abs(float(row @ d)) <= bound:
             critical.append(i)
     j_set = tuple(sorted(set(pd.equality_indices) | set(critical)))
-    return CriticalSet(critical=tuple(critical), j_set=j_set, tolerance_used=tol)
+    return tuple(critical), j_set

@@ -72,10 +72,18 @@ def _finite_float(value) -> float:
 
 
 def _unit_interval(value) -> float:
-    # tol_rank is a relative singular-value cutoff.
+    # tol_rank is a relative singular-value cutoff, and so is tol_cone in
+    # kkt's rank test and in the cone sampler's kernel basis.
     number = _finite_float(value)
     if not 0.0 < number < 1.0:
         raise ProblemFileError(f"must lie in (0, 1), got {value!r}")
+    return number
+
+
+def _positive(value) -> float:
+    number = _finite_float(value)
+    if number <= 0.0:
+        raise ProblemFileError(f"must be a positive number, got {value!r}")
     return number
 
 
@@ -89,9 +97,9 @@ def _integer(least: int, value) -> int:
 # Option key -> (ToolConfig field, check returning the value to set).
 OPTIONS: dict[str, tuple[str, Callable]] = {
     "tol_rank": ("tol_rank", _unit_interval),
-    "tol_active": ("tol_active", _finite_float),
+    "tol_active": ("tol_active", _positive),
     "tol_feas": ("tol_feas", _finite_float),
-    "tol_cone": ("tol_cone", _finite_float),
+    "tol_cone": ("tol_cone", _unit_interval),
     "seed": ("seed", partial(_integer, 0)),
     "radii": ("radii", lambda value: parse_schedule(value)),
     "samples": ("samples_per_radius", partial(_integer, 1)),

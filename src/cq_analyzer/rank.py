@@ -20,7 +20,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from .expr import Expression
-from .model import ActiveSet, ConstraintSystem, evaluate_rows
+from .model import ConstraintSystem, evaluate_rows
 
 __all__ = [
     "CrcReport",
@@ -282,20 +282,23 @@ def sample_jacobian(
     functions: Sequence[Expression], sampler: NeighborhoodSampler
 ) -> SampleJacobian:
     """Evaluate every function once at the sampler's center and at each of its
-    points, with one :func:`~cq_analyzer.model.evaluate_rows` call per radius
-    layer."""
-    center_values, center_rows, errors = evaluate_rows(functions, sampler.center)
-    center_failed = np.zeros(len(functions), dtype=bool)
-    center_failed[list(errors)] = True
+    points, in one :func:`~cq_analyzer.model.evaluate_rows` call for the whole
+    plan."""
+    plan = sampler.points_by_radius()
+    batch = np.reshape([sampler.center] + [p for _, points in plan for p in points],
+                       (-1, sampler.dimension))
+    values, rows, errors = evaluate_rows(functions, batch)
+    failed = np.zeros(values.shape, dtype=bool)
+    for p, i in errors:
+        failed[p, i] = True
     layers = []
-    for radius, points in sampler.points_by_radius():
-        batch = np.reshape(points, (len(points), sampler.dimension))
-        values, rows, errors = evaluate_rows(functions, batch)
-        failed = np.zeros(values.shape, dtype=bool)
-        for p, i in errors:
-            failed[p, i] = True
-        layers.append((radius, tuple(points), values, rows, failed))
-    return SampleJacobian(sampler, center_values, center_rows, center_failed, tuple(layers))
+    start = 1                              # row 0 is the center
+    for radius, points in plan:
+        end = start + len(points)
+        layers.append((radius, tuple(points), values[start:end], rows[start:end],
+                       failed[start:end]))
+        start = end
+    return SampleJacobian(sampler, values[0], rows[0], failed[0], tuple(layers))
 
 
 def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
@@ -433,19 +436,21 @@ class RcrcqReport:
 
 def check_rcrcq(
     sys: ConstraintSystem,
-    aset: ActiveSet,
+    active: Sequence[int],
     jacobian: SampleJacobian,
     tol_rank: float,
 ) -> RcrcqReport:
     """Run the constant-rank check for every J with I_0 <= J <= I_0 + I(x0).
 
-    ``jacobian`` holds, in index order, either every constraint of ``sys``
-    or only I_0 + I(x0), from :func:`sample_jacobian`.  Every subset is
-    ranked from row slices of it, so no gradient is evaluated here, and a
-    point is skipped for J only when a row in J failed there.  The verdict aggregates per-subset verdicts with
-    refuted dominating, then inconclusive, then certified.
+    ``active`` is I(x0), and ``jacobian`` holds the rows of I_0 + I(x0) in
+    index order, from :func:`sample_jacobian` or a
+    :meth:`SampleJacobian.select` of a larger plan.  Every subset is ranked
+    from row slices of it, so no gradient is evaluated here, and a point is
+    skipped for J only when a row in J failed there.  The verdict aggregates
+    per-subset verdicts with refuted dominating, then inconclusive, then
+    certified.
     """
-    active = tuple(sorted(aset.indices))
+    active = tuple(sorted(active))
     if len(active) > MAX_ACTIVE:
         raise SubsetGuardError(
             f"|I(x0)| = {len(active)} active constraints would require "
@@ -453,15 +458,12 @@ def check_rcrcq(
             "analyze an explicit subset list instead"
         )
     eq = tuple(sys.equality_indices)
-    covered = range(1, sys.n_constraints + 1)
-    if jacobian.kappa < sys.n_constraints:
-        covered = eq + active
-    if jacobian.kappa != len(covered):
+    if jacobian.kappa != len(eq + active):
         raise ValueError(
             f"the sample Jacobian has {jacobian.kappa} rows; expected "
-            f"{sys.n_constraints} or |I_0 + I(x0)| = {len(eq + active)}"
+            f"|I_0 + I(x0)| = {len(eq + active)}"
         )
-    row = {index: k for k, index in enumerate(covered)}
+    row = {index: k for k, index in enumerate(eq + active)}
 
     subsets = []
     base_ranks = []

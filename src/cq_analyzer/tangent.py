@@ -23,15 +23,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cones import LinearizedCone, build_linearized_cone, cone_member, sample_cone_directions
+from .cones import LinearizedCone, build_linearized_cone, sample_cone_directions
 from .config import (
     CORRECTOR_MAX_ITER, CORRECTOR_TOL, DIRECTION_COUNT, T_SCHEDULE_TAIL, TOL_CRITICAL, ToolConfig,
 )
 from .model import (
-    ActiveSet,
     ConstraintDomainError,
     ConstraintSystem,
-    CriticalSet,
     PointData,
     active_set,
     critical_active_set,
@@ -47,8 +45,6 @@ __all__ = [
     "InfeasibleBasePointError",
     "TangentProbe",
     "abadie_verdict",
-    "ljusternik_correct",
-    "probe_tangent",
 ]
 
 CONSISTENT = "consistent"
@@ -75,28 +71,6 @@ def _domain_diagnostic(indices: Sequence[int], errors: dict) -> str:
     """The domain error of the lowest failed constraint among ``indices``."""
     first = min(errors)
     return str(ConstraintDomainError(indices[first], errors[first]))
-
-
-def ljusternik_correct(
-    sys: ConstraintSystem,
-    j_set: Sequence[int],
-    x0: Sequence[float],
-    d: Sequence[float],
-    t: float,
-    cfg: ToolConfig,
-    warm_start: Optional[np.ndarray] = None,
-) -> CorrectionResult:
-    """Minimal-norm Gauss-Newton correction r with h_i(x0 + t d + r) = 0, i in J.
-
-    Pivot rows are re-selected at x0 + t*d by numerical rank; every step
-    solves the linearized pivot system by pseudoinverse (the minimal-norm
-    update), while convergence is judged on the full J residual with
-    ``||h_J||_inf <= CORRECTOR_TOL * (1 + scale)``.  Returns a non-converged
-    result (r is the last iterate) instead of raising; domain errors during
-    iteration are reported in the diagnostic.  A non-converged warm start
-    is retried from r = 0.
-    """
-    return _correct_lockstep(sys, x0, t, [(j_set, d, warm_start)], cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -135,16 +109,24 @@ def _errors_by_point(errors: dict) -> dict:
 
 
 def _correct_lockstep(sys, x0, t, jobs, cfg) -> list[CorrectionResult]:
-    """:func:`ljusternik_correct` for every ``(j_set, d, warm_start)`` job at one t.
+    """Minimal-norm Gauss-Newton corrections r with h_i(x0 + t d + r) = 0,
+    i in J, for every ``(j_set, d, warm_start)`` job at one t.
+
+    Pivot rows are re-selected at x0 + t*d by numerical rank; every step
+    solves the linearized pivot system by pseudoinverse (the minimal-norm
+    update), while convergence is judged on the full J residual with
+    ``||h_J||_inf <= CORRECTOR_TOL * (1 + scale)``.  A job that does not
+    converge gets a non-converged result (r is the last iterate) instead of
+    an exception; domain errors during iteration are reported in the
+    diagnostic.  A non-converged warm start is retried from r = 0.
 
     The jobs are corrected in lockstep: the base points of each J are
     evaluated in one call and ranked with one stacked SVD, and the jobs of
     each (J, pivot count) group iterate as one array, so that a Gauss-Newton
     step is one evaluation and one stacked pinv for the whole group.  A job
     leaves its group when it converges, leaves the domain or reaches the
-    iteration cap; a warm start that did not converge is retried from r = 0
-    in a second pass.  Each result equals the one the job would get alone,
-    bit for bit.
+    iteration cap; the cold retries run in a second pass.  Each result
+    equals the one the job would get alone, bit for bit.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -273,7 +255,7 @@ class CorrectionTrace:
 
 @dataclass(frozen=True)
 class TangentProbe:
-    """probe_tangent outcome: trace plus the inactive-constraint safety flags."""
+    """One direction's probe: trace plus the inactive-constraint safety flags."""
 
     direction: np.ndarray
     j_set: tuple[int, ...]
@@ -312,56 +294,36 @@ def _fit_loglog_slope(ts, rs) -> Optional[float]:
     return float(np.sum((xs - xbar) * (ys - ybar)) / denom)
 
 
-def probe_tangent(
-    sys: ConstraintSystem,
-    x0: Sequence[float],
-    aset: ActiveSet,
-    d: Sequence[float],
-    t_schedule: Sequence[float],
-    cfg: ToolConfig,
-    pd: Optional[PointData] = None,
-) -> TangentProbe:
-    """Correct x0 + t*d back onto the critical constraints for each scheduled t.
-
-    J(d) is computed once at x0 and held fixed along the schedule.  The probe
-    passes when the smallest three t values converge, the ratio ||r||/t is
-    non-increasing with final value at most ``ratio_tol``, and every inactive
-    inequality stays strictly negative at the corrected points of that
-    small-t tail (the recorded ``inactive_eps0`` is the largest safe t).  A
-    hard failure (witness quality) requires the converged tail to keep
-    ``||r||/t >= 10 * ratio_tol`` with decay slope <= 1.1 (the correction
-    collapses back to x0), or non-convergence at every t without residual
-    reduction (the corrector stalls).
-    """
-    return _probe_directions(sys, x0, aset, [d], t_schedule, cfg, pd)[0]
-
-
 def _probe_directions(
     sys: ConstraintSystem,
-    x0: Sequence[float],
-    aset: ActiveSet,
-    directions: Sequence[Sequence[float]],
-    t_schedule: Sequence[float],
+    pd: PointData,
+    cone: LinearizedCone,
+    directions: Sequence[np.ndarray],
     cfg: ToolConfig,
-    pd: Optional[PointData] = None,
 ) -> list[TangentProbe]:
-    """:func:`probe_tangent` for every direction, corrected in lockstep at each t.
+    """Correct x0 + t*d back onto the critical constraints of each cone
+    direction d for each t of ``cfg.t_schedule``.
 
-    Each probe equals the one its direction would get alone, bit for bit.
+    ``pd`` is the evaluation at x0 and ``cone`` its linearized cone, which
+    ``directions`` lie in.  J(d) is computed once at x0 and held fixed along
+    the schedule.  A probe passes when the smallest three t values
+    converge, the ratio ||r||/t is non-increasing with final value at most
+    ``ratio_tol``, and every inactive inequality stays strictly negative at
+    the corrected points of that small-t tail (the recorded
+    ``inactive_eps0`` is the largest safe t).  A hard failure (witness
+    quality) requires the converged tail to keep ``||r||/t >= 10 *
+    ratio_tol`` with decay slope <= 1.1 (the correction collapses back to
+    x0), or non-convergence at every t without residual reduction (the
+    corrector stalls).
+
+    The directions are corrected in lockstep at each t, and each probe
+    equals the one its direction would get alone, bit for bit.
     """
-    x0 = np.asarray(x0, dtype=float)
-    directions = [np.asarray(d, dtype=float) for d in directions]
-    if pd is None:
-        pd = evaluate_point(sys, x0)
-    cone = build_linearized_cone(pd, aset)
-    if not all(cone_member(cone, d, 10.0 * cfg.tol_cone) for d in directions):
-        raise ValueError("direction is not in the linearized cone")
-    t_schedule = tuple(float(t) for t in t_schedule)
-    if any(a <= b for a, b in zip(t_schedule, t_schedule[1:])) or min(t_schedule) <= 0:
-        raise ValueError("t_schedule must be positive and strictly descending")
-    crits = [critical_active_set(pd, aset, d, TOL_CRITICAL) for d in directions]
+    x0 = pd.point
+    t_schedule = tuple(float(t) for t in cfg.t_schedule)
+    crits = [critical_active_set(pd, cone.ineq_indices, d, TOL_CRITICAL) for d in directions]
     inactive = [
-        tuple(i for i in pd.inequality_indices if i not in set(crit.j_set)) for crit in crits
+        tuple(i for i in pd.inequality_indices if i not in set(j_set)) for _, j_set in crits
     ]
     corrections: list[list[CorrectionResult]] = [[] for _ in directions]
     inactive_ok: list[list[Optional[bool]]] = [[] for _ in directions]
@@ -371,8 +333,8 @@ def _probe_directions(
         # ||r|| = O(t^2) under the theory, and an unscaled warm start would
         # seed a tangential offset of the previous magnitude.
         jobs = [
-            (crit.j_set, d, None if last is None else last[1] * (t / last[0]) ** 2)
-            for crit, d, last in zip(crits, directions, prev)
+            (j_set, d, None if last is None else last[1] * (t / last[0]) ** 2)
+            for (_, j_set), d, last in zip(crits, directions, prev)
         ]
         by_inactive: dict = {}             # inactive set -> converged directions
         for k, result in enumerate(_correct_lockstep(sys, x0, t, jobs, cfg)):
@@ -400,7 +362,7 @@ def _probe_directions(
 
 def _judge_probe(
     d: np.ndarray,
-    crit: CriticalSet,
+    crit: tuple[tuple[int, ...], tuple[int, ...]],
     has_inactive: bool,
     t_schedule: tuple[float, ...],
     corrections: list[CorrectionResult],
@@ -408,7 +370,8 @@ def _judge_probe(
     zero_floor: float,
     cfg: ToolConfig,
 ) -> TangentProbe:
-    """The probe verdict of one direction from its corrections along the schedule."""
+    """The probe verdict of one direction from its corrections along the
+    schedule; ``crit`` is its (I(x0, d), J(d)) pair."""
     converged_flags = [c.converged for c in corrections]
     final_residuals = [c.final_residual for c in corrections]
     initial_residuals = [c.initial_residual for c in corrections]
@@ -491,8 +454,8 @@ def _judge_probe(
     )
     return TangentProbe(
         direction=d,
-        j_set=crit.j_set,
-        critical_set=crit.critical,
+        j_set=crit[1],
+        critical_set=crit[0],
         trace=trace,
         inactive_ok=inactive_ok,
         inactive_eps0=eps0,
@@ -528,24 +491,23 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
                    pd: Optional[PointData] = None) -> AbadieReport:
     """Render consistent / violated / inconclusive from the cone-direction probes.
 
-    Sampled cone directions must all pass :func:`probe_tangent`.  A hard
+    Sampled cone directions must all pass their tangent probe.  A hard
     failure is the witness for ``violated``; all-pass yields ``consistent``;
     anything softer is ``inconclusive``.  The converse inclusion T within
     Gamma holds for any C1 constraints, so it is not sampled.  ``pd`` is the
     evaluation of ``sys`` at ``x0`` when the caller has it.
     """
-    x0 = np.asarray(x0, dtype=float)
     if pd is None:
         pd = evaluate_point(sys, x0)
-    feas = feasibility_check(pd, cfg.tol_feas)
-    if not feas.feasible:
-        raise InfeasibleBasePointError(
-            f"base point infeasible: violations {feas.violations}"
-        )
-    aset = active_set(pd, cfg.tol_active)
-    cone = build_linearized_cone(pd, aset)
+    violations = feasibility_check(pd, cfg.tol_feas)
+    if violations:
+        raise InfeasibleBasePointError(f"base point infeasible: violations {violations}")
+    cone = build_linearized_cone(pd, active_set(pd, cfg.tol_active))
+    t = cfg.t_schedule
+    if any(a <= b for a, b in zip(t, t[1:])) or min(t) <= 0:
+        raise ValueError("t_schedule must be positive and strictly descending")
     sample = sample_cone_directions(cone, DIRECTION_COUNT, cfg.seed + 1, cfg.tol_cone)
-    probes = tuple(_probe_directions(sys, x0, aset, sample.directions, cfg.t_schedule, cfg, pd))
+    probes = tuple(_probe_directions(sys, pd, cone, sample.directions, cfg))
 
     witness = None
     for p in probes:

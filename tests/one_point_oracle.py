@@ -4,7 +4,8 @@ kept as test oracles.
 Before the cone-direction probes corrected their directions in lockstep
 batches, every matrix was ranked on its own and every direction ran its own
 Gauss-Newton loop with one ``pinv`` per step.  ``numerical_rank`` and
-``ljusternik_correct`` below are that code, unchanged but for their names;
+``ljusternik_correct`` below are that code, unchanged but for their names
+and for evaluating one point as a batch of one (``_evaluate_at``);
 ``tests/test_lockstep_oracle.py`` checks that the stacked rank and the
 lockstep corrector reproduce them bit for bit.
 
@@ -39,6 +40,13 @@ from cq_analyzer.tangent import CorrectionResult, _domain_diagnostic
 
 ESTIMATE_PROBES = 32  # sample points per radius of the tangent estimate
 ANGULAR_TOL = 1e-2  # radians within which estimated directions match
+
+
+def _evaluate_at(functions, x):
+    """``evaluate_rows`` at the one point ``x``: row 0 of a batch of one, with
+    its (0, i) error keys turned into positions i."""
+    values, rows, errors = evaluate_rows(functions, np.asarray(x, dtype=float)[None])
+    return values[0], rows[0], {i: err for (_, i), err in errors.items()}
 
 
 def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult:
@@ -99,7 +107,7 @@ def ljusternik_correct(
             initial_residual=0.0, final_residual=0.0, pivot_indices=(),
         )
     functions = [sys.constraint(i) for i in j]
-    values0, rows0, errors = evaluate_rows(functions, base)
+    values0, rows0, errors = _evaluate_at(functions, base)
     if errors:
         return CorrectionResult(
             r=None, converged=False, iterations=0, initial_residual=math.inf,
@@ -124,7 +132,7 @@ def ljusternik_correct(
         r = r_start.copy()
         final = math.inf
         for it in range(CORRECTOR_MAX_ITER + 1):
-            values_j, rows_j, errors = evaluate_rows(functions, base + r)
+            values_j, rows_j, errors = _evaluate_at(functions, base + r)
             if errors:
                 return CorrectionResult(
                     r=r, converged=False, iterations=it,
@@ -158,7 +166,7 @@ def ljusternik_correct(
 
 def correct_equalities(sys, eq_indices, x, gn_tol, cfg) -> Optional[np.ndarray]:
     """Gauss-Newton of one point onto the equality pivot rows; None on failure."""
-    values, rows, errors = evaluate_rows([sys.constraint(i) for i in eq_indices], x)
+    values, rows, errors = _evaluate_at([sys.constraint(i) for i in eq_indices], x)
     if errors:
         return None
     pivots = [p - 1 for p in numerical_rank(rows, cfg.tol_rank).pivot_indices]
@@ -170,7 +178,7 @@ def correct_equalities(sys, eq_indices, x, gn_tol, cfg) -> Optional[np.ndarray]:
         if float(np.max(np.abs(values), initial=0.0)) <= gn_tol:
             return x
         x = x - np.linalg.pinv(rows) @ values
-        values, rows, errors = evaluate_rows(pivot_functions, x)
+        values, rows, errors = _evaluate_at(pivot_functions, x)
         if errors:
             return None
     return x if float(np.max(np.abs(values), initial=0.0)) <= gn_tol else None
@@ -178,7 +186,7 @@ def correct_equalities(sys, eq_indices, x, gn_tol, cfg) -> Optional[np.ndarray]:
 
 def feasible_at_scale(sys, indices, x, radius, tol_feas) -> bool:
     """Are one point's constraint violations at most tol * r * (1 + |grad|)?"""
-    values, rows, errors = evaluate_rows([sys.constraint(i) for i in indices], x)
+    values, rows, errors = _evaluate_at([sys.constraint(i) for i in indices], x)
     if errors:
         return False
     n_eq = len(sys.equalities)

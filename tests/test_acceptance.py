@@ -21,7 +21,7 @@ from cq_analyzer.kkt import kkt_report
 from cq_analyzer.model import active_set, evaluate_point
 from cq_analyzer.cones import build_linearized_cone, cone_member
 from cq_analyzer.rank import NeighborhoodSampler, check_rcrcq, sample_jacobian
-from cq_analyzer.tangent import abadie_verdict, probe_tangent
+from cq_analyzer.tangent import _probe_directions, abadie_verdict
 
 CFG = ToolConfig()
 
@@ -184,9 +184,8 @@ def test_criterion_5_corrector_decay_on_circle():
     _, pf = load_case("circle-point")
     system = pf.system
     pd = evaluate_point(system, pf.x0)
-    probe = probe_tangent(
-        system, pf.x0, active_set(pd, CFG.tol_active), [0.0, 1.0], CFG.t_schedule, CFG
-    )
+    cone = build_linearized_cone(pd, active_set(pd, CFG.tol_active))
+    probe = _probe_directions(system, pd, cone, [np.array([0.0, 1.0])], CFG)[0]
     failures = []
     by_t = dict(zip(probe.trace.t_values, probe.trace.r_norms))
     for t in (1e-2, 1e-3, 1e-4):

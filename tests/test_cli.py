@@ -167,6 +167,32 @@ def test_cli_rejects_invalid_float_flags_with_usage_exit(capsys, flags):
     assert out == ""
 
 
+# Each of these used to end in a traceback mid-analysis: kkt and the cone
+# sampler use tol_cone as a relative rank cutoff, which must lie in (0, 1),
+# and the active set needs a positive tol_active.
+OUT_OF_RANGE_TOLERANCES = [
+    ("tol_cone", 2.0), ("tol_cone", 1.0), ("tol_cone", 0.0), ("tol_cone", -1.0),
+    ("tol_active", 0.0), ("tol_active", -1e-8),
+]
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE_TOLERANCES)
+def test_cli_rejects_an_out_of_range_tolerance_flag(capsys, key, value):
+    flag = "--" + key.replace("_", "-")
+    for argv in (["multipliers", corpus_file("parallel-equalities")], ["corpus", "run", "all"]):
+        code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
+        assert code == 64 and out == ""
+        assert err.startswith(f"cq-analyzer: {flag}: ")
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE_TOLERANCES)
+def test_cli_rejects_an_out_of_range_tolerance_in_file(capsys, tmp_path, key, value):
+    path = corpus_copy(tmp_path, "parallel-equalities", options={key: value})
+    code, out, err = run_cli(capsys, "multipliers", path)
+    assert code == 64 and out == ""
+    assert f"option '{key}'" in err and "parallel-equalities.json" in err
+
+
 def test_cli_rejects_short_t_schedule_in_file(capsys, tmp_path):
     # One or two values leave the tangent probe no decay slope to fit, yet
     # Abadie used to come out consistent with exit 0.

@@ -20,7 +20,7 @@ from cq_analyzer.cones import build_linearized_cone, sample_cone_directions
 from cq_analyzer.config import ToolConfig
 from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
 from cq_analyzer.rank import _norms, numerical_rank
-from cq_analyzer.tangent import _correct_lockstep, _probe_directions, probe_tangent
+from cq_analyzer.tangent import _correct_lockstep, _probe_directions
 
 CFG = ToolConfig()
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -270,11 +270,10 @@ def test_lockstep_corrector_cases_are_all_reached():
 def test_lockstep_probes_match_one_direction_probes(eqs, ins, x0):
     sys = ConstraintSystem.from_strings("probe", ("x1", "x2"), None, eqs, ins)
     pd = evaluate_point(sys, x0)
-    aset = active_set(pd, CFG.tol_active)
-    sample = sample_cone_directions(build_linearized_cone(pd, aset), 16, 43, CFG.tol_cone)
-    batch = _probe_directions(sys, x0, aset, sample.directions, CFG.t_schedule, CFG, pd)
-    alone = [probe_tangent(sys, x0, aset, d, CFG.t_schedule, CFG, pd=pd)
-             for d in sample.directions]
+    cone = build_linearized_cone(pd, active_set(pd, CFG.tol_active))
+    sample = sample_cone_directions(cone, 16, 43, CFG.tol_cone)
+    batch = _probe_directions(sys, pd, cone, sample.directions, CFG)
+    alone = [_probe_directions(sys, pd, cone, [d], CFG)[0] for d in sample.directions]
     assert [p.to_dict() for p in batch] == [p.to_dict() for p in alone]
 
 

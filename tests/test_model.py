@@ -75,23 +75,23 @@ def test_evaluate_point_reports_the_lowest_failed_index_then_the_objective():
 def test_evaluate_rows_keeps_zeros_and_the_error_of_each_failed_function():
     names = ["x1", "x2"]
     functions = [parse(t, names) for t in ("x1*x2", "log(x1)", "x2^2", "1/x2")]
-    values, rows, errors = evaluate_rows(functions, [-1.0, 0.0])
-    assert sorted(errors) == [1, 3]
+    values, rows, errors = evaluate_rows(functions, np.array([[-1.0, 0.0]]))
+    assert sorted(errors) == [(0, 1), (0, 3)]
     assert all(isinstance(e, DomainEvaluationError) for e in errors.values())
-    assert "logarithm" in str(errors[1]) and "division by zero" in str(errors[3])
-    assert np.array_equal(values, [-0.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(rows, [[0.0, -1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    assert "logarithm" in str(errors[0, 1]) and "division by zero" in str(errors[0, 3])
+    assert np.array_equal(values, [[-0.0, 0.0, 0.0, 0.0]])
+    assert np.array_equal(rows, [[[0.0, -1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]])
     # Every function is evaluated, the ones after a failure included.
     for i in (0, 2):
         value, grad = functions[i].value_and_gradient([-1.0, 0.0])
-        assert values[i] == value and np.array_equal(rows[i], grad)
+        assert values[0, i] == value and np.array_equal(rows[0, i], grad)
 
 
 def test_evaluate_rows_of_no_functions_and_non_domain_errors():
-    values, rows, errors = evaluate_rows([], [1.0, 2.0])
-    assert values.shape == (0,) and rows.shape == (0, 2) and errors == {}
+    values, rows, errors = evaluate_rows([], np.array([[1.0, 2.0]]))
+    assert values.shape == (1, 0) and rows.shape == (1, 0, 2) and errors == {}
     with pytest.raises(ValueError):
-        evaluate_rows([parse("x1", ["x1", "x2"])], [1.0, 2.0, 3.0])
+        evaluate_rows([parse("x1", ["x1", "x2"])], np.array([[1.0, 2.0, 3.0]]))
 
 
 # Each leaves its domain somewhere near the origin, except the first.
@@ -121,16 +121,16 @@ def test_batched_evaluate_rows_matches_one_point_calls(points, subset):
     assert values.shape == (len(points), len(functions))
     assert rows.shape == (len(points), len(functions), 2)
     for p, point in enumerate(batch):
-        one_values, one_rows, one_errors = evaluate_rows(functions, point)
-        assert _bits(values[p]) == _bits(one_values)
-        assert _bits(rows[p]) == _bits(one_rows)
-        assert {i for (q, i) in errors if q == p} == set(one_errors)
+        one_values, one_rows, one_errors = evaluate_rows(functions, point[None])
+        assert _bits(values[p]) == _bits(one_values[0])
+        assert _bits(rows[p]) == _bits(one_rows[0])
+        assert {i for (q, i) in errors if q == p} == {i for _, i in one_errors}
         for i, f in enumerate(functions):
             try:
                 value, grad = f.value_and_gradient(list(point))
             except DomainEvaluationError as err:
                 assert type(errors[p, i]) is type(err) and str(errors[p, i]) == str(err)
-                assert str(one_errors[i]) == str(err)
+                assert str(one_errors[0, i]) == str(err)
                 continue
             assert (p, i) not in errors
             assert _bits(values[p, i]) == _bits(value) and _bits(rows[p, i]) == _bits(grad)
@@ -142,93 +142,89 @@ def test_batched_evaluate_rows_reports_each_failed_pair():
     assert sorted(errors) == [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)]
     with pytest.raises(ValueError):
         evaluate_rows(BATCH_FUNCTIONS, np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError):
+        evaluate_rows(BATCH_FUNCTIONS, np.zeros(2))
 
 
 def test_active_set_selects_by_tolerance():
     sys = make(ins=["x1 - 0.5", "x2"])
     pd = evaluate_point(sys, [0.0, 0.0])  # values (-0.5, 0.0)
-    aset = active_set(pd, 1e-8)
-    assert aset.indices == (2,)
+    assert active_set(pd, 1e-8) == (2,)
 
 
 def test_active_set_never_includes_equalities():
     sys = make(eqs=["x1"], ins=["x2"])
     pd = evaluate_point(sys, [0.0, 0.0])
-    assert active_set(pd, 1e-8).indices == (2,)
+    assert active_set(pd, 1e-8) == (2,)
 
 
 def test_active_set_empty_when_strictly_negative():
     sys = make(ins=["x1 - 1", "x2 - 2"])
     pd = evaluate_point(sys, [0.0, 0.0])
-    assert active_set(pd, 1e-8).indices == ()
+    assert active_set(pd, 1e-8) == ()
 
 
 def test_active_set_boundary_value_within_tolerance():
     sys = make(variables=("x",), ins=["x - 1e-9"])
     pd = evaluate_point(sys, [0.0])  # value -1e-9
-    assert active_set(pd, 1e-8).indices == (1,)
+    assert active_set(pd, 1e-8) == (1,)
 
 
 def test_active_set_monotone_in_tolerance():
     sys = make(ins=["x1 - 1e-6", "x2 - 1e-3"])
     pd = evaluate_point(sys, [0.0, 0.0])
-    small = set(active_set(pd, 1e-7).indices)
-    large = set(active_set(pd, 1e-2).indices)
+    small = set(active_set(pd, 1e-7))
+    large = set(active_set(pd, 1e-2))
     assert small <= large
 
 
 def test_feasibility_x_squared_leq_zero():
     sys = make(variables=("x",), ins=["x^2"])
     pd = evaluate_point(sys, [0.0])
-    assert feasibility_check(pd, 1e-12).feasible
+    assert feasibility_check(pd, 1e-12) == ()
 
 
 def test_feasibility_violation_reported():
     sys = make(eqs=["x1"])
-    result = feasibility_check(evaluate_point(sys, [1.0, 1.0]), 1e-12)
-    assert not result.feasible
-    assert result.violations == ((1, 1.0),)
+    assert feasibility_check(evaluate_point(sys, [1.0, 1.0]), 1e-12) == ((1, 1.0),)
 
 
 def test_feasibility_circle_point():
     sys = make(eqs=["x1^2 + x2^2 - 1"])
-    assert feasibility_check(evaluate_point(sys, [0.6, -0.8]), 1e-12).feasible
+    assert feasibility_check(evaluate_point(sys, [0.6, -0.8]), 1e-12) == ()
 
 
 def test_critical_active_set_zero_direction_keeps_all():
     sys = make(ins=["x1", "x2"])
     pd = evaluate_point(sys, [0.0, 0.0])
-    aset = active_set(pd, 1e-8)
-    crit = critical_active_set(pd, aset, [0.0, 0.0], 1e-8)
-    assert crit.critical == (1, 2)
-    assert crit.j_set == (1, 2)
+    critical, j_set = critical_active_set(pd, active_set(pd, 1e-8), [0.0, 0.0], 1e-8)
+    assert critical == (1, 2)
+    assert j_set == (1, 2)
 
 
 def test_critical_active_set_orthogonal_row():
     sys = make(ins=["x1"])
     pd = evaluate_point(sys, [0.0, 0.0])
-    aset = active_set(pd, 1e-8)
-    crit = critical_active_set(pd, aset, [0.0, 1.0], 1e-8)
-    assert crit.critical == (1,)
+    critical, _ = critical_active_set(pd, active_set(pd, 1e-8), [0.0, 1.0], 1e-8)
+    assert critical == (1,)
 
 
 def test_critical_active_set_hand_inner_products():
     # Active rows (1,0) and (1,1); d = (1,-1) gives products 1 and 0.
     sys = make(ins=["x1", "x1 + x2"])
     pd = evaluate_point(sys, [0.0, 0.0])
-    aset = active_set(pd, 1e-8)
-    crit = critical_active_set(pd, aset, [1.0, -1.0], 1e-8)
-    assert crit.critical == (2,)
+    critical, _ = critical_active_set(pd, active_set(pd, 1e-8), [1.0, -1.0], 1e-8)
+    assert critical == (2,)
 
 
 def test_critical_subset_of_active():
     sys = make(eqs=["x1 + x2"], ins=["x1", "x2", "x1 - 1"])
     pd = evaluate_point(sys, [0.0, 0.0])
-    aset = active_set(pd, 1e-8)
+    active = active_set(pd, 1e-8)
     for d in ([1.0, 0.0], [0.0, 1.0], [1.0, -1.0], [0.3, 0.4]):
-        crit = critical_active_set(pd, aset, d, 1e-8)
-        assert set(crit.critical) <= set(aset.indices)
-        assert set(crit.j_set) == set(pd.equality_indices) | set(crit.critical)
+        critical, j_set = critical_active_set(pd, active, d, 1e-8)
+        assert set(critical) <= set(active)
+        assert set(j_set) == set(pd.equality_indices) | set(critical)
 
 
 def test_jacobian_first_order_consistency():

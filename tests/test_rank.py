@@ -302,8 +302,7 @@ def jacobian_at(sys, x0, **kw):
 
 def rcrcq_for(sys, x0, **kw):
     pd = evaluate_point(sys, x0)
-    aset = active_set(pd, 1e-8)
-    return check_rcrcq(sys, aset, jacobian_at(sys, x0, **kw), 1e-8)
+    return check_rcrcq(sys, active_set(pd, 1e-8), jacobian_at(sys, x0, **kw), 1e-8)
 
 
 def test_rcrcq_x_squared_leq_zero_refuted():
@@ -340,24 +339,26 @@ def test_rcrcq_guard():
         "big", names, None, (), [f"x{i}" for i in range(1, 23)]
     )
     pd = evaluate_point(sys, np.zeros(22))
-    aset = active_set(pd, 1e-8)
     with pytest.raises(SubsetGuardError):
-        check_rcrcq(sys, aset, jacobian_at(sys, np.zeros(22)), 1e-8)
+        check_rcrcq(sys, active_set(pd, 1e-8), jacobian_at(sys, np.zeros(22)), 1e-8)
 
 
 def test_rcrcq_reads_a_jacobian_of_the_active_rows_only():
-    # x2 - 1 <= 0 is inactive at the origin: a plan over I_0 + I(x0) alone
-    # gives the same report as one over every constraint.
+    # x2 - 1 <= 0 is inactive at the origin: the select of I_0 + I(x0) from a
+    # plan over every constraint gives the same report as a plan over those
+    # rows alone, and a plan of any other width is refused.
     sys = system(eqs=["x1"], ins=["x2 - 1", "x2", "x1 + x2^2"])
     x0 = [0.0, 0.0]
-    aset = active_set(evaluate_point(sys, x0), 1e-8)
-    assert aset.indices == (3, 4)
+    active = active_set(evaluate_point(sys, x0), 1e-8)
+    assert active == (3, 4)
     rows = [sys.constraint(i) for i in (1, 3, 4)]
-    active_only = sample_jacobian(rows, sampler_at(x0))
-    full = check_rcrcq(sys, aset, jacobian_at(sys, x0), 1e-8)
-    assert check_rcrcq(sys, aset, active_only, 1e-8) == full
-    with pytest.raises(ValueError):
-        check_rcrcq(sys, aset, sample_jacobian(rows[:2], sampler_at(x0)), 1e-8)
+    report = check_rcrcq(sys, active, sample_jacobian(rows, sampler_at(x0)), 1e-8)
+    full = jacobian_at(sys, x0)
+    assert check_rcrcq(sys, active, full.select([0, 2, 3]), 1e-8) == report
+    assert report.subset_count == 4
+    for jacobian in (full, sample_jacobian(rows[:2], sampler_at(x0))):
+        with pytest.raises(ValueError, match="expected"):
+            check_rcrcq(sys, active, jacobian, 1e-8)
 
 
 def test_rcrcq_refutation_dominates():
@@ -385,8 +386,8 @@ def chain(k, coeffs=None, extra=None):
 
 
 def assert_subsets_match_separate_checks(sys, x0, sampler):
-    aset = active_set(evaluate_point(sys, x0), 1e-8)
-    report = check_rcrcq(sys, aset, sample_jacobian(list(sys.all_constraints), sampler), 1e-8)
+    active = active_set(evaluate_point(sys, x0), 1e-8)
+    report = check_rcrcq(sys, active, sample_jacobian(list(sys.all_constraints), sampler), 1e-8)
     for j, subset_report in report.subsets:
         alone = crc([sys.constraint(i) for i in j], sampler, 1e-8)
         assert subset_report == alone, j
@@ -470,7 +471,7 @@ def test_rcrcq_evaluates_each_gradient_once_per_point(monkeypatch):
     # points, one pivoted rank per non-empty subset's center, 16 subsets.
     sys = chain(4)
     x0 = np.zeros(4)
-    aset = active_set(evaluate_point(sys, x0), 1e-8)
+    active = active_set(evaluate_point(sys, x0), 1e-8)
     calls = Counter()
 
     def counting(name, fn):
@@ -484,7 +485,7 @@ def test_rcrcq_evaluates_each_gradient_once_per_point(monkeypatch):
     )
     monkeypatch.setattr(rank, "numerical_rank", counting("rank", rank.numerical_rank))
     monkeypatch.setattr(rank, "check_crc", counting("subset", rank.check_crc))
-    report = rank.check_rcrcq(sys, aset, jacobian_at(sys, x0), 1e-8)
+    report = rank.check_rcrcq(sys, active, jacobian_at(sys, x0), 1e-8)
     assert calls == {"gradient": 644, "rank": 15, "subset": 16}
     assert report.subset_count == 16
 

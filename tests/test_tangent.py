@@ -10,15 +10,17 @@ from one_point_oracle import (
     tangent_direction_estimate,
 )
 
+from cq_analyzer import tangent
+from cq_analyzer.cones import build_linearized_cone
 from cq_analyzer.config import ToolConfig
 from cq_analyzer.expr import Expression
 from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
 from cq_analyzer.rank import check_rcrcq, sample_jacobian
 from cq_analyzer.tangent import (
     InfeasibleBasePointError,
+    _correct_lockstep,
+    _probe_directions,
     abadie_verdict,
-    ljusternik_correct,
-    probe_tangent,
 )
 
 CFG = ToolConfig()
@@ -28,17 +30,22 @@ def make(eqs=(), ins=(), variables=("x1", "x2"), objective=None):
     return ConstraintSystem.from_strings("sys", variables, objective, eqs, ins)
 
 
-def aset_for(sys, x0):
-    return active_set(evaluate_point(sys, x0), CFG.tol_active)
-
-
 def rcrcq_verdict(sys, x0):
-    jacobian = sample_jacobian(list(sys.all_constraints), CFG.sampler(x0))
-    return check_rcrcq(sys, aset_for(sys, x0), jacobian, CFG.tol_rank).verdict
+    active = active_set(evaluate_point(sys, x0), CFG.tol_active)
+    rows = [sys.constraint(i) for i in sys.equality_indices + active]
+    jacobian = sample_jacobian(rows, CFG.sampler(x0))
+    return check_rcrcq(sys, active, jacobian, CFG.tol_rank).verdict
+
+
+def probe_one(sys, x0, d, cfg=CFG):
+    """The probe of the one cone direction ``d`` at ``x0``."""
+    pd = evaluate_point(sys, x0)
+    cone = build_linearized_cone(pd, active_set(pd, cfg.tol_active))
+    return _probe_directions(sys, pd, cone, [np.asarray(d, dtype=float)], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
-# ljusternik_correct
+# the corrector
 # ---------------------------------------------------------------------------
 
 
@@ -46,7 +53,7 @@ def test_correct_linear_equality_kernel_direction():
     sys = make(eqs=["x1 + 2*x2"])
     d = np.array([2.0, -1.0]) / np.sqrt(5.0)
     for t in (1e-1, 1e-3, 1e-5):
-        result = ljusternik_correct(sys, (1,), [0.0, 0.0], d, t, CFG)
+        result = _correct_lockstep(sys, [0.0, 0.0], t, [((1,), d, None)], CFG)[0]
         assert result.converged
         assert np.linalg.norm(result.r) <= 1e-14
 
@@ -56,7 +63,7 @@ def test_correct_circle_matches_closed_form():
     # ||r(t)|| = sqrt(1+t^2) - 1 ~ t^2/2.
     sys = make(eqs=["x1^2 + x2^2 - 1"])
     t = 1e-2
-    result = ljusternik_correct(sys, (1,), [1.0, 0.0], [0.0, 1.0], t, CFG)
+    result = _correct_lockstep(sys, [1.0, 0.0], t, [((1,), [0.0, 1.0], None)], CFG)[0]
     assert result.converged
     expected = math.sqrt(1.0 + t * t) - 1.0
     assert np.linalg.norm(result.r) == pytest.approx(expected, rel=1e-6)
@@ -65,7 +72,7 @@ def test_correct_circle_matches_closed_form():
 
 def test_correct_parallel_rows_pivot_already_satisfied():
     sys = make(eqs=["x1", "2*x1"])
-    result = ljusternik_correct(sys, (1, 2), [0.0, 0.0], [0.0, 1.0], 1e-2, CFG)
+    result = _correct_lockstep(sys, [0.0, 0.0], 1e-2, [((1, 2), [0.0, 1.0], None)], CFG)[0]
     assert result.converged
     assert result.iterations == 0
     assert np.linalg.norm(result.r) == 0.0
@@ -73,7 +80,7 @@ def test_correct_parallel_rows_pivot_already_satisfied():
 
 def test_correct_empty_j_set():
     sys = make(ins=["-x1"])
-    result = ljusternik_correct(sys, (), [0.0, 0.0], [1.0, 0.0], 1e-2, CFG)
+    result = _correct_lockstep(sys, [0.0, 0.0], 1e-2, [((), [1.0, 0.0], None)], CFG)[0]
     assert result.converged and np.linalg.norm(result.r) == 0.0
 
 
@@ -96,7 +103,7 @@ def test_corrector_evaluates_each_iterate_once(monkeypatch):
     sys = make(eqs=["x1^2 + x2^2 + x3^2 - 1", "x3 - x1*x2"], variables=("x1", "x2", "x3"))
     d = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
     calls = count_evaluations(monkeypatch)
-    result = ljusternik_correct(sys, (1, 2), [1.0, 0.0, 0.0], d, 0.1, CFG)
+    result = _correct_lockstep(sys, [1.0, 0.0, 0.0], 0.1, [((1, 2), d, None)], CFG)[0]
     assert result.converged and result.iterations >= 2
     assert result.pivot_indices == (1, 2)
     # Once at x0 + t*d to select the pivots, then once per iterate from the
@@ -124,35 +131,28 @@ def test_equality_projection_evaluates_each_iterate_once(monkeypatch):
 def test_correct_requires_positive_t():
     sys = make(eqs=["x1"])
     with pytest.raises(ValueError):
-        ljusternik_correct(sys, (1,), [0.0, 0.0], [0.0, 1.0], 0.0, CFG)
+        _correct_lockstep(sys, [0.0, 0.0], 0.0, [((1,), [0.0, 1.0], None)], CFG)
 
 
 # ---------------------------------------------------------------------------
-# probe_tangent
+# the cone-direction probe
 # ---------------------------------------------------------------------------
 
 
 def test_probe_unconstrained_passes_trivially():
     sys = make()
     x0 = [0.3, -0.4]
-    probe = probe_tangent(sys, x0, aset_for(sys, x0), [1.0, 0.0], CFG.t_schedule, CFG)
+    probe = probe_one(sys, x0, [1.0, 0.0])
     assert probe.passed
     assert probe.j_set == ()
     assert all(r == 0.0 for r in probe.trace.r_norms)
-
-
-def test_probe_rejects_repeated_t():
-    sys = make()
-    x0 = [0.3, -0.4]
-    with pytest.raises(ValueError, match="strictly descending"):
-        probe_tangent(sys, x0, aset_for(sys, x0), [1.0, 0.0], (0.1, 0.01, 0.01, 0.001), CFG)
 
 
 def test_probe_parallel_equalities_exact_kernel():
     sys = make(eqs=["x1 + x2", "2*x1 + 2*x2"])
     x0 = [0.0, 0.0]
     d = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    probe = probe_tangent(sys, x0, aset_for(sys, x0), d, CFG.t_schedule, CFG)
+    probe = probe_one(sys, x0, d)
     assert probe.passed
     assert all(probe.trace.converged)
     assert all(ratio <= 1e-12 for ratio in probe.trace.ratio)
@@ -161,9 +161,7 @@ def test_probe_parallel_equalities_exact_kernel():
 def test_probe_circle_decay_slope_near_two():
     sys = make(eqs=["x1^2 + x2^2 - 1"])
     x0 = [1.0, 0.0]
-    probe = probe_tangent(
-        sys, x0, aset_for(sys, x0), [0.0, 1.0], (1e-1, 1e-2, 1e-3, 1e-4), CFG
-    )
+    probe = probe_one(sys, x0, [0.0, 1.0], ToolConfig(t_schedule=(1e-1, 1e-2, 1e-3, 1e-4)))
     assert probe.passed
     assert probe.trace.decay_slope is not None
     assert probe.trace.decay_slope >= 1.8
@@ -172,7 +170,7 @@ def test_probe_circle_decay_slope_near_two():
 def test_probe_circle_r_norms_match_closed_form():
     sys = make(eqs=["x1^2 + x2^2 - 1"])
     x0 = [1.0, 0.0]
-    probe = probe_tangent(sys, x0, aset_for(sys, x0), [0.0, 1.0], CFG.t_schedule, CFG)
+    probe = probe_one(sys, x0, [0.0, 1.0])
     for t, rn in zip(probe.trace.t_values, probe.trace.r_norms):
         expected = math.sqrt(1.0 + t * t) - 1.0
         assert rn == pytest.approx(expected, rel=1e-3)
@@ -183,7 +181,7 @@ def test_probe_x_squared_hard_failure():
     # leaving ||r||/t near 1 at every t.
     sys = make(ins=["x^2"], variables=("x",))
     x0 = [0.0]
-    probe = probe_tangent(sys, x0, aset_for(sys, x0), [1.0], CFG.t_schedule, CFG)
+    probe = probe_one(sys, x0, [1.0])
     assert not probe.passed
     assert probe.hard_fail
     assert probe.j_set == (1,)
@@ -194,7 +192,7 @@ def test_probe_x_squared_hard_failure():
 def test_probe_inactive_constraints_stay_strictly_negative():
     sys = make(ins=["-x1", "-2*x1"], variables=("x1",))
     x0 = [0.0]
-    probe = probe_tangent(sys, x0, aset_for(sys, x0), [1.0], CFG.t_schedule, CFG)
+    probe = probe_one(sys, x0, [1.0])
     assert probe.passed
     assert probe.critical_set == ()
     assert all(ok for ok in probe.inactive_ok)
@@ -205,7 +203,7 @@ def test_probe_inactive_domain_error_counts_as_unsafe():
     # log(x1 + 0.05) is undefined at the corrected point for t = 0.1 only.
     sys = make(ins=["x1", "log(x1 + 0.05) - 10"], variables=("x1",))
     x0 = [0.0]
-    probe = probe_tangent(sys, x0, aset_for(sys, x0), [-1.0], CFG.t_schedule, CFG)
+    probe = probe_one(sys, x0, [-1.0])
     assert probe.inactive_ok == (False, True, True, True, True)
     assert probe.passed
 
@@ -213,7 +211,8 @@ def test_probe_inactive_domain_error_counts_as_unsafe():
 def test_probe_inactive_check_propagates_non_domain_errors(monkeypatch):
     sys = make(ins=["-x1", "x1 - 1"], variables=("x1",))
     x0 = [0.0]
-    pd, aset = evaluate_point(sys, x0), aset_for(sys, x0)
+    pd = evaluate_point(sys, x0)
+    cone = build_linearized_cone(pd, active_set(pd, CFG.tol_active))
 
     def broken(self, point):
         raise ValueError("point has the wrong dimension")
@@ -221,7 +220,7 @@ def test_probe_inactive_check_propagates_non_domain_errors(monkeypatch):
     # J(d) is empty, so the inactive check is the only evaluation left.
     monkeypatch.setattr(Expression, "value_and_gradient", broken)
     with pytest.raises(ValueError, match="wrong dimension"):
-        probe_tangent(sys, x0, aset, [1.0], CFG.t_schedule, CFG, pd=pd)
+        _probe_directions(sys, pd, cone, [np.array([1.0])], CFG)
 
 
 def test_feasible_at_scale_propagates_non_domain_errors():
@@ -234,20 +233,13 @@ def test_feasible_at_scale_propagates_non_domain_errors():
         feasible_at_scale(sys, (1,), np.zeros(3), 0.1, 1e-8)
 
 
-def test_probe_rejects_non_cone_direction():
-    sys = make(eqs=["x1"])
-    x0 = [0.0, 0.0]
-    with pytest.raises(ValueError):
-        probe_tangent(sys, x0, aset_for(sys, x0), [1.0, 0.0], CFG.t_schedule, CFG)
-
-
 def test_probe_ljusternik_bound_shape_on_circle():
     # On the full-rank equality problem the correction obeys
     # ||r(t)|| <= K ||h(x0 + t d)|| with K stable across t (within 50%).
     sys = make(eqs=["x1^2 + x2^2 - 1"])
     x0 = np.array([1.0, 0.0])
     d = np.array([0.0, 1.0])
-    probe = probe_tangent(sys, x0, aset_for(sys, x0), d, CFG.t_schedule, CFG)
+    probe = probe_one(sys, x0, d)
     ks = []
     for t, rn in zip(probe.trace.t_values, probe.trace.r_norms):
         h = abs(sys.constraint(1).evaluate(x0 + t * d))
@@ -357,9 +349,30 @@ def test_abadie_skips_probe_points_outside_the_domain():
     # the domain of log, which must skip them, not fail the whole section.
     sys = make(eqs=["log(x1) - x2"])
     x0 = [0.05, math.log(0.05)]
-    result = ljusternik_correct(sys, [1], x0, [-1.0, 0.0], 0.1, CFG)
+    result = _correct_lockstep(sys, x0, 0.1, [([1], [-1.0, 0.0], None)], CFG)[0]
     assert not result.converged and "constraint 1" in result.diagnostic
     assert abadie_verdict(sys, x0, CFG).verdict == "consistent"
+
+
+def test_probe_rejects_repeated_t():
+    # A library ToolConfig is not checked by the option table.
+    cfg = ToolConfig(t_schedule=(0.1, 0.01, 0.01, 0.001))
+    with pytest.raises(ValueError, match="strictly descending"):
+        abadie_verdict(make(), [0.3, -0.4], cfg)
+
+
+def test_abadie_builds_the_linearized_cone_once(monkeypatch):
+    # The probes read the cone the verdict has built; they build none.
+    calls = []
+
+    def counting(pd, active):
+        calls.append(active)
+        return build_linearized_cone(pd, active)
+
+    monkeypatch.setattr(tangent, "build_linearized_cone", counting)
+    report = abadie_verdict(make(objective="x1 + x2", ins=["x1^2 + x2^2 - 1", "-x2"]),
+                            [1.0, 0.0], CFG)
+    assert report.probes and calls == [(1, 2)]
 
 
 def test_abadie_infeasible_point_rejected():
