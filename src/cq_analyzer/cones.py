@@ -1,4 +1,4 @@
-"""Linearized cones: membership, dual-cone decomposition, kernels, sampling.
+"""Linearized cones: membership, dual-cone decomposition, kernels, faces.
 
 The linearized cone at a base point is the polyhedron
 ``{d : A_eq d = 0, A_in d <= 0}`` built from active gradient rows.  Zero
@@ -17,24 +17,23 @@ solution set is a nontrivial polytope.  All operations are pure.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.random import PCG64, Generator
 
 from .model import PointData
 
 __all__ = [
     "ConeCoefficients",
-    "ConeDirectionSample",
     "LinearizedCone",
     "build_linearized_cone",
     "cone_member",
     "dual_cone_decomposition",
+    "face_directions",
     "kernel_basis",
     "nonneg_lstsq",
-    "sample_cone_directions",
 ]
 
 _RIDGE = 1e-12
@@ -265,71 +264,72 @@ def kernel_basis(rows: np.ndarray, tol_rank: float) -> np.ndarray:
     return vt[rank:]
 
 
-@dataclass(frozen=True)
-class ConeDirectionSample:
-    """Seeded unit directions inside a linearized cone, with sampling notes."""
+def face_directions(
+    c: LinearizedCone, count: int, tol: float
+) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    """One centred unit direction per face of the cone, with the face's set S
+    of inequality indices, for at most ``count`` directions.
 
-    directions: tuple[np.ndarray, ...]
-    requested: int
-    attempts: int
-    trivial: bool               # no nonzero member was found at all
-    stalled: bool               # rejection ended before `requested` directions
+    The face F_S holds the cone members on which the rows of S vanish.  Let P
+    project onto the kernel of the equality rows and the rows of S (all rows
+    normalized) and let R be the other inequality rows.  The min-norm point p
+    of the convex hull of the columns P row_i^T, i in R (Wolfe, Math.
+    Programming 11, 1976), is one non-negative least-squares solve with an
+    extra row for sum(lambda) = 1; every row of R is at most -|p| on
+    d_S = -p/|p|, which is centred in F_S.  When p = 0 the rows carrying
+    lambda vanish on the whole face, join S, and the solve is repeated (the
+    closure of S).  When R is empty, F_S is the lineality space and gets the
+    directions +-P e_j, duplicates dropped.
 
-
-def sample_cone_directions(
-    c: LinearizedCone, count: int, seed: int, tol: float = 1e-8
-) -> ConeDirectionSample:
-    """Deterministic unit members of the cone.
-
-    Kernel-basis vectors of the equality rows (and their negations) are
-    offered first; random sphere samples projected onto the equality kernel
-    follow, with a sign flip retried when the inequality rows reject a
-    candidate.  Near-duplicates are dropped.  Fewer than ``count``
-    directions may be returned; a cone with no nonzero member found is
-    flagged trivial.
-
-    A kernel of dimension 0 or 1 gets no random draws (``attempts`` is 0):
-    a draw projected onto the span of one basis vector b normalizes to +-b,
-    which the basis loop has already offered, so it could only be a
-    duplicate or be rejected again.
+    Faces are visited breadth first from the closure of the empty set, the
+    children of S being the closures of S + {i}, in (|S|, sorted S) order.
+    A permutation of the variables permutes the directions; an empty result
+    means the cone is {0}.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    n = c.dimension
-    basis = kernel_basis(c.eq_rows if c.eq_rows.size else np.zeros((0, n)), tol)
-    accepted: list[np.ndarray] = []
+    n, k = c.dimension, len(c.eq_rows)
+    rows = np.vstack([c.eq_rows, c.ineq_rows])
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = rows / np.where(norms > 0.0, norms, 1.0)    # zero rows stay zero
+    eq, ineq = rows[:k], rows[k:]
 
-    def offer(d: np.ndarray) -> None:
-        norm = float(np.linalg.norm(d))
-        if norm <= 1e-12:
-            return
-        d = d / norm
-        for candidate in (d, -d):
-            if not cone_member(c, candidate, tol):
-                continue
-            if any(float(candidate @ e) > 1.0 - 1e-12 for e in accepted):
-                return
-            accepted.append(candidate)
-            return
+    def close(face: frozenset) -> tuple[tuple[int, ...], list[np.ndarray]]:
+        while True:
+            s = sorted(face)
+            basis = kernel_basis(np.vstack([eq, ineq[s]]), tol)
+            rest = [i for i in range(len(ineq)) if i not in face]
+            if not rest:
+                lineality: list[np.ndarray] = []
+                for v in basis.T @ basis:
+                    norm = float(np.linalg.norm(v))
+                    for e in (v / norm, -v / norm) if norm > tol else ():
+                        if all(float(e @ f) <= 1.0 - 1e-12 for f in lineality):
+                            lineality.append(e)
+                return tuple(s), lineality
+            cols = basis.T @ (basis @ ineq[rest].T)
+            u, _ = nonneg_lstsq(np.vstack([cols, np.ones(len(rest))]), np.eye(n + 1)[n])
+            lam = u / np.sum(u)
+            p = cols @ lam
+            norm = float(np.linalg.norm(p))
+            if norm > tol:
+                return tuple(s), [-p / norm]
+            face = face | {rest[j] for j in np.flatnonzero(lam > tol)}
 
-    for b in basis:
-        offer(b.copy())
-        offer(-b)
-        if len(accepted) >= count:
-            break
-
-    rng = Generator(PCG64(int(seed)))
-    attempts = 0
-    max_attempts = 20 * count
-    while len(accepted) < count and attempts < max_attempts and basis.shape[0] > 1:
-        attempts += 1
-        g = rng.standard_normal(n)
-        offer(basis.T @ (basis @ g))
-
-    return ConeDirectionSample(
-        directions=tuple(accepted),
-        requested=count,
-        attempts=attempts,
-        trivial=not accepted,
-        stalled=len(accepted) < count,
-    )
+    faces: dict = {}
+    queue: list = []
+    out: list = []
+    children = [frozenset()]
+    while True:
+        for face in children:
+            s, directions = close(face)
+            if s not in faces:
+                faces[s] = directions
+                heapq.heappush(queue, (len(s), s))
+        if not queue:
+            return tuple(out)
+        _, s = heapq.heappop(queue)
+        out.extend((tuple(c.ineq_indices[i] for i in s), d) for d in faces[s])
+        if len(out) >= count:
+            return tuple(out[:count])
+        children = [frozenset(s) | {i} for i in range(len(ineq)) if i not in s]

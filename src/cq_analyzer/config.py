@@ -15,22 +15,20 @@ from .rank import DEFAULT_RADII, NeighborhoodSampler
 
 __all__ = [
     "CORRECTOR_MAX_ITER", "CORRECTOR_TOL", "DEFAULT_T_SCHEDULE", "DIRECTION_COUNT",
-    "FIT_TOLERANCE_REL", "T_SCHEDULE_TAIL", "TOL_CRITICAL", "ToolConfig",
+    "FIT_TOLERANCE_REL", "T_SCHEDULE_TAIL", "ToolConfig",
 ]
 
 DEFAULT_T_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 # The tangent probe judges convergence and safety on this many smallest t.
 T_SCHEDULE_TAIL = 3
-TOL_CRITICAL = 1e-8  # h_i is critical along d when |<grad h_i, d>| is below this
-DIRECTION_COUNT = 16  # cone directions probed for gamma in T
+DIRECTION_COUNT = 16  # face directions probed for gamma in T
 CORRECTOR_TOL = 1e-12  # corrector stops at ||h_J||_inf <= CORRECTOR_TOL * (1 + scale)
 CORRECTOR_MAX_ITER = 50
 FIT_TOLERANCE_REL = 1e-6  # dependence fit bound, relative to the value scale
 
 _FIXED = {
-    "tol_critical": TOL_CRITICAL, "direction_count": DIRECTION_COUNT,
-    "corrector_tol": CORRECTOR_TOL, "corrector_max_iter": CORRECTOR_MAX_ITER,
-    "fit_tolerance_rel": FIT_TOLERANCE_REL,
+    "direction_count": DIRECTION_COUNT, "corrector_tol": CORRECTOR_TOL,
+    "corrector_max_iter": CORRECTOR_MAX_ITER, "fit_tolerance_rel": FIT_TOLERANCE_REL,
 }
 
 

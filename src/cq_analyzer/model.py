@@ -1,4 +1,4 @@
-"""Constraint systems, base-point evaluation, active sets, and criticality.
+"""Constraint systems, base-point evaluation, active sets and feasibility.
 
 A :class:`ConstraintSystem` holds an optional objective plus equality and
 inequality constraint expressions over a shared ordered variable list.
@@ -24,7 +24,6 @@ __all__ = [
     "ConstraintSystem",
     "PointData",
     "active_set",
-    "critical_active_set",
     "evaluate_point",
     "evaluate_rows",
     "feasibility_check",
@@ -220,26 +219,3 @@ def feasibility_check(pd: PointData, tol: float) -> tuple[tuple[int, float], ...
         if pd.value(i) > tol:
             violations.append((i, pd.value(i)))
     return tuple(violations)
-
-
-def critical_active_set(
-    pd: PointData, active: Sequence[int], d: Sequence[float], tol: float
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """I(x0,d), the active inequalities with <grad h_i, d> ~ 0, and
-    J(d) = I_0 union I(x0,d).
-
-    The inner-product test is scaled relative to the row and direction norms
-    so large-gradient rows do not appear spuriously critical.
-    """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (pd.dimension,):
-        raise ValueError(f"direction has shape {d.shape}, expected ({pd.dimension},)")
-    dn = float(np.linalg.norm(d))
-    critical = []
-    for i in active:
-        row = pd.row(i)
-        bound = tol * (1.0 + float(np.linalg.norm(row)) * dn)
-        if abs(float(row @ d)) <= bound:
-            critical.append(i)
-    j_set = tuple(sorted(set(pd.equality_indices) | set(critical)))
-    return tuple(critical), j_set

@@ -73,7 +73,7 @@ def _finite_float(value) -> float:
 
 def _unit_interval(value) -> float:
     # tol_rank is a relative singular-value cutoff, and so is tol_cone in
-    # kkt's rank test and in the cone sampler's kernel basis.
+    # kkt's rank test and in the face walk's kernel bases.
     number = _finite_float(value)
     if not 0.0 < number < 1.0:
         raise ProblemFileError(f"must lie in (0, 1), got {value!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 
 __all__ = ["REPORT_VERSION", "emit_report", "machine_dumps", "render_text"]
 

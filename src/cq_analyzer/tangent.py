@@ -9,7 +9,7 @@ slope above 1.  Only the inclusion Gamma within T is probed: the tangent
 cone lies in the linearized cone for any C1 constraints (Nocedal & Wright,
 Numerical Optimization, 2nd ed., Lemma 12.2(i)).
 
-Verdicts are evidence, not proofs: "consistent" means no sampled direction
+Verdicts are evidence, not proofs: "consistent" means no probed direction
 contradicted the Abadie inclusion, "violated" carries a concrete witness
 (a cone direction whose correction collapses back to the base point or
 stalls).
@@ -23,16 +23,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cones import LinearizedCone, build_linearized_cone, sample_cone_directions
+from .cones import LinearizedCone, build_linearized_cone, face_directions
 from .config import (
-    CORRECTOR_MAX_ITER, CORRECTOR_TOL, DIRECTION_COUNT, T_SCHEDULE_TAIL, TOL_CRITICAL, ToolConfig,
+    CORRECTOR_MAX_ITER, CORRECTOR_TOL, DIRECTION_COUNT, T_SCHEDULE_TAIL, ToolConfig,
 )
 from .model import (
     ConstraintDomainError,
     ConstraintSystem,
     PointData,
     active_set,
-    critical_active_set,
     evaluate_point,
     evaluate_rows,
     feasibility_check,
@@ -297,17 +296,17 @@ def _fit_loglog_slope(ts, rs) -> Optional[float]:
 def _probe_directions(
     sys: ConstraintSystem,
     pd: PointData,
-    cone: LinearizedCone,
-    directions: Sequence[np.ndarray],
+    faces: Sequence[tuple[tuple[int, ...], np.ndarray]],
     cfg: ToolConfig,
 ) -> list[TangentProbe]:
-    """Correct x0 + t*d back onto the critical constraints of each cone
+    """Correct x0 + t*d back onto the critical constraints of each face
     direction d for each t of ``cfg.t_schedule``.
 
-    ``pd`` is the evaluation at x0 and ``cone`` its linearized cone, which
-    ``directions`` lie in.  J(d) is computed once at x0 and held fixed along
-    the schedule.  A probe passes when the smallest three t values
-    converge, the ratio ||r||/t is non-increasing with final value at most
+    ``pd`` is the evaluation at x0 and ``faces`` holds (S, d) pairs: d is
+    centred in the face of the linearized cone on which the active
+    inequalities S vanish, so J(d) = I_0 + S, held fixed along the schedule.
+    A probe passes when the smallest three t values converge, the ratio
+    ||r||/t is non-increasing with final value at most
     ``ratio_tol``, and every inactive inequality stays strictly negative at
     the corrected points of that small-t tail (the recorded
     ``inactive_eps0`` is the largest safe t).  A hard failure (witness
@@ -321,10 +320,9 @@ def _probe_directions(
     """
     x0 = pd.point
     t_schedule = tuple(float(t) for t in cfg.t_schedule)
-    crits = [critical_active_set(pd, cone.ineq_indices, d, TOL_CRITICAL) for d in directions]
-    inactive = [
-        tuple(i for i in pd.inequality_indices if i not in set(j_set)) for _, j_set in crits
-    ]
+    directions = [d for _, d in faces]
+    crits = [(s, tuple(sorted(pd.equality_indices + s))) for s, _ in faces]
+    inactive = [tuple(i for i in pd.inequality_indices if i not in j) for _, j in crits]
     corrections: list[list[CorrectionResult]] = [[] for _ in directions]
     inactive_ok: list[list[Optional[bool]]] = [[] for _ in directions]
     prev: list[Optional[tuple[float, np.ndarray]]] = [None] * len(directions)
@@ -491,7 +489,8 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
                    pd: Optional[PointData] = None) -> AbadieReport:
     """Render consistent / violated / inconclusive from the cone-direction probes.
 
-    Sampled cone directions must all pass their tangent probe.  A hard
+    One centred direction per face of the linearized cone, up to
+    ``DIRECTION_COUNT``, must each pass its tangent probe.  A hard
     failure is the witness for ``violated``; all-pass yields ``consistent``;
     anything softer is ``inconclusive``.  The converse inclusion T within
     Gamma holds for any C1 constraints, so it is not sampled.  ``pd`` is the
@@ -506,8 +505,8 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
     t = cfg.t_schedule
     if any(a <= b for a, b in zip(t, t[1:])) or min(t) <= 0:
         raise ValueError("t_schedule must be positive and strictly descending")
-    sample = sample_cone_directions(cone, DIRECTION_COUNT, cfg.seed + 1, cfg.tol_cone)
-    probes = tuple(_probe_directions(sys, pd, cone, sample.directions, cfg))
+    faces = face_directions(cone, DIRECTION_COUNT, cfg.tol_cone)
+    probes = tuple(_probe_directions(sys, pd, faces, cfg))
 
     witness = None
     for p in probes:
@@ -530,7 +529,7 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
         verdict=verdict,
         cone=cone,
         probes=probes,
-        trivial_cone=sample.trivial,
+        trivial_cone=not faces,
         witness=witness,
         config=cfg.to_dict(),
     )

@@ -15,12 +15,9 @@ tangent cone lies in the linearized cone for any C1 constraints (Nocedal &
 Wright, Numerical Optimization, 2nd ed., Lemma 12.2(i)).  The tests keep
 checking that inclusion with it and ``cones.cone_member``.
 
-``sample_cone_directions`` and ``points_by_radius`` are the former
-cone-direction sampler, which made its random draws whenever the equality
-kernel was not trivial, and the former sample plan, which drew one normal
-vector per point; ``tests/test_sampling_oracle.py`` checks the sampler that
-skips the draws on a kernel of dimension 1 and the plan that draws one
-array per radius layer against them bit for bit.
+``points_by_radius`` is the former sample plan, which drew one normal
+vector per point; ``tests/test_sampling_oracle.py`` checks the plan that
+draws one array per radius layer against it bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random import PCG64, Generator
 
-from cq_analyzer.cones import ConeDirectionSample, build_linearized_cone, cone_member, kernel_basis
+from cq_analyzer.cones import build_linearized_cone, cone_member
 from cq_analyzer.config import CORRECTOR_MAX_ITER, CORRECTOR_TOL
 from cq_analyzer.model import active_set, evaluate_point, evaluate_rows
 from cq_analyzer.rank import NeighborhoodSampler, RankResult
@@ -317,51 +314,6 @@ def estimate_memberships(sys, x0, cfg) -> list[tuple[tuple[float, ...], bool, bo
         hard = not member and not cone_member(cone, d, 10.0 * est_tol)
         memberships.append((tuple(float(v) for v in d), member, hard))
     return memberships
-
-
-def sample_cone_directions(c, count, seed, tol=1e-8) -> ConeDirectionSample:
-    """Deterministic unit members of the cone, with up to ``20 * count``
-    random draws whenever the equality kernel is not trivial."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    n = c.dimension
-    basis = kernel_basis(c.eq_rows if c.eq_rows.size else np.zeros((0, n)), tol)
-    accepted: list[np.ndarray] = []
-
-    def offer(d: np.ndarray) -> None:
-        norm = float(np.linalg.norm(d))
-        if norm <= 1e-12:
-            return
-        d = d / norm
-        for candidate in (d, -d):
-            if not cone_member(c, candidate, tol):
-                continue
-            if any(float(candidate @ e) > 1.0 - 1e-12 for e in accepted):
-                return
-            accepted.append(candidate)
-            return
-
-    for b in basis:
-        offer(b.copy())
-        offer(-b)
-        if len(accepted) >= count:
-            break
-
-    rng = Generator(PCG64(int(seed)))
-    attempts = 0
-    max_attempts = 20 * count
-    while len(accepted) < count and attempts < max_attempts and basis.shape[0] > 0:
-        attempts += 1
-        g = rng.standard_normal(n)
-        offer(basis.T @ (basis @ g))
-
-    return ConeDirectionSample(
-        directions=tuple(accepted),
-        requested=count,
-        attempts=attempts,
-        trivial=not accepted,
-        stalled=len(accepted) < count,
-    )
 
 
 def points_by_radius(sampler) -> list[tuple[float, list[np.ndarray]]]:

@@ -184,8 +184,7 @@ def test_criterion_5_corrector_decay_on_circle():
     _, pf = load_case("circle-point")
     system = pf.system
     pd = evaluate_point(system, pf.x0)
-    cone = build_linearized_cone(pd, active_set(pd, CFG.tol_active))
-    probe = _probe_directions(system, pd, cone, [np.array([0.0, 1.0])], CFG)[0]
+    probe = _probe_directions(system, pd, [((), np.array([0.0, 1.0]))], CFG)[0]
     failures = []
     by_t = dict(zip(probe.trace.t_values, probe.trace.r_norms))
     for t in (1e-2, 1e-3, 1e-4):

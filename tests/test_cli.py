@@ -167,8 +167,8 @@ def test_cli_rejects_invalid_float_flags_with_usage_exit(capsys, flags):
     assert out == ""
 
 
-# Each of these used to end in a traceback mid-analysis: kkt and the cone
-# sampler use tol_cone as a relative rank cutoff, which must lie in (0, 1),
+# Each of these used to end in a traceback mid-analysis: kkt and the face
+# walk use tol_cone as a relative rank cutoff, which must lie in (0, 1),
 # and the active set needs a positive tol_active.
 OUT_OF_RANGE_TOLERANCES = [
     ("tol_cone", 2.0), ("tol_cone", 1.0), ("tol_cone", 0.0), ("tol_cone", -1.0),
@@ -183,6 +183,23 @@ def test_cli_rejects_an_out_of_range_tolerance_flag(capsys, key, value):
         code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
         assert code == 64 and out == ""
         assert err.startswith(f"cq-analyzer: {flag}: ")
+
+
+@pytest.mark.parametrize("flag", ["--tol-feas", "--ratio-tol"])
+def test_cli_takes_a_negative_flag_value_with_an_exponent(capsys, flag):
+    # argparse's negative-number pattern has no exponent, so the
+    # space-separated form used to read -1e-08 as an option name.
+    argv = ["rcrcq", corpus_file("circle-point"), "--format", "machine"]
+    code, out, err = run_cli(capsys, *argv, flag, "-1e-08")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"][flag[2:].replace("-", "_")] == -1e-08
+    assert run_cli(capsys, *argv, f"{flag}=-1e-08") == (code, out, err)
+
+
+def test_cli_names_a_negative_exponent_flag_value_by_the_option_table(capsys):
+    code, out, err = run_cli(capsys, "rcrcq", corpus_file("circle-point"), "--tol-active", "-1e-08")
+    assert code == 64 and out == ""
+    assert err.startswith("cq-analyzer: --tol-active: ")
 
 
 @pytest.mark.parametrize("key, value", OUT_OF_RANGE_TOLERANCES)
@@ -446,7 +463,7 @@ def test_cli_analyze_includes_config_snapshot(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["report_version"] == 3
+    assert report["report_version"] == 4
     assert report["config"]["tol_rank"] == 1e-7
     assert report["config"]["seed"] == 42
     assert set(report["analyses"]) == {"rcrcq", "abadie", "dependence", "kkt"}

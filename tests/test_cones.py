@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.random import PCG64, Generator
 
 from cq_analyzer.cones import (
@@ -9,10 +11,11 @@ from cq_analyzer.cones import (
     build_linearized_cone,
     cone_member,
     dual_cone_decomposition,
+    face_directions,
     kernel_basis,
     nonneg_lstsq,
-    sample_cone_directions,
 )
+from cq_analyzer.config import DIRECTION_COUNT
 from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
 
 
@@ -222,8 +225,8 @@ def corpus_cones():
 
 
 def test_farkas_consistency_property():
-    # Whenever v decomposes over the rows, <v, d> <= tol for every sampled
-    # member d of the cone; checked on hand-made cones and every corpus cone.
+    # Whenever v decomposes over the rows, <v, d> <= tol for every face
+    # direction d of the cone; checked on hand-made cones and every corpus cone.
     cones = [
         make_cone([[1.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]),
         make_cone([], [[-1.0, 0.0], [0.0, -1.0]]),
@@ -232,13 +235,13 @@ def test_farkas_consistency_property():
     rng = Generator(PCG64(21))
     for cone in cones:
         n = cone.dimension
-        sample = sample_cone_directions(cone, 24, seed=5)
+        faces = face_directions(cone, 24, 1e-8)
         for _ in range(100):
             v = rng.standard_normal(n)
             coeffs = dual_cone_decomposition(cone, v, 1e-8)[0]
             if coeffs is None:
                 continue
-            for d in sample.directions:
+            for _, d in faces:
                 assert float(v @ d) <= 1e-6
 
 
@@ -291,47 +294,153 @@ def test_kernel_orthogonal_to_rows():
 
 
 # ---------------------------------------------------------------------------
-# sample_cone_directions
+# face_directions
 # ---------------------------------------------------------------------------
 
 
-def test_sample_whole_space():
-    cone = make_cone([], [], n=3)
-    sample = sample_cone_directions(cone, 10, seed=42)
-    assert len(sample.directions) == 10
-    assert not sample.trivial
-    for d in sample.directions:
-        assert cone_member(cone, d, 1e-8)
+def face_list(cone, count=DIRECTION_COUNT, tol=1e-8):
+    return [(s, d.tolist()) for s, d in face_directions(cone, count, tol)]
+
+
+def test_faces_of_the_orthant_centre_first_then_each_edge():
+    cone = cone_from_system(ins=["-x1", "-x2"])
+    faces = face_directions(cone, DIRECTION_COUNT, 1e-8)
+    assert [s for s, _ in faces] == [(), (1,), (2,)]
+    expected = [np.array([1.0, 1.0]) / np.sqrt(2.0), [0.0, 1.0], [1.0, 0.0]]
+    for (_, d), e in zip(faces, expected):
+        assert np.allclose(d, e, rtol=0.0, atol=1e-15)
+
+
+def test_faces_stop_at_the_count():
+    cone = cone_from_system(ins=["-x1", "-x2"])
+    assert [s for s, _ in face_directions(cone, 2, 1e-8)] == [(), (1,)]
+    with pytest.raises(ValueError):
+        face_directions(cone, 0, 1e-8)
+
+
+def test_faces_of_a_halfline_give_one_direction():
+    cone = cone_from_system(ins=["-x1", "-2*x1"], variables=("x1",), x0=(0.0,))
+    assert face_list(cone) == [((), [1.0])]
+
+
+def test_faces_of_the_whole_space_give_both_signs_of_each_axis():
+    faces = face_list(cone_from_system(variables=("x1", "x2", "x3"), x0=(0.0,) * 3))
+    assert [s for s, _ in faces] == [()] * 6
+    assert [np.abs(d).tolist() for _, d in faces] == [
+        [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0],
+    ]
+    assert [sum(d) for _, d in faces] == [1.0, -1.0] * 3
+
+
+def test_faces_lie_in_the_equality_kernel():
+    faces = face_list(make_cone([[2.0, 0.0]], []))
+    assert faces == [((), [0.0, 1.0]), ((), [0.0, -1.0])]
+
+
+def test_faces_of_the_trivial_cone_are_empty():
+    assert face_directions(make_cone([[1.0, 0.0], [0.0, 1.0]], []), 8, 1e-8) == ()
+
+
+def test_faces_close_over_a_zero_row_and_an_opposite_pair():
+    # x^2 <= 0 gives the zero row, so Gamma = R is the lineality space; the
+    # pair x1 <= 0, -x1 <= 0 is an implicit equality.
+    cone = cone_from_system(ins=["x^2"], variables=("x",), x0=(0.0,))
+    assert face_list(cone) == [((1,), [1.0]), ((1,), [-1.0])]
+    cone = cone_from_system(ins=["x1", "-x1", "-x2"])
+    assert face_list(cone) == [((1, 2), [0.0, 1.0])]
+
+
+@st.composite
+def small_cones(draw):
+    """Cones in R^n, n = 1..4, with integer rows in [-2, 2]."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    eq = draw(st.lists(row, max_size=2))
+    ineq = draw(st.lists(row, min_size=1, max_size=5))
+    return make_cone(eq, ineq, n)
+
+
+CONE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def unit(rows):
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / np.where(norms > 0.0, norms, 1.0)
+
+
+@CONE_SETTINGS
+@given(cone=small_cones())
+def test_face_directions_are_centred_unit_members(cone):
+    tol = 1e-8
+    ineq = unit(cone.ineq_rows)
+    for s, d in face_directions(cone, DIRECTION_COUNT, tol):
         assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+        assert cone_member(cone, d, 1e-10)
+        assert np.all(np.abs(unit(cone.eq_rows) @ d) <= 1e-10)
+        on_face = np.isin(cone.ineq_indices, s)
+        assert np.all(np.abs(ineq[on_face] @ d) <= 1e-10)
+        assert np.all(ineq[~on_face] @ d < -tol)
 
 
-def test_sample_projects_onto_equality_kernel():
-    cone = make_cone([[1.0, 0.0]], [])
-    sample = sample_cone_directions(cone, 8, seed=42)
-    assert sample.directions
-    for d in sample.directions:
-        assert abs(d[0]) <= 1e-8
+@CONE_SETTINGS
+@given(cone=small_cones(), data=st.data())
+def test_face_directions_ignore_positive_row_scales(cone, data):
+    def scales(k):
+        return np.array(data.draw(st.lists(st.sampled_from((0.1, 0.5, 3.0, 1e3)),
+                                           min_size=k, max_size=k)))[:, None]
+
+    scaled = LinearizedCone(
+        eq_rows=cone.eq_rows * scales(len(cone.eq_rows)),
+        ineq_rows=cone.ineq_rows * scales(len(cone.ineq_rows)),
+        eq_indices=cone.eq_indices, ineq_indices=cone.ineq_indices,
+        base_point=cone.base_point,
+    )
+    plain = face_directions(cone, DIRECTION_COUNT, 1e-8)
+    got = face_directions(scaled, DIRECTION_COUNT, 1e-8)
+    assert [s for s, _ in got] == [s for s, _ in plain]
+    for (_, d), (_, e) in zip(got, plain):
+        assert np.allclose(d, e, rtol=0.0, atol=1e-12)
 
 
-def test_sample_trivial_cone_flagged():
-    cone = make_cone([[1.0, 0.0], [0.0, 1.0]], [])
-    sample = sample_cone_directions(cone, 8, seed=42)
-    assert sample.directions == ()
-    assert sample.trivial
+@CONE_SETTINGS
+@given(cone=small_cones(), data=st.data())
+def test_face_directions_follow_a_variable_permutation(cone, data):
+    order = data.draw(st.permutations(range(cone.dimension)))
+    permuted = LinearizedCone(
+        eq_rows=cone.eq_rows[:, order], ineq_rows=cone.ineq_rows[:, order],
+        eq_indices=cone.eq_indices, ineq_indices=cone.ineq_indices,
+        base_point=cone.base_point,
+    )
+    plain = face_directions(cone, DIRECTION_COUNT, 1e-8)
+    got = face_directions(permuted, DIRECTION_COUNT, 1e-8)
+    assume(len(plain) < DIRECTION_COUNT)
+    assert len(got) == len(plain)
+    for s, d in plain:
+        assert any(t == s and np.allclose(e, d[order], rtol=0.0, atol=1e-10) for t, e in got)
 
 
-def test_sample_halfline_includes_kernel_vector_flip():
-    cone = make_cone([], [[-1.0], [-2.0]])
-    sample = sample_cone_directions(cone, 8, seed=42)
-    assert len(sample.directions) == 1
-    assert sample.directions[0][0] == pytest.approx(1.0)
-    assert sample.stalled  # only one distinct direction exists
+def count_solves(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nonneg_lstsq(*args, **kwargs)
+
+    monkeypatch.setattr("cq_analyzer.cones.nonneg_lstsq", counted)
+    return calls
 
 
-def test_sample_deterministic():
-    cone = make_cone([[1.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]])
-    a = sample_cone_directions(cone, 12, seed=7)
-    b = sample_cone_directions(cone, 12, seed=7)
-    assert len(a.directions) == len(b.directions)
-    for p, q in zip(a.directions, b.directions):
-        assert np.array_equal(p, q)
+def test_implicit_equality_pairs_close_in_one_solve_per_pair(monkeypatch):
+    calls = count_solves(monkeypatch)
+    n = 10
+    rows = np.vstack([np.eye(n), -np.eye(n)])
+    assert face_directions(make_cone([], rows.tolist()), DIRECTION_COUNT, 1e-8) == ()
+    assert len(calls) <= 2 * n
+
+
+def test_scaled_copies_of_one_row_bound_the_solves(monkeypatch):
+    calls = count_solves(monkeypatch)
+    rows = [[-float(k)] for k in range(1, 21)]
+    assert face_list(make_cone([], rows)) == [((), [1.0])]
+    assert len(calls) <= DIRECTION_COUNT * len(rows) ** 2

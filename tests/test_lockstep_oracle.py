@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import one_point_oracle as oracle
-from cq_analyzer.cones import build_linearized_cone, sample_cone_directions
-from cq_analyzer.config import ToolConfig
+from cq_analyzer.cones import build_linearized_cone, face_directions
+from cq_analyzer.config import DIRECTION_COUNT, ToolConfig
 from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
 from cq_analyzer.rank import _norms, numerical_rank
 from cq_analyzer.tangent import _correct_lockstep, _probe_directions
@@ -271,9 +271,9 @@ def test_lockstep_probes_match_one_direction_probes(eqs, ins, x0):
     sys = ConstraintSystem.from_strings("probe", ("x1", "x2"), None, eqs, ins)
     pd = evaluate_point(sys, x0)
     cone = build_linearized_cone(pd, active_set(pd, CFG.tol_active))
-    sample = sample_cone_directions(cone, 16, 43, CFG.tol_cone)
-    batch = _probe_directions(sys, pd, cone, sample.directions, CFG)
-    alone = [_probe_directions(sys, pd, cone, [d], CFG)[0] for d in sample.directions]
+    faces = face_directions(cone, DIRECTION_COUNT, CFG.tol_cone)
+    batch = _probe_directions(sys, pd, faces, CFG)
+    alone = [_probe_directions(sys, pd, [face], CFG)[0] for face in faces]
     assert [p.to_dict() for p in batch] == [p.to_dict() for p in alone]
 
 

@@ -7,12 +7,13 @@ from cq_analyzer.model import (
     ConstraintDomainError,
     ConstraintSystem,
     active_set,
-    critical_active_set,
     evaluate_point,
     evaluate_rows,
     feasibility_check,
 )
+from cq_analyzer.config import ToolConfig
 from cq_analyzer.expr import DomainEvaluationError, parse
+from cq_analyzer.tangent import abadie_verdict
 
 
 def make(name="sys", variables=("x1", "x2"), objective=None, eqs=(), ins=()):
@@ -194,37 +195,56 @@ def test_feasibility_circle_point():
     assert feasibility_check(evaluate_point(sys, [0.6, -0.8]), 1e-12) == ()
 
 
-def test_critical_active_set_zero_direction_keeps_all():
-    sys = make(ins=["x1", "x2"])
-    pd = evaluate_point(sys, [0.0, 0.0])
-    critical, j_set = critical_active_set(pd, active_set(pd, 1e-8), [0.0, 0.0], 1e-8)
-    assert critical == (1, 2)
-    assert j_set == (1, 2)
+def face_probes(sys, x0):
+    """The Abadie probes at ``x0``, each checked to report J(d) = I_0 + S
+    with S the active inequalities that vanish on its direction d."""
+    pd = evaluate_point(sys, x0)
+    active = active_set(pd, 1e-8)
+    probes = abadie_verdict(sys, x0, ToolConfig(), pd).probes
+    for p in probes:
+        vanishing = tuple(
+            i for i in active
+            if abs(pd.row(i) @ p.direction) <= 1e-12 * np.linalg.norm(pd.row(i))
+        )
+        assert p.critical_set == vanishing
+        assert p.j_set == tuple(sorted(pd.equality_indices + p.critical_set))
+    return probes
+
+
+def test_face_sets_of_the_orthant():
+    probes = face_probes(make(ins=["x1", "x2"]), [0.0, 0.0])
+    assert [p.critical_set for p in probes] == [(), (1,), (2,)]
+    assert [p.j_set for p in probes] == [(), (1,), (2,)]
+
+
+def test_critical_active_set_of_the_lineality_space_keeps_all():
+    # x1 <= 0 and -x1 <= 0 vanish on the whole cone, the line x1 = 0.
+    probes = face_probes(make(ins=["x1", "-x1"]), [0.0, 0.0])
+    assert [(p.critical_set, p.direction.tolist()) for p in probes] == [
+        ((1, 2), [0.0, 1.0]), ((1, 2), [0.0, -1.0]),
+    ]
 
 
 def test_critical_active_set_orthogonal_row():
-    sys = make(ins=["x1"])
-    pd = evaluate_point(sys, [0.0, 0.0])
-    critical, _ = critical_active_set(pd, active_set(pd, 1e-8), [0.0, 1.0], 1e-8)
-    assert critical == (1,)
+    probes = face_probes(make(ins=["x1"]), [0.0, 0.0])
+    assert [(p.critical_set, p.direction.tolist()) for p in probes] == [
+        ((), [-1.0, 0.0]), ((1,), [0.0, 1.0]), ((1,), [0.0, -1.0]),
+    ]
 
 
 def test_critical_active_set_hand_inner_products():
-    # Active rows (1,0) and (1,1); d = (1,-1) gives products 1 and 0.
-    sys = make(ins=["x1", "x1 + x2"])
-    pd = evaluate_point(sys, [0.0, 0.0])
-    critical, _ = critical_active_set(pd, active_set(pd, 1e-8), [1.0, -1.0], 1e-8)
-    assert critical == (2,)
+    # Active rows (1,0) and (1,1); the face of the second is spanned by
+    # d = (-1,1)/sqrt(2), with products -1/sqrt(2) and 0.
+    probes = face_probes(make(ins=["x1", "x1 + x2"]), [0.0, 0.0])
+    on_second = [p.direction for p in probes if p.critical_set == (2,)]
+    assert len(on_second) == 1
+    assert np.allclose(on_second[0], np.array([-1.0, 1.0]) / np.sqrt(2.0), atol=1e-15)
 
 
 def test_critical_subset_of_active():
-    sys = make(eqs=["x1 + x2"], ins=["x1", "x2", "x1 - 1"])
-    pd = evaluate_point(sys, [0.0, 0.0])
-    active = active_set(pd, 1e-8)
-    for d in ([1.0, 0.0], [0.0, 1.0], [1.0, -1.0], [0.3, 0.4]):
-        critical, j_set = critical_active_set(pd, active, d, 1e-8)
-        assert set(critical) <= set(active)
-        assert set(j_set) == set(pd.equality_indices) | set(critical)
+    sys = make(variables=("x1", "x2", "x3"), eqs=["x1 + x2"], ins=["x1", "x3", "x1 - 1"])
+    probes = face_probes(sys, [0.0, 0.0, 0.0])
+    assert [(p.critical_set, p.j_set) for p in probes] == [((), (1,)), ((2,), (1, 2)), ((3,), (1, 3))]
 
 
 def test_jacobian_first_order_consistency():

@@ -11,8 +11,8 @@ from one_point_oracle import (
 )
 
 from cq_analyzer import tangent
-from cq_analyzer.cones import build_linearized_cone
-from cq_analyzer.config import ToolConfig
+from cq_analyzer.cones import build_linearized_cone, face_directions
+from cq_analyzer.config import DIRECTION_COUNT, ToolConfig
 from cq_analyzer.expr import Expression
 from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
 from cq_analyzer.rank import check_rcrcq, sample_jacobian
@@ -38,10 +38,13 @@ def rcrcq_verdict(sys, x0):
 
 
 def probe_one(sys, x0, d, cfg=CFG):
-    """The probe of the one cone direction ``d`` at ``x0``."""
+    """The probe of ``d`` at ``x0``, which must be one of the cone's face
+    directions."""
     pd = evaluate_point(sys, x0)
     cone = build_linearized_cone(pd, active_set(pd, cfg.tol_active))
-    return _probe_directions(sys, pd, cone, [np.asarray(d, dtype=float)], cfg)[0]
+    faces = face_directions(cone, DIRECTION_COUNT, cfg.tol_cone)
+    face = next(s for s, e in faces if np.allclose(e, d, rtol=0.0, atol=1e-12))
+    return _probe_directions(sys, pd, [(face, np.asarray(d, dtype=float))], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +215,6 @@ def test_probe_inactive_check_propagates_non_domain_errors(monkeypatch):
     sys = make(ins=["-x1", "x1 - 1"], variables=("x1",))
     x0 = [0.0]
     pd = evaluate_point(sys, x0)
-    cone = build_linearized_cone(pd, active_set(pd, CFG.tol_active))
 
     def broken(self, point):
         raise ValueError("point has the wrong dimension")
@@ -220,7 +222,7 @@ def test_probe_inactive_check_propagates_non_domain_errors(monkeypatch):
     # J(d) is empty, so the inactive check is the only evaluation left.
     monkeypatch.setattr(Expression, "value_and_gradient", broken)
     with pytest.raises(ValueError, match="wrong dimension"):
-        _probe_directions(sys, pd, cone, [np.array([1.0])], CFG)
+        _probe_directions(sys, pd, [((), np.array([1.0]))], CFG)
 
 
 def test_feasible_at_scale_propagates_non_domain_errors():
