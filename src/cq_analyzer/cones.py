@@ -267,22 +267,27 @@ def kernel_basis(rows: np.ndarray, tol_rank: float) -> np.ndarray:
 def face_directions(
     c: LinearizedCone, count: int, tol: float
 ) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-    """One centred unit direction per face of the cone, with the face's set S
-    of inequality indices, for at most ``count`` directions.
+    """Unit directions in the relative interior of the faces of the cone, each
+    with its face's set S of inequality indices, at most ``count`` of them.
 
     The face F_S holds the cone members on which the rows of S vanish.  Let P
     project onto the kernel of the equality rows and the rows of S (all rows
-    normalized) and let R be the other inequality rows.  The min-norm point p
-    of the convex hull of the columns P row_i^T, i in R (Wolfe, Math.
-    Programming 11, 1976), is one non-negative least-squares solve with an
-    extra row for sum(lambda) = 1; every row of R is at most -|p| on
-    d_S = -p/|p|, which is centred in F_S.  When p = 0 the rows carrying
-    lambda vanish on the whole face, join S, and the solve is repeated (the
-    closure of S).  When R is empty, F_S is the lineality space and gets the
-    directions +-P e_j, duplicates dropped.
+    normalized; ``tol`` decides the kernel) and let R be the other inequality
+    rows.  The min-norm point p of the convex hull of the columns P row_i^T,
+    i in R (Wolfe, Math. Programming 11, 1976), is one non-negative
+    least-squares solve with an extra row for sum(lambda) = 1; every row of R
+    is at most -|p| on the centre d_S = -p/|p|, the largest margin any unit
+    direction of F_S has.  When |p| <= tol the rows carrying lambda above tol
+    join S and the solve is repeated (the closure of S).  When R is empty,
+    F_S is the lineality space and gets the directions +-P e_j, duplicates
+    dropped.
 
     Faces are visited breadth first from the closure of the empty set, the
-    children of S being the closures of S + {i}, in (|S|, sorted S) order.
+    children of S being the closures of S + {i}, in (|S|, sorted S) order,
+    and yield their directions.  Then each face adds, in the same order, the
+    midpoints of two of its directions and of one of its directions and a
+    child's: rows of R stay at or below -|p|/2 there, so S is unchanged, and
+    a tangent cone that holds the centres but not the whole face is probed.
     A permutation of the variables permutes the directions; an empty result
     means the cone is {0}.
     """
@@ -316,20 +321,23 @@ def face_directions(
                 return tuple(s), [-p / norm]
             face = face | {rest[j] for j in np.flatnonzero(lam > tol)}
 
-    faces: dict = {}
-    queue: list = []
-    out: list = []
-    children = [frozenset()]
-    while True:
-        for face in children:
-            s, directions = close(face)
-            if s not in faces:
-                faces[s] = directions
-                heapq.heappush(queue, (len(s), s))
-        if not queue:
-            return tuple(out)
+    faces = dict([close(frozenset())])      # closed S -> its directions
+    queue, near, out = [(len(s), s) for s in faces], {}, []
+    while queue:
         _, s = heapq.heappop(queue)
-        out.extend((tuple(c.ineq_indices[i] for i in s), d) for d in faces[s])
+        out.extend((s, d) for d in faces[s])
         if len(out) >= count:
-            return tuple(out[:count])
-        children = [frozenset(s) | {i} for i in range(len(ineq)) if i not in s]
+            break
+        near[s] = []                        # the directions of its children
+        for kid, directions in (close(frozenset(s) | {i}) for i in range(len(ineq)) if i not in s):
+            near[s] += directions
+            if kid not in faces:
+                faces[kid] = directions
+                heapq.heappush(queue, (len(kid), kid))
+    for s, kids in near.items():
+        for j, a in enumerate(faces[s]):
+            for b in faces[s][j + 1:] + kids:
+                norm = float(np.linalg.norm(a + b))
+                if norm > tol and len(out) < count:
+                    out.append((s, (a + b) / norm))
+    return tuple((tuple(c.ineq_indices[i] for i in s), d) for s, d in out[:count])

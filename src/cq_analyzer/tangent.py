@@ -302,9 +302,9 @@ def _probe_directions(
     """Correct x0 + t*d back onto the critical constraints of each face
     direction d for each t of ``cfg.t_schedule``.
 
-    ``pd`` is the evaluation at x0 and ``faces`` holds (S, d) pairs: d is
-    centred in the face of the linearized cone on which the active
-    inequalities S vanish, so J(d) = I_0 + S, held fixed along the schedule.
+    ``pd`` is the evaluation at x0 and ``faces`` holds (S, d) pairs: d lies
+    in the relative interior of the face of the linearized cone on which the
+    active inequalities S vanish, so J(d) = I_0 + S, fixed along the schedule.
     A probe passes when the smallest three t values converge, the ratio
     ||r||/t is non-increasing with final value at most
     ``ratio_tol``, and every inactive inequality stays strictly negative at
@@ -376,11 +376,7 @@ def _judge_probe(
     r_norms = [float(np.linalg.norm(c.r)) if c.converged else None for c in corrections]
     ratios = [None if rn is None else rn / t for rn, t in zip(r_norms, t_schedule)]
 
-    slope_pts = [
-        (t, r)
-        for t, r, c in zip(t_schedule, r_norms, converged_flags)
-        if c and r is not None and r > zero_floor
-    ]
+    slope_pts = [(t, r) for t, r in zip(t_schedule, r_norms) if r is not None and r > zero_floor]
     slope = _fit_loglog_slope([p[0] for p in slope_pts], [p[1] for p in slope_pts])
 
     # eps0: the largest t such that every converged scheduled t' <= t is safe.
@@ -404,18 +400,13 @@ def _judge_probe(
     # the coarsest t and still be tangent.
     safe = all(ok is True for ok in inactive_ok[-tail:]) if has_inactive else True
 
-    passed = (
-        tail_converged
-        and final_ratio is not None
-        and final_ratio <= cfg.ratio_tol
-        and ratios_decreasing
-        and safe
-    )
+    # The schedule is never empty, so a converged tail sets final_ratio.
+    passed = tail_converged and final_ratio <= cfg.ratio_tol and ratios_decreasing and safe
 
     hard_fail = False
     reason = None
     if not passed:
-        if tail_converged and final_ratio is not None and final_ratio >= 10.0 * cfg.ratio_tol:
+        if tail_converged and final_ratio >= 10.0 * cfg.ratio_tol:
             if slope is not None and slope <= 1.1:
                 hard_fail = True
                 reason = (
@@ -489,8 +480,8 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
                    pd: Optional[PointData] = None) -> AbadieReport:
     """Render consistent / violated / inconclusive from the cone-direction probes.
 
-    One centred direction per face of the linearized cone, up to
-    ``DIRECTION_COUNT``, must each pass its tangent probe.  A hard
+    The face directions of the linearized cone, up to ``DIRECTION_COUNT``,
+    must each pass their tangent probe.  A hard
     failure is the witness for ``violated``; all-pass yields ``consistent``;
     anything softer is ``inconclusive``.  The converse inclusion T within
     Gamma holds for any C1 constraints, so it is not sampled.  ``pd`` is the

@@ -305,8 +305,10 @@ def face_list(cone, count=DIRECTION_COUNT, tol=1e-8):
 def test_faces_of_the_orthant_centre_first_then_each_edge():
     cone = cone_from_system(ins=["-x1", "-x2"])
     faces = face_directions(cone, DIRECTION_COUNT, 1e-8)
-    assert [s for s, _ in faces] == [(), (1,), (2,)]
-    expected = [np.array([1.0, 1.0]) / np.sqrt(2.0), [0.0, 1.0], [1.0, 0.0]]
+    assert [s for s, _ in faces] == [(), (1,), (2,), (), ()]
+    # The centre, both edges, then the midpoints of the centre and each edge.
+    c, s = np.cos(np.pi / 8.0), np.sin(np.pi / 8.0)
+    expected = [np.array([1.0, 1.0]) / np.sqrt(2.0), [0.0, 1.0], [1.0, 0.0], [s, c], [c, s]]
     for (_, d), e in zip(faces, expected):
         assert np.allclose(d, e, rtol=0.0, atol=1e-15)
 
@@ -325,12 +327,18 @@ def test_faces_of_a_halfline_give_one_direction():
 
 def test_faces_of_the_whole_space_give_both_signs_of_each_axis():
     faces = face_list(cone_from_system(variables=("x1", "x2", "x3"), x0=(0.0,) * 3))
-    assert [s for s, _ in faces] == [()] * 6
-    assert [np.abs(d).tolist() for _, d in faces] == [
+    assert len(faces) == DIRECTION_COUNT
+    assert [s for s, _ in faces] == [()] * DIRECTION_COUNT
+    assert [np.abs(d).tolist() for _, d in faces[:6]] == [
         [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
         [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0],
     ]
-    assert [sum(d) for _, d in faces] == [1.0, -1.0] * 3
+    assert [sum(d) for _, d in faces[:6]] == [1.0, -1.0] * 3
+    # Then the midpoints of two axes, e1 + e2, e1 - e2, e1 + e3, ..., until
+    # the count is reached.
+    r = 1.0 / np.sqrt(2.0)
+    assert np.allclose([d for _, d in faces[6:9]], [[r, r, 0.0], [r, -r, 0.0], [r, 0.0, r]],
+                       rtol=0.0, atol=1e-15)
 
 
 def test_faces_lie_in_the_equality_kernel():
@@ -380,7 +388,7 @@ def test_face_directions_are_centred_unit_members(cone):
         assert np.all(np.abs(unit(cone.eq_rows) @ d) <= 1e-10)
         on_face = np.isin(cone.ineq_indices, s)
         assert np.all(np.abs(ineq[on_face] @ d) <= 1e-10)
-        assert np.all(ineq[~on_face] @ d < -tol)
+        assert np.all(ineq[~on_face] @ d < -tol / 2.0)
 
 
 @CONE_SETTINGS

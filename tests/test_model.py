@@ -212,9 +212,10 @@ def face_probes(sys, x0):
 
 
 def test_face_sets_of_the_orthant():
+    # The centre, both edges, then the midpoints of the centre and each edge.
     probes = face_probes(make(ins=["x1", "x2"]), [0.0, 0.0])
-    assert [p.critical_set for p in probes] == [(), (1,), (2,)]
-    assert [p.j_set for p in probes] == [(), (1,), (2,)]
+    assert [p.critical_set for p in probes] == [(), (1,), (2,), (), ()]
+    assert [p.j_set for p in probes] == [(), (1,), (2,), (), ()]
 
 
 def test_critical_active_set_of_the_lineality_space_keeps_all():
@@ -227,9 +228,11 @@ def test_critical_active_set_of_the_lineality_space_keeps_all():
 
 def test_critical_active_set_orthogonal_row():
     probes = face_probes(make(ins=["x1"]), [0.0, 0.0])
-    assert [(p.critical_set, p.direction.tolist()) for p in probes] == [
-        ((), [-1.0, 0.0]), ((1,), [0.0, 1.0]), ((1,), [0.0, -1.0]),
-    ]
+    r = 1.0 / np.sqrt(2.0)
+    assert [p.critical_set for p in probes] == [(), (1,), (1,), (), ()]
+    assert np.allclose([p.direction for p in probes],
+                       [[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-r, r], [-r, -r]],
+                       rtol=0.0, atol=1e-15)
 
 
 def test_critical_active_set_hand_inner_products():
@@ -244,7 +247,9 @@ def test_critical_active_set_hand_inner_products():
 def test_critical_subset_of_active():
     sys = make(variables=("x1", "x2", "x3"), eqs=["x1 + x2"], ins=["x1", "x3", "x1 - 1"])
     probes = face_probes(sys, [0.0, 0.0, 0.0])
-    assert [(p.critical_set, p.j_set) for p in probes] == [((), (1,)), ((2,), (1, 2)), ((3,), (1, 3))]
+    assert [(p.critical_set, p.j_set) for p in probes] == [
+        ((), (1,)), ((2,), (1, 2)), ((3,), (1, 3)), ((), (1,)), ((), (1,)),
+    ]
 
 
 def test_jacobian_first_order_consistency():

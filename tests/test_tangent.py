@@ -412,6 +412,21 @@ def test_abadie_parabola_line_tangency_violated():
     assert report.witness["kind"] == "cone-direction-not-tangent"
 
 
+@pytest.mark.parametrize("eqs, ins, verdict", [
+    (["x1*x2"], [], "violated"),
+    ([], ["x1*x2"], "violated"),
+    (["x1*x2*(x1 - x2)"], ["-x1", "-x2"], "inconclusive"),
+])
+def test_abadie_sees_a_tangent_cone_through_every_face_centre(eqs, ins, verdict):
+    # Gamma is the plane (the orthant), T is the two axes (both edges and the
+    # diagonal): T holds the centre of every face and every axis direction,
+    # but not the midpoints between them.  On the cubic the corrector stalls
+    # short of a hard failure.
+    report = abadie_verdict(make(eqs=eqs, ins=ins), [0.0, 0.0], CFG)
+    assert report.verdict == verdict
+    assert rcrcq_verdict(make(eqs=eqs, ins=ins), [0.0, 0.0]) == "refuted"
+
+
 def test_abadie_t_subset_gamma_even_when_rcrcq_fails():
     # T is always contained in Gamma: no tangent estimate may fail cone
     # membership, including on constant-rank failures.
