@@ -282,7 +282,10 @@ def face_directions(
     F_S is the lineality space and gets the directions +-P e_j, duplicates
     dropped.
 
-    Faces are visited breadth first from the closure of the empty set, the
+    Inequality rows that are equal after normalization vanish on the same
+    faces, so the walk takes one row of each such group, in the order of
+    their first rows, and each S lists every row of its groups.  Faces are
+    visited breadth first from the closure of the empty set, the
     children of S being the closures of S + {i}, in (|S|, sorted S) order,
     and yield their directions.  Then each face adds, in the same order, the
     midpoints of two of its directions and of one of its directions and a
@@ -297,7 +300,11 @@ def face_directions(
     rows = np.vstack([c.eq_rows, c.ineq_rows])
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     rows = rows / np.where(norms > 0.0, norms, 1.0)    # zero rows stay zero
-    eq, ineq = rows[:k], rows[k:]
+    groups: dict = {}                                  # row -> positions equal to it
+    for i, row in enumerate(rows[k:]):
+        groups.setdefault(tuple(row), []).append(i)
+    members = list(groups.values())                    # in first-position order
+    eq, ineq = rows[:k], rows[k:][[g[0] for g in members]]
 
     def close(face: frozenset) -> tuple[tuple[int, ...], list[np.ndarray]]:
         while True:
@@ -340,4 +347,7 @@ def face_directions(
                 norm = float(np.linalg.norm(a + b))
                 if norm > tol and len(out) < count:
                     out.append((s, (a + b) / norm))
-    return tuple((tuple(c.ineq_indices[i] for i in s), d) for s, d in out[:count])
+    return tuple(
+        (tuple(c.ineq_indices[i] for i in sorted(p for g in s for p in members[g])), d)
+        for s, d in out[:count]
+    )

@@ -130,14 +130,6 @@ class DependenceVerdict:
         }
 
 
-def _evaluable_values(layers) -> np.ndarray:
-    """Values at the points of ``layers`` where every function evaluated, in plan order.
-
-    These are exactly the points :func:`~cq_analyzer.rank.check_crc` ranks.
-    """
-    return np.concatenate([values[~failed.any(axis=1)] for _, _, values, _, failed in layers])
-
-
 def image_dimension_probe(jacobian: SampleJacobian, tol_rank: float = 1e-8) -> int:
     """Heuristic dimension of the local image of f near the center x0.
 
@@ -147,10 +139,10 @@ def image_dimension_probe(jacobian: SampleJacobian, tol_rank: float = 1e-8) -> i
     estimate of kappa is evidence for independence (interior image); always
     returns.
     """
-    y = _evaluable_values(jacobian.layers[-1:])  # smallest radius
+    y = jacobian.values[jacobian.evaluable & (jacobian.radius == min(jacobian.sampler.radii))]
     if not len(y):
         return 0
-    center = y.mean(axis=0) if jacobian.center_failed.any() else jacobian.center_values
+    center = jacobian.values[0] if jacobian.evaluable[0] else y.mean(axis=0)
     return numerical_rank(y - center, tol_rank).rank
 
 
@@ -169,7 +161,7 @@ def witness_check(relation: Expression, jacobian: SampleJacobian) -> float:
             "functions were supplied"
         )
     worst = 0.0
-    for y in _evaluable_values(jacobian.layers).tolist():
+    for y in jacobian.values[1:][jacobian.evaluable[1:]].tolist():
         worst = max(worst, abs(relation.evaluate(y)))
     return worst
 
@@ -209,13 +201,13 @@ def reconstruct_dependent(
     """
     if target_index in pivot_indices:
         raise ValueError("target function is itself a pivot")
-    if jacobian.center_failed.any():
+    if not jacobian.evaluable[0]:
         raise ValueError("the family is unevaluable at the center")
     cols = [i - 1 for i in pivot_indices]
-    values = _evaluable_values(jacobian.layers)
+    values = jacobian.values[1:][jacobian.evaluable[1:]]
     y, w = values[:, cols], values[:, target_index - 1]
-    center = jacobian.center_values[cols]
-    base_value = float(jacobian.center_values[target_index - 1])
+    center = jacobian.values[0, cols]
+    base_value = float(jacobian.values[0, target_index - 1])
 
     train = slice(0, None, 2)
     test = slice(1, None, 2)

@@ -98,9 +98,9 @@ class DomainEvaluationError(ExpressionError):
 
 
 # ---------------------------------------------------------------------------
-# AST nodes.  ``span`` is the (start, end) offset range in the source text and
-# is excluded from equality so that parse -> unparse -> parse round-trips
-# compare structurally identical.
+# AST nodes.  ``span`` is the (start, end) offset range in the source text,
+# for error messages; it is excluded from equality, so that two trees of the
+# same structure compare equal wherever they were parsed from.
 # ---------------------------------------------------------------------------
 
 
@@ -554,43 +554,6 @@ class _Codegen:
 
 
 # ---------------------------------------------------------------------------
-# Unparsing with minimal parentheses; re-parsing the output reproduces the
-# AST structurally (tested).
-# ---------------------------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _unparse(node: AstNode, context: int) -> str:
-    if isinstance(node, Num):
-        text = format(node.value, ".17g")
-        return text
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _unparse(node.operand, _PREC_POW)
-        out = f"-{inner}"
-        return f"({out})" if context > _PREC_NEG else out
-    if isinstance(node, BinOp):
-        own = _PREC_ADD if node.op in "+-" else _PREC_MUL
-        left = _unparse(node.left, own)
-        right = _unparse(node.right, own + 1)
-        out = f"{left} {node.op} {right}"
-        return f"({out})" if context > own else out
-    if isinstance(node, (IntPow, Pow)):
-        base = _unparse(node.base, _PREC_ATOM)
-        if isinstance(node, IntPow):
-            exponent = str(node.exponent) if node.exponent >= 0 else f"({node.exponent})"
-        else:
-            exponent = _unparse(node.exponent, _PREC_ATOM)
-        out = f"{base}^{exponent}"
-        return f"({out})" if context > _PREC_POW else out
-    if isinstance(node, Call):
-        return f"{node.func}({_unparse(node.arg, _PREC_ADD)})"
-    raise AssertionError(f"unhandled node {node!r}")
-
-
-# ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
 
@@ -636,12 +599,6 @@ class Expression:
         if self._grad_code is None:
             object.__setattr__(self, "_grad_code", _Codegen(self, True).function(self.root))
         return self._grad_code(point)
-
-    def unparse(self) -> str:
-        return _unparse(self.root, _PREC_ADD)
-
-    def __str__(self) -> str:
-        return self.unparse()
 
 
 def parse(text: str, variables: Sequence[str]) -> Expression:

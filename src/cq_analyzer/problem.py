@@ -98,13 +98,13 @@ def _integer(least: int, value) -> int:
 OPTIONS: dict[str, tuple[str, Callable]] = {
     "tol_rank": ("tol_rank", _unit_interval),
     "tol_active": ("tol_active", _positive),
-    "tol_feas": ("tol_feas", _finite_float),
+    "tol_feas": ("tol_feas", _positive),
     "tol_cone": ("tol_cone", _unit_interval),
     "seed": ("seed", partial(_integer, 0)),
     "radii": ("radii", lambda value: parse_schedule(value)),
     "samples": ("samples_per_radius", partial(_integer, 1)),
     "t_schedule": ("t_schedule", lambda value: parse_schedule(value, T_SCHEDULE_TAIL)),
-    "ratio_tol": ("ratio_tol", _finite_float),
+    "ratio_tol": ("ratio_tol", _positive),
     "fit_degree": ("fit_degree", partial(_integer, 1)),
 }
 

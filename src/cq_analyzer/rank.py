@@ -12,6 +12,7 @@ its center value near the center.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -162,12 +163,10 @@ class NeighborhoodSampler:
             raise ValueError("the center needs at least one coordinate")
         object.__setattr__(self, "radii", radii)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.center)
-
-    def points_by_radius(self) -> list[tuple[float, list[np.ndarray]]]:
-        """[(radius, [point, ...]), ...] with radii descending.
+    def plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(radius, points)``, shaped (1+P,) and (1+P, n): row 0 is the
+        center at radius 0, then ``samples_per_radius`` points per radius,
+        radii descending.
 
         Each radius layer is one draw of ``samples_per_radius`` normal
         vectors, the same stream as one draw per point.  A zero vector, which
@@ -177,7 +176,7 @@ class NeighborhoodSampler:
         rng = Generator(PCG64(int(self.seed)))
         center = np.asarray(self.center)
         shape = (self.samples_per_radius, len(center))
-        out = []
+        points = [center[None]]
         for r in self.radii:
             state = rng.bit_generator.state
             g = rng.standard_normal(shape)
@@ -186,11 +185,9 @@ class NeighborhoodSampler:
                 rng.bit_generator.state = state
                 g = np.array([_nonzero_normal(rng, shape[1]) for _ in range(shape[0])])
                 norms = _norms(g)
-            out.append((r, list(center + (r / norms)[:, None] * g)))
-        return out
-
-    def points(self) -> list[np.ndarray]:
-        return [p for _, layer in self.points_by_radius() for p in layer]
+            points.append(center + (r / norms)[:, None] * g)
+        radius = np.repeat((0.0,) + self.radii, [1] + [shape[0]] * len(self.radii))
+        return radius, np.concatenate(points)
 
     def to_dict(self) -> dict:
         return {
@@ -239,66 +236,53 @@ class CrcReport:
 
 @dataclass(frozen=True)
 class SampleJacobian:
-    """Values and gradient rows of one function family at a sampler's center
-    and points.
+    """Values and gradient rows of one function family at every point of a
+    sampler's plan: row 0 is the center, at radius 0.
 
-    ``layers`` holds ``(radius, points, values, rows, failed)`` per sample
-    radius: ``values[p]`` and ``rows[p]`` are the (kappa,) values and the
-    (kappa, n) gradient matrix at ``points[p]``, and ``failed[p, i]`` marks a
-    function that could not be evaluated there (its value and row are zero).
-    :meth:`select` restricts every array to a subfamily without evaluating
-    anything again.  The points are the sample plan of ``sampler``, drawn
-    once: every consumer reads them here.
+    ``values[p]`` and ``rows[p]`` are the (kappa,) values and the (kappa, n)
+    gradient matrix at ``points[p]``, and ``failed[p, i]`` marks a function
+    that could not be evaluated there (its value and row are zero).
+    :meth:`select` restricts the family without evaluating anything again.
+    The points are the sample plan of ``sampler``, drawn once: every consumer
+    reads them here.
     """
 
     sampler: NeighborhoodSampler
-    center_values: np.ndarray             # (kappa,)
-    center_rows: np.ndarray               # (kappa, n)
-    center_failed: np.ndarray             # (kappa,) bool
-    layers: tuple[
-        tuple[float, tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray], ...
-    ]
+    radius: np.ndarray                    # (1+P,)
+    points: np.ndarray                    # (1+P, n)
+    values: np.ndarray                    # (1+P, kappa)
+    rows: np.ndarray                      # (1+P, kappa, n)
+    failed: np.ndarray                    # (1+P, kappa) bool
 
     @property
     def kappa(self) -> int:
-        return self.center_rows.shape[0]
+        return self.values.shape[1]
+
+    @property
+    def evaluable(self) -> np.ndarray:
+        """(1+P,) mask of the points where every function of the family
+        evaluated.  A sample point outside it is skipped, by the rank check
+        and by every reader of the values alike."""
+        return ~self.failed.any(axis=1)
 
     def select(self, cols: Sequence[int]) -> "SampleJacobian":
         """The subfamily of the 0-based rows ``cols``, in that order."""
         cols = list(cols)
-        return SampleJacobian(
-            sampler=self.sampler,
-            center_values=self.center_values[cols],
-            center_rows=self.center_rows[cols],
-            center_failed=self.center_failed[cols],
-            layers=tuple(
-                (radius, points, values[:, cols], rows[:, cols], failed[:, cols])
-                for radius, points, values, rows, failed in self.layers
-            ),
-        )
+        return dataclasses.replace(self, values=self.values[:, cols], rows=self.rows[:, cols],
+                                   failed=self.failed[:, cols])
 
 
 def sample_jacobian(
     functions: Sequence[Expression], sampler: NeighborhoodSampler
 ) -> SampleJacobian:
-    """Evaluate every function once at the sampler's center and at each of its
-    points, in one :func:`~cq_analyzer.model.evaluate_rows` call for the whole
-    plan."""
-    plan = sampler.points_by_radius()
-    batch = np.reshape([sampler.center] + [p for _, points in plan for p in points],
-                       (-1, sampler.dimension))
-    values, rows, errors = evaluate_rows(functions, batch)
+    """Evaluate every function once at each point of the sampler's plan, the
+    center included, in one :func:`~cq_analyzer.model.evaluate_rows` call."""
+    radius, points = sampler.plan()
+    values, rows, errors = evaluate_rows(functions, points)
     failed = np.zeros(values.shape, dtype=bool)
     for p, i in errors:
         failed[p, i] = True
-    layers = []
-    start = 1                              # row 0 is the center
-    for radius, points in plan:
-        end = start + len(points)
-        layers.append((radius, tuple(points), values[start:end], rows[start:end],
-                       failed[start:end]))
-        start = end
-    return SampleJacobian(sampler, values[0], rows[0], failed[0], tuple(layers))
+    return SampleJacobian(sampler, radius, points, values, rows, failed)
 
 
 def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
@@ -313,9 +297,9 @@ def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
     below its rank there (lower semicontinuity), so a point of lower rank
     only shows that the sampled ball is wider than the neighbourhood in
     question.  Such points are counted in ``notes`` and decide nothing.  A
-    sample point is skipped and counted when a row of this family failed to
-    evaluate there;
-    failures of rows outside the family do not count.  No sample points,
+    sample point outside :attr:`SampleJacobian.evaluable`, where a row of
+    this family failed to evaluate, is skipped and counted; failures of rows
+    outside the family do not count.  No sample points,
     more than 20% skipped points, or an unevaluable gradient at the center
     itself yields ``inconclusive`` (a refutation witness still dominates).
     """
@@ -327,43 +311,42 @@ def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
             singular_values_at_center=(), rank_counts_by_radius=(),
             tolerance_used=tol_rank, notes=("empty function family",),
         )
-    center_failed = tuple(int(i) + 1 for i in np.flatnonzero(jacobian.center_failed))
+    center_unevaluable = tuple(int(i) + 1 for i in np.flatnonzero(jacobian.failed[0]))
     notes: list[str] = []
-    if center_failed:
+    if center_unevaluable:
         center_rank = None
         center_result = None
         notes.append(
             "gradient rows unevaluable at the center: "
-            + ", ".join(str(i) for i in center_failed)
+            + ", ".join(str(i) for i in center_unevaluable)
         )
     else:
-        center_result = numerical_rank(jacobian.center_rows, tol_rank)
+        center_result = numerical_rank(jacobian.rows[0], tol_rank)
         center_rank = center_result.rank
 
     witness = None
-    skipped = 0
-    total = 0
     drops = 0
     drop_radius = None
-    by_radius = []
-    for radius, points, _, rows, failed in jacobian.layers:
-        counts: dict[int, int] = {}
-        for point, point_rows, point_failed in zip(points, rows, failed.any(axis=1)):
-            total += 1
-            if point_failed:
-                skipped += 1
-                continue
-            rank_here = int(_ranks(point_rows[None], tol_rank)[0][0])
-            counts[rank_here] = counts.get(rank_here, 0) + 1
-            if center_rank is None:
-                continue
-            if rank_here > center_rank and witness is None:
-                witness = {"point": [float(v) for v in point], "rank": rank_here}
-            elif rank_here < center_rank:
-                drops += 1
-                if drop_radius is None:
-                    drop_radius = radius
-        by_radius.append((radius, tuple(sorted(counts.items()))))
+    evaluable = jacobian.evaluable
+    counts: dict[float, dict[int, int]] = {}   # radius -> rank -> points
+    for radius, point, point_rows, ok in zip(
+        jacobian.radius[1:].tolist(), jacobian.points[1:], jacobian.rows[1:], evaluable[1:]
+    ):
+        at_radius = counts.setdefault(radius, {})
+        if not ok:
+            continue
+        rank_here = int(_ranks(point_rows[None], tol_rank)[0][0])
+        at_radius[rank_here] = at_radius.get(rank_here, 0) + 1
+        if center_rank is None:
+            continue
+        if rank_here > center_rank and witness is None:
+            witness = {"point": [float(v) for v in point], "rank": rank_here}
+        elif rank_here < center_rank:
+            drops += 1
+            if drop_radius is None:
+                drop_radius = radius
+    total = len(evaluable) - 1
+    skipped = total - int(evaluable[1:].sum())
     if drops:
         notes.append(
             f"sample points of rank below the center rank: {drops}, the largest "
@@ -391,11 +374,13 @@ def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
         singular_values_at_center=(
             center_result.singular_values if center_result else ()
         ),
-        rank_counts_by_radius=tuple(by_radius),
+        rank_counts_by_radius=tuple(
+            (r, tuple(sorted(c.items()))) for r, c in counts.items()
+        ),
         witness=witness,
         skipped_points=skipped,
         total_points=total,
-        center_unevaluable_rows=center_failed,
+        center_unevaluable_rows=center_unevaluable,
         tolerance_used=tol_rank,
         notes=tuple(notes),
     )

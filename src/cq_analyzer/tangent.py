@@ -28,7 +28,6 @@ from .config import (
     CORRECTOR_MAX_ITER, CORRECTOR_TOL, DIRECTION_COUNT, T_SCHEDULE_TAIL, ToolConfig,
 )
 from .model import (
-    ConstraintDomainError,
     ConstraintSystem,
     PointData,
     active_set,
@@ -62,14 +61,6 @@ class CorrectionResult:
     iterations: int
     initial_residual: float
     final_residual: float
-    pivot_indices: tuple[int, ...]
-    diagnostic: Optional[str] = None
-
-
-def _domain_diagnostic(indices: Sequence[int], errors: dict) -> str:
-    """The domain error of the lowest failed constraint among ``indices``."""
-    first = min(errors)
-    return str(ConstraintDomainError(indices[first], errors[first]))
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,6 @@ class _Group:
     pivot rows chosen there (as positions in J) and the residual tolerances."""
 
     functions: list
-    j: tuple[int, ...]
     jobs: list[int]
     base: np.ndarray                   # (P, n)
     pivot_pos: np.ndarray              # (P, pivot count)
@@ -87,24 +77,15 @@ class _Group:
     residual_tol: np.ndarray           # (P,)
 
     def take(self, rows: list[int]) -> "_Group":
-        return _Group(self.functions, self.j, [self.jobs[p] for p in rows], self.base[rows],
+        return _Group(self.functions, [self.jobs[p] for p in rows], self.base[rows],
                       self.pivot_pos[rows], self.initial_residual[rows],
                       self.residual_tol[rows])
 
-    def result(self, p, r, converged, iterations, final, diagnostic=None) -> CorrectionResult:
+    def result(self, p, r, converged, iterations, final) -> CorrectionResult:
         return CorrectionResult(
             r=r, converged=converged, iterations=iterations,
             initial_residual=float(self.initial_residual[p]), final_residual=float(final),
-            pivot_indices=tuple(self.j[q] for q in self.pivot_pos[p]), diagnostic=diagnostic,
         )
-
-
-def _errors_by_point(errors: dict) -> dict:
-    """Batch ``evaluate_rows`` errors regrouped as point -> {position: error}."""
-    by_point: dict = {}
-    for (p, i), err in errors.items():
-        by_point.setdefault(p, {})[i] = err
-    return by_point
 
 
 def _correct_lockstep(sys, x0, t, jobs, cfg) -> list[CorrectionResult]:
@@ -116,8 +97,9 @@ def _correct_lockstep(sys, x0, t, jobs, cfg) -> list[CorrectionResult]:
     update), while convergence is judged on the full J residual with
     ``||h_J||_inf <= CORRECTOR_TOL * (1 + scale)``.  A job that does not
     converge gets a non-converged result (r is the last iterate) instead of
-    an exception; domain errors during iteration are reported in the
-    diagnostic.  A non-converged warm start is retried from r = 0.
+    an exception, and so does one that leaves the domain (with r = None
+    when it leaves at x0 + t*d).  A non-converged warm start is retried from
+    r = 0.
 
     The jobs are corrected in lockstep: the base points of each J are
     evaluated in one call and ranked with one stacked SVD, and the jobs of
@@ -138,7 +120,7 @@ def _correct_lockstep(sys, x0, t, jobs, cfg) -> list[CorrectionResult]:
         if not j:
             results[k] = CorrectionResult(
                 r=np.zeros(n), converged=True, iterations=0,
-                initial_residual=0.0, final_residual=0.0, pivot_indices=(),
+                initial_residual=0.0, final_residual=0.0,
             )
             continue
         by_j.setdefault(j, []).append(k)
@@ -147,12 +129,11 @@ def _correct_lockstep(sys, x0, t, jobs, cfg) -> list[CorrectionResult]:
         functions = [sys.constraint(i) for i in j]
         base = np.array([x0 + t * np.asarray(jobs[k][1], dtype=float) for k in members])
         values0, rows0, errors = evaluate_rows(functions, base)
-        failed = _errors_by_point(errors)
-        for p, point_errors in failed.items():
+        failed = {p for p, _ in errors}
+        for p in failed:
             results[members[p]] = CorrectionResult(
                 r=None, converged=False, iterations=0, initial_residual=math.inf,
-                final_residual=math.inf, pivot_indices=(),
-                diagnostic=_domain_diagnostic(j, point_errors),
+                final_residual=math.inf,
             )
         ok = [p for p in range(len(members)) if p not in failed]
         if not ok:
@@ -170,11 +151,10 @@ def _correct_lockstep(sys, x0, t, jobs, cfg) -> list[CorrectionResult]:
             results[members[p]] = CorrectionResult(
                 r=np.zeros(n), converged=converged, iterations=0,
                 initial_residual=float(initial[p]), final_residual=float(initial[p]),
-                pivot_indices=(), diagnostic=None if converged else "zero-gradient pivot",
             )
         for pivots in by_count.values():
             ps = [p for p, _ in pivots]
-            group = _Group(functions, j, [members[p] for p in ps], base[ps],
+            group = _Group(functions, [members[p] for p in ps], base[ps],
                            np.array([pos for _, pos in pivots]), initial[ps], residual_tol[ps])
             warm = [jobs[k][2] for k in group.jobs]
             starts = np.array([np.zeros(n) if w is None else w for w in warm], dtype=float)
@@ -199,10 +179,9 @@ def _iterate_lockstep(group: _Group, starts: np.ndarray) -> list[CorrectionResul
     final = np.full(len(live), math.inf)
     for it in range(CORRECTOR_MAX_ITER + 1):
         values, rows, errors = evaluate_rows(group.functions, group.base[live] + r)
-        failed = _errors_by_point(errors)
-        for p, point_errors in failed.items():
-            results[live[p]] = group.result(live[p], r[p], False, it, final[p],
-                                            _domain_diagnostic(group.j, point_errors))
+        failed = {p for p, _ in errors}
+        for p in failed:
+            results[live[p]] = group.result(live[p], r[p], False, it, final[p])
         ok = np.ones(len(live), dtype=bool)
         ok[list(failed)] = False
         final[ok] = np.max(np.abs(values[ok]), axis=1, initial=0.0)
@@ -223,8 +202,7 @@ def _iterate_lockstep(group: _Group, starts: np.ndarray) -> list[CorrectionResul
         rhs = np.matmul(piv_rows, r[:, :, None])[..., 0] - piv_values
         r = np.matmul(np.linalg.pinv(piv_rows), rhs[..., None])[..., 0]
     for p, row in enumerate(live):
-        results[row] = group.result(row, r[p], False, CORRECTOR_MAX_ITER, final[p],
-                                    "iteration cap reached")
+        results[row] = group.result(row, r[p], False, CORRECTOR_MAX_ITER, final[p])
     return results
 
 

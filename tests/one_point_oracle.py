@@ -7,7 +7,10 @@ Gauss-Newton loop with one ``pinv`` per step.  ``numerical_rank`` and
 ``ljusternik_correct`` below are that code, unchanged but for their names
 and for evaluating one point as a batch of one (``_evaluate_at``);
 ``tests/test_lockstep_oracle.py`` checks that the stacked rank and the
-lockstep corrector reproduce them bit for bit.
+lockstep corrector reproduce them bit for bit.  The oracle's results still
+carry the pivot rows and the reason a correction stopped, which the
+program does not report; the tests read them to see that every branch is
+reached.
 
 ``tangent_direction_estimate`` estimates tangent directions from corrected
 feasible points at shrinking radii.  The Abadie check no longer runs it: the
@@ -15,9 +18,10 @@ tangent cone lies in the linearized cone for any C1 constraints (Nocedal &
 Wright, Numerical Optimization, 2nd ed., Lemma 12.2(i)).  The tests keep
 checking that inclusion with it and ``cones.cone_member``.
 
-``points_by_radius`` is the former sample plan, which drew one normal
-vector per point; ``tests/test_sampling_oracle.py`` checks the plan that
-draws one array per radius layer against it bit for bit.
+``points_by_radius`` is the former sample plan, one list of points per
+radius, which drew one normal vector per point;
+``tests/test_sampling_oracle.py`` checks the flat plan, which draws one
+array per radius layer, against it bit for bit.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from numpy.random import PCG64, Generator
 
 from cq_analyzer.cones import build_linearized_cone, cone_member
 from cq_analyzer.config import CORRECTOR_MAX_ITER, CORRECTOR_TOL
-from cq_analyzer.model import active_set, evaluate_point, evaluate_rows
+from cq_analyzer.model import ConstraintDomainError, active_set, evaluate_point, evaluate_rows
 from cq_analyzer.rank import NeighborhoodSampler, RankResult
-from cq_analyzer.tangent import CorrectionResult, _domain_diagnostic
 
 ESTIMATE_PROBES = 32  # sample points per radius of the tangent estimate
 ANGULAR_TOL = 1e-2  # radians within which estimated directions match
@@ -44,6 +47,26 @@ def _evaluate_at(functions, x):
     its (0, i) error keys turned into positions i."""
     values, rows, errors = evaluate_rows(functions, np.asarray(x, dtype=float)[None])
     return values[0], rows[0], {i: err for (_, i), err in errors.items()}
+
+
+@dataclass(frozen=True)
+class CorrectionResult:
+    """One direction's correction, with the pivot rows and the reason it
+    stopped, which show that the oracle's cases reach every branch."""
+
+    r: Optional[np.ndarray]
+    converged: bool
+    iterations: int
+    initial_residual: float
+    final_residual: float
+    pivot_indices: tuple[int, ...]
+    diagnostic: Optional[str] = None
+
+
+def _domain_diagnostic(indices: Sequence[int], errors: dict) -> str:
+    """The domain error of the lowest failed constraint among ``indices``."""
+    first = min(errors)
+    return str(ConstraintDomainError(indices[first], errors[first]))
 
 
 def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult:
@@ -254,7 +277,7 @@ def tangent_direction_estimate(sys, x0, count, radius_schedule, seed, cfg) -> Ta
     cos_tol = math.cos(ANGULAR_TOL)
 
     layers = []
-    for radius, points in sampler.points_by_radius():
+    for radius, points in points_by_radius(sampler):
         kept = []
         for p in points:
             x = p.copy()

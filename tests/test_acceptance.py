@@ -268,7 +268,7 @@ def test_criterion_8_dependence_reconstruction_residuals():
     for label, functions, x0, radii in polynomial_cases:
         sampler = NeighborhoodSampler(center=tuple(x0), radii=radii, seed=42)
         fitted = reconstruct_dependent(sample_jacobian(functions, sampler), (1,), 2)
-        scale = max(1.0, max(abs(functions[1].evaluate(p)) for p in sampler.points()))
+        scale = max(1.0, max(abs(functions[1].evaluate(p)) for p in sampler.plan()[1][1:]))
         if fitted.cross_validated_residual > 1e-6 * scale:
             failures.append(f"{label}: residual {fitted.cross_validated_residual:.2e}")
     sin_functions = build(["x1 + x2", "sin(x1 + x2)"], ["x1", "x2"])

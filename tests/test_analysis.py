@@ -130,7 +130,7 @@ def test_rcrcq_skips_no_point_for_an_inactive_inequality():
     # the radius-0.1 points with x1 <= -0.05.  The shared Jacobian covers it,
     # yet only rows of J decide whether a point is skipped for J.
     cfg = ToolConfig()
-    assert any(p[0] <= -0.05 for p in cfg.sampler([0.0, 0.0]).points())
+    assert any(p[0] <= -0.05 for p in cfg.sampler([0.0, 0.0]).plan()[1])
     system = ConstraintSystem.from_strings(
         "inactive-log", ("x1", "x2"), equalities=("x2",),
         inequalities=("log(x1 + 0.05) - 10", "-x1"),

@@ -167,12 +167,16 @@ def test_cli_rejects_invalid_float_flags_with_usage_exit(capsys, flags):
     assert out == ""
 
 
-# Each of these used to end in a traceback mid-analysis: kkt and the face
-# walk use tol_cone as a relative rank cutoff, which must lie in (0, 1),
-# and the active set needs a positive tol_active.
+# Each of these used to end in a traceback mid-analysis or in a verdict
+# without meaning: kkt and the face walk use tol_cone as a relative rank
+# cutoff, which must lie in (0, 1), and the active set needs a positive
+# tol_active.  A negative tol_feas made the base point infeasible (an
+# abadie error section) and a negative ratio_tol failed every probe
+# (inconclusive), both with exit 2.
 OUT_OF_RANGE_TOLERANCES = [
     ("tol_cone", 2.0), ("tol_cone", 1.0), ("tol_cone", 0.0), ("tol_cone", -1.0),
     ("tol_active", 0.0), ("tol_active", -1e-8),
+    ("tol_feas", 0.0), ("tol_feas", -1e-8), ("ratio_tol", 0.0), ("ratio_tol", -1.0),
 ]
 
 
@@ -188,11 +192,12 @@ def test_cli_rejects_an_out_of_range_tolerance_flag(capsys, key, value):
 @pytest.mark.parametrize("flag", ["--tol-feas", "--ratio-tol"])
 def test_cli_takes_a_negative_flag_value_with_an_exponent(capsys, flag):
     # argparse's negative-number pattern has no exponent, so the
-    # space-separated form used to read -1e-08 as an option name.
+    # space-separated form used to read -1e-08 as an option name.  Read as
+    # a value, it reaches the option table, which names the flag.
     argv = ["rcrcq", corpus_file("circle-point"), "--format", "machine"]
     code, out, err = run_cli(capsys, *argv, flag, "-1e-08")
-    assert (code, err) == (0, "")
-    assert json.loads(out)["config"][flag[2:].replace("-", "_")] == -1e-08
+    assert code == 64 and out == ""
+    assert err.startswith(f"cq-analyzer: {flag}: ") and "positive" in err
     assert run_cli(capsys, *argv, f"{flag}=-1e-08") == (code, out, err)
 
 

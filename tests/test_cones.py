@@ -448,7 +448,21 @@ def test_implicit_equality_pairs_close_in_one_solve_per_pair(monkeypatch):
 
 
 def test_scaled_copies_of_one_row_bound_the_solves(monkeypatch):
+    # The walk takes one row of each group of rows equal after normalization,
+    # so 20 positive multiples of -x1 <= 0 cost what the one row costs.
     calls = count_solves(monkeypatch)
+    assert face_list(make_cone([], [[-1.0]])) == [((), [1.0])]
+    one_row = len(calls)
+    calls.clear()
     rows = [[-float(k)] for k in range(1, 21)]
     assert face_list(make_cone([], rows)) == [((), [1.0])]
-    assert len(calls) <= DIRECTION_COUNT * len(rows) ** 2
+    assert len(calls) == one_row
+
+
+def test_faces_list_every_scaled_copy_of_their_rows():
+    # Rows 1 and 3 are one group, in the place of row 1: the faces are those
+    # of the orthant, each x1 face naming both copies.
+    one = face_list(make_cone([], [[-1.0, 0.0], [0.0, -1.0]]))
+    copies = face_list(make_cone([], [[-1.0, 0.0], [0.0, -1.0], [-3.0, 0.0]]))
+    widen = {(): (), (1,): (1, 3), (2,): (2,), (1, 2): (1, 2, 3)}
+    assert copies == [(widen[s], d) for s, d in one]

@@ -129,7 +129,7 @@ def test_reconstruction_consistency_on_fresh_samples():
         fitted = reconstruct_dependent(jacobian, (1,), 2)
         fresh = sampler_at(x0, radii=radii, seed=4242)
         allowed = 10.0 * max(fitted.cross_validated_residual, 1e-14)
-        for p in fresh.points():
+        for p in fresh.plan()[1][1:]:
             y = [functions[0].evaluate(p)]
             assert abs(fitted.predict(y) - functions[1].evaluate(p)) <= allowed
 
@@ -237,7 +237,7 @@ def test_witness_skips_the_points_the_rank_check_skips():
     # log(x1) leaves its domain at the radius-0.1 points with x1 <= 0; the
     # witness check reads the plan's values and skips those points too.
     jacobian = jacobian_at(fns(["log(x1)", "2*log(x1)"], ["x1"]), [0.05])
-    skipped = sum(int(failed.any(axis=1).sum()) for *_, failed in jacobian.layers)
+    skipped = int(jacobian.failed[1:].any(axis=1).sum())
     assert skipped == check_crc(jacobian, 1e-8).skipped_points > 0
     assert witness_check(parse("y2 - 2*y1", ["y1", "y2"]), jacobian) == 0.0
 
@@ -271,7 +271,7 @@ def test_local_stability_of_dependence():
     jacobian = jacobian_at(functions, [0.0, 0.0])
     verdict = classify_dependence(jacobian, 1e-8)
     assert verdict.sense == "dependent-with-relation"
-    _, smallest_layer, _, _, _ = jacobian.layers[-1]
+    smallest_layer = jacobian.points[jacobian.radius == min(jacobian.sampler.radii)]
     for p in smallest_layer:
         shifted = classify(functions, p, radii=(1e-4, 1e-5, 1e-6))
         assert shifted.sense == "dependent-with-relation"
@@ -284,6 +284,6 @@ def test_dependent_implies_laszlo_true_on_neighborhood():
     assert verdict.sense == "dependent-with-relation"
     assert verdict.laszlo_at_point
     # The point test at every sample point: the gradient rank there is below 2.
-    for p in jacobian.sampler.points():
+    for p in jacobian.points[1:]:
         rows = [f.gradient(p) for f in functions]
         assert numerical_rank(rows, 1e-8).rank < len(functions)

@@ -292,8 +292,8 @@ def test_jacobian_first_order_consistency_on_corpus():
 
 def test_constraint_index_lookup():
     sys = make(eqs=["x1"], ins=["x2"])
-    assert sys.constraint(1).unparse() == "x1"
-    assert sys.constraint(2).unparse() == "x2"
+    assert sys.constraint(1).source == "x1"
+    assert sys.constraint(2).source == "x2"
     with pytest.raises(IndexError):
         sys.constraint(3)
 

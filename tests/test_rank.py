@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from collections import Counter
 
@@ -113,26 +112,27 @@ def test_rank_rejects_bad_tolerance():
 
 
 def test_sampler_deterministic():
-    a = sampler_at([0.0, 0.0], seed=42).points()
-    b = sampler_at([0.0, 0.0], seed=42).points()
+    _, a = sampler_at([0.0, 0.0], seed=42).plan()
+    _, b = sampler_at([0.0, 0.0], seed=42).plan()
     assert all(np.array_equal(p, q) for p, q in zip(a, b))
-    c = sampler_at([0.0, 0.0], seed=43).points()
+    _, c = sampler_at([0.0, 0.0], seed=43).plan()
     assert any(not np.array_equal(p, q) for p, q in zip(a, c))
 
 
 def test_sampler_radius_bound():
     s = sampler_at([1.0, -2.0, 0.5])
     max_r = max(s.radii)
-    for p in s.points():
+    for p in s.plan()[1]:
         assert np.linalg.norm(p - np.array([1.0, -2.0, 0.5])) <= max_r * (1 + 1e-12)
 
 
 def test_sampler_layers_have_requested_radius():
     s = sampler_at([0.0], samples_per_radius=8)
-    for radius, layer in s.points_by_radius():
-        assert len(layer) == 8
-        for p in layer:
-            assert abs(abs(p[0]) - radius) <= radius * 1e-12
+    radius, points = s.plan()
+    assert radius[0] == 0.0 and points[0].tolist() == [0.0]    # the center
+    assert radius[1:].tolist() == [r for r in s.radii for _ in range(8)]
+    for r, p in zip(radius[1:], points[1:]):
+        assert abs(abs(p[0]) - r) <= r * 1e-12
 
 
 def test_sampler_rejects_increasing_radii():
@@ -203,15 +203,12 @@ def test_crc_witness_is_the_first_rise_not_an_earlier_drop():
     # A hand-made plan around a rank-1 center: a drop to rank 0 comes first,
     # then a rise to rank 2, then another drop at the smaller radius.
     center = np.array([[1.0, 0.0], [0.0, 0.0]])
-    layers = []
     drop, rise = np.zeros((2, 2)), np.eye(2)
-    for radius, point_rows in ((0.1, [drop, rise]), (0.01, [drop])):
-        count = len(point_rows)
-        points = tuple(np.array([radius, float(k)]) for k in range(count))
-        layers.append((radius, points, np.zeros((count, 2)), np.array(point_rows),
-                       np.zeros((count, 2), dtype=bool)))
-    jacobian = rank.SampleJacobian(sampler_at([0.0, 0.0]), np.zeros(2), center,
-                                   np.zeros(2, dtype=bool), tuple(layers))
+    radius = np.array([0.0, 0.1, 0.1, 0.01])
+    points = np.array([[0.0, 0.0], [0.1, 0.0], [0.1, 1.0], [0.01, 0.0]])
+    jacobian = rank.SampleJacobian(sampler_at([0.0, 0.0]), radius, points, np.zeros((4, 2)),
+                                   np.array([center, drop, rise, drop]),
+                                   np.zeros((4, 2), dtype=bool))
     report = check_crc(jacobian, 1e-8)
     assert report.verdict == "refuted"
     assert report.witness == {"point": [0.1, 1.0], "rank": 2}
@@ -231,35 +228,34 @@ def test_crc_empty_family_certified():
 def test_crc_without_sample_points_is_inconclusive():
     # Zero sample points are no evidence: a non-empty family is not certified.
     functions = fns(["x1", "x2"], ["x1", "x2"])
-    no_samples = sample_jacobian(functions, sampler_at([0.0, 0.0], samples_per_radius=0))
-    for jacobian in (dataclasses.replace(no_samples, layers=()), no_samples):
-        report = check_crc(jacobian, 1e-8)
-        assert report.verdict == "inconclusive"
-        assert report.rank_at_center == 2
-        assert report.total_points == 0
+    jacobian = sample_jacobian(functions, sampler_at([0.0, 0.0], samples_per_radius=0))
+    assert jacobian.points.tolist() == [[0.0, 0.0]]          # the center alone
+    report = check_crc(jacobian, 1e-8)
+    assert report.verdict == "inconclusive"
+    assert report.rank_at_center == 2
+    assert report.total_points == 0
 
 
 def test_sample_jacobian_keeps_values_and_select_slices_them():
     # log(1 + 20*x1) fails where x1 <= -0.05: zero value and row, flagged.
     functions = fns(["x1*x2", "log(1 + 20*x1)", "x2"], ["x1", "x2"])
     jacobian = sample_jacobian(functions, sampler_at([0.0, 0.0], samples_per_radius=8))
-    assert np.array_equal(jacobian.center_values, [0.0, 0.0, 0.0])
+    assert np.array_equal(jacobian.values[0], [0.0, 0.0, 0.0])
     failures = 0
-    for _, points, values, rows, failed in jacobian.layers:
-        for point, v, g, bad in zip(points, values, rows, failed):
-            for f, vi, gi, b in zip(functions, v, g, bad):
-                if b:
-                    failures += 1
-                    assert vi == 0.0 and not np.any(gi)
-                else:
-                    value, grad = f.value_and_gradient(point)
-                    assert vi == value and np.array_equal(gi, grad)
+    for point, v, g, bad in zip(jacobian.points, jacobian.values, jacobian.rows, jacobian.failed):
+        for f, vi, gi, b in zip(functions, v, g, bad):
+            if b:
+                failures += 1
+                assert vi == 0.0 and not np.any(gi)
+            else:
+                value, grad = f.value_and_gradient(point)
+                assert vi == value and np.array_equal(gi, grad)
     assert failures > 0
     sub = jacobian.select([2, 0])
-    assert np.array_equal(sub.center_values, jacobian.center_values[[2, 0]])
-    for (_, _, values, rows, failed), (_, _, v, g, b) in zip(jacobian.layers, sub.layers):
-        assert np.array_equal(v, values[:, [2, 0]]) and np.array_equal(g, rows[:, [2, 0]])
-        assert np.array_equal(b, failed[:, [2, 0]])
+    assert sub.points is jacobian.points and sub.radius is jacobian.radius
+    assert np.array_equal(sub.values, jacobian.values[:, [2, 0]])
+    assert np.array_equal(sub.rows, jacobian.rows[:, [2, 0]])
+    assert np.array_equal(sub.failed, jacobian.failed[:, [2, 0]])
 
 
 def test_crc_center_unevaluable_is_inconclusive():
@@ -513,6 +509,6 @@ def test_crc_certified_implies_image_check_everywhere():
         rows_x0 = np.array([g.gradient(x0) for g in pivot_fns])
         v = np.linalg.pinv(rows_x0)
         assert np.allclose(rows_x0 @ v, np.eye(len(pivot_fns)), atol=1e-12)
-        for p in s.points():
+        for p in s.plan()[1][1:]:
             rows = np.array([g.gradient(p) for g in pivot_fns])
             assert numerical_rank(rows @ v, 1e-8).rank == len(pivot_fns)

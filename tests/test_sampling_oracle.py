@@ -1,9 +1,9 @@
 """Differential tests: the sample plan against the former code.
 
-``NeighborhoodSampler.points_by_radius`` draws each radius layer as one
-array.  It must give exactly what the former code in
-``tests/one_point_oracle.py`` gives: the same points in every layer, bit for
-bit.
+``NeighborhoodSampler.plan`` draws each radius layer as one array and
+returns the center and every point in one flat batch.  It must give exactly
+what the former layered code in ``tests/one_point_oracle.py`` gives: the
+center in row 0, then the same points in the same order, bit for bit.
 """
 
 import numpy as np
@@ -24,17 +24,16 @@ def _bits(values):
 
 
 # ---------------------------------------------------------------------------
-# NeighborhoodSampler.points_by_radius
+# NeighborhoodSampler.plan
 # ---------------------------------------------------------------------------
 
 
 def assert_same_plan(sampler):
-    got = sampler.points_by_radius()
+    radius, points = sampler.plan()
     expected = oracle.points_by_radius(sampler)
-    assert [r for r, _ in got] == [r for r, _ in expected]
-    for (_, layer), (_, former) in zip(got, expected):
-        assert [_bits(p) for p in layer] == [_bits(p) for p in former]
-    return got
+    assert _bits(radius) == _bits([0.0] + [r for r, layer in expected for _ in layer])
+    assert _bits(points) == _bits([sampler.center] + [p for _, layer in expected for p in layer])
+    return radius, points
 
 
 @SETTINGS
@@ -89,15 +88,12 @@ class ZeroingGenerator:
 def test_plan_redraws_a_zero_vector_like_one_draw_per_point(monkeypatch, n, zero_at):
     sampler = NeighborhoodSampler(center=(0.5,) * n, radii=(1.0, 0.1, 0.01),
                                   samples_per_radius=8, seed=11)
-    plain = sampler.points_by_radius()
+    _, plain = sampler.plan()
     monkeypatch.setattr(ZeroingGenerator, "zero_at", frozenset(zero_at))
     monkeypatch.setattr(rank, "Generator", ZeroingGenerator)
     monkeypatch.setattr(oracle, "Generator", ZeroingGenerator)
-    got = assert_same_plan(sampler)
-    assert _bits([p for _, layer in got for p in layer]) != _bits(
-        [p for _, layer in plain for p in layer]
-    )
-    for r, layer in got:
-        assert len(layer) == 8
-        for p in layer:
-            assert np.linalg.norm(p - 0.5) == pytest.approx(r, rel=1e-12)
+    radius, points = assert_same_plan(sampler)
+    assert _bits(points) != _bits(plain)
+    assert [int(np.sum(radius == r)) for r in sampler.radii] == [8, 8, 8]
+    for r, p in zip(radius[1:], points[1:]):
+        assert np.linalg.norm(p - 0.5) == pytest.approx(r, rel=1e-12)
