@@ -34,19 +34,36 @@ import numpy as np
 
 from .config import ToolConfig
 from .dependence import (
-    ReconstructionError, classify_dependence, image_dimension_probe, witness_check,
+    CRC_FAILED, DEPENDENT, INDEPENDENT, ReconstructionError, classify_dependence,
+    image_dimension_probe, witness_check,
 )
 from .expr import parse
 from .kkt import CertificateVerificationError, MissingObjectiveError, kkt_report
 from .model import ConstraintDomainError, ConstraintSystem, PointData, active_set, evaluate_point
 from .rank import (
-    CERTIFIED, REFUTED, SampleJacobian, SubsetGuardError, check_rcrcq, sample_jacobian,
+    CERTIFIED, INCONCLUSIVE, REFUTED, SampleJacobian, SubsetGuardError, check_rcrcq,
+    sample_jacobian,
 )
-from .tangent import InfeasibleBasePointError, abadie_verdict
+from .tangent import CONSISTENT, VIOLATED, InfeasibleBasePointError, abadie_verdict
 
-__all__ = ["ALL_ANALYSES", "exit_code_for", "run_analyses", "summary_line"]
+__all__ = ["ALL_ANALYSES", "exit_code_for", "run_analyses", "section_verdict", "summary_line"]
 
 ALL_ANALYSES = ("rcrcq", "abadie", "dependence", "kkt")
+
+ERROR = "error"
+MULTIPLIERS_EXIST = "multipliers-exist"
+DUAL_INFEASIBLE = "dual-infeasible"
+
+# The exit code of each word section_verdict can return: 0 certified or
+# consistent, 1 refuted or violated, 2 inconclusive.  rank and tangent share
+# the word "inconclusive".
+_VERDICT_CODES = {
+    CERTIFIED: 0, REFUTED: 1, INCONCLUSIVE: 2,
+    CONSISTENT: 0, VIOLATED: 1,
+    INDEPENDENT: 0, DEPENDENT: 0, CRC_FAILED: 2,
+    MULTIPLIERS_EXIST: 0, DUAL_INFEASIBLE: 1,
+    ERROR: 2,
+}
 
 _CAPTURED = (
     ConstraintDomainError,
@@ -171,7 +188,7 @@ def _check_theorem(abadie: dict, rcrcq_verdict: str) -> None:
     Under RCRCQ the Abadie condition holds, so a certified RCRCQ next to a
     violated Abadie check indicts the sampling or the tolerances.
     """
-    contradiction = rcrcq_verdict == CERTIFIED and abadie["verdict"] == "violated"
+    contradiction = rcrcq_verdict == CERTIFIED and abadie["verdict"] == VIOLATED
     abadie["contradiction"] = contradiction
     if contradiction:
         abadie["notes"] = [
@@ -205,51 +222,25 @@ def _check_asserted_minimum(kkt: dict, rcrcq_verdict: str, assert_local_min: boo
     kkt["notes"] = notes
 
 
-def _section_code(name: str, section: Optional[dict]) -> int:
-    if section is None:
-        return 0
+def section_verdict(name: str, section: dict) -> str:
+    """The word that the summary line and the text header show for section
+    ``name``: ``error`` for an error section, the dual-feasibility word for
+    ``kkt``, the sense for ``dependence``, and the verdict otherwise."""
     if "error" in section:
-        return 2
-    if name == "rcrcq":
-        return {"certified-by-sampling": 0, "refuted": 1, "inconclusive": 2}[
-            section["verdict"]
-        ]
-    if name == "abadie":
-        return {"consistent": 0, "violated": 1, "inconclusive": 2}[section["verdict"]]
-    if name == "dependence":
-        return {
-            "independent": 0,
-            "dependent-with-relation": 0,
-            "crc-failed-inconclusive": 2,
-        }[section["sense"]]
+        return ERROR
     if name == "kkt":
-        return 0 if section["dual_feasible"] else 1
-    return 0
+        return MULTIPLIERS_EXIST if section["dual_feasible"] else DUAL_INFEASIBLE
+    if name == "dependence":
+        return section["sense"]
+    return section["verdict"]
 
 
 def exit_code_for(sections: dict) -> int:
-    """0 = certified/consistent, 1 = refuted/violated, 2 = inconclusive."""
-    codes = [_section_code(name, section) for name, section in sections.items()]
-    if 1 in codes:
-        return 1
-    if 2 in codes:
-        return 2
-    return 0
+    """1 if any section is refuted or violated, else 2 if any is
+    inconclusive, else 0."""
+    codes = {_VERDICT_CODES[section_verdict(name, s)] for name, s in sections.items()}
+    return 1 if 1 in codes else 2 if 2 in codes else 0
 
 
 def summary_line(sections: dict) -> str:
-    parts = []
-    for name, section in sections.items():
-        if section is None:
-            continue
-        if "error" in section:
-            parts.append(f"{name}=error")
-        elif name == "kkt":
-            parts.append(
-                f"kkt={'multipliers-exist' if section['dual_feasible'] else 'dual-infeasible'}"
-            )
-        elif name == "dependence":
-            parts.append(f"dependence={section['sense']}")
-        else:
-            parts.append(f"{name}={section['verdict']}")
-    return " ".join(parts)
+    return " ".join(f"{name}={section_verdict(name, s)}" for name, s in sections.items())

@@ -132,7 +132,7 @@ def _run_file_command(args) -> int:
 
 
 def _run_corpus_command(args) -> int:
-    from .corpus import CORPUS, run_all, run_case
+    from .corpus import CORPUS, run_all
 
     if args.corpus_command == "list":
         for name in sorted(CORPUS):
@@ -140,23 +140,13 @@ def _run_corpus_command(args) -> int:
             sys.stdout.write(f"{name}: {case.description}\n")
         return EXIT_OK
     cfg = _config_from_args(args, ToolConfig())
-    if args.which == "all":
-        report = run_all(cfg)
-        sys.stdout.write(emit_report(report, args.format))
-        return EXIT_OK if report["all_pass"] else EXIT_NEGATIVE
-    if args.which not in CORPUS:
+    if args.which != "all" and args.which not in CORPUS:
         raise _UsageError(
             f"unknown corpus case '{args.which}'; see 'cq-analyzer corpus list'"
         )
-    case_report = run_case(args.which, cfg)
-    report = {
-        "report_version": REPORT_VERSION,
-        "tool": {"name": "cq-analyzer", "version": __version__},
-        "cases": {args.which: case_report},
-        "all_pass": case_report["pass"],
-    }
+    report = run_all(cfg, None if args.which == "all" else [args.which])
     sys.stdout.write(emit_report(report, args.format))
-    return EXIT_OK if case_report["pass"] else EXIT_NEGATIVE
+    return EXIT_OK if report["all_pass"] else EXIT_NEGATIVE
 
 
 def main(argv=None) -> int:

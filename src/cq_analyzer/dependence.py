@@ -139,7 +139,7 @@ def image_dimension_probe(jacobian: SampleJacobian, tol_rank: float = 1e-8) -> i
     estimate of kappa is evidence for independence (interior image); always
     returns.
     """
-    y = jacobian.values[jacobian.evaluable & (jacobian.radius == min(jacobian.sampler.radii))]
+    y = jacobian.values[jacobian.evaluable & (jacobian.radius == jacobian.radius[-1])]
     if not len(y):
         return 0
     center = jacobian.values[0] if jacobian.evaluable[0] else y.mean(axis=0)
@@ -231,7 +231,7 @@ def reconstruct_dependent(
         coefficients=tuple(float(cf) for cf in coefficients),
         center=tuple(float(v) for v in center),
         base_value=base_value,
-        training_radius=max(jacobian.sampler.radii),
+        training_radius=float(jacobian.radius.max()),
         cross_validated_residual=0.0,
     )
     held_out = [abs(fitted.predict(yy) - ww) for yy, ww in zip(y[test], w[test])]
@@ -267,41 +267,25 @@ def classify_dependence(
         raise ValueError("the function family must be nonempty")
     if crc is None:
         crc = check_crc(jacobian, tol_rank)
-    kappa = jacobian.kappa
-    laszlo = crc.rank_at_center is None or crc.rank_at_center < kappa
+    kappa, k, pivots = jacobian.kappa, crc.rank_at_center, crc.pivot_indices
+    reconstructions, notes = (), ()
     if crc.verdict != CERTIFIED:
-        return DependenceVerdict(
-            sense=CRC_FAILED,
-            rank_k=crc.rank_at_center,
-            kappa=kappa,
-            pivot_indices=crc.pivot_indices,
-            laszlo_at_point=laszlo,
-            crc=crc,
-            notes=(f"constant-rank check: {crc.verdict}",),
-        )
-    k = crc.rank_at_center
-    if k == kappa:
-        return DependenceVerdict(
-            sense=INDEPENDENT,
-            rank_k=k,
-            kappa=kappa,
-            pivot_indices=crc.pivot_indices,
-            laszlo_at_point=laszlo,
-            crc=crc,
-        )
-    reconstructions = []
-    for l in range(1, kappa + 1):
-        if l in crc.pivot_indices:
-            continue
-        reconstructions.append(
-            reconstruct_dependent(jacobian, crc.pivot_indices, l, fit_degree)
+        sense, notes = CRC_FAILED, (f"constant-rank check: {crc.verdict}",)
+    elif k == kappa:
+        sense = INDEPENDENT
+    else:
+        sense = DEPENDENT
+        reconstructions = tuple(
+            reconstruct_dependent(jacobian, pivots, l, fit_degree)
+            for l in range(1, kappa + 1) if l not in pivots
         )
     return DependenceVerdict(
-        sense=DEPENDENT,
+        sense=sense,
         rank_k=k,
         kappa=kappa,
-        pivot_indices=crc.pivot_indices,
-        laszlo_at_point=laszlo,
+        pivot_indices=pivots,
+        laszlo_at_point=k is None or k < kappa,
         crc=crc,
-        reconstructions=tuple(reconstructions),
+        reconstructions=reconstructions,
+        notes=notes,
     )

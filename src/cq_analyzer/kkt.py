@@ -22,7 +22,9 @@ import numpy as np
 
 from .cones import build_linearized_cone, cone_member, dual_cone_decomposition
 from .config import ToolConfig
-from .model import ConstraintSystem, PointData, active_set, evaluate_point
+from .model import (
+    ConstraintDomainError, ConstraintSystem, PointData, active_set, evaluate_point, evaluate_rows,
+)
 from .rank import numerical_rank
 
 __all__ = [
@@ -56,7 +58,6 @@ class KktReport:
     descent_slope: Optional[float]  # <grad h0, d> for the certificate
     minimal_norm_selected: bool
     active_indices: tuple[int, ...]
-    tolerance_used: float
 
     def multiplier_dict(self) -> Optional[dict[int, float]]:
         return dict(self.multipliers) if self.multipliers is not None else None
@@ -79,7 +80,6 @@ class KktReport:
             "descent_slope": self.descent_slope,
             "minimal_norm_selected": self.minimal_norm_selected,
             "active_indices": list(self.active_indices),
-            "tolerance_used": self.tolerance_used,
         }
 
 
@@ -92,22 +92,29 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
     carries the verified descent certificate instead.  With dependent active
     rows the minimal-norm element of the multiplier polytope is returned.
     Dual-cone membership is decided at cfg.tol_cone.  ``pd`` is the
-    evaluation of ``sys`` at ``x0`` when the caller has it.
+    evaluation of ``sys`` at ``x0`` when the caller has it.  This is the one
+    analysis that evaluates the objective: its domain error is a
+    :class:`ConstraintDomainError` with index 0, raised after any of the
+    constraints'.
     """
     if sys.objective is None:
         raise MissingObjectiveError("the constraint system has no objective")
     if pd is None:
         pd = evaluate_point(sys, np.asarray(x0, dtype=float))
+    _, rows, errors = evaluate_rows([sys.objective], pd.point[None])
+    if errors:
+        raise ConstraintDomainError(0, errors[0, 0]) from errors[0, 0]
+    grad = rows[0, 0]
     active = active_set(pd, cfg.tol_active)
     tol = cfg.tol_cone
     cone = build_linearized_cone(pd, active)
-    target = -pd.objective_gradient
+    target = -grad
     coeffs, residual_dir = dual_cone_decomposition(cone, target, tol)
 
     if coeffs is None:
         norm = float(np.linalg.norm(residual_dir))
         d = residual_dir / norm
-        slope = float(pd.objective_gradient @ d)
+        slope = float(grad @ d)
         # The certificate is only reported once verified explicitly.
         if not cone_member(cone, d, tol) or slope >= 0.0:
             raise CertificateVerificationError(
@@ -123,7 +130,6 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
             descent_slope=slope,
             minimal_norm_selected=False,
             active_indices=active,
-            tolerance_used=tol,
         )
 
     if cone.eq_indices + cone.ineq_indices:
@@ -135,7 +141,7 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
     full = tuple(
         (i, float(lam.get(i, 0.0))) for i in range(1, sys.n_constraints + 1)
     )
-    total = pd.objective_gradient.copy()
+    total = grad
     for i, v in full:
         total = total + v * pd.row(i)
     stationarity = float(np.linalg.norm(total))
@@ -148,6 +154,5 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
         descent_slope=None,
         minimal_norm_selected=not unique,
         active_indices=active,
-        tolerance_used=tol,
     )
 

@@ -119,14 +119,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointData:
-    """Values and gradients of all constraints (and objective) at one point."""
+    """Values and gradients of all constraints at one point."""
 
     point: np.ndarray
     values: np.ndarray          # h_i(x), index order
     jacobian: np.ndarray        # row i-1 = grad h_i(x)
     equality_count: int
-    objective_value: Optional[float] = None
-    objective_gradient: Optional[np.ndarray] = None
 
     @property
     def dimension(self) -> int:
@@ -175,29 +173,24 @@ def evaluate_rows(
 
 
 def evaluate_point(sys: ConstraintSystem, x: Sequence[float]) -> PointData:
-    """Evaluate values and the Jacobian of ``sys`` at ``x``.
+    """Evaluate the constraint values and the Jacobian of ``sys`` at ``x``;
+    the objective is left to the analysis that reads it.
 
     Domain errors propagate as :class:`ConstraintDomainError` carrying the
-    lowest offending constraint index, or 0 when only the objective failed.
+    lowest offending constraint index.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.dimension,):
         raise ValueError(f"point has shape {x.shape}, expected ({sys.dimension},)")
-    m = sys.n_constraints
-    objective = (sys.objective,) if sys.objective is not None else ()
-    values, rows, errors = evaluate_rows(sys.all_constraints + objective, x[None])
+    values, rows, errors = evaluate_rows(sys.all_constraints, x[None])
     if errors:
         first = min(errors)
-        index = 0 if first[1] == m else first[1] + 1  # position m is the objective
-        raise ConstraintDomainError(index, errors[first]) from errors[first]
-    values, rows = values[0], rows[0]
+        raise ConstraintDomainError(first[1] + 1, errors[first]) from errors[first]
     return PointData(
         point=_read_only(x.copy()),
-        values=_read_only(values[:m]),
-        jacobian=_read_only(rows[:m]),
+        values=_read_only(values[0]),
+        jacobian=_read_only(rows[0]),
         equality_count=len(sys.equalities),
-        objective_value=float(values[m]) if objective else None,
-        objective_gradient=_read_only(rows[m]) if objective else None,
     )
 
 

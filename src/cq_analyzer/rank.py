@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,7 +57,6 @@ class RankResult:
     rank: int
     singular_values: tuple[float, ...]   # descending
     pivot_indices: tuple[int, ...]       # 1-based row indices, exactly `rank` of them
-    tolerance_used: float
 
 
 def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult | tuple[RankResult, ...]:
@@ -81,7 +80,7 @@ def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult | tuple[Rank
     ranks, sigma = _ranks(stack, tol_rank)
     nonzero = stack.any(axis=(1, 2))
     results = tuple(
-        RankResult(int(k), tuple(float(s) for s in sig) if nz else (), piv, tol_rank)
+        RankResult(int(k), tuple(float(s) for s in sig) if nz else (), piv)
         for k, sig, nz, piv in zip(ranks, sigma, nonzero, _select_pivots(stack, ranks))
     )
     return results[0] if rows.ndim == 2 else results
@@ -189,13 +188,6 @@ class NeighborhoodSampler:
         radius = np.repeat((0.0,) + self.radii, [1] + [shape[0]] * len(self.radii))
         return radius, np.concatenate(points)
 
-    def to_dict(self) -> dict:
-        return {
-            "radii": list(self.radii),
-            "samples_per_radius": self.samples_per_radius,
-            "seed": int(self.seed),
-        }
-
 
 @dataclass(frozen=True)
 class CrcReport:
@@ -211,7 +203,6 @@ class CrcReport:
     skipped_points: int = 0
     total_points: int = 0
     center_unevaluable_rows: tuple[int, ...] = ()
-    tolerance_used: float = 1e-8
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -229,7 +220,6 @@ class CrcReport:
             "skipped_points": self.skipped_points,
             "total_points": self.total_points,
             "center_unevaluable_rows": list(self.center_unevaluable_rows),
-            "tolerance_used": self.tolerance_used,
             "notes": list(self.notes),
         }
 
@@ -237,17 +227,16 @@ class CrcReport:
 @dataclass(frozen=True)
 class SampleJacobian:
     """Values and gradient rows of one function family at every point of a
-    sampler's plan: row 0 is the center, at radius 0.
+    sampler's plan: row 0 is the center, at radius 0, then the sample points,
+    radii descending.
 
     ``values[p]`` and ``rows[p]`` are the (kappa,) values and the (kappa, n)
     gradient matrix at ``points[p]``, and ``failed[p, i]`` marks a function
     that could not be evaluated there (its value and row are zero).
     :meth:`select` restricts the family without evaluating anything again.
-    The points are the sample plan of ``sampler``, drawn once: every consumer
-    reads them here.
+    The plan is drawn once: every consumer reads its points and radii here.
     """
 
-    sampler: NeighborhoodSampler
     radius: np.ndarray                    # (1+P,)
     points: np.ndarray                    # (1+P, n)
     values: np.ndarray                    # (1+P, kappa)
@@ -282,7 +271,7 @@ def sample_jacobian(
     failed = np.zeros(values.shape, dtype=bool)
     for p, i in errors:
         failed[p, i] = True
-    return SampleJacobian(sampler, radius, points, values, rows, failed)
+    return SampleJacobian(radius, points, values, rows, failed)
 
 
 def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
@@ -309,7 +298,7 @@ def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
         return CrcReport(
             verdict=CERTIFIED, kappa=0, rank_at_center=0, pivot_indices=(),
             singular_values_at_center=(), rank_counts_by_radius=(),
-            tolerance_used=tol_rank, notes=("empty function family",),
+            notes=("empty function family",),
         )
     center_unevaluable = tuple(int(i) + 1 for i in np.flatnonzero(jacobian.failed[0]))
     notes: list[str] = []
@@ -381,7 +370,6 @@ def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
         skipped_points=skipped,
         total_points=total,
         center_unevaluable_rows=center_unevaluable,
-        tolerance_used=tol_rank,
         notes=tuple(notes),
     )
 
@@ -391,12 +379,9 @@ class RcrcqReport:
     """Per-subset constant-rank evidence for all J with I_0 <= J <= I_0 + I(x0)."""
 
     verdict: str
-    base_ranks: tuple[tuple[tuple[int, ...], Optional[int]], ...]
     subsets: tuple[tuple[tuple[int, ...], CrcReport], ...]
     active_indices: tuple[int, ...]
     equality_indices: tuple[int, ...]
-    tolerance_used: float
-    sampler_config: dict = field(default_factory=dict)
 
     @property
     def subset_count(self) -> int:
@@ -408,14 +393,9 @@ class RcrcqReport:
             "equality_indices": list(self.equality_indices),
             "active_indices": list(self.active_indices),
             "subset_count": self.subset_count,
-            "base_ranks": [
-                {"subset": list(j), "rank": r} for j, r in self.base_ranks
-            ],
             "subsets": [
                 {"subset": list(j), **report.to_dict()} for j, report in self.subsets
             ],
-            "tolerance_used": self.tolerance_used,
-            "sampler": dict(self.sampler_config),
         }
 
 
@@ -451,14 +431,12 @@ def check_rcrcq(
     row = {index: k for k, index in enumerate(eq + active)}
 
     subsets = []
-    base_ranks = []
     verdicts = []
     for size in range(len(active) + 1):
         for extra in itertools.combinations(active, size):
             j = tuple(sorted(set(eq) | set(extra)))
             report = check_crc(jacobian.select([row[i] for i in j]), tol_rank)
             subsets.append((j, report))
-            base_ranks.append((j, report.rank_at_center))
             verdicts.append(report.verdict)
 
     if REFUTED in verdicts:
@@ -469,10 +447,7 @@ def check_rcrcq(
         verdict = CERTIFIED
     return RcrcqReport(
         verdict=verdict,
-        base_ranks=tuple(base_ranks),
         subsets=tuple(subsets),
         active_indices=active,
         equality_indices=eq,
-        tolerance_used=tol_rank,
-        sampler_config=jacobian.sampler.to_dict(),
     )

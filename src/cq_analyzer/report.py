@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import math
 
-REPORT_VERSION = 4
+from .analysis import section_verdict
+
+REPORT_VERSION = 5
 
 __all__ = ["REPORT_VERSION", "emit_report", "machine_dumps", "render_text"]
 
@@ -80,7 +82,6 @@ def _fmt(v) -> str:
 
 
 def _render_rcrcq(section: dict, lines: list[str]) -> None:
-    lines.append(f"[rcrcq] {section['verdict']}")
     lines.append(
         f"  equalities={section['equality_indices']} "
         f"active={section['active_indices']} subsets={section['subset_count']}"
@@ -99,7 +100,6 @@ def _render_rcrcq(section: dict, lines: list[str]) -> None:
         if sub["witness"] is not None:
             line += f" witness@{_fmt(sub['witness']['point'])} rank={sub['witness']['rank']}"
         lines.append(line)
-    lines.append(f"  tol_rank={_fmt(section['tolerance_used'])}")
 
 
 def _render_trace(probe: dict, lines: list[str]) -> None:
@@ -123,7 +123,6 @@ def _render_trace(probe: dict, lines: list[str]) -> None:
 
 
 def _render_abadie(section: dict, lines: list[str]) -> None:
-    lines.append(f"[abadie] {section['verdict']}")
     if section["witness"] is not None:
         w = section["witness"]
         lines.append(f"  witness: {w['kind']} direction={_fmt(w['direction'])}")
@@ -143,7 +142,6 @@ def _render_abadie(section: dict, lines: list[str]) -> None:
 
 
 def _render_dependence(section: dict, lines: list[str]) -> None:
-    lines.append(f"[dependence] {section['sense']}")
     lines.append(
         f"  rank k={section['rank_k']} of kappa={section['kappa']}"
         f" pivots={section['pivot_indices']}"
@@ -167,8 +165,6 @@ def _render_dependence(section: dict, lines: list[str]) -> None:
 
 
 def _render_kkt(section: dict, lines: list[str]) -> None:
-    header = "multipliers-exist" if section["dual_feasible"] else "dual-infeasible"
-    lines.append(f"[kkt] {header}")
     if section["multipliers"] is not None:
         lam = ", ".join(
             f"lambda_{i}={_fmt(v)}" for i, v in sorted(
@@ -209,10 +205,8 @@ def render_text(report: dict) -> str:
         lines.append(f"summary: {report['summary']}")
     lines.append("")
     for name, section in report.get("analyses", {}).items():
-        if section is None:
-            continue
+        lines.append(f"[{name}] {section_verdict(name, section)}")
         if "error" in section:
-            lines.append(f"[{name}] error")
             lines.append(f"  {section['error']}")
         else:
             _SECTION_RENDERERS[name](section, lines)

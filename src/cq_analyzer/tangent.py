@@ -441,7 +441,6 @@ class AbadieReport:
     probes: tuple[TangentProbe, ...]
     trivial_cone: bool
     witness: Optional[dict]
-    config: dict
 
     def to_dict(self) -> dict:
         return {
@@ -450,7 +449,6 @@ class AbadieReport:
             "gamma_in_T_evidence": [p.to_dict() for p in self.probes],
             "trivial_cone": self.trivial_cone,
             "witness": self.witness,
-            "config": dict(self.config),
         }
 
 
@@ -500,5 +498,4 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
         probes=probes,
         trivial_cone=not faces,
         witness=witness,
-        config=cfg.to_dict(),
     )

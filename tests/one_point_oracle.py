@@ -74,7 +74,7 @@ def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult:
     rows = np.asarray(rows, dtype=float)
     rank, sigma = _rank(rows, tol_rank)
     pivots = _select_pivots(rows, rank)
-    return RankResult(rank, tuple(float(s) for s in sigma), pivots, tol_rank)
+    return RankResult(rank, tuple(float(s) for s in sigma), pivots)
 
 
 def _rank(rows: np.ndarray, tol_rank: float) -> tuple[int, np.ndarray]:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import cq_analyzer
-from cq_analyzer import analysis, model, rank
-from cq_analyzer.analysis import run_analyses
+from cq_analyzer import analysis, dependence, model, rank, tangent
+from cq_analyzer.analysis import run_analyses, summary_line
 from cq_analyzer.config import ToolConfig
 from cq_analyzer.corpus import CORPUS, load_case
 from cq_analyzer.expr import Expression
@@ -202,3 +202,25 @@ def test_no_corpus_case_contradicts_the_theorem(name):
     else:
         assert abadie["contradiction"] is False
         assert "notes" not in abadie
+
+
+def test_every_verdict_word_has_its_exit_code():
+    codes = {
+        rank.CERTIFIED: 0, rank.REFUTED: 1, rank.INCONCLUSIVE: 2,
+        tangent.CONSISTENT: 0, tangent.VIOLATED: 1, tangent.INCONCLUSIVE: 2,
+        dependence.INDEPENDENT: 0, dependence.DEPENDENT: 0, dependence.CRC_FAILED: 2,
+        "multipliers-exist": 0, "dual-infeasible": 1, "error": 2,
+    }
+    assert analysis._VERDICT_CODES == codes
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_text_header_word_is_the_summary_word(name):
+    _, pf = load_case(name)
+    sections = run_analyses(pf.system, pf.x0, pf.config(ToolConfig()), FULL)
+    summary = summary_line(sections)
+    lines = render_text({"analyses": sections, "summary": summary}).splitlines()
+    headers = [line for line in lines if line.startswith("[")]
+    assert headers == [f"[{n}] {analysis.section_verdict(n, s)}" for n, s in sections.items()]
+    assert summary == " ".join(f"{n}={analysis.section_verdict(n, s)}"
+                               for n, s in sections.items())

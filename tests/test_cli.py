@@ -276,6 +276,38 @@ def test_cli_rejects_an_overlong_geometric_schedule_flag(capsys):
     assert "--radii" in err and "more than 100 values" in err
 
 
+def log_objective_problem(tmp_path):
+    # The objective leaves its domain at the base point; the constraints do not.
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "name": "p", "variables": ["x1", "x2"], "objective": "log(x1)",
+        "inequalities": ["-x1", "-x2"], "point": [0, 0],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,verdict", [
+    ("rcrcq", "certified-by-sampling"), ("abadie", "consistent"),
+])
+def test_cli_objective_domain_error_spares_the_constraint_checks(capsys, tmp_path, command,
+                                                                 verdict):
+    code, out, _ = run_cli(capsys, command, log_objective_problem(tmp_path), "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["analyses"][command]["verdict"] == verdict
+
+
+def test_cli_objective_domain_error_is_only_a_kkt_error(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "analyze", log_objective_problem(tmp_path), "--format", "machine")
+    report = json.loads(out)
+    assert code == 2
+    assert report["summary"] == (
+        "rcrcq=certified-by-sampling abadie=consistent dependence=independent kkt=error"
+    )
+    assert report["analyses"]["kkt"]["error"] == (
+        "objective: logarithm of a non-positive value in 'log(x1)'"
+    )
+
+
 def test_cli_trig_of_overflowed_argument_is_an_error_section(capsys, tmp_path):
     # sin(x1^400) at x1 = 10 is sin(inf): this used to end in a bare
     # "ValueError: math domain error" traceback with exit 1.
@@ -468,7 +500,7 @@ def test_cli_analyze_includes_config_snapshot(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["report_version"] == 4
+    assert report["report_version"] == 5
     assert report["config"]["tol_rank"] == 1e-7
     assert report["config"]["seed"] == 42
     assert set(report["analyses"]) == {"rcrcq", "abadie", "dependence", "kkt"}
@@ -685,6 +717,29 @@ def test_cli_corpus_run_all_passes_and_is_deterministic(capsys):
     report = json.loads(out1)
     assert report["all_pass"] is True
     assert len(report["cases"]) == 9
+
+
+def nested_keys(value) -> set:
+    """Every key of every dict nested in ``value``."""
+    if isinstance(value, dict):
+        return set(value).union(*(nested_keys(v) for v in value.values()))
+    if isinstance(value, list):
+        return set().union(*(nested_keys(v) for v in value))
+    return set()
+
+
+def test_settings_appear_only_in_the_config_snapshot(capsys):
+    _, out, _ = run_cli(capsys, "corpus", "run", "all", "--format", "machine")
+    reports = [json.loads(out)]
+    sections = [case["analyses"] for case in reports[0]["cases"].values()]
+    for name in sorted(CORPUS):
+        _, out, _ = run_cli(capsys, "analyze", corpus_file(name), "--format", "machine")
+        reports.append(json.loads(out))
+        sections.append(reports[-1]["analyses"])
+    for report in reports:
+        assert not nested_keys(report) & {"tolerance_used", "sampler", "base_ranks"}
+    for analyses in sections:
+        assert "config" not in nested_keys(analyses)
 
 
 def test_cli_machine_report_round_trips_as_json(capsys):

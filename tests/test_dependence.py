@@ -271,7 +271,7 @@ def test_local_stability_of_dependence():
     jacobian = jacobian_at(functions, [0.0, 0.0])
     verdict = classify_dependence(jacobian, 1e-8)
     assert verdict.sense == "dependent-with-relation"
-    smallest_layer = jacobian.points[jacobian.radius == min(jacobian.sampler.radii)]
+    smallest_layer = jacobian.points[jacobian.radius == jacobian.radius[-1]]
     for p in smallest_layer:
         shifted = classify(functions, p, radii=(1e-4, 1e-5, 1e-6))
         assert shifted.sense == "dependent-with-relation"

@@ -17,15 +17,18 @@ def test_dump_of_one_seed_holds_every_command_and_exit_code(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     names = sorted(p.name for p in outdir.iterdir())
-    # corpus in two formats and once with every flag, then 2 rounds x
-    # (4 chains + 6 manifolds) x 3 commands, and one problem with every option.
-    assert len(names) == 3 + 2 * 10 * 3 + 1
+    # corpus in two formats and once with every flag, analyze in text on the
+    # 9 corpus files, then 2 rounds x (4 chains + 6 manifolds) x 4 outputs,
+    # and one problem with every option.
+    assert len(names) == 3 + 9 + 2 * 10 * 4 + 1
     assert "corpus.text.txt" in names and "analyze-manifold-s5150-r1-5.dependence.txt" in names
-    assert {"corpus.flags.txt", "analyze-manifold-s5150-r0-0.options.analyze.txt"} <= set(names)
+    assert {"corpus.flags.txt", "analyze-manifold-s5150-r0-0.options.analyze.txt",
+            "corpus-file.circle-point.analyze.text.txt",
+            "rcrcq-chain-s5150-r1-3.analyze.text.txt"} <= set(names)
     for name in names:
         status, _, body = (outdir / name).read_text(encoding="utf-8").partition("\n")
         assert status in ("exit 0", "exit 1", "exit 2"), name
         assert "--- stderr" not in body, name
-        if name != "corpus.text.txt":
+        if not name.endswith(".text.txt"):
             json.loads(body)
     assert (outdir / "corpus.machine.txt").read_text(encoding="utf-8").startswith("exit 0\n")

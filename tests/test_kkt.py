@@ -7,7 +7,7 @@ from cq_analyzer.analysis import run_analyses
 from cq_analyzer.cones import cone_member
 from cq_analyzer.config import ToolConfig
 from cq_analyzer.kkt import MissingObjectiveError, kkt_report
-from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
+from cq_analyzer.model import ConstraintDomainError, ConstraintSystem, active_set, evaluate_point
 from cq_analyzer.tangent import abadie_verdict
 
 CFG = ToolConfig()
@@ -75,6 +75,18 @@ def test_missing_objective_raises():
         kkt_report(sys, [0.0, 0.0], CFG)
 
 
+def test_objective_domain_error_comes_after_the_constraints():
+    sys = make(variables=("x",), objective="log(x)", eqs=["x", "1/x"])
+    with pytest.raises(ConstraintDomainError) as exc:
+        kkt_report(sys, [0.0], CFG)
+    assert exc.value.constraint_index == 2
+    sys = make(variables=("x",), objective="log(x)", eqs=["x"])
+    with pytest.raises(ConstraintDomainError) as exc:
+        kkt_report(sys, [0.0], CFG)
+    assert exc.value.constraint_index == 0
+    assert str(exc.value).startswith("objective: logarithm of a non-positive value")
+
+
 def test_stationarity_zero_lambda_gives_gradient_norm():
     # No constraints, so no multiplier can reduce the gradient.
     sys = make(objective="3*x1 + 4*x2")
@@ -134,11 +146,11 @@ def test_weak_duality_on_sampled_cone_directions():
     report = abadie_verdict(sys, x0, CFG)
     kkt = kkt_report(sys, x0, CFG)
     assert kkt.dual_feasible
-    pd = evaluate_point(sys, x0)
+    grad = sys.objective.gradient(x0)
     from cq_analyzer.cones import face_directions
 
     for _, d in face_directions(report.cone, 32, 1e-8):
-        assert float(pd.objective_gradient @ d) >= -1e-9
+        assert float(grad @ d) >= -1e-9
 
 
 def test_objective_scaling_scales_multipliers():
@@ -221,7 +233,7 @@ def test_descent_certificate_is_cone_member():
 
     cone = build_linearized_cone(pd, aset_for(sys, x0))
     assert cone_member(cone, d, 1e-8)
-    assert float(pd.objective_gradient @ d) < 0.0
+    assert float(sys.objective.gradient(x0) @ d) < 0.0
 
 
 def test_failed_descent_certificate_is_an_error_section(monkeypatch, capsys):

@@ -206,7 +206,7 @@ def test_crc_witness_is_the_first_rise_not_an_earlier_drop():
     drop, rise = np.zeros((2, 2)), np.eye(2)
     radius = np.array([0.0, 0.1, 0.1, 0.01])
     points = np.array([[0.0, 0.0], [0.1, 0.0], [0.1, 1.0], [0.01, 0.0]])
-    jacobian = rank.SampleJacobian(sampler_at([0.0, 0.0]), radius, points, np.zeros((4, 2)),
+    jacobian = rank.SampleJacobian(radius, points, np.zeros((4, 2)),
                                    np.array([center, drop, rise, drop]),
                                    np.zeros((4, 2), dtype=bool))
     report = check_crc(jacobian, 1e-8)
@@ -305,7 +305,7 @@ def test_rcrcq_x_squared_leq_zero_refuted():
     report = rcrcq_for(system(ins=["x^2"], variables=("x",)), [0.0])
     assert report.verdict == "refuted"
     assert report.subset_count == 2  # J = {} and J = {1}
-    refuted = dict(report.base_ranks)[(1,)]
+    refuted = dict(report.subsets)[(1,)].rank_at_center
     assert refuted == 0
 
 
@@ -313,14 +313,14 @@ def test_rcrcq_parallel_equalities_certified():
     report = rcrcq_for(system(eqs=["x1", "2*x1"]), [0.0, 0.0])
     assert report.verdict == "certified-by-sampling"
     assert report.subset_count == 1
-    assert dict(report.base_ranks)[(1, 2)] == 1
+    assert dict(report.subsets)[(1, 2)].rank_at_center == 1
 
 
 def test_rcrcq_licq_instance_certified():
     report = rcrcq_for(system(eqs=["x1"], ins=["x2"]), [0.0, 0.0])
     assert report.verdict == "certified-by-sampling"
     assert report.subset_count == 2
-    ranks = dict(report.base_ranks)
+    ranks = {j: sub.rank_at_center for j, sub in report.subsets}
     assert ranks[(1,)] == 1 and ranks[(1, 2)] == 2
 
 

@@ -8,9 +8,11 @@ line and then everything the command wrote:
 - ``corpus run all`` in text and in machine format;
 - ``corpus run all`` in machine format with every option flag set to a
   non-default value (``FLAGS``);
-- ``analyze``, ``rcrcq`` and ``dependence`` in machine format on every
-  problem of rounds 0 and 1 of both generated workloads of ``perfbench``
-  (``workloads.round_problems``), for each seed (default 5150);
+- ``analyze``, ``rcrcq`` and ``dependence`` in machine format, and
+  ``analyze`` in text format, on every problem of rounds 0 and 1 of both
+  generated workloads of ``perfbench`` (``workloads.round_problems``), for
+  each seed (default 5150);
+- ``analyze`` in text format on each bundled corpus file;
 - ``analyze`` in machine format on the first ``analyze-manifold`` problem of
   each seed with an ``options`` block that sets every option key
   (``OPTIONS``).
@@ -75,7 +77,7 @@ def run(cli, argv: list[str]) -> str:
     return text + (f"--- stderr\n{err.getvalue()}" if err.getvalue() else "")
 
 
-def dump(cli, seeds: list[int], outdir: Path) -> int:
+def dump(cli, src: Path, seeds: list[int], outdir: Path) -> int:
     """Write every output to ``outdir``; returns how many were written."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -84,6 +86,9 @@ def dump(cli, seeds: list[int], outdir: Path) -> int:
     outputs = {f"corpus.{fmt}": ["corpus", "run", "all", "--format", fmt]
                for fmt in ("text", "machine")}
     outputs["corpus.flags"] = ["corpus", "run", "all", "--format", "machine", *FLAGS]
+    for path in sorted((src / "cq_analyzer" / "corpus").glob("*.json")):
+        outputs[f"corpus-file.{path.stem}.analyze.text"] = [
+            "analyze", str(path), "--format", "text"]
     with tempfile.TemporaryDirectory() as problems:
         for seed in seeds:
             first = workloads.round_problems("analyze-manifold", seed, 0)[0]
@@ -99,6 +104,8 @@ def dump(cli, seeds: list[int], outdir: Path) -> int:
                         for command in COMMANDS:
                             outputs[f"{problem.name}.{command}"] = [
                                 command, str(path), "--format", "machine"]
+                        outputs[f"{problem.name}.analyze.text"] = [
+                            "analyze", str(path), "--format", "text"]
         for name, argv in outputs.items():
             (outdir / f"{name}.txt").write_text(run(cli, argv), encoding="utf-8")
     return len(outputs)
@@ -112,7 +119,7 @@ def main(argv=None) -> int:
                         help="workload seed, repeatable (default 5150)")
     parser.add_argument("outdir", type=Path)
     args = parser.parse_args(argv)
-    count = dump(load_cli(args.src), args.seed or [5150], args.outdir)
+    count = dump(load_cli(args.src), args.src, args.seed or [5150], args.outdir)
     print(f"{count} outputs written to {args.outdir}")
     return 0
 
