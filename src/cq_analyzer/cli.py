@@ -57,7 +57,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags() -> _Parser:
+    """The flags every analysis and ``corpus run`` take, as a parent parser."""
+    p = _Parser(add_help=False)
     p.add_argument("--tol-rank", type=float, default=None, help="relative SVD rank cutoff (default 1e-8)")
     p.add_argument("--tol-active", type=float, default=None, help="activity tolerance (default 1e-8)")
     p.add_argument("--tol-feas", type=float, default=None, help="feasibility tolerance (default 1e-8)")
@@ -68,12 +70,14 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-schedule", default=None, help="corrector t schedule (default 1e-1:1e-5:x10)")
     p.add_argument("--ratio-tol", type=float, default=None, help="pass bound on final ||r||/t (default 1e-3)")
     p.add_argument("--format", choices=("text", "machine"), default="text", help="report format")
+    return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="cq-analyzer", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cq-analyzer {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_flags()]
     for name, help_text in (
         ("analyze", "run every applicable analysis"),
         ("rcrcq", "constant-rank qualification check over all active subsets"),
@@ -81,15 +85,13 @@ def build_parser() -> _Parser:
         ("multipliers", "Lagrange multipliers and the linearized primal/dual pair"),
         ("dependence", "functional dependence classification"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=common)
         p.add_argument("file", help="problem file (JSON)")
-        _add_common_flags(p)
     corpus = sub.add_parser("corpus", help="bundled example problems")
     corpus_sub = corpus.add_subparsers(dest="corpus_command", required=True)
     corpus_sub.add_parser("list", help="list bundled cases")
-    runp = corpus_sub.add_parser("run", help="re-run bundled cases against goldens")
+    runp = corpus_sub.add_parser("run", help="re-run bundled cases against goldens", parents=common)
     runp.add_argument("which", nargs="?", default="all", help="case name or 'all'")
-    _add_common_flags(runp)
     return parser
 
 

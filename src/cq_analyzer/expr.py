@@ -153,6 +153,7 @@ class Call:
 
 
 AstNode = Union[Num, Var, Neg, BinOp, IntPow, Pow, Call]
+_NODE_TYPES = (Num, Var, Neg, BinOp, IntPow, Pow, Call)  # for isinstance, which is slow on a Union
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +321,7 @@ def _check_depth(root: AstNode) -> None:
             raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels",
                                   node.span[0])
         stack.extend((child, depth + 1) for child in vars(node).values()
-                     if isinstance(child, AstNode))
+                     if isinstance(child, _NODE_TYPES))
 
 
 def _const_int(node: AstNode) -> Optional[int]:
@@ -344,7 +345,12 @@ def _const_int(node: AstNode) -> Optional[int]:
 # bit for bit, signed zeros and NaNs included.
 # ---------------------------------------------------------------------------
 
-_HOIST = 60  # a subtree of more statements is compiled as its own helper
+_HOIST = 30  # a subtree of more statements is compiled as its own helper (bounds a compile's memory)
+_CAP = 40  # an inline operand nested deeper than this is bound to a local
+
+# Python precedence of an inline operand's outermost operation.
+_COND, _ADD, _MUL, _NEG, _ATOM = range(5)
+_PREC = {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL}
 
 _GLOBALS = {"_E": DomainEvaluationError, "_array": np.array, "_inf": math.inf,
             **{f"_{name}": getattr(math, name) for name in (*FUNCTIONS, "isinf", "isfinite")}}
@@ -363,10 +369,16 @@ def _flat(r) -> list:
 class _Codegen:
     """Straight-line code for one expression, with or without the gradient.
 
-    An operand is a float known while generating or the text of a Python
-    expression.  A node yields ``(value, partials, background)``: in gradient
-    mode ``partials`` maps each variable index the node depends on to an
-    operand; in value mode both are None.
+    An operand is a float known while generating, the name of a local, or an
+    inline ``(text, precedence, depth)``: a Python expression written into
+    the one place that reads it instead of a statement of its own.  The
+    checks that guard an inline operand are emitted before it, and it cannot
+    raise once they have passed, so inlining only moves pure operations
+    later and keeps every value and error of one statement per operation.
+    A node yields ``(value, partials, background)`` with its value bound,
+    since most readers read it more than once: in gradient mode ``partials``
+    maps each variable index the node depends on to an operand; in value
+    mode both are None.
     """
 
     def __init__(self, expr: "Expression", grad: bool):
@@ -381,6 +393,8 @@ class _Codegen:
     def lit(self, op) -> str:
         if isinstance(op, str):
             return op
+        if isinstance(op, tuple):
+            return op[0]
         if math.isfinite(op):
             return f"({op!r})" if math.copysign(1.0, op) < 0.0 else repr(op)
         name = f"_k{len(self.ns)}"
@@ -388,39 +402,67 @@ class _Codegen:
         return name
 
     def let(self, op):
-        """Bind a compound operand to a fresh local; floats and names pass."""
-        if not isinstance(op, str) or op.isidentifier():
+        """Bind an inline operand to a fresh local; floats and names pass."""
+        if not isinstance(op, tuple):
             return op
         name = next(self.names)
-        self.lines.append(f"{name} = {op}")
+        self.lines.append(f"{name} = {op[0]}")
         return name
 
     def bin(self, a, sym: str, b):
-        if isinstance(a, float) and isinstance(b, float):
-            return _FOLD[sym](a, b)
-        if sym == "*" and (a == 1.0 or b == 1.0):  # 1.0 * x is x, bit for bit
-            return b if a == 1.0 else a
-        return f"({self.lit(a)} {sym} {self.lit(b)})"
+        if isinstance(a, float):
+            if isinstance(b, float):
+                return _FOLD[sym](a, b)
+            if a == 1.0 and sym == "*":  # 1.0 * x is x, bit for bit
+                return b
+        elif isinstance(b, float) and b == 1.0 and sym == "*":
+            return a
+        prec = _PREC[sym]
+        x, pa, da = a if isinstance(a, tuple) else (self.lit(a), _ATOM, 0)
+        y, pb, db = b if isinstance(b, tuple) else (self.lit(b), _ATOM, 0)
+        # Left to right: a right operand of equal precedence keeps its parentheses.
+        return self.inline(f"{x if pa >= prec else f'({x})'} {sym} {y if pb > prec else f'({y})'}",
+                           prec, (da if da > db else db) + 1)
+
+    def inline(self, text: str, prec: int, depth: int):
+        """An inline operand, or a local once it nests deeper than _CAP."""
+        return (text, prec, depth) if depth <= _CAP else self.let((text, prec, depth))
 
     def over(self, a, d):
         """``a / d`` for a square ``d``, with numpy's result where d is +0.0."""
         if isinstance(d, float):
             return self.bin(a, "/", d) if d else self.bin(a, "*", math.inf)
-        a = self.lit(a)
-        return f"({a} / {d} if {d} else {a} * _inf)"
+        a = self.lit(self.let(a))  # read in both branches
+        return f"{a} / {d} if {d} else {a} * _inf", _COND, 1
 
     def neg(self, a):
-        return -a if isinstance(a, float) else f"(-{a})"
+        if isinstance(a, float):
+            return -a
+        x, p, d = a if isinstance(a, tuple) else (a, _ATOM, 0)
+        return self.inline(f"-{x}" if p == _ATOM else f"-({x})", _NEG, d + 1)
 
-    def each(self, f, *rs):
-        """Apply ``f`` to matching partials of ``rs`` and to their backgrounds."""
+    def each(self, f, a, b=None):
+        """Apply ``f`` to matching partials of ``a`` (and ``b``) and to their backgrounds.
+
+        ``f`` reads each argument once; a background that also stands in for
+        a missing partial is read more than once, so it is bound.
+        """
         if not self.grad:
             return None, None
-        support = sorted(set().union(*(r[1] for r in rs)))
-        return ({j: f(*(r[1].get(j, r[2]) for r in rs)) for j in support},
-                f(*(r[2] for r in rs)))
+        if b is None:
+            return {j: f(p) for j, p in a[1].items()}, f(a[2])
+        pa, pb = a[1], b[1]
+        support = sorted(pa.keys() | pb.keys())
+        ba = self.let(a[2]) if len(pa) < len(support) else a[2]
+        bb = self.let(b[2]) if len(pb) < len(support) else b[2]
+        return {j: f(pa.get(j, ba), pb.get(j, bb)) for j in support}, f(ba, bb)
+
+    def hold(self, r):
+        """``r`` with its value bound."""
+        return self.let(r[0]), r[1], r[2]
 
     def bind(self, r):
+        """``r`` with every operand bound, for a reader that reads each more than once."""
         v, parts = self.let(r[0]), r[1] and {j: self.let(p) for j, p in r[1].items()}
         return v, parts, self.let(r[2])
 
@@ -437,6 +479,9 @@ class _Codegen:
 
     def function(self, root: AstNode):
         v, parts, bg = self.node(root)
+        if self.grad:  # each component is read by the finiteness check and the return
+            parts = {j: self.let(p) for j, p in parts.items()}
+            bg = self.let(bg) if len(parts) < self.n else bg
         out = [self.lit(v), *(self.lit(parts.get(j, bg)) for j in range(self.n) if self.grad)]
         unknown = [op for op in dict.fromkeys(out) if op.isidentifier()]  # not a finite literal
         if unknown:
@@ -477,11 +522,13 @@ class _Codegen:
         elif isinstance(node, IntPow):
             base = self.node(node.base)
             r, p = (1.0, *self.const), abs(node.exponent)
+            if p > 1:
+                base = self.bind(base)  # read once per factor
             if p > 4 and isinstance(base[0], str):
                 r = self.power_loop(base, p)
             else:
                 for _ in range(p):  # repeated multiplication keeps t^3 exact
-                    r = self.bind(self.mul(r, base))
+                    r = self.hold(self.mul(r, base))
             if node.exponent < 0:
                 self.check(f"{self.lit(r[0])} == 0.0", "zero raised to a negative power", node)
                 d = self.let(self.bin(r[0], "*", r[0])) if self.grad else None
@@ -492,28 +539,33 @@ class _Codegen:
                        "non-integer power of a non-positive base", node)
             exponent = self.node(node.exponent)
             # exp(p * log x): the chain rule supplies the derivative.
-            log_base = self.bind(self.call("log", base, node))
-            r = self.call("exp", self.bind(self.mul(exponent, log_base)), node)
+            log_base = self.hold(self.call("log", base, node))
+            r = self.call("exp", self.hold(self.mul(exponent, log_base)), node)
         else:
             r = self.call(node.func, self.node(node.arg), node)
-        r = self.bind(r)
+        r = self.hold(r)
         body, self.lines = self.lines, outer
         if len(body) <= _HOIST:
             outer.extend(body)
             return r
+        # The helper returns every operand that is not a constant, inline ones
+        # included, and the caller binds each to a name.
         self.loaded = loaded
-        names = "".join(f"{op}, " for op in dict.fromkeys(_flat(r)) if isinstance(op, str))
+        ops = [op for op in dict.fromkeys(_flat(r)) if not isinstance(op, float)]
+        names = {op: op if isinstance(op, str) else next(self.names) for op in ops}
         helper, args = f"_h{len(self.ns)}", ", ".join(["x", *(f"v{i}" for i in sorted(loaded))])
-        self.define(helper, args, body, f"return {names}")
-        outer.append(f"{names}= {helper}({args})" if names else f"{helper}({args})")
-        return r
+        self.define(helper, args, body, "return " + "".join(f"{self.lit(op)}, " for op in ops))
+        targets = "".join(f"{name}, " for name in names.values())
+        outer.append(f"{targets}= {helper}({args})" if targets else f"{helper}({args})")
+        get = names.get
+        return get(r[0], r[0]), r[1] and {j: get(p, p) for j, p in r[1].items()}, get(r[2], r[2])
 
     def mul(self, a, b):
         return (self.bin(a[0], "*", b[0]), *self.each(
             lambda p, q: self.bin(self.bin(p, "*", b[0]), "+", self.bin(a[0], "*", q)), a, b))
 
     def power_loop(self, base, p: int):
-        """``1.0 * base * ... * base`` with ``p`` factors, as a loop."""
+        """``1.0 * base * ... * base`` with ``p`` factors, as a loop over bound ``base``."""
         k = next(self.names)
         parts = {j: f"{k}_{j}" for j in sorted(base[1])} if self.grad else None
         cur = (k, parts, f"{k}_b" if self.grad else None)
@@ -526,13 +578,14 @@ class _Codegen:
     def call(self, func: str, a, node: AstNode):
         """``func`` of ``a``; partials scale by ``factor`` or divide by ``divisor``."""
         x, arg, grad = a[0], self.lit(a[0]), self.grad
-        value, factor, divisor = f"_{func}({arg})", None, None
+        value, factor, divisor = (f"_{func}({arg})", _ATOM, 1), None, None
         if func in ("sin", "cos", "tan"):
             self.check(f"_isinf({arg})", f"{func} of an infinite value", node)
         if grad and func in ("sin", "cos"):
-            factor = self.let(f"_cos({arg})" if func == "sin" else f"(-_sin({arg}))")
+            factor = self.let((f"_cos({arg})", _ATOM, 1) if func == "sin"
+                              else self.neg((f"_sin({arg})", _ATOM, 1)))
         elif grad and func == "tan":
-            c = self.let(f"_cos({arg})")
+            c = self.let((f"_cos({arg})", _ATOM, 1))
             divisor = self.let(self.bin(c, "*", c))
         elif func == "exp":
             factor = value = next(self.names)

@@ -20,6 +20,7 @@ from cq_analyzer.expr import (
     Var,
     parse,
 )
+from expr_walker import walk_value_and_gradient
 from finite_diff import finite_diff_gradient
 
 
@@ -58,12 +59,22 @@ def test_parse_arity_errors():
         parse("x(2)", ["x"])
 
 
+def _assert_gradient_is_walkers(e, x):
+    value, grad = e.value_and_gradient(x)
+    want_value, want_grad = walk_value_and_gradient(e, x)
+    assert np.float64(value).view(np.int64) == np.float64(want_value).view(np.int64)
+    assert grad.view(np.int64).tolist() == want_grad.view(np.int64).tolist()
+
+
 def test_parse_depth_bounds():
     # Left-deep sums and right-deep powers parse without recursion; the tree
-    # depth is bounded because compiling recurses once per level.
+    # depth is bounded because compiling recurses once per level.  The
+    # gradient code, whose partials are written inline, compiles at both
+    # bounds too.
     deepest_sum = " + ".join(["x"] * MAX_DEPTH)            # MAX_DEPTH levels
     e = parse(deepest_sum, ["x"])
     assert e.evaluate([1.0]) == MAX_DEPTH
+    _assert_gradient_is_walkers(e, [1.0])
     # The dataclass-generated methods recurse too, more deeply per level.
     assert e == parse(deepest_sum, ["x"]) and hash(e) and repr(e)
     for text in (deepest_sum + " + x", "^".join(["x"] * (MAX_DEPTH + 1))):
@@ -72,6 +83,8 @@ def test_parse_depth_bounds():
     # Each parenthesis or function argument costs the parser several frames.
     nested = "sin(" * MAX_NESTING + "x" + ")" * MAX_NESTING
     assert parse(nested, ["x"]).evaluate([0.0]) == 0.0
+    for x in ([0.0], [-0.0], [0.7]):
+        _assert_gradient_is_walkers(parse(nested, ["x"]), x)
     for text in ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
                  "sin(" + nested + ")", "-(" + nested + ")"):
         with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_NESTING} levels"):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cq_analyzer import expr
 from cq_analyzer.expr import FUNCTIONS, DomainEvaluationError, parse
 from expr_walker import walk_value, walk_value_and_gradient
 
@@ -66,8 +67,8 @@ def _outcome(fn, e, x):
     return "ok", _bits(result)
 
 
-def assert_matches_walker(text, x):
-    e = parse(text, NAMES)
+def assert_matches_walker(text, x, names=NAMES):
+    e = parse(text, names)
     for walked, compiled in (
         (walk_value, lambda e, x: e.evaluate(x)),
         (walk_value_and_gradient, lambda e, x: e.value_and_gradient(x)),
@@ -103,6 +104,55 @@ def test_long_expression_matches_walker():
     for x in ([0.3, -1.2, 2.0], [0.0, -0.0, 1e-200], [1e300, 1.0, 1.0]):
         assert_matches_walker(text, x)
     assert_matches_walker(f"sqrt(x1)^0 * ({text})", [0.0, 1.0, 1.0])
+
+
+def test_manifold_family_matches_walker():
+    # The shape of perfbench's analyze-manifold problems at n = 8: long sums
+    # whose partials and backgrounds are carried through many additions.
+    names = [f"x{i}" for i in range(1, 9)]
+
+    def lin(coef):
+        return " + ".join(f"{c!r}*{name}" for c, name in zip(coef, names))
+
+    h1 = f"{lin([0.3, -1.2, 0.7, 2.1, -0.4, 1.5, -0.9, 0.25])} + 0.75*x3^2 + -0.5*(cos(x7) - 1)"
+    h2 = f"{lin([-0.8, 0.6, 1.1, -2.3, 0.05, -0.7, 1.9, 0.4])} + -0.3*x8^2 + 0.9*(cos(x2) - 1)"
+    special = [0.0, -0.0, 1e-200, 1e300, math.inf, -math.inf, math.nan, 0.5]
+    points = [special[k:] + special[:k] for k in range(8)]
+    points += [[v if i == k else 0.25 * (i - 3) for i in range(8)]
+               for v in special for k in (1, 2, 6, 7)]
+    for text in (h1, h2, f"({h1}) + ({h2})^2"):
+        for x in points:
+            assert_matches_walker(text, x, names)
+
+
+def test_generated_code_grows_linearly_with_a_sum(monkeypatch):
+    # Only what is read twice gets a local, so the k partials of a k-term
+    # linear form do not each cost a statement per term.
+    lines = []
+    define = expr._Codegen.define
+
+    def counting_define(self, name, args, body, tail):
+        lines.append(len(body) + 2)  # the def line, the body and the return
+        return define(self, name, args, body, tail)
+
+    monkeypatch.setattr(expr._Codegen, "define", counting_define)
+
+    def size(k):
+        lines.clear()
+        names = [f"x{i}" for i in range(k)]
+        text = " + ".join(f"{(-1) ** i * (i + 1) * 0.25}*x{i}" for i in range(k))
+        parse(text, names).value_and_gradient([0.5] * k)
+        return sum(lines)
+
+    assert size(32) / size(16) <= 2.3
+
+
+def test_inline_partials_past_the_nesting_cap_match_walker():
+    # Multiplying by 1 emits no statement, so only the cap on inline nesting
+    # binds these partials.
+    for text in ("x1*x2" + "*1" * 248, "1*(" * 99 + "x1*x2" + ")" * 99):
+        for x in ([0.5, -0.0, 2.0], [1e300, 1e-200, 0.0], [math.inf, 1.0, math.nan]):
+            assert_matches_walker(text, x)
 
 
 def test_compiled_functions_are_cached_and_invisible():

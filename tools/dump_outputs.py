@@ -15,7 +15,9 @@ line and then everything the command wrote:
 - ``analyze`` in text format on each bundled corpus file;
 - ``analyze`` in machine format on the first ``analyze-manifold`` problem of
   each seed with an ``options`` block that sets every option key
-  (``OPTIONS``).
+  (``OPTIONS``);
+- ``--help`` of the top-level parser and of every subcommand (``HELP``),
+  wrapped at 80 columns.
 
 Usage errors are not dumped; the tests cover their wording.
 
@@ -32,6 +34,7 @@ import os
 # One BLAS thread, as in perfbench/run.py, before numpy is imported.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal's width
 
 import contextlib  # noqa: E402
 import io  # noqa: E402
@@ -52,6 +55,9 @@ FLAGS = ["--seed", "7", "--samples", "8", "--radii", "1e-2:1e-4:x10",
 OPTIONS = {"tol_rank": 1e-7, "tol_active": 1e-7, "tol_feas": 1e-7, "tol_cone": 1e-7,
            "seed": 7, "radii": "1e-2:1e-4:x10", "samples": 8,
            "t_schedule": [1e-1, 1e-2, 1e-3, 1e-4], "ratio_tol": 1e-2, "fit_degree": 2}
+# Every parser whose --help is dumped: the top level and each subcommand.
+HELP = ([], ["analyze"], ["rcrcq"], ["abadie"], ["multipliers"], ["dependence"],
+        ["corpus"], ["corpus", "list"], ["corpus", "run"])
 
 
 def load_cli(src: Path):
@@ -71,6 +77,8 @@ def run(cli, argv: list[str]) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = str(cli.main(argv))
+        except SystemExit as exc:  # --help prints, then exits
+            code = str(exc.code)
         except Exception as exc:  # a crash is an output to compare too
             code = f"crash {type(exc).__name__}: {exc}"
     text = f"exit {code}\n{out.getvalue()}"
@@ -86,6 +94,8 @@ def dump(cli, src: Path, seeds: list[int], outdir: Path) -> int:
     outputs = {f"corpus.{fmt}": ["corpus", "run", "all", "--format", fmt]
                for fmt in ("text", "machine")}
     outputs["corpus.flags"] = ["corpus", "run", "all", "--format", "machine", *FLAGS]
+    for command in HELP:
+        outputs[".".join(["help", *command, "text"])] = [*command, "--help"]
     for path in sorted((src / "cq_analyzer" / "corpus").glob("*.json")):
         outputs[f"corpus-file.{path.stem}.analyze.text"] = [
             "analyze", str(path), "--format", "text"]
