@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,13 +27,7 @@ import numpy as np
 
 from .config import FIT_TOLERANCE_REL
 from .expr import Expression
-from .rank import (
-    CERTIFIED,
-    CrcReport,
-    SampleJacobian,
-    check_crc,
-    numerical_rank,
-)
+from .rank import CERTIFIED, CrcReport, SampleJacobian, _ranks, check_crc
 
 __all__ = [
     "DependenceVerdict",
@@ -70,6 +65,15 @@ class ReconstructionError(ValueError):
         self.bound = bound
 
 
+def _power(base: float, exponent: int) -> float:
+    """``base ** exponent``, with an overflow giving the signed infinity a
+    numpy float64 scalar gives instead of raising :class:`OverflowError`."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.copysign(math.inf, base) if exponent % 2 else math.inf
+
+
 @dataclass(frozen=True)
 class FittedMap:
     """Local polynomial map from pivot values to one dependent function value."""
@@ -84,14 +88,17 @@ class FittedMap:
     cross_validated_residual: float
 
     def predict(self, pivot_values: Sequence[float]) -> float:
-        z = np.asarray(pivot_values, dtype=float) - np.asarray(self.center)
+        """The map at ``pivot_values``, in Python floats with the IEEE
+        operations numpy scalars would do: libm ``pow``, whose overflow is
+        a signed infinity here as there, then products and sums in order."""
+        z = (np.asarray(pivot_values, dtype=float) - np.asarray(self.center)).tolist()
         total = self.base_value
         for e, coef in zip(self.exponents, self.coefficients):
             term = coef
             for zj, ej in zip(z, e):
-                term *= zj**ej
+                term *= _power(zj, ej)
             total += term
-        return float(total)
+        return total
 
     def to_dict(self) -> dict:
         return {
@@ -143,7 +150,7 @@ def image_dimension_probe(jacobian: SampleJacobian, tol_rank: float = 1e-8) -> i
     if not len(y):
         return 0
     center = jacobian.values[0] if jacobian.evaluable[0] else y.mean(axis=0)
-    return numerical_rank(y - center, tol_rank).rank
+    return int(_ranks((y - center)[None], tol_rank)[0][0])
 
 
 def witness_check(relation: Expression, jacobian: SampleJacobian) -> float:

@@ -33,7 +33,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -308,7 +308,7 @@ class _Parser:
             closing = self.accept_op(")")
             if closing is None:
                 raise self.fail("expected ')'")
-            return node
+            return replace(node, span=(tok.pos, closing.pos + 1))
         raise self.fail(f"expected a number, identifier, or '(', got '{tok.text or 'end of input'}'")
 
 

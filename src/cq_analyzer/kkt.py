@@ -25,7 +25,7 @@ from .config import ToolConfig
 from .model import (
     ConstraintDomainError, ConstraintSystem, PointData, active_set, evaluate_point, evaluate_rows,
 )
-from .rank import numerical_rank
+from .rank import _ranks
 
 __all__ = [
     "CertificateVerificationError",
@@ -134,7 +134,7 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
 
     if cone.eq_indices + cone.ineq_indices:
         rows = np.vstack([cone.eq_rows, cone.ineq_rows])
-        unique = numerical_rank(rows, tol).rank == rows.shape[0]
+        unique = _ranks(rows[None], tol)[0][0] == rows.shape[0]
     else:
         unique = True
     lam = coeffs.as_dict()

@@ -78,10 +78,11 @@ def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult | tuple[Rank
         raise ValueError("expected a 2-d array of rows or a 3-d stack of them")
     stack = rows[None] if rows.ndim == 2 else rows
     ranks, sigma = _ranks(stack, tol_rank)
-    nonzero = stack.any(axis=(1, 2))
+    nonzero = stack.any(axis=(1, 2)).tolist()
     results = tuple(
-        RankResult(int(k), tuple(float(s) for s in sig) if nz else (), piv)
-        for k, sig, nz, piv in zip(ranks, sigma, nonzero, _select_pivots(stack, ranks))
+        RankResult(k, tuple(sig) if nz else (), piv)
+        for k, sig, nz, piv in zip(ranks.tolist(), sigma.tolist(), nonzero,
+                                   _select_pivots(stack, ranks))
     )
     return results[0] if rows.ndim == 2 else results
 
@@ -104,28 +105,39 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(vectors[..., None, :], vectors[..., :, None]))[..., 0, 0]
 
 
+def _row_norms(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(stack, axis=-1)`` for real input, by its own formula,
+    without the checks around it."""
+    return np.sqrt(np.add.reduce(stack * stack, axis=-1))
+
+
 def _select_pivots(stack: np.ndarray, ranks: np.ndarray) -> list[tuple[int, ...]]:
     """Greedy pivot rows of every matrix of a (P, m, n) stack, one step for
-    all matrices that still need a pivot at a time."""
+    all matrices that still need a pivot at a time.  While every matrix
+    needs one, a step works on the whole stack in place; after that it
+    gathers the matrices that do."""
     count, m, _ = stack.shape
-    norms = np.linalg.norm(stack, axis=-1)
+    norms = _row_norms(stack)
+    nonzero = norms > 0.0
     residual = stack.copy()
     chosen = np.zeros((count, int(ranks.max(initial=0))), dtype=int)
     taken = np.zeros((count, m), dtype=bool)
+    every, everyone = np.arange(count), (ranks.min() if count else 0)
     for step in range(chosen.shape[1]):
-        live = np.flatnonzero(ranks > step)
-        res, row_norms = residual[live], norms[live]
+        whole = step < everyone
+        live = every if whole else np.flatnonzero(ranks > step)
+        part = slice(None) if whole else live
+        res = residual[part]
         rel = np.zeros((len(live), m))
-        nonzero = row_norms > 0.0
-        rel[nonzero] = np.linalg.norm(res, axis=-1)[nonzero] / row_norms[nonzero]
-        rel[taken[live]] = -1.0
+        np.divide(_row_norms(res), norms[part], out=rel, where=nonzero[part])
+        rel[taken[part]] = -1.0
         best = np.argmax(rel, axis=1)  # argmax keeps the lowest index on ties
-        picked = res[np.arange(len(live)), best]
+        picked = res[every[:len(live)], best]
         q = picked / _norms(picked)[:, None]
-        residual[live] = res - np.matmul(res, q[:, :, None]) * q[:, None, :]
+        residual[part] = res - np.matmul(res, q[:, :, None]) * q[:, None, :]
         chosen[live, step] = best
         taken[live, best] = True
-    return [tuple(int(i) + 1 for i in row[:k]) for row, k in zip(chosen, ranks)]
+    return [tuple(row[:k]) for row, k in zip((chosen + 1).tolist(), ranks.tolist())]
 
 
 def _nonzero_normal(rng: Generator, n: int) -> np.ndarray:

@@ -88,78 +88,48 @@ class _Group:
         )
 
 
-def _correct_lockstep(sys, x0, t, jobs, cfg) -> list[CorrectionResult]:
+def _correct_lockstep(sys, x0, t_schedule, jobs, cfg) -> list[list[CorrectionResult]]:
     """Minimal-norm Gauss-Newton corrections r with h_i(x0 + t d + r) = 0,
-    i in J, for every ``(j_set, d, warm_start)`` job at one t.
+    i in J, for every ``(j_set, d, warm_start)`` job at each t of
+    ``t_schedule``: one list of results per t, in job order.
 
-    Pivot rows are re-selected at x0 + t*d by numerical rank; every step
-    solves the linearized pivot system by pseudoinverse (the minimal-norm
-    update), while convergence is judged on the full J residual with
-    ``||h_J||_inf <= CORRECTOR_TOL * (1 + scale)``.  A job that does not
-    converge gets a non-converged result (r is the last iterate) instead of
-    an exception, and so does one that leaves the domain (with r = None
-    when it leaves at x0 + t*d).  A non-converged warm start is retried from
-    r = 0.
+    ``warm_start`` is the job's start at the first t (None for r = 0); at
+    each later t a job starts from its last converged correction, prescaled
+    quadratically (||r|| = O(t^2) under the theory, and an unscaled warm
+    start would seed a tangential offset of the previous magnitude), or
+    from r = 0 when none converged.  Pivot rows are selected at x0 + t*d by
+    numerical rank; every step solves the linearized pivot system by
+    pseudoinverse (the minimal-norm update), while convergence is judged on
+    the full J residual with ``||h_J||_inf <= CORRECTOR_TOL * (1 + scale)``.
+    A job that does not converge gets a non-converged result (r is the last
+    iterate) instead of an exception, and so does one that leaves the
+    domain (with r = None when it leaves at x0 + t*d).  A non-converged warm
+    start is retried from r = 0.
 
-    The jobs are corrected in lockstep: the base points of each J are
-    evaluated in one call and ranked with one stacked SVD, and the jobs of
-    each (J, pivot count) group iterate as one array, so that a Gauss-Newton
+    The jobs are corrected in lockstep: the base points x0 + t*d of each J,
+    over the whole schedule, are evaluated in one call and ranked with one
+    stacked SVD (:func:`_base_groups`), and at each t the jobs of each
+    (J, pivot count) group iterate as one array, so that a Gauss-Newton
     step is one evaluation and one stacked pinv for the whole group.  A job
     leaves its group when it converges, leaves the domain or reaches the
     iteration cap; the cold retries run in a second pass.  Each result
     equals the one the job would get alone, bit for bit.
     """
-    if t <= 0:
+    if min(t_schedule) <= 0:
         raise ValueError("t must be positive")
-    x0 = np.asarray(x0, dtype=float)
     n = sys.dimension
-    results: list[Optional[CorrectionResult]] = [None] * len(jobs)
-    by_j: dict = {}                        # J -> job numbers
-    for k, (j_set, _, _) in enumerate(jobs):
-        j = tuple(sorted(j_set))
-        if not j:
-            results[k] = CorrectionResult(
-                r=np.zeros(n), converged=True, iterations=0,
-                initial_residual=0.0, final_residual=0.0,
-            )
-            continue
-        by_j.setdefault(j, []).append(k)
-
-    for j, members in by_j.items():
-        functions = [sys.constraint(i) for i in j]
-        base = np.array([x0 + t * np.asarray(jobs[k][1], dtype=float) for k in members])
-        values0, rows0, errors = evaluate_rows(functions, base)
-        failed = {p for p, _ in errors}
-        for p in failed:
-            results[members[p]] = CorrectionResult(
-                r=None, converged=False, iterations=0, initial_residual=math.inf,
-                final_residual=math.inf,
-            )
-        ok = [p for p in range(len(members)) if p not in failed]
-        if not ok:
-            continue
-        initial = np.max(np.abs(values0), axis=1, initial=0.0)
-        residual_tol = CORRECTOR_TOL * (1.0 + np.maximum(1.0, initial))
-        by_count: dict = {}                # pivot count -> [(p, pivot positions in J)]
-        for p, rank0 in zip(ok, numerical_rank(rows0[ok], cfg.tol_rank)):
-            pos = [i - 1 for i in rank0.pivot_indices]
-            if pos:
-                by_count.setdefault(len(pos), []).append((p, pos))
-                continue
-            # All gradient rows vanish at the base: nothing to iterate along.
-            converged = bool(initial[p] <= residual_tol[p])
-            results[members[p]] = CorrectionResult(
-                r=np.zeros(n), converged=converged, iterations=0,
-                initial_residual=float(initial[p]), final_residual=float(initial[p]),
-            )
-        for pivots in by_count.values():
-            ps = [p for p, _ in pivots]
-            group = _Group(functions, [members[p] for p in ps], base[ps],
-                           np.array([pos for _, pos in pivots]), initial[ps], residual_tol[ps])
-            warm = [jobs[k][2] for k in group.jobs]
-            starts = np.array([np.zeros(n) if w is None else w for w in warm], dtype=float)
+    warm = [w for _, _, w in jobs]
+    last: list[Optional[tuple[float, np.ndarray]]] = [None] * len(jobs)
+    out = []
+    for t, results, groups in zip(t_schedule, *_base_groups(sys, x0, t_schedule, jobs, cfg)):
+        if out:
+            warm = [None if lt is None else lt[1] * (t / lt[0]) ** 2 for lt in last]
+        for group in groups:
+            starts = np.array([np.zeros(n) if warm[k] is None else warm[k] for k in group.jobs],
+                              dtype=float)
             done = _iterate_lockstep(group, starts)
-            retry = [p for p, w in enumerate(warm) if w is not None and not done[p].converged]
+            retry = [p for p, k in enumerate(group.jobs)
+                     if warm[k] is not None and not done[p].converged]
             if retry:
                 cold = _iterate_lockstep(group.take(retry), np.zeros((len(retry), n)))
                 for p, result in zip(retry, cold):
@@ -167,7 +137,75 @@ def _correct_lockstep(sys, x0, t, jobs, cfg) -> list[CorrectionResult]:
                         done[p] = result
             for k, result in zip(group.jobs, done):
                 results[k] = result
-    return results
+        for k, result in enumerate(results):
+            if result.converged:
+                last[k] = (t, result.r)
+        out.append(results)
+    return out
+
+
+def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[list[_Group]]]:
+    """Per t, the results in job order, holding those the base points
+    x0 + t*d settle alone (an empty J, a base point outside the domain, all
+    gradient rows zero) and None for the others, and the (J, pivot count)
+    groups of the others.
+
+    The base points of each J over the whole schedule are one
+    :func:`~cq_analyzer.model.evaluate_rows` call and one stacked
+    :func:`~cq_analyzer.rank.numerical_rank`.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = sys.dimension
+    settled: list[list] = [[None] * len(jobs) for _ in t_schedule]
+    groups: list[list[_Group]] = [[] for _ in t_schedule]
+    by_j: dict = {}                        # J -> job numbers
+    for k, (j_set, _, _) in enumerate(jobs):
+        j = tuple(sorted(j_set))
+        if j:
+            by_j.setdefault(j, []).append(k)
+            continue
+        for at_t in settled:
+            at_t[k] = CorrectionResult(
+                r=np.zeros(n), converged=True, iterations=0,
+                initial_residual=0.0, final_residual=0.0,
+            )
+
+    for j, members in by_j.items():
+        functions = [sys.constraint(i) for i in j]
+        keys = [(ti, k) for ti in range(len(t_schedule)) for k in members]  # row -> (t, job)
+        directions = np.array([jobs[k][1] for k in members], dtype=float)
+        base = (x0 + np.array(t_schedule)[:, None, None] * directions).reshape(len(keys), n)
+        values0, rows0, errors = evaluate_rows(functions, base)
+        failed = {p for p, _ in errors}
+        for p in failed:
+            ti, k = keys[p]
+            settled[ti][k] = CorrectionResult(
+                r=None, converged=False, iterations=0, initial_residual=math.inf,
+                final_residual=math.inf,
+            )
+        ok = [p for p in range(len(keys)) if p not in failed]
+        if not ok:
+            continue
+        initial = np.max(np.abs(values0), axis=1, initial=0.0)
+        residual_tol = CORRECTOR_TOL * (1.0 + np.maximum(1.0, initial))
+        by_count: dict = {}                # (t, pivot count) -> [(row, pivot positions in J)]
+        for p, rank0 in zip(ok, numerical_rank(rows0[ok], cfg.tol_rank)):
+            pos = [i - 1 for i in rank0.pivot_indices]
+            if pos:
+                by_count.setdefault((keys[p][0], len(pos)), []).append((p, pos))
+                continue
+            # All gradient rows vanish at the base: nothing to iterate along.
+            ti, k = keys[p]
+            settled[ti][k] = CorrectionResult(
+                r=np.zeros(n), converged=bool(initial[p] <= residual_tol[p]), iterations=0,
+                initial_residual=float(initial[p]), final_residual=float(initial[p]),
+            )
+        for (ti, _), pivots in by_count.items():
+            ps = [p for p, _ in pivots]
+            groups[ti].append(_Group(functions, [keys[p][1] for p in ps], base[ps],
+                                    np.array([pos for _, pos in pivots]), initial[ps],
+                                    residual_tol[ps]))
+    return settled, groups
 
 
 def _iterate_lockstep(group: _Group, starts: np.ndarray) -> list[CorrectionResult]:
@@ -293,45 +331,36 @@ def _probe_directions(
     x0), or non-convergence at every t without residual reduction (the
     corrector stalls).
 
-    The directions are corrected in lockstep at each t, and each probe
-    equals the one its direction would get alone, bit for bit.
+    The directions are corrected in lockstep (:func:`_correct_lockstep`),
+    the inactive inequalities are evaluated at the converged points of the
+    whole schedule in one call per inactive set, and each probe equals the
+    one its direction would get alone, bit for bit.
     """
     x0 = pd.point
     t_schedule = tuple(float(t) for t in cfg.t_schedule)
     directions = [d for _, d in faces]
     crits = [(s, tuple(sorted(pd.equality_indices + s))) for s, _ in faces]
     inactive = [tuple(i for i in pd.inequality_indices if i not in j) for _, j in crits]
-    corrections: list[list[CorrectionResult]] = [[] for _ in directions]
-    inactive_ok: list[list[Optional[bool]]] = [[] for _ in directions]
-    prev: list[Optional[tuple[float, np.ndarray]]] = [None] * len(directions)
-    for t in t_schedule:
-        # Warm start from the previous correction, prescaled quadratically:
-        # ||r|| = O(t^2) under the theory, and an unscaled warm start would
-        # seed a tangential offset of the previous magnitude.
-        jobs = [
-            (j_set, d, None if last is None else last[1] * (t / last[0]) ** 2)
-            for (_, j_set), d, last in zip(crits, directions, prev)
-        ]
-        by_inactive: dict = {}             # inactive set -> converged directions
-        for k, result in enumerate(_correct_lockstep(sys, x0, t, jobs, cfg)):
-            corrections[k].append(result)
+    jobs = [(j_set, d, None) for (_, j_set), d in zip(crits, directions)]
+    per_t = _correct_lockstep(sys, x0, t_schedule, jobs, cfg)
+    by_inactive: dict = {}                 # inactive set -> [(t position, direction, point)]
+    for ti, (t, results) in enumerate(zip(t_schedule, per_t)):
+        for k, result in enumerate(results):
             if result.converged:
-                prev[k] = (t, result.r)
-                by_inactive.setdefault(inactive[k], []).append(k)
-        ok_at_t: dict = {}
-        for indices, ks in by_inactive.items():
-            points = np.array([x0 + t * directions[k] + corrections[k][-1].r for k in ks])
-            values, _, errors = evaluate_rows([sys.constraint(i) for i in indices], points)
-            failed = {p for p, _ in errors}
-            for p, k in enumerate(ks):
-                ok_at_t[k] = p not in failed and bool(np.all(values[p] < 0.0))
-        for k in range(len(directions)):
-            inactive_ok[k].append(ok_at_t.get(k))
+                point = x0 + t * directions[k] + result.r
+                by_inactive.setdefault(inactive[k], []).append((ti, k, point))
+    inactive_ok: list[list[Optional[bool]]] = [[None] * len(t_schedule) for _ in directions]
+    for indices, entries in by_inactive.items():
+        points = np.array([point for _, _, point in entries])
+        values, _, errors = evaluate_rows([sys.constraint(i) for i in indices], points)
+        failed = {p for p, _ in errors}
+        for p, (ti, k, _) in enumerate(entries):
+            inactive_ok[k][ti] = p not in failed and bool(np.all(values[p] < 0.0))
     zero_floor = 1e-13 * (1.0 + float(np.max(np.abs(x0), initial=0.0)))
     return [
         _judge_probe(d, crit, bool(inact), t_schedule, results, tuple(ok), zero_floor, cfg)
         for d, crit, inact, results, ok in zip(
-            directions, crits, inactive, corrections, inactive_ok
+            directions, crits, inactive, zip(*per_t), inactive_ok
         )
     ]
 
@@ -341,7 +370,7 @@ def _judge_probe(
     crit: tuple[tuple[int, ...], tuple[int, ...]],
     has_inactive: bool,
     t_schedule: tuple[float, ...],
-    corrections: list[CorrectionResult],
+    corrections: Sequence[CorrectionResult],
     inactive_ok: tuple[Optional[bool], ...],
     zero_floor: float,
     cfg: ToolConfig,

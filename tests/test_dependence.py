@@ -1,17 +1,28 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cq_analyzer.dependence import (
+    FittedMap,
     ReconstructionError,
+    _poly_exponents,
     classify_dependence,
     image_dimension_probe,
     reconstruct_dependent,
     witness_check,
 )
 from cq_analyzer.expr import Expression, parse
-from cq_analyzer.rank import NeighborhoodSampler, check_crc, numerical_rank, sample_jacobian
+from cq_analyzer.rank import (
+    NeighborhoodSampler,
+    SampleJacobian,
+    check_crc,
+    numerical_rank,
+    sample_jacobian,
+)
 
 TORNADO = ["x^3 * sin(1/x)", "x^3 * cos(1/x)", "x^3"]
 
@@ -108,6 +119,80 @@ def test_reconstruct_failure_carries_residual():
     with pytest.raises(ReconstructionError) as exc:
         reconstruct_dependent(jacobian, (1,), 2)
     assert exc.value.residual > exc.value.bound
+
+
+def numpy_scalar_predict(fitted, pivot_values):
+    """``FittedMap.predict`` as it was computed in numpy float64 scalars."""
+    z = np.asarray(pivot_values, dtype=float) - np.asarray(fitted.center)
+    total = fitted.base_value
+    with np.errstate(all="ignore"):
+        for e, coef in zip(fitted.exponents, fitted.coefficients):
+            term = coef
+            for zj, ej in zip(z, e):
+                term *= zj**ej
+            total += term
+    return float(total)
+
+
+def fitted_map(exponents, coefficients, center=(0.0,), base_value=0.0):
+    return FittedMap(
+        target_index=len(center) + 1, input_indices=tuple(range(1, len(center) + 1)),
+        exponents=tuple(exponents), coefficients=tuple(coefficients), center=tuple(center),
+        base_value=base_value, training_radius=0.1, cross_validated_residual=0.0,
+    )
+
+
+def test_predict_overflow_is_the_signed_infinity_of_numpy_scalars():
+    # Python's float ** int raises OverflowError where numpy gives +-inf.
+    cube = fitted_map([(1,), (2,), (3,)], [1.0, 0.0, 1.0])
+    square = fitted_map([(2,)], [1.0])
+    assert cube.predict([1e120]) == math.inf
+    assert cube.predict([-1e120]) == -math.inf
+    assert square.predict([-1e160]) == math.inf
+    assert math.isnan(fitted_map([(3,)], [0.0]).predict([1e120]))   # 0 * inf
+    for fitted, y in ((cube, 1e120), (cube, -1e120), (square, -1e160)):
+        assert fitted.predict([y]) == numpy_scalar_predict(fitted, [y])
+
+
+def test_reconstruct_overflowing_held_out_value_fails_its_bound():
+    # w = y + y^3 on small training values; the second sample point, which
+    # is held out, has pivot value 1e120, where the cubic term overflows:
+    # its error is infinite, so the fit fails its bound instead of crashing.
+    y = np.linspace(-0.1, 0.1, 41)
+    w = y + y**3
+    y[1], w[1] = 1e120, 0.0
+    values = np.column_stack([np.concatenate([[0.0], y]), np.concatenate([[0.0], w])])
+    count = len(values)
+    jacobian = SampleJacobian(
+        radius=np.concatenate([[0.0], np.full(count - 1, 0.1)]), points=np.zeros((count, 1)),
+        values=values, rows=np.zeros((count, 2, 1)), failed=np.zeros((count, 2), dtype=bool),
+    )
+    with pytest.raises(ReconstructionError) as exc:
+        reconstruct_dependent(jacobian, (1,), 2, degree=3)
+    assert exc.value.residual == math.inf
+
+
+FIT_FLOATS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from((0.0, -0.0, 1e120, -1e120, 1e-160, -1e200)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 3), degree=st.integers(1, 4))
+def test_predict_matches_numpy_scalars_bit_for_bit(data, k, degree):
+    exponents = _poly_exponents(k, degree)
+    floats = st.lists(FIT_FLOATS, min_size=k, max_size=k)
+    fitted = fitted_map(
+        exponents,
+        data.draw(st.lists(FIT_FLOATS, min_size=len(exponents), max_size=len(exponents))),
+        data.draw(floats), data.draw(FIT_FLOATS),
+    )
+    y = data.draw(floats)
+    got, want = fitted.predict(y), numpy_scalar_predict(fitted, y)
+    assert type(got) is float
+    assert np.array([got]).view(np.int64) == np.array([want]).view(np.int64)
 
 
 def test_reconstruct_rejects_pivot_target():

@@ -154,6 +154,22 @@ def test_domain_errors_name_offending_fragment():
         parse("sqrt(x)", ["x"]).evaluate([-4.0])
 
 
+def test_domain_error_fragment_keeps_both_parentheses_of_a_group():
+    # A parenthesized group spans its parentheses, so a fragment that ends
+    # in one quotes it whole.
+    cases = [
+        ("1/(x1 - 1)", [1.0], "1/(x1 - 1)"),
+        ("((x1 - 2))^0.5", [1.0], "((x1 - 2))^0.5"),
+        ("1e308*(x1 + 1)", [1e308], "1e308*(x1 + 1)"),
+    ]
+    for text, x, fragment in cases:
+        e = parse(text, ["x1"])
+        for evaluate in (e.evaluate, e.value_and_gradient):
+            with pytest.raises(DomainEvaluationError) as exc:
+                evaluate(x)
+            assert exc.value.fragment == fragment
+
+
 def test_gradient_polynomial():
     e = parse("x1^2 + x2^2", ["x1", "x2"])
     assert np.array_equal(e.gradient([1.0, 2.0]), np.array([2.0, 4.0]))

@@ -261,11 +261,11 @@ def test_failed_descent_certificate_is_an_error_section(monkeypatch, capsys):
 def test_dual_infeasible_report_solves_the_cone_problem_once(monkeypatch):
     # On sign-obstructed the dual cone excludes -grad h0: the membership
     # solve and the residual direction used to be two nonneg_lstsq solves,
-    # plus a numerical_rank for a minimal-norm flag this branch never reads.
+    # plus a rank for a minimal-norm flag this branch never reads.
     from cq_analyzer import cones, kkt
     from cq_analyzer.corpus import load_case
 
-    counts = {"nonneg_lstsq": 0, "numerical_rank": 0}
+    counts = {"nonneg_lstsq": 0, "_ranks": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -277,8 +277,12 @@ def test_dual_infeasible_report_solves_the_cone_problem_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(cones, "nonneg_lstsq")
-    counted(kkt, "numerical_rank")
+    counted(kkt, "_ranks")
     _, pf = load_case("sign-obstructed")
     report = kkt_report(pf.system, pf.x0, CFG)
     assert not report.dual_feasible and report.descent_certificate is not None
-    assert counts == {"nonneg_lstsq": 1, "numerical_rank": 0}
+    assert counts == {"nonneg_lstsq": 1, "_ranks": 0}
+    # The counter does see the rank the dual-feasible branch takes.
+    _, pf = load_case("duplicate-bounds")
+    assert kkt_report(pf.system, pf.x0, CFG).minimal_norm_selected
+    assert counts["_ranks"] == 1

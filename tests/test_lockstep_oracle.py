@@ -90,6 +90,57 @@ def test_stacked_rank_matches_per_matrix_ranks(stack, tol_rank):
         assert_same_rank(numerical_rank(matrix, tol_rank), expected)
 
 
+SPECIAL = np.array((0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.25, 1e-9, 1e8))
+
+
+def schedule_sized_stack(rng, count, m, n, floor):
+    """``count`` (m, n) matrices, each a product of rank between ``floor``
+    and min(m, n), some with special entries; some get an all-zero row or
+    a duplicated row (an exact tie in the pivot search)."""
+    stack = np.zeros((count, m, n))
+    for matrix in stack:
+        r = rng.integers(floor, min(m, n) + 1)
+        left = rng.choice(SPECIAL, (m, r)) if rng.random() < 0.3 else rng.standard_normal((m, r))
+        matrix[:] = left @ rng.standard_normal((r, n))
+        if rng.random() < 0.2:
+            matrix[rng.integers(m)] = 0.0
+        if m >= 2 and rng.random() < 0.3:
+            i, j = rng.choice(m, 2, replace=False)
+            matrix[j] = matrix[i]
+    return stack
+
+
+@st.composite
+def schedule_sized_stacks(draw):
+    """Stacks of up to 100 matrices, the size of the probes' base points
+    over a whole schedule, mixing ranks 0..min(m, n) above a drawn floor."""
+    count, m, n = draw(st.integers(1, 100)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    floor = draw(st.integers(0, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return schedule_sized_stack(rng, count, m, n, floor)
+
+
+@SETTINGS
+@given(stack=schedule_sized_stacks(), tol_rank=st.sampled_from((1e-8, 1e-3)))
+def test_schedule_sized_stack_ranks_match_per_matrix_ranks(stack, tol_rank):
+    for matrix, result in zip(stack, numerical_rank(stack, tol_rank), strict=True):
+        assert_same_rank(result, oracle.numerical_rank(matrix, tol_rank))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stack_pivots_take_whole_stack_and_gathered_steps(seed):
+    # Every matrix needs a first pivot and some need more, so the selection
+    # takes whole-stack steps and then gathered ones, ties included.
+    stack = schedule_sized_stack(np.random.default_rng(seed), 100, 4, 5, 1)
+    stack[:, 0] = 1.0  # a nonzero row keeps every rank at least 1
+    stack[::7, 3] = stack[::7, 0]
+    results = numerical_rank(stack, 1e-8)
+    ranks = [r.rank for r in results]
+    assert min(ranks) >= 1 and max(ranks) > min(ranks)
+    for matrix, result in zip(stack, results):
+        assert_same_rank(result, oracle.numerical_rank(matrix, 1e-8))
+
+
 @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (2, 3, 3)])
 def test_stacked_rank_of_empty_and_zero_stacks(shape):
     results = numerical_rank(np.zeros(shape), 1e-8)
@@ -155,7 +206,7 @@ def test_batched_equality_projection_matches_one_point_projection(index, deltas,
     sys, x0 = family(index)
     eq = sys.equality_indices
     job_list = [(eq, (point - x0) / t, None) for point in probe_points(x0, deltas)]
-    batch = _correct_lockstep(sys, x0, t, job_list, CFG)
+    batch = _correct_lockstep(sys, x0, (t,), job_list, CFG)[0]
     for got, (j, d, _) in zip(batch, job_list, strict=True):
         assert_same_correction(got, oracle.ljusternik_correct(sys, j, x0, d, t, CFG))
 
@@ -225,7 +276,7 @@ def as_arrays(job_list):
 @given(job_list=jobs, t=st.sampled_from((0.5, 1e-1, 1e-3)))
 def test_lockstep_corrections_match_one_direction_corrections(job_list, t):
     job_list = as_arrays(job_list)
-    batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, t, job_list, CFG)
+    batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, (t,), job_list, CFG)[0]
     for got, expected in zip(batch, oracle_corrections(t, job_list), strict=True):
         assert_same_correction(got, expected)
 
@@ -244,7 +295,7 @@ def test_lockstep_corrector_cases_are_all_reached():
         ((1, 6), (0.0, 0.0, 1.0), None),                    # parallel rows, one pivot
     ])
     t = 0.5
-    batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, t, job_list, CFG)
+    batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, (t,), job_list, CFG)[0]
     expected = oracle_corrections(t, job_list)
     for got, want in zip(batch, expected, strict=True):
         assert_same_correction(got, want)
@@ -263,6 +314,9 @@ def test_lockstep_corrector_cases_are_all_reached():
     (("x1 + x2", "2*x1 + 2*x2"), (), (0.0, 0.0)),
     (("log(x1) - x2",), (), (0.05, math.log(0.05))),
     ((), ("x1^2",), (0.0, 0.0)),
+    # Along one of the two kernel directions the base point leaves the
+    # domain of log at t = 0.1 only.
+    (("x2 + 0.01*log(x1 + 0.05) - 0.01*log(0.05)",), (), (0.0, 0.0)),
 ])
 def test_lockstep_probes_match_one_direction_probes(eqs, ins, x0):
     sys = ConstraintSystem.from_strings("probe", ("x1", "x2"), None, eqs, ins)
@@ -272,6 +326,16 @@ def test_lockstep_probes_match_one_direction_probes(eqs, ins, x0):
     batch = _probe_directions(sys, pd, faces, CFG)
     alone = [_probe_directions(sys, pd, [face], CFG)[0] for face in faces]
     assert [p.to_dict() for p in batch] == [p.to_dict() for p in alone]
+
+
+def test_probe_case_leaves_the_domain_at_one_t_only():
+    sys = ConstraintSystem.from_strings(
+        "probe", ("x1", "x2"), None, ("x2 + 0.01*log(x1 + 0.05) - 0.01*log(0.05)",), ())
+    pd = evaluate_point(sys, (0.0, 0.0))
+    faces = face_directions(build_linearized_cone(pd, ()), DIRECTION_COUNT, CFG.tol_cone)
+    left = sorted(tuple(map(math.isinf, p.trace.initial_residuals))
+                  for p in _probe_directions(sys, pd, faces, CFG))
+    assert left == [(False,) * 5, (True, False, False, False, False)]
 
 
 def test_lockstep_groups_mix_pivot_counts_domain_exits_and_cold_retries():
@@ -294,7 +358,7 @@ def test_lockstep_groups_mix_pivot_counts_domain_exits_and_cold_retries():
         ((1, 6), (0.0, 0.0, 1.0), None),
     ])
     t = 1e-1
-    batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, t, job_list, CFG)
+    batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, (t,), job_list, CFG)[0]
     expected = oracle_corrections(t, job_list)
     for got, want in zip(batch, expected, strict=True):
         assert_same_correction(got, want)

@@ -56,7 +56,7 @@ def test_correct_linear_equality_kernel_direction():
     sys = make(eqs=["x1 + 2*x2"])
     d = np.array([2.0, -1.0]) / np.sqrt(5.0)
     for t in (1e-1, 1e-3, 1e-5):
-        result = _correct_lockstep(sys, [0.0, 0.0], t, [((1,), d, None)], CFG)[0]
+        result = _correct_lockstep(sys, [0.0, 0.0], (t,), [((1,), d, None)], CFG)[0][0]
         assert result.converged
         assert np.linalg.norm(result.r) <= 1e-14
 
@@ -66,7 +66,7 @@ def test_correct_circle_matches_closed_form():
     # ||r(t)|| = sqrt(1+t^2) - 1 ~ t^2/2.
     sys = make(eqs=["x1^2 + x2^2 - 1"])
     t = 1e-2
-    result = _correct_lockstep(sys, [1.0, 0.0], t, [((1,), [0.0, 1.0], None)], CFG)[0]
+    result = _correct_lockstep(sys, [1.0, 0.0], (t,), [((1,), [0.0, 1.0], None)], CFG)[0][0]
     assert result.converged
     expected = math.sqrt(1.0 + t * t) - 1.0
     assert np.linalg.norm(result.r) == pytest.approx(expected, rel=1e-6)
@@ -75,7 +75,7 @@ def test_correct_circle_matches_closed_form():
 
 def test_correct_parallel_rows_pivot_already_satisfied():
     sys = make(eqs=["x1", "2*x1"])
-    result = _correct_lockstep(sys, [0.0, 0.0], 1e-2, [((1, 2), [0.0, 1.0], None)], CFG)[0]
+    result = _correct_lockstep(sys, [0.0, 0.0], (1e-2,), [((1, 2), [0.0, 1.0], None)], CFG)[0][0]
     assert result.converged
     assert result.iterations == 0
     assert np.linalg.norm(result.r) == 0.0
@@ -83,7 +83,7 @@ def test_correct_parallel_rows_pivot_already_satisfied():
 
 def test_correct_empty_j_set():
     sys = make(ins=["-x1"])
-    result = _correct_lockstep(sys, [0.0, 0.0], 1e-2, [((), [1.0, 0.0], None)], CFG)[0]
+    result = _correct_lockstep(sys, [0.0, 0.0], (1e-2,), [((), [1.0, 0.0], None)], CFG)[0][0]
     assert result.converged and np.linalg.norm(result.r) == 0.0
 
 
@@ -106,7 +106,7 @@ def test_corrector_evaluates_each_iterate_once(monkeypatch):
     sys = make(eqs=["x1^2 + x2^2 + x3^2 - 1", "x3 - x1*x2"], variables=("x1", "x2", "x3"))
     d = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
     calls = count_evaluations(monkeypatch)
-    result = _correct_lockstep(sys, [1.0, 0.0, 0.0], 0.1, [((1, 2), d, None)], CFG)[0]
+    result = _correct_lockstep(sys, [1.0, 0.0, 0.0], (0.1,), [((1, 2), d, None)], CFG)[0][0]
     assert result.converged and result.iterations >= 2
     # Once at x0 + t*d to select the pivots, then once per iterate from the
     # cold start r = 0 to the converged one: the pivot rows are slices.
@@ -114,6 +114,44 @@ def test_corrector_evaluates_each_iterate_once(monkeypatch):
     for (source, _), n in calls.items():
         per_expression[source] += n
     assert per_expression == {f.source: result.iterations + 2 for f in sys.equalities}
+
+
+def test_probes_evaluate_and_rank_the_base_points_once_per_critical_set(monkeypatch):
+    # On the sphere with x3 >= 0 at (1, 0, 0) the face walk gives directions
+    # with J = (1,) and with J = (1, 2).  The base points x0 + t*d of each J,
+    # over the whole schedule, are one evaluate_rows call and one stacked
+    # numerical_rank.
+    sys = make(eqs=["x1^2 + x2^2 + x3^2 - 1"], ins=["-x3"], variables=("x1", "x2", "x3"))
+    pd = evaluate_point(sys, [1.0, 0.0, 0.0])
+    cone = build_linearized_cone(pd, active_set(pd, CFG.tol_active))
+    faces = face_directions(cone, DIRECTION_COUNT, CFG.tol_cone)
+    bases: dict = {}                       # J -> base points over the schedule
+    for t in CFG.t_schedule:
+        for s, d in faces:
+            bases.setdefault((1,) + s, []).append(pd.point + t * d)
+    assert set(bases) == {(1,), (1, 2)}
+    evaluated, ranked = [], []
+    evaluate_rows, numerical_rank = tangent.evaluate_rows, tangent.numerical_rank
+
+    def evaluating(functions, points):
+        evaluated.append((functions, np.array(points)))
+        return evaluate_rows(functions, points)
+
+    def ranking(rows, tol_rank):
+        ranked.append(rows.shape)
+        return numerical_rank(rows, tol_rank)
+
+    monkeypatch.setattr(tangent, "evaluate_rows", evaluating)
+    monkeypatch.setattr(tangent, "numerical_rank", ranking)
+    batched = _probe_directions(sys, pd, faces, CFG)
+    for j, points in bases.items():
+        functions = [sys.constraint(i) for i in j]
+        calls = [p for f, p in evaluated if f == functions and len(p) == len(points)]
+        assert len(calls) == 1 and np.array_equal(calls[0], points)
+    assert sorted(ranked) == sorted((len(p), len(j), 3) for j, p in bases.items())
+    monkeypatch.undo()
+    alone = [_probe_directions(sys, pd, [face], CFG)[0] for face in faces]
+    assert [p.to_dict() for p in batched] == [p.to_dict() for p in alone]
 
 
 def test_equality_projection_evaluates_each_iterate_once(monkeypatch):
@@ -133,7 +171,7 @@ def test_equality_projection_evaluates_each_iterate_once(monkeypatch):
 def test_correct_requires_positive_t():
     sys = make(eqs=["x1"])
     with pytest.raises(ValueError):
-        _correct_lockstep(sys, [0.0, 0.0], 0.0, [((1,), [0.0, 1.0], None)], CFG)
+        _correct_lockstep(sys, [0.0, 0.0], (0.0,), [((1,), [0.0, 1.0], None)], CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +388,7 @@ def test_abadie_skips_probe_points_outside_the_domain():
     # the domain of log, which must skip them, not fail the whole section.
     sys = make(eqs=["log(x1) - x2"])
     x0 = [0.05, math.log(0.05)]
-    result = _correct_lockstep(sys, x0, 0.1, [([1], [-1.0, 0.0], None)], CFG)[0]
+    result = _correct_lockstep(sys, x0, (0.1,), [([1], [-1.0, 0.0], None)], CFG)[0][0]
     assert not result.converged
     assert abadie_verdict(sys, x0, CFG).verdict == "consistent"
 
