@@ -111,15 +111,25 @@ def _row_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(stack * stack, axis=-1))
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
 def _select_pivots(stack: np.ndarray, ranks: np.ndarray) -> list[tuple[int, ...]]:
     """Greedy pivot rows of every matrix of a (P, m, n) stack, one step for
     all matrices that still need a pivot at a time.  While every matrix
     needs one, a step works on the whole stack in place; after that it
-    gathers the matrices that do."""
+    gathers the matrices that do.
+
+    Each row is first scaled by the power of two that brings its largest
+    entry into [0.5, 1).  That is exact, and the choice is invariant under
+    row scaling, so no square under- or overflows for rows far from 1.  A
+    row whose entries are all subnormal still counts as zero: the
+    pseudoinverse of a pivot on it would overflow."""
     count, m, _ = stack.shape
-    norms = _row_norms(stack)
-    nonzero = norms > 0.0
-    residual = stack.copy()
+    peak = np.abs(stack).max(axis=-1, initial=0.0)
+    residual = np.ldexp(stack, -np.frexp(peak)[1][..., None])
+    norms = _row_norms(residual)
+    nonzero = peak >= _TINY
     chosen = np.zeros((count, int(ranks.max(initial=0))), dtype=int)
     taken = np.zeros((count, m), dtype=bool)
     every, everyone = np.arange(count), (ranks.min() if count else 0)

@@ -67,24 +67,28 @@ class CorrectionResult:
 class _Group:
     """Jobs with one J and one pivot count, one row per job: what their
     Gauss-Newton iterations hold fixed, namely the base points x0 + t*d, the
-    pivot rows chosen there (as positions in J) and the residual tolerances."""
+    pivot rows chosen there (as positions in J), the residual tolerances,
+    and the values and rows of J at the base points."""
 
     functions: list
     jobs: list[int]
     base: np.ndarray                   # (P, n)
     pivot_pos: np.ndarray              # (P, pivot count)
-    initial_residual: np.ndarray       # (P,)
-    residual_tol: np.ndarray           # (P,)
+    initial_residual: list[float]
+    residual_tol: list[float]
+    values: np.ndarray                 # (P, |J|) at the base points
+    rows: np.ndarray                   # (P, |J|, n)
 
     def take(self, rows: list[int]) -> "_Group":
         return _Group(self.functions, [self.jobs[p] for p in rows], self.base[rows],
-                      self.pivot_pos[rows], self.initial_residual[rows],
-                      self.residual_tol[rows])
+                      self.pivot_pos[rows], [self.initial_residual[p] for p in rows],
+                      [self.residual_tol[p] for p in rows], self.values[rows],
+                      self.rows[rows])
 
     def result(self, p, r, converged, iterations, final) -> CorrectionResult:
         return CorrectionResult(
             r=r, converged=converged, iterations=iterations,
-            initial_residual=float(self.initial_residual[p]), final_residual=float(final),
+            initial_residual=self.initial_residual[p], final_residual=final,
         )
 
 
@@ -110,14 +114,18 @@ def _correct_lockstep(sys, x0, t_schedule, jobs, cfg) -> list[list[CorrectionRes
     over the whole schedule, are evaluated in one call and ranked with one
     stacked SVD (:func:`_base_groups`), and at each t the jobs of each
     (J, pivot count) group iterate as one array, so that a Gauss-Newton
-    step is one evaluation and one stacked pinv for the whole group.  A job
-    leaves its group when it converges, leaves the domain or reaches the
-    iteration cap; the cold retries run in a second pass.  Each result
-    equals the one the job would get alone, bit for bit.
+    step is one evaluation and one stacked SVD for the whole group.  The
+    pseudoinverse is numpy's ``pinv`` formula written inline (singular
+    values above 1e-15 times the largest are inverted, the others zeroed),
+    and which jobs are live, their residuals and their exits are kept in
+    Python lists, so that a step makes few numpy calls.  A start at r = 0
+    reads its first iterate from the base evaluation.  A job leaves its
+    group when it converges, leaves the domain or reaches the iteration
+    cap; the cold retries run in a second pass.  Each result equals the one
+    the job would get alone, bit for bit.
     """
     if min(t_schedule) <= 0:
         raise ValueError("t must be positive")
-    n = sys.dimension
     warm = [w for _, _, w in jobs]
     last: list[Optional[tuple[float, np.ndarray]]] = [None] * len(jobs)
     out = []
@@ -125,13 +133,11 @@ def _correct_lockstep(sys, x0, t_schedule, jobs, cfg) -> list[list[CorrectionRes
         if out:
             warm = [None if lt is None else lt[1] * (t / lt[0]) ** 2 for lt in last]
         for group in groups:
-            starts = np.array([np.zeros(n) if warm[k] is None else warm[k] for k in group.jobs],
-                              dtype=float)
+            starts = [warm[k] for k in group.jobs]
             done = _iterate_lockstep(group, starts)
-            retry = [p for p, k in enumerate(group.jobs)
-                     if warm[k] is not None and not done[p].converged]
+            retry = [p for p, w in enumerate(starts) if w is not None and not done[p].converged]
             if retry:
-                cold = _iterate_lockstep(group.take(retry), np.zeros((len(retry), n)))
+                cold = _iterate_lockstep(group.take(retry), [None] * len(retry))
                 for p, result in zip(retry, cold):
                     if result.converged:
                         done[p] = result
@@ -187,7 +193,8 @@ def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[list[
         if not ok:
             continue
         initial = np.max(np.abs(values0), axis=1, initial=0.0)
-        residual_tol = CORRECTOR_TOL * (1.0 + np.maximum(1.0, initial))
+        residual_tol = (CORRECTOR_TOL * (1.0 + np.maximum(1.0, initial))).tolist()
+        initial = initial.tolist()
         by_count: dict = {}                # (t, pivot count) -> [(row, pivot positions in J)]
         for p, rank0 in zip(ok, numerical_rank(rows0[ok], cfg.tol_rank)):
             pos = [i - 1 for i in rank0.pivot_indices]
@@ -197,48 +204,82 @@ def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[list[
             # All gradient rows vanish at the base: nothing to iterate along.
             ti, k = keys[p]
             settled[ti][k] = CorrectionResult(
-                r=np.zeros(n), converged=bool(initial[p] <= residual_tol[p]), iterations=0,
-                initial_residual=float(initial[p]), final_residual=float(initial[p]),
+                r=np.zeros(n), converged=initial[p] <= residual_tol[p], iterations=0,
+                initial_residual=initial[p], final_residual=initial[p],
             )
         for (ti, _), pivots in by_count.items():
             ps = [p for p, _ in pivots]
             groups[ti].append(_Group(functions, [keys[p][1] for p in ps], base[ps],
-                                    np.array([pos for _, pos in pivots]), initial[ps],
-                                    residual_tol[ps]))
+                                    np.array([pos for _, pos in pivots]),
+                                    [initial[p] for p in ps], [residual_tol[p] for p in ps],
+                                    values0[ps], rows0[ps]))
     return settled, groups
 
 
-def _iterate_lockstep(group: _Group, starts: np.ndarray) -> list[CorrectionResult]:
-    """Gauss-Newton iterations of every job of ``group`` from its row of
-    ``starts``, in lockstep; the results in the group's row order."""
+def _first_iterate(group: _Group, starts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, set]:
+    """The start array, and the values, rows and failed rows at base + start.
+    A start at r = 0 reads them from the base evaluation, unless its base
+    point has a -0.0 coordinate, which base + 0 turns into +0.0."""
+    r = np.array([np.zeros(group.base.shape[1]) if w is None else w for w in starts],
+                 dtype=float)
+    negative_zero = np.any((group.base == 0.0) & np.signbit(group.base), axis=1).tolist()
+    fresh = [p for p, w in enumerate(starts) if w is not None or negative_zero[p]]
+    values, rows, failed = group.values, group.rows, set()
+    if fresh:
+        fresh_values, fresh_rows, errors = evaluate_rows(group.functions,
+                                                         group.base[fresh] + r[fresh])
+        values, rows = values.copy(), rows.copy()
+        values[fresh], rows[fresh] = fresh_values, fresh_rows
+        failed = {fresh[p] for p, _ in errors}
+    return r, values, rows, failed
+
+
+def _iterate_lockstep(group: _Group, starts: list) -> list[CorrectionResult]:
+    """Gauss-Newton iterations of every job of ``group`` from its start
+    (None for r = 0), in lockstep; the results in the group's row order.
+
+    ``live`` holds the group rows still iterating, and ``final`` their
+    last residuals; the arrays are filtered only at a step where a job
+    leaves."""
     results: list[Optional[CorrectionResult]] = [None] * len(group.jobs)
-    live = np.arange(len(group.jobs))      # group rows still iterating
-    r = starts
-    final = np.full(len(live), math.inf)
+    live = list(range(len(group.jobs)))
+    final = [math.inf] * len(live)
+    r, values, rows, failed = _first_iterate(group, starts)
+    base, pos, tol = group.base, group.pivot_pos, group.residual_tol
+    at = np.arange(len(live))[:, None]
     for it in range(CORRECTOR_MAX_ITER + 1):
-        values, rows, errors = evaluate_rows(group.functions, group.base[live] + r)
-        failed = {p for p, _ in errors}
-        for p in failed:
-            results[live[p]] = group.result(live[p], r[p], False, it, final[p])
-        ok = np.ones(len(live), dtype=bool)
-        ok[list(failed)] = False
-        final[ok] = np.max(np.abs(values[ok]), axis=1, initial=0.0)
-        converged = ok & (final <= group.residual_tol[live])
-        for p in np.flatnonzero(converged):
-            results[live[p]] = group.result(live[p], r[p], True, it, final[p])
-        keep = ok & ~converged
-        live, r, final, values, rows = live[keep], r[keep], final[keep], values[keep], rows[keep]
-        if it == CORRECTOR_MAX_ITER or not len(live):
+        if it:
+            values, rows, errors = evaluate_rows(group.functions, base + r)
+            failed = {p for p, _ in errors}
+        maxima = np.abs(values).max(axis=1, initial=0.0).tolist()
+        keep, kept_final = [], []
+        for p, row in enumerate(live):
+            if p in failed:
+                results[row] = group.result(row, r[p], False, it, final[p])
+            elif maxima[p] <= tol[row]:
+                results[row] = group.result(row, r[p], True, it, maxima[p])
+            else:
+                keep.append(p)
+                kept_final.append(maxima[p])
+        final = kept_final
+        if len(keep) < len(live):
+            live = [live[p] for p in keep]
+            r, values, rows, base, pos = r[keep], values[keep], rows[keep], base[keep], pos[keep]
+            at = at[:len(live)]
+        if it == CORRECTOR_MAX_ITER or not live:
             break
         # Minimal-norm update: r_new = pinv(J)(J r - h) solves the linearized
         # system while discarding the null-space component of the iterate,
         # so the limit is the minimal-norm correction regardless of the warm
-        # start.
-        pos = group.pivot_pos[live]
-        at = np.arange(len(live))[:, None]
+        # start.  pinv(J) = V diag(1/s) U^T over the singular values s above
+        # 1e-15 s_max, as numpy computes it.
         piv_values, piv_rows = values[at, pos], rows[at, pos]
         rhs = np.matmul(piv_rows, r[:, :, None])[..., 0] - piv_values
-        r = np.matmul(np.linalg.pinv(piv_rows), rhs[..., None])[..., 0]
+        u, s, vt = np.linalg.svd(piv_rows, full_matrices=False)
+        large = s > 1e-15 * s[:, :1]   # s descends: s[:, 0] is the largest
+        inverse = np.divide(1.0, s, out=np.zeros(s.shape), where=large)
+        pinv = np.matmul(vt.swapaxes(-1, -2), inverse[..., None] * u.swapaxes(-1, -2))
+        r = np.matmul(pinv, rhs[..., None])[..., 0]
     for p, row in enumerate(live):
         results[row] = group.result(row, r[p], False, CORRECTOR_MAX_ITER, final[p])
     return results

@@ -4,8 +4,9 @@ kept as test oracles.
 Before the cone-direction probes corrected their directions in lockstep
 batches, every matrix was ranked on its own and every direction ran its own
 Gauss-Newton loop with one ``pinv`` per step.  ``numerical_rank`` and
-``ljusternik_correct`` below are that code, unchanged but for their names
-and for evaluating one point as a batch of one (``_evaluate_at``);
+``ljusternik_correct`` below are that code, unchanged but for their names,
+for evaluating one point as a batch of one (``_evaluate_at``) and for the
+exact power-of-two row scaling the pivot search now starts with;
 ``tests/test_lockstep_oracle.py`` checks that the stacked rank and the
 lockstep corrector reproduce them bit for bit.  The oracle's results still
 carry the pivot rows and the reason a correction stopped, which the
@@ -90,12 +91,16 @@ def _rank(rows: np.ndarray, tol_rank: float) -> tuple[int, np.ndarray]:
 
 
 def _select_pivots(rows: np.ndarray, rank: int) -> tuple[int, ...]:
+    # Each row scaled exactly by a power of two, its largest entry in
+    # [0.5, 1); a row of subnormal entries counts as zero.
+    peak = np.abs(rows).max(axis=1, initial=0.0)
+    rows = np.ldexp(rows, -np.frexp(peak)[1][:, None])
     norms = np.linalg.norm(rows, axis=1)
     residual = rows.copy()
     chosen: list[int] = []
     for _ in range(rank):
         rel = np.zeros(len(rows))
-        nonzero = norms > 0.0
+        nonzero = peak >= np.finfo(float).tiny
         rel[nonzero] = np.linalg.norm(residual[nonzero], axis=1) / norms[nonzero]
         rel[chosen] = -1.0
         best = int(np.argmax(rel))  # argmax keeps the lowest index on ties

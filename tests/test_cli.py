@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -509,7 +510,7 @@ def test_cli_analyze_includes_config_snapshot(capsys):
 
 
 def corpus_copy(tmp_path, name, **changes):
-    problem = json.loads(open(corpus_file(name)).read())
+    problem = json.loads(Path(corpus_file(name)).read_text())
     problem.update(changes)
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(problem))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import one_point_oracle as oracle
 from cq_analyzer.cones import build_linearized_cone, face_directions
 from cq_analyzer.config import DIRECTION_COUNT, ToolConfig
-from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
+from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point, evaluate_rows
 from cq_analyzer.rank import _norms, numerical_rank
 from cq_analyzer.tangent import _correct_lockstep, _probe_directions
 
@@ -371,3 +371,83 @@ def test_lockstep_groups_mix_pivot_counts_domain_exits_and_cold_retries():
         assert expected[k].converged
         assert_same_correction(expected[k], cold)
     assert expected[5].converged and expected[5].iterations != expected[1].iterations
+
+
+def oracle_schedule(t_schedule, job_list):
+    """The one-direction corrections of every job along ``t_schedule``: each
+    later t starts from the job's last converged correction scaled by
+    (t / t_last)^2, or from r = 0 when none converged."""
+    last = [None] * len(job_list)
+    per_t = []
+    for ti, t in enumerate(t_schedule):
+        results = []
+        for k, (j, d, warm) in enumerate(job_list):
+            if ti:
+                warm = None if last[k] is None else last[k][1] * (t / last[k][0]) ** 2
+            result = oracle.ljusternik_correct(CORRECTOR_SYSTEM, j, X0, d, t, CFG, warm)
+            if result.converged:
+                last[k] = (t, result.r)
+            results.append(result)
+        per_t.append(results)
+    return per_t
+
+
+def assert_same_schedule(job_list, t_schedule):
+    batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, t_schedule, job_list, CFG)
+    expected = oracle_schedule(t_schedule, job_list)
+    assert len(batch) == len(expected) == len(t_schedule)
+    for got_t, want_t in zip(batch, expected):
+        for got, want in zip(got_t, want_t, strict=True):
+            assert_same_correction(got, want)
+    return expected
+
+
+@SETTINGS
+@given(job_list=jobs)
+def test_lockstep_schedule_matches_chained_one_direction_corrections(job_list):
+    assert len(CFG.t_schedule) == 5
+    assert_same_schedule(as_arrays(job_list), CFG.t_schedule)
+
+
+def test_lockstep_schedule_chains_warm_starts():
+    # Along the default schedule the sphere and sphere-and-saddle jobs
+    # converge at every t, so each later t starts from a scaled converged
+    # correction; the unsatisfiable job converges at no t; the log job
+    # leaves the domain at its base point at the first t only.
+    job_list = as_arrays([
+        ((1, 2), (0.0, 0.6, 0.8), None),
+        ((1, 2), (0.0, 0.6, 0.8), (0.01, -0.02, 0.0)),
+        ((1,), (0.3, 0.5, 0.2), None),
+        ((5,), (0.3, 0.5, 0.0), None),
+        ((3,), (-1.0, 0.0, 0.0), None),
+    ])
+    expected = assert_same_schedule(job_list, CFG.t_schedule)
+    assert all(r.converged and r.iterations for at_t in expected for r in at_t[:3])
+    assert not any(at_t[3].converged for at_t in expected)
+    assert [at_t[4].r is None for at_t in expected] == [True, False, False, False, False]
+
+
+def test_lockstep_pseudoinverse_zeroes_a_singular_value_of_dependent_pivot_rows():
+    # J = (2, 5) has independent rows at the base points, so both are
+    # pivots, but the first Gauss-Newton step takes x2 to about 0, where the
+    # row of x2^2 + 1 is about zero: the pseudoinverse drops its singular
+    # value, below 1e-15 times the largest, at that iterate.
+    job_list = as_arrays([
+        ((2, 5), (0.0, 2.0, 0.0), None),
+        ((2, 5), (0.2, 2.0, 0.3), None),
+        ((2, 5), (0.0, 2.0, 0.0), (0.0, 0.01, 0.0)),
+    ])
+    t = 0.5
+    functions = [CORRECTOR_SYSTEM.constraint(i) for i in (2, 5)]
+    for _, d, _ in job_list[:2]:
+        base = X0 + t * d
+        values, rows, _ = evaluate_rows(functions, base[None])
+        first = np.linalg.pinv(rows[0]) @ -values[0]
+        _, rows, _ = evaluate_rows(functions, (base + first)[None])
+        sigma = np.linalg.svd(rows[0], compute_uv=False)
+        assert 0.0 < sigma[-1] <= 1e-15 * sigma[0]
+    batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, (t,), job_list, CFG)[0]
+    expected = oracle_corrections(t, job_list)
+    for got, want in zip(batch, expected, strict=True):
+        assert_same_correction(got, want)
+    assert all(r.pivot_indices == (2, 5) and r.iterations == 50 for r in expected)

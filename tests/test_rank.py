@@ -57,6 +57,20 @@ def test_rank_pivot_tie_break_by_index():
     assert abs(det) > 1e-12
 
 
+@pytest.mark.parametrize("factors", [
+    (1.0, 1.0, 1.0), (1e-200,) * 3, (1e200,) * 3, (1e-300, 1e-300, 1e-305),
+])
+def test_rank_pivots_do_not_depend_on_row_scale(factors):
+    # Rows below about 1e-154 square to zero and rows above about 1e154 to
+    # infinity; the pivots must still skip row 2, which is parallel to row 1.
+    rows = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]) * np.array(factors)[:, None]
+    result = numerical_rank(rows, 1e-8)
+    assert result.rank == 2
+    assert result.pivot_indices == (1, 3)
+    assert [r.pivot_indices for r in numerical_rank(np.stack([rows, rows[::-1]]), 1e-8)] \
+        == [(1, 3), (1, 2)]
+
+
 def test_rank_exhaustive_pair_oracle():
     rng = Generator(PCG64(11))
     for _ in range(50):

@@ -7,6 +7,7 @@ from one_point_oracle import (
     correct_equalities,
     estimate_memberships,
     feasible_at_scale,
+    ljusternik_correct,
     tangent_direction_estimate,
 )
 
@@ -108,12 +109,35 @@ def test_corrector_evaluates_each_iterate_once(monkeypatch):
     calls = count_evaluations(monkeypatch)
     result = _correct_lockstep(sys, [1.0, 0.0, 0.0], (0.1,), [((1, 2), d, None)], CFG)[0][0]
     assert result.converged and result.iterations >= 2
-    # Once at x0 + t*d to select the pivots, then once per iterate from the
-    # cold start r = 0 to the converged one: the pivot rows are slices.
+    # Once at x0 + t*d, which selects the pivots and is the cold start's
+    # first iterate r = 0, then once per later iterate up to the converged
+    # one: the pivot rows are slices.
     per_expression = Counter()
     for (source, _), n in calls.items():
         per_expression[source] += n
-    assert per_expression == {f.source: result.iterations + 2 for f in sys.equalities}
+    assert per_expression == {f.source: result.iterations + 1 for f in sys.equalities}
+
+
+def test_cold_start_evaluates_base_plus_zero_where_it_differs_from_the_base(monkeypatch):
+    # A -0.0 coordinate of x0 + t*d turns into +0.0 in the first iterate
+    # x0 + t*d + 0, so that iterate is evaluated again instead of read from
+    # the base evaluation; its result is the one-direction corrector's.
+    sys = make(eqs=["x1^2 + x2^2 + x3^2 - 1", "x3 - x1*x2"],
+               variables=("x1", "x2", "x3", "x4"))
+    x0 = np.array([1.0, 0.0, 0.0, -0.0])
+    d = np.array([0.0, 1.0, 1.0, -0.0]) / np.sqrt(2.0)
+    calls = count_evaluations(monkeypatch)
+    result = _correct_lockstep(sys, x0, (0.1,), [((1, 2), d, None)], CFG)[0][0]
+    assert result.converged and result.iterations >= 2
+    base = x0 + 0.1 * d
+    assert np.signbit(base[3]) and not np.signbit((base + 0.0)[3])
+    for f in sys.equalities:
+        assert calls[f.source, base.tobytes()] == 1
+        assert calls[f.source, (base + 0.0).tobytes()] == 1
+    expected = ljusternik_correct(sys, (1, 2), x0, d, 0.1, CFG)
+    assert result.r.tobytes() == expected.r.tobytes()
+    assert (result.iterations, result.final_residual) == (expected.iterations,
+                                                          expected.final_residual)
 
 
 def test_probes_evaluate_and_rank_the_base_points_once_per_critical_set(monkeypatch):
