@@ -79,16 +79,9 @@ def build_linearized_cone(pd: PointData, active: Sequence[int]) -> LinearizedCon
     out of the Jacobian."""
     eq_idx = pd.equality_indices
     ineq_idx = tuple(sorted(active))
-    n = pd.dimension
-    eq_rows = (
-        np.array([pd.row(i) for i in eq_idx]) if eq_idx else np.zeros((0, n))
-    )
-    ineq_rows = (
-        np.array([pd.row(i) for i in ineq_idx]) if ineq_idx else np.zeros((0, n))
-    )
     return LinearizedCone(
-        eq_rows=eq_rows,
-        ineq_rows=ineq_rows,
+        eq_rows=pd.jacobian[[i - 1 for i in eq_idx]],
+        ineq_rows=pd.jacobian[[i - 1 for i in ineq_idx]],
         eq_indices=eq_idx,
         ineq_indices=ineq_idx,
         base_point=np.asarray(pd.point, dtype=float),
@@ -112,15 +105,14 @@ def cone_member(c: LinearizedCone, d: Sequence[float], tol: float) -> bool:
     return True
 
 
-def nonneg_lstsq(a: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None):
-    """Solve min |a x - b| subject to x >= 0 (Lawson-Hanson active set).
+def nonneg_lstsq(a: np.ndarray, b: np.ndarray):
+    """Solve min |a x - b| subject to x >= 0 (Lawson-Hanson active set),
+    with at most ``30 * max(n, 1)`` active-set updates.
 
     Parameters
     ----------
     a : (m, n) array
     b : (m,) array
-    max_iter : int, optional
-        Cap on active-set updates; defaults to ``30 * n``.
 
     Returns
     -------
@@ -130,8 +122,7 @@ def nonneg_lstsq(a: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = a.shape
-    if max_iter is None:
-        max_iter = 30 * max(n, 1)
+    max_iter = 30 * max(n, 1)
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     w = a.T @ (b - a @ x)
@@ -234,10 +225,7 @@ def dual_cone_decomposition(
     v = np.asarray(v, dtype=float)
     if v.shape != (c.dimension,):
         raise ValueError(f"vector has shape {v.shape}, expected ({c.dimension},)")
-    if len(c.eq_indices) + len(c.ineq_indices) == 0:
-        lam, residual_vec = (), v.copy()
-    else:
-        lam, residual_vec = _solve_cone_coefficients(c, v)
+    lam, residual_vec = _solve_cone_coefficients(c, v)
     residual = float(np.linalg.norm(residual_vec))
     if residual > tol * (1.0 + float(np.linalg.norm(v))):
         return None, residual_vec

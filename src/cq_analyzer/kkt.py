@@ -132,11 +132,8 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
             active_indices=active,
         )
 
-    if cone.eq_indices + cone.ineq_indices:
-        rows = np.vstack([cone.eq_rows, cone.ineq_rows])
-        unique = _ranks(rows[None], tol)[0][0] == rows.shape[0]
-    else:
-        unique = True
+    rows = np.vstack([cone.eq_rows, cone.ineq_rows])
+    unique = _ranks(rows[None], tol)[0][0] == rows.shape[0]
     lam = coeffs.as_dict()
     full = tuple(
         (i, float(lam.get(i, 0.0))) for i in range(1, sys.n_constraints + 1)

@@ -143,7 +143,8 @@ def _select_pivots(stack: np.ndarray, ranks: np.ndarray) -> list[tuple[int, ...]
         rel[taken[part]] = -1.0
         best = np.argmax(rel, axis=1)  # argmax keeps the lowest index on ties
         picked = res[every[:len(live)], best]
-        q = picked / _norms(picked)[:, None]
+        norm = _norms(picked)[:, None]   # a zero pick projects nothing out
+        q = np.divide(picked, norm, out=np.zeros(picked.shape), where=norm > 0.0)
         residual[part] = res - np.matmul(res, q[:, :, None]) * q[:, None, :]
         chosen[live, step] = best
         taken[live, best] = True

@@ -152,9 +152,9 @@ def _correct_lockstep(sys, x0, t_schedule, jobs, cfg) -> list[list[CorrectionRes
 
 def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[list[_Group]]]:
     """Per t, the results in job order, holding those the base points
-    x0 + t*d settle alone (an empty J, a base point outside the domain, all
-    gradient rows zero) and None for the others, and the (J, pivot count)
-    groups of the others.
+    x0 + t*d settle alone (a base point outside the domain, or no pivot row:
+    an empty J or all gradient rows zero) and None for the others, and the
+    (J, pivot count) groups of the others.
 
     The base points of each J over the whole schedule are one
     :func:`~cq_analyzer.model.evaluate_rows` call and one stacked
@@ -166,15 +166,7 @@ def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[list[
     groups: list[list[_Group]] = [[] for _ in t_schedule]
     by_j: dict = {}                        # J -> job numbers
     for k, (j_set, _, _) in enumerate(jobs):
-        j = tuple(sorted(j_set))
-        if j:
-            by_j.setdefault(j, []).append(k)
-            continue
-        for at_t in settled:
-            at_t[k] = CorrectionResult(
-                r=np.zeros(n), converged=True, iterations=0,
-                initial_residual=0.0, final_residual=0.0,
-            )
+        by_j.setdefault(tuple(sorted(j_set)), []).append(k)
 
     for j, members in by_j.items():
         functions = [sys.constraint(i) for i in j]
@@ -190,8 +182,6 @@ def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[list[
                 final_residual=math.inf,
             )
         ok = [p for p in range(len(keys)) if p not in failed]
-        if not ok:
-            continue
         initial = np.max(np.abs(values0), axis=1, initial=0.0)
         residual_tol = (CORRECTOR_TOL * (1.0 + np.maximum(1.0, initial))).tolist()
         initial = initial.tolist()
@@ -201,7 +191,7 @@ def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[list[
             if pos:
                 by_count.setdefault((keys[p][0], len(pos)), []).append((p, pos))
                 continue
-            # All gradient rows vanish at the base: nothing to iterate along.
+            # No pivot row (J is empty or all its rows vanish): nothing to iterate along.
             ti, k = keys[p]
             settled[ti][k] = CorrectionResult(
                 r=np.zeros(n), converged=initial[p] <= residual_tol[p], iterations=0,
@@ -399,17 +389,14 @@ def _probe_directions(
             inactive_ok[k][ti] = p not in failed and bool(np.all(values[p] < 0.0))
     zero_floor = 1e-13 * (1.0 + float(np.max(np.abs(x0), initial=0.0)))
     return [
-        _judge_probe(d, crit, bool(inact), t_schedule, results, tuple(ok), zero_floor, cfg)
-        for d, crit, inact, results, ok in zip(
-            directions, crits, inactive, zip(*per_t), inactive_ok
-        )
+        _judge_probe(d, crit, t_schedule, results, tuple(ok), zero_floor, cfg)
+        for d, crit, results, ok in zip(directions, crits, zip(*per_t), inactive_ok)
     ]
 
 
 def _judge_probe(
     d: np.ndarray,
     crit: tuple[tuple[int, ...], tuple[int, ...]],
-    has_inactive: bool,
     t_schedule: tuple[float, ...],
     corrections: Sequence[CorrectionResult],
     inactive_ok: tuple[Optional[bool], ...],
@@ -446,7 +433,7 @@ def _judge_probe(
     # for all t below some eps0 > 0), so only the small-t tail is required;
     # a near-boundary cone direction may violate an inactive constraint at
     # the coarsest t and still be tangent.
-    safe = all(ok is True for ok in inactive_ok[-tail:]) if has_inactive else True
+    safe = all(ok is True for ok in inactive_ok[-tail:])
 
     # The schedule is never empty, so a converged tail sets final_ratio.
     passed = tail_converged and final_ratio <= cfg.ratio_tol and ratios_decreasing and safe

@@ -105,7 +105,8 @@ def _select_pivots(rows: np.ndarray, rank: int) -> tuple[int, ...]:
         rel[chosen] = -1.0
         best = int(np.argmax(rel))  # argmax keeps the lowest index on ties
         chosen.append(best)
-        q = residual[best] / np.linalg.norm(residual[best])
+        norm = np.linalg.norm(residual[best])
+        q = residual[best] / norm if norm > 0.0 else np.zeros(len(residual[best]))
         residual = residual - np.outer(residual @ q, q)
     return tuple(i + 1 for i in chosen)
 

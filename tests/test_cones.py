@@ -54,10 +54,11 @@ def cone_from_system(eqs=(), ins=(), variables=("x1", "x2"), x0=(0.0, 0.0)):
 
 
 def test_build_no_constraints_gives_whole_space():
-    cone = cone_from_system()
-    assert cone.eq_rows.shape == (0, 2)
-    assert cone.ineq_rows.shape == (0, 2)
-    assert cone_member(cone, [3.0, -4.0], 1e-8)
+    # No constraint at all, or an inactive inequality alone: no active row.
+    for cone in (cone_from_system(), cone_from_system(ins=["x1 - 1"])):
+        for rows in (cone.eq_rows, cone.ineq_rows):
+            assert rows.shape == (0, 2) and rows.dtype == np.float64
+        assert cone_member(cone, [3.0, -4.0], 1e-8)
 
 
 def test_build_keeps_zero_row_for_x_squared():
@@ -203,9 +204,14 @@ def test_dual_member_free_equality_coefficient():
 
 
 def test_dual_member_no_rows():
+    # With no row the residual is v itself, bit for bit (-0.0 included).
     cone = make_cone([], [], n=2)
-    assert dual_cone_decomposition(cone, [0.0, 0.0], 1e-8)[0] is not None
-    assert dual_cone_decomposition(cone, [1.0, 0.0], 1e-8)[0] is None
+    for v, member in (([0.0, -0.0], True), ([1.0, -0.0], False)):
+        coeffs, residual = dual_cone_decomposition(cone, v, 1e-8)
+        assert (coeffs is not None) == member
+        if member:
+            assert coeffs.values == ()
+        assert residual.view(np.int64).tolist() == np.array(v).view(np.int64).tolist()
 
 
 def corpus_cones():

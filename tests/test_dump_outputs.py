@@ -19,13 +19,16 @@ def test_dump_of_one_seed_holds_every_command_and_exit_code(tmp_path):
     names = sorted(p.name for p in outdir.iterdir())
     # corpus in two formats and once with every flag, analyze in text on the
     # 9 corpus files, then 2 rounds x (4 chains + 6 manifolds) x 4 outputs,
-    # one problem with every option, and the help of 9 parsers.
-    assert len(names) == 3 + 9 + 2 * 10 * 4 + 1 + 9
+    # one problem with every option, the help of 9 parsers, and 3 outputs of
+    # each of the 5 edge problems.
+    assert len(names) == 3 + 9 + 2 * 10 * 4 + 1 + 9 + 5 * 3
     assert "corpus.text.txt" in names and "analyze-manifold-s5150-r1-5.dependence.txt" in names
     assert {"corpus.flags.txt", "analyze-manifold-s5150-r0-0.options.analyze.txt",
             "corpus-file.circle-point.analyze.text.txt",
             "rcrcq-chain-s5150-r1-3.analyze.text.txt", "help.text.txt",
-            "help.corpus.run.text.txt"} <= set(names)
+            "help.corpus.run.text.txt", "edge-negative-zero.analyze.machine.txt",
+            "edge-unconstrained-minimum.analyze.text.txt",
+            "edge-zero-row.multipliers.txt"} <= set(names)
     for name in names:
         status, _, body = (outdir / name).read_text(encoding="utf-8").partition("\n")
         assert status in ("exit 0", "exit 1", "exit 2"), name

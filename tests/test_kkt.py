@@ -112,6 +112,12 @@ def test_primal_zero_objective_gradient():
     report = kkt_report(sys, [0.0, 0.0], CFG)
     assert report.primal_value == "zero"
     assert all(abs(v) <= 1e-10 for _, v in report.multipliers)
+    # Without constraints the cone has no row: nothing to select among.
+    report = kkt_report(make(objective="x1^2 + x2^2"), [0.0, 0.0], CFG)
+    assert report.dual_feasible and report.primal_value == "zero"
+    assert report.multipliers == ()
+    assert report.minimal_norm_selected is False
+    assert report.stationarity == 0.0
 
 
 def test_duality_equivalence_across_cases():

@@ -141,7 +141,20 @@ def test_stack_pivots_take_whole_stack_and_gathered_steps(seed):
         assert_same_rank(result, oracle.numerical_rank(matrix, 1e-8))
 
 
-@pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (2, 3, 3)])
+def test_pivot_on_a_zero_residual_projects_nothing_out():
+    # Subnormal rows count as zero, so every relative residual reads 0 and the
+    # tie picks row 2, whose residual after row 1 is exactly zero: q = 0, not 0/0.
+    subnormal = np.array([[5e-324, 0.0], [1e-323, 0.0], [0.0, 5e-324]])
+    single = numerical_rank(subnormal, 1e-8)
+    assert (single.rank, single.pivot_indices) == (2, (1, 2))
+    assert_same_rank(single, oracle.numerical_rank(subnormal, 1e-8))
+    # One whole-stack step, then a gathered one that skips the rank-1 matrix.
+    stack = np.array([subnormal, [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], np.ones((3, 2))])
+    for matrix, result in zip(stack, numerical_rank(stack, 1e-8)):
+        assert_same_rank(result, oracle.numerical_rank(matrix, 1e-8))
+
+
+@pytest.mark.parametrize("shape",[(0, 3, 2), (3, 0, 2), (3, 2, 0), (2, 3, 3)])
 def test_stacked_rank_of_empty_and_zero_stacks(shape):
     results = numerical_rank(np.zeros(shape), 1e-8)
     assert len(results) == shape[0]

@@ -286,6 +286,24 @@ def test_probe_inactive_check_propagates_non_domain_errors(monkeypatch):
         _probe_directions(sys, pd, [((), np.array([1.0]))], CFG)
 
 
+def test_probe_without_inactive_inequalities_fails_on_an_unconverged_tail(monkeypatch):
+    # With no inactive inequality every converged point is safe, so the
+    # unconverged small-t tail alone decides the probe.
+    sys = make(eqs=["x1"])
+    pd = evaluate_point(sys, [0.0, 0.0])
+
+    def correct(sys, x0, t_schedule, jobs, cfg):
+        return [[tangent.CorrectionResult(r=np.zeros(2), converged=t > 1e-3, iterations=1,
+                                          initial_residual=1.0, final_residual=0.5)]
+                for t in t_schedule]
+
+    monkeypatch.setattr(tangent, "_correct_lockstep", correct)
+    probe = _probe_directions(sys, pd, [((), np.array([0.0, 1.0]))], CFG)[0]
+    assert probe.inactive_ok == (True, True, None, None, None)
+    assert not probe.passed and not probe.hard_fail
+    assert probe.fail_reason == "corrector did not converge on the small-t tail"
+
+
 def test_feasible_at_scale_propagates_non_domain_errors():
     # In the estimator oracle's filter a domain error marks the point
     # infeasible; a wrong-dimension point is a programming error and must

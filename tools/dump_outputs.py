@@ -17,7 +17,11 @@ line and then everything the command wrote:
   each seed with an ``options`` block that sets every option key
   (``OPTIONS``);
 - ``--help`` of the top-level parser and of every subcommand (``HELP``),
-  wrapped at 80 columns.
+  wrapped at 80 columns;
+- ``analyze`` in machine and text format and ``multipliers`` in machine
+  format on each fixed edge problem (``EDGES``): no constraint at all, an
+  inactive inequality alone, a zero gradient row, and a base point with a
+  -0.0 coordinate.
 
 Usage errors are not dumped; the tests cover their wording.
 
@@ -58,6 +62,19 @@ OPTIONS = {"tol_rank": 1e-7, "tol_active": 1e-7, "tol_feas": 1e-7, "tol_cone": 1
 # Every parser whose --help is dumped: the top level and each subcommand.
 HELP = ([], ["analyze"], ["rcrcq"], ["abadie"], ["multipliers"], ["dependence"],
         ["corpus"], ["corpus", "list"], ["corpus", "run"])
+# Problems whose cones or critical sets have no rows, or a zero row.
+EDGES = (
+    {"name": "edge-unconstrained-minimum", "variables": ["x1", "x2"],
+     "objective": "x1^2 + x2^2", "point": [0.0, 0.0]},
+    {"name": "edge-unconstrained-slope", "variables": ["x1", "x2"],
+     "objective": "3*x1 + 4*x2", "point": [0.0, 0.0]},
+    {"name": "edge-inactive-only", "variables": ["x1", "x2"], "objective": "x1",
+     "inequalities": ["x1 - 1"], "point": [0.0, 0.0]},
+    {"name": "edge-zero-row", "variables": ["x1", "x2"], "objective": "x1 + x2",
+     "inequalities": ["x1^2"], "point": [0.0, 0.0]},
+    {"name": "edge-negative-zero", "variables": ["x1", "x2"], "objective": "x1 + x2",
+     "equalities": ["x1*x2"], "point": [-0.0, 0.0]},
+)
 
 
 def load_cli(src: Path):
@@ -100,6 +117,14 @@ def dump(cli, src: Path, seeds: list[int], outdir: Path) -> int:
         outputs[f"corpus-file.{path.stem}.analyze.text"] = [
             "analyze", str(path), "--format", "text"]
     with tempfile.TemporaryDirectory() as problems:
+        for edge in EDGES:
+            path = Path(problems) / f"{edge['name']}.json"
+            path.write_text(json.dumps(edge), encoding="utf-8")
+            for fmt in ("machine", "text"):
+                outputs[f"{edge['name']}.analyze.{fmt}"] = [
+                    "analyze", str(path), "--format", fmt]
+            outputs[f"{edge['name']}.multipliers"] = [
+                "multipliers", str(path), "--format", "machine"]
         for seed in seeds:
             first = workloads.round_problems("analyze-manifold", seed, 0)[0]
             path = Path(problems) / f"{first.name}.options.json"
