@@ -1,9 +1,13 @@
 """Run the individual analyses over one system, capturing per-section errors.
 
-Each section is rendered to a plain dict (the single representation both
-report formats consume).  Numerical failures inside one analysis do not
-abort the others: the section becomes ``{"error": ..., "error_kind": ...}``
-and the exit-code mapping treats it as inconclusive.
+Each section is rendered here, and only here, to a plain dict (the single
+representation both report formats consume): a result dataclass becomes the
+dict of its fields, an array, tuple or list becomes a list, and the few keys
+the report names or shapes otherwise are set by the section's runner.  The
+result classes carry no serializer, so a field added to one is reported.
+Numerical failures inside one analysis do not abort the others: the section
+becomes ``{"error": ..., "error_kind": ...}`` and the exit-code mapping
+treats it as inconclusive.
 
 When a run has both an ``rcrcq`` and a ``kkt`` section, the ``kkt`` section
 also carries the asserted-minimum check: a certified constant-rank
@@ -27,7 +31,7 @@ evaluated once per run, for every section that reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,6 +68,9 @@ _VERDICT_CODES = {
     MULTIPLIERS_EXIST: 0, DUAL_INFEASIBLE: 1,
     ERROR: 2,
 }
+
+_SCALARS = frozenset({float, int, bool, str, type(None)})
+_FIELDS: dict = {}                         # dataclass -> its field names
 
 _CAPTURED = (
     ConstraintDomainError,
@@ -102,6 +109,37 @@ class _Run:
         return self._point
 
 
+def _render(value):
+    """``value`` as plain data: a dataclass as the dict of its fields, an
+    array, tuple or list as a list, anything else as it is."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is tuple or kind is list:
+        # Most tuples hold scalars only: copying them whole costs a third as much.
+        for v in value:
+            if type(v) not in _SCALARS:
+                return [_render(v) for v in value]
+        return list(value)
+    if kind is np.ndarray:
+        return value.tolist()
+    if is_dataclass(value):
+        names = _FIELDS.get(kind)
+        if names is None:
+            names = _FIELDS[kind] = tuple(f.name for f in fields(value))
+        return {name: _render(getattr(value, name)) for name in names}
+    return value
+
+
+def _by_rank(crc: dict) -> dict:
+    """A rendered constant-rank report, its rank counts keyed by rank per radius."""
+    crc["rank_counts_by_radius"] = [
+        {"radius": r, "rank_counts": {str(k): c for k, c in counts}}
+        for r, counts in crc["rank_counts_by_radius"]
+    ]
+    return crc
+
+
 def _run_rcrcq(run: _Run) -> dict:
     sys, cfg, jacobian = run.sys, run.cfg, run.jacobian
     active = active_set(run.point(), cfg.tol_active)
@@ -113,11 +151,16 @@ def _run_rcrcq(run: _Run) -> dict:
         jacobian = jacobian.select([i - 1 for i in rows])
     report = check_rcrcq(sys, active, jacobian, cfg.tol_rank)
     run.subsets = dict(report.subsets)
-    return report.to_dict()
+    section = _render(report)
+    section["subset_count"] = report.subset_count
+    section["subsets"] = [{"subset": j, **_by_rank(crc)} for j, crc in section["subsets"]]
+    return section
 
 
 def _run_abadie(run: _Run) -> dict:
-    return abadie_verdict(run.sys, run.x0, run.cfg, run.point()).to_dict()
+    section = _render(abadie_verdict(run.sys, run.x0, run.cfg, run.point()))
+    section["gamma_in_T_evidence"] = section.pop("probes")
+    return section
 
 
 def _run_dependence(run: _Run) -> dict:
@@ -127,7 +170,8 @@ def _run_dependence(run: _Run) -> dict:
     # With every inequality active, RCRCQ has ranked this family already.
     crc = run.subsets.get(tuple(range(1, sys.n_constraints + 1)))
     verdict = classify_dependence(jacobian, cfg.tol_rank, cfg.fit_degree, crc)
-    section = verdict.to_dict()
+    section = _render(verdict)
+    _by_rank(section["crc"])
     section["image_dimension"] = image_dimension_probe(jacobian, cfg.tol_rank)
     if run.witness_relation is not None:
         names = [f"y{i}" for i in range(1, jacobian.kappa + 1)]
@@ -139,7 +183,11 @@ def _run_dependence(run: _Run) -> dict:
 def _run_kkt(run: _Run) -> dict:
     # A missing objective is reported before the base point is read.
     point = run.point() if run.sys.objective is not None else None
-    return kkt_report(run.sys, run.x0, run.cfg, point).to_dict()
+    section = _render(kkt_report(run.sys, run.x0, run.cfg, point))
+    section["stationarity_residual"] = section.pop("stationarity")
+    pairs = section["multipliers"]
+    section["multipliers"] = None if pairs is None else {str(i): v for i, v in pairs}
+    return section
 
 
 _RUNNERS = {

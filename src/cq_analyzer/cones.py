@@ -26,7 +26,6 @@ import numpy as np
 from .model import PointData
 
 __all__ = [
-    "ConeCoefficients",
     "LinearizedCone",
     "build_linearized_cone",
     "cone_member",
@@ -52,26 +51,6 @@ class LinearizedCone:
     @property
     def dimension(self) -> int:
         return self.base_point.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "base_point": [float(v) for v in self.base_point],
-            "eq_indices": list(self.eq_indices),
-            "eq_rows": [[float(v) for v in row] for row in self.eq_rows],
-            "ineq_indices": list(self.ineq_indices),
-            "ineq_rows": [[float(v) for v in row] for row in self.ineq_rows],
-        }
-
-
-@dataclass(frozen=True)
-class ConeCoefficients:
-    """Coefficients lambda over cone rows: >= 0 on inequalities, free on equalities."""
-
-    values: tuple[tuple[int, float], ...]  # (constraint index, lambda) sorted
-    residual: float
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.values)
 
 
 def build_linearized_cone(pd: PointData, active: Sequence[int]) -> LinearizedCone:
@@ -211,12 +190,13 @@ def _solve_cone_coefficients(c: LinearizedCone, v: np.ndarray) -> tuple[np.ndarr
 
 def dual_cone_decomposition(
     c: LinearizedCone, v: Sequence[float], tol: float
-) -> tuple[Optional[ConeCoefficients], np.ndarray]:
-    """Decompose v over the cone's rows: the coefficients (None when v is not
-    in the dual) and the residual r = v - sum lambda_i row_i.
+) -> tuple[Optional[dict[int, float]], np.ndarray]:
+    """Decompose v over the cone's rows: the coefficients ``{constraint index:
+    lambda}`` (None when v is not in the dual) and the residual
+    r = v - sum lambda_i row_i.
 
-    Success means ``|r| <= tol * (1 + |v|)`` with the sign convention of
-    :class:`ConeCoefficients`.  When the active rows are dependent the
+    Success means ``|r| <= tol * (1 + |v|)`` with lambda >= 0 on inequality
+    rows and free on equality rows.  When the active rows are dependent the
     multiplier set is a polytope and the minimal-norm element is returned.
     When v is outside the dual cone, <row_i, r> <= 0 on inequality rows,
     = 0 on equality rows, and <v, r> = |r|^2 > 0: r lies in the cone and
@@ -226,12 +206,9 @@ def dual_cone_decomposition(
     if v.shape != (c.dimension,):
         raise ValueError(f"vector has shape {v.shape}, expected ({c.dimension},)")
     lam, residual_vec = _solve_cone_coefficients(c, v)
-    residual = float(np.linalg.norm(residual_vec))
-    if residual > tol * (1.0 + float(np.linalg.norm(v))):
+    if float(np.linalg.norm(residual_vec)) > tol * (1.0 + float(np.linalg.norm(v))):
         return None, residual_vec
-    indices = c.eq_indices + c.ineq_indices
-    pairs = tuple(sorted((int(i), float(l)) for i, l in zip(indices, lam)))
-    return ConeCoefficients(values=pairs, residual=residual), residual_vec
+    return dict(zip(c.eq_indices + c.ineq_indices, lam.tolist())), residual_vec
 
 
 def kernel_basis(rows: np.ndarray, tol_rank: float) -> np.ndarray:

@@ -100,18 +100,6 @@ class FittedMap:
             total += term
         return total
 
-    def to_dict(self) -> dict:
-        return {
-            "target_index": self.target_index,
-            "input_indices": list(self.input_indices),
-            "exponents": [list(e) for e in self.exponents],
-            "coefficients": list(self.coefficients),
-            "center": list(self.center),
-            "base_value": self.base_value,
-            "training_radius": self.training_radius,
-            "cross_validated_residual": self.cross_validated_residual,
-        }
-
 
 @dataclass(frozen=True)
 class DependenceVerdict:
@@ -123,18 +111,6 @@ class DependenceVerdict:
     crc: CrcReport
     reconstructions: tuple[FittedMap, ...] = ()
     notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "sense": self.sense,
-            "rank_k": self.rank_k,
-            "kappa": self.kappa,
-            "pivot_indices": list(self.pivot_indices),
-            "laszlo_at_point": self.laszlo_at_point,
-            "crc": self.crc.to_dict(),
-            "reconstructions": [m.to_dict() for m in self.reconstructions],
-            "notes": list(self.notes),
-        }
 
 
 def image_dimension_probe(jacobian: SampleJacobian, tol_rank: float = 1e-8) -> int:

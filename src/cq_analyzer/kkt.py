@@ -62,26 +62,6 @@ class KktReport:
     def multiplier_dict(self) -> Optional[dict[int, float]]:
         return dict(self.multipliers) if self.multipliers is not None else None
 
-    def to_dict(self) -> dict:
-        return {
-            "dual_feasible": self.dual_feasible,
-            "multipliers": (
-                {str(i): v for i, v in self.multipliers}
-                if self.multipliers is not None
-                else None
-            ),
-            "stationarity_residual": self.stationarity,
-            "primal_value": self.primal_value,
-            "descent_certificate": (
-                list(self.descent_certificate)
-                if self.descent_certificate is not None
-                else None
-            ),
-            "descent_slope": self.descent_slope,
-            "minimal_norm_selected": self.minimal_norm_selected,
-            "active_indices": list(self.active_indices),
-        }
-
 
 def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
                pd: Optional[PointData] = None) -> KktReport:
@@ -109,9 +89,9 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
     tol = cfg.tol_cone
     cone = build_linearized_cone(pd, active)
     target = -grad
-    coeffs, residual_dir = dual_cone_decomposition(cone, target, tol)
+    lam, residual_dir = dual_cone_decomposition(cone, target, tol)
 
-    if coeffs is None:
+    if lam is None:
         norm = float(np.linalg.norm(residual_dir))
         d = residual_dir / norm
         slope = float(grad @ d)
@@ -134,10 +114,7 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
 
     rows = np.vstack([cone.eq_rows, cone.ineq_rows])
     unique = _ranks(rows[None], tol)[0][0] == rows.shape[0]
-    lam = coeffs.as_dict()
-    full = tuple(
-        (i, float(lam.get(i, 0.0))) for i in range(1, sys.n_constraints + 1)
-    )
+    full = tuple((i, lam.get(i, 0.0)) for i in range(1, sys.n_constraints + 1))
     total = grad
     for i, v in full:
         total = total + v * pd.row(i)

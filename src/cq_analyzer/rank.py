@@ -228,24 +228,6 @@ class CrcReport:
     center_unevaluable_rows: tuple[int, ...] = ()
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "kappa": self.kappa,
-            "rank_at_center": self.rank_at_center,
-            "pivot_indices": list(self.pivot_indices),
-            "singular_values_at_center": list(self.singular_values_at_center),
-            "rank_counts_by_radius": [
-                {"radius": r, "rank_counts": {str(k): c for k, c in counts}}
-                for r, counts in self.rank_counts_by_radius
-            ],
-            "witness": self.witness,
-            "skipped_points": self.skipped_points,
-            "total_points": self.total_points,
-            "center_unevaluable_rows": list(self.center_unevaluable_rows),
-            "notes": list(self.notes),
-        }
-
 
 @dataclass(frozen=True)
 class SampleJacobian:
@@ -409,17 +391,6 @@ class RcrcqReport:
     @property
     def subset_count(self) -> int:
         return len(self.subsets)
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "equality_indices": list(self.equality_indices),
-            "active_indices": list(self.active_indices),
-            "subset_count": self.subset_count,
-            "subsets": [
-                {"subset": list(j), **report.to_dict()} for j, report in self.subsets
-            ],
-        }
 
 
 def check_rcrcq(

@@ -284,19 +284,8 @@ class CorrectionTrace:
     ratio: tuple[Optional[float], ...]          # r_norms[i] / t_values[i]
     converged: tuple[bool, ...]
     decay_slope: Optional[float]                # log-log fit over converged, r != 0
-    final_residuals: tuple[float, ...]
-    initial_residuals: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "t_values": list(self.t_values),
-            "r_norms": list(self.r_norms),
-            "ratio": list(self.ratio),
-            "converged": list(self.converged),
-            "decay_slope": self.decay_slope,
-            "final_residuals": list(self.final_residuals),
-            "initial_residuals": list(self.initial_residuals),
-        }
+    final_residuals: tuple[Optional[float], ...]    # None where the base point
+    initial_residuals: tuple[Optional[float], ...]  # or an iterate left the domain
 
 
 @dataclass(frozen=True)
@@ -312,19 +301,6 @@ class TangentProbe:
     passed: bool
     hard_fail: bool
     fail_reason: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "direction": [float(v) for v in self.direction],
-            "j_set": list(self.j_set),
-            "critical_set": list(self.critical_set),
-            "trace": self.trace.to_dict(),
-            "inactive_ok": list(self.inactive_ok),
-            "inactive_eps0": self.inactive_eps0,
-            "passed": self.passed,
-            "hard_fail": self.hard_fail,
-            "fail_reason": self.fail_reason,
-        }
 
 
 def _fit_loglog_slope(ts, rs) -> Optional[float]:
@@ -473,8 +449,8 @@ def _judge_probe(
         ratio=tuple(ratios),
         converged=tuple(converged_flags),
         decay_slope=slope,
-        final_residuals=tuple(final_residuals),
-        initial_residuals=tuple(initial_residuals),
+        final_residuals=tuple(f if math.isfinite(f) else None for f in final_residuals),
+        initial_residuals=tuple(i0 if math.isfinite(i0) else None for i0 in initial_residuals),
     )
     return TangentProbe(
         direction=d,
@@ -498,15 +474,6 @@ class AbadieReport:
     probes: tuple[TangentProbe, ...]
     trivial_cone: bool
     witness: Optional[dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "cone": self.cone.to_dict(),
-            "gamma_in_T_evidence": [p.to_dict() for p in self.probes],
-            "trivial_cone": self.trivial_cone,
-            "witness": self.witness,
-        }
 
 
 def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,

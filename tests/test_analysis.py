@@ -2,13 +2,15 @@ import importlib
 import pkgutil
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cq_analyzer
-from cq_analyzer import analysis, dependence, model, rank, tangent
+from cq_analyzer import analysis, cones, dependence, model, rank, tangent
+from cq_analyzer import kkt as kkt_module
 from cq_analyzer.analysis import run_analyses, summary_line
 from cq_analyzer.config import ToolConfig
 from cq_analyzer.corpus import CORPUS, load_case
@@ -48,6 +50,49 @@ def chain():
         "chain", ("x0", "x1"), objective="x0 + x1",
         inequalities=("-x0 + x1^2", "-x1 + x0^2"),
     )
+
+
+def names(result_class, *extra) -> set:
+    """The field names of ``result_class`` and the keys ``extra``."""
+    return {f.name for f in fields(result_class)} | set(extra)
+
+
+def test_each_section_holds_its_results_fields():
+    # A section is rendered from the fields of its result: the keys are the
+    # field names but for the listed renames, and the keys analysis adds.
+    # Both inequalities are active and parallel (f2 = 2 f1 - f1^2), so the
+    # dependence section fits a map, and -grad h0 is outside the dual cone.
+    system = ConstraintSystem.from_strings(
+        "parallel", ("x1", "x2"), "x1 + x2", inequalities=("-x1", "-2*x1 - x1^2"))
+    sections = run_analyses(system, np.zeros(2), ToolConfig(), FULL, "y2 - 2*y1 + y1^2")
+    rcrcq, abadie, dep, kkt = (sections[name] for name in FULL)
+    assert set(rcrcq) == names(rank.RcrcqReport, "subset_count")
+    for crc in [dep["crc"]] + rcrcq["subsets"]:
+        assert set(crc) - {"subset"} == names(rank.CrcReport)
+        for layer in crc["rank_counts_by_radius"]:
+            assert set(layer) == {"radius", "rank_counts"}
+            assert all(type(k) is str for k in layer["rank_counts"])
+    assert [s["subset"] for s in rcrcq["subsets"]] == [[], [1], [2], [1, 2]]
+    assert set(abadie) == (names(tangent.AbadieReport, "gamma_in_T_evidence", "contradiction")
+                           - {"probes"})
+    assert set(abadie["cone"]) == names(cones.LinearizedCone)
+    assert abadie["gamma_in_T_evidence"]
+    for probe in abadie["gamma_in_T_evidence"]:
+        assert set(probe) == names(tangent.TangentProbe)
+        assert set(probe["trace"]) == names(tangent.CorrectionTrace)
+    assert set(dep) == names(dependence.DependenceVerdict, "image_dimension",
+                             "witness_relation", "witness_residual")
+    assert dep["sense"] == dependence.DEPENDENT and dep["reconstructions"]
+    for fitted in dep["reconstructions"]:
+        assert set(fitted) == names(dependence.FittedMap)
+    assert set(kkt) == names(kkt_module.KktReport, "stationarity_residual", "contradiction",
+                             "notes") - {"stationarity"}
+    assert kkt["multipliers"] is None and kkt["descent_certificate"]
+    # Where they exist, the multipliers are keyed by the constraint index as a string.
+    minimum = ConstraintSystem.from_strings("min", ("x1", "x2"), "x1", inequalities=("-x1",))
+    feasible = run_analyses(minimum, np.zeros(2), ToolConfig(), ["kkt"])["kkt"]
+    assert set(feasible) == set(kkt) - {"contradiction", "notes"}
+    assert feasible["multipliers"] == {"1": pytest.approx(1.0)}
 
 
 def test_full_analysis_checks_rcrcq_once(monkeypatch):

@@ -140,6 +140,28 @@ def test_cli_rejects_a_null_name_with_usage_exit(capsys, tmp_path):
     assert "null-name.json" in err and "name" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "abadie"])
+def test_cli_reports_a_probe_base_point_outside_the_domain(capsys, tmp_path, command):
+    # Along one kernel direction the base point x0 + 0.1*d leaves the domain
+    # of log: its trace residuals are null in the machine report, as its
+    # ||r|| is, where they used to crash the report with a non-finite value.
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps({
+        "name": "log", "variables": ["x1", "x2"], "point": [0, 0],
+        "equalities": ["x2 + 0.01*log(x1 + 0.05) - 0.01*log(0.05)"]}))
+    code, out, err = run_cli(capsys, command, str(path), "--format", "machine")
+    assert (code, err) == (0, "")
+    abadie = json.loads(out)["analyses"]["abadie"]
+    assert abadie["verdict"] == "consistent"
+    inside, outside = sorted((p["trace"] for p in abadie["gamma_in_T_evidence"]),
+                             key=lambda trace: trace["r_norms"][0] is None)
+    assert outside["r_norms"][0] is None
+    assert outside["initial_residuals"][0] is None and outside["final_residuals"][0] is None
+    residuals = (inside["initial_residuals"] + inside["final_residuals"]
+                 + outside["initial_residuals"][1:] + outside["final_residuals"][1:])
+    assert all(isinstance(r, float) for r in residuals)
+
+
 def test_cli_certifies_a_line_whose_sampled_rank_drops(capsys, tmp_path):
     # The gradient 1 - 10x vanishes at x = 0.1, a sample point of the largest
     # radius, so 16 points there have rank 0.  The rank at 0 is 1 (LICQ), and

@@ -164,16 +164,15 @@ def test_nnls_zero_rhs():
 
 def test_dual_member_zero_vector():
     cone = make_cone([[1.0, 0.0]], [[0.0, -1.0]])
-    coeffs = dual_cone_decomposition(cone, [0.0, 0.0], 1e-8)[0]
-    assert coeffs is not None
-    assert all(abs(v) <= 1e-10 for _, v in coeffs.values)
+    lam = dual_cone_decomposition(cone, [0.0, 0.0], 1e-8)[0]
+    assert lam is not None and sorted(lam) == [1, 2]
+    assert all(abs(v) <= 1e-10 for v in lam.values())
 
 
 def test_dual_member_hand_expansion():
     cone = make_cone([], [[-1.0, 0.0], [0.0, -1.0]])
-    coeffs = dual_cone_decomposition(cone, [-1.0, -1.0], 1e-8)[0]
-    assert coeffs is not None
-    lam = coeffs.as_dict()
+    lam = dual_cone_decomposition(cone, [-1.0, -1.0], 1e-8)[0]
+    assert lam is not None
     assert lam[1] == pytest.approx(1.0, abs=1e-9)
     assert lam[2] == pytest.approx(1.0, abs=1e-9)
 
@@ -187,8 +186,7 @@ def test_dual_member_minimal_norm_duplicate_rows():
     # rows (-1) and (-2); v = -1 has solutions {l1 + 2 l2 = 1, l >= 0};
     # min |l| is the projection (0.2, 0.4) (closed form; grid-checked below).
     cone = make_cone([], [[-1.0], [-2.0]])
-    coeffs = dual_cone_decomposition(cone, [-1.0], 1e-8)[0]
-    lam = coeffs.as_dict()
+    lam = dual_cone_decomposition(cone, [-1.0], 1e-8)[0]
     assert lam[1] == pytest.approx(0.2, abs=1e-8)
     assert lam[2] == pytest.approx(0.4, abs=1e-8)
     grid = [(l1, (1.0 - l1) / 2.0) for l1 in np.linspace(0.0, 1.0, 2001)]
@@ -198,19 +196,17 @@ def test_dual_member_minimal_norm_duplicate_rows():
 
 def test_dual_member_free_equality_coefficient():
     cone = make_cone([[2.0, 0.0]], [])
-    coeffs = dual_cone_decomposition(cone, [-1.0, 0.0], 1e-8)[0]
-    assert coeffs is not None
-    assert coeffs.as_dict()[1] == pytest.approx(-0.5, abs=1e-9)
+    lam = dual_cone_decomposition(cone, [-1.0, 0.0], 1e-8)[0]
+    assert lam is not None
+    assert lam[1] == pytest.approx(-0.5, abs=1e-9)
 
 
 def test_dual_member_no_rows():
     # With no row the residual is v itself, bit for bit (-0.0 included).
     cone = make_cone([], [], n=2)
     for v, member in (([0.0, -0.0], True), ([1.0, -0.0], False)):
-        coeffs, residual = dual_cone_decomposition(cone, v, 1e-8)
-        assert (coeffs is not None) == member
-        if member:
-            assert coeffs.values == ()
+        lam, residual = dual_cone_decomposition(cone, v, 1e-8)
+        assert lam == ({} if member else None)
         assert residual.view(np.int64).tolist() == np.array(v).view(np.int64).tolist()
 
 
@@ -244,8 +240,8 @@ def test_farkas_consistency_property():
         faces = face_directions(cone, 24, 1e-8)
         for _ in range(100):
             v = rng.standard_normal(n)
-            coeffs = dual_cone_decomposition(cone, v, 1e-8)[0]
-            if coeffs is None:
+            lam = dual_cone_decomposition(cone, v, 1e-8)[0]
+            if lam is None:
                 continue
             for _, d in faces:
                 assert float(v @ d) <= 1e-6
@@ -254,8 +250,8 @@ def test_farkas_consistency_property():
 def test_residual_direction_certifies_exclusion():
     cone = make_cone([], [[-1.0, 0.0]])
     v = np.array([1.0, 0.5])
-    coeffs, r = dual_cone_decomposition(cone, v, 1e-8)
-    assert coeffs is None
+    lam, r = dual_cone_decomposition(cone, v, 1e-8)
+    assert lam is None
     assert np.linalg.norm(r) > 1e-6
     assert cone_member(cone, r / np.linalg.norm(r), 1e-8)
     assert float(v @ r) > 0.0

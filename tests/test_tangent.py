@@ -12,6 +12,7 @@ from one_point_oracle import (
 )
 
 from cq_analyzer import tangent
+from cq_analyzer.analysis import _render
 from cq_analyzer.cones import build_linearized_cone, face_directions
 from cq_analyzer.config import DIRECTION_COUNT, ToolConfig
 from cq_analyzer.expr import Expression
@@ -175,7 +176,7 @@ def test_probes_evaluate_and_rank_the_base_points_once_per_critical_set(monkeypa
     assert sorted(ranked) == sorted((len(p), len(j), 3) for j, p in bases.items())
     monkeypatch.undo()
     alone = [_probe_directions(sys, pd, [face], CFG)[0] for face in faces]
-    assert [p.to_dict() for p in batched] == [p.to_dict() for p in alone]
+    assert _render(batched) == _render(alone)
 
 
 def test_equality_projection_evaluates_each_iterate_once(monkeypatch):
