@@ -138,8 +138,7 @@ def _run_corpus_command(args) -> int:
 
     if args.corpus_command == "list":
         for name in sorted(CORPUS):
-            case = CORPUS[name]
-            sys.stdout.write(f"{name}: {case.description}\n")
+            sys.stdout.write(f"{name}: {CORPUS[name]['description']}\n")
         return EXIT_OK
     cfg = _config_from_args(args, ToolConfig())
     if args.which != "all" and args.which not in CORPUS:

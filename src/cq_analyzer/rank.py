@@ -71,7 +71,8 @@ def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult | tuple[Rank
     relative to the original row norm, projecting out each chosen row; ties
     keep the lowest index.  The relative normalization makes the selection
     invariant under row scaling, matching the scale invariance of the rank
-    itself.
+    itself.  A row whose norm is at most ``tol_rank * sigma_max``, which the
+    rank counts as zero, is picked only when too few other rows remain.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim not in (2, 3):
@@ -79,10 +80,11 @@ def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult | tuple[Rank
     stack = rows[None] if rows.ndim == 2 else rows
     ranks, sigma = _ranks(stack, tol_rank)
     nonzero = stack.any(axis=(1, 2)).tolist()
+    floor = tol_rank * sigma.max(axis=1, initial=0.0)
     results = tuple(
         RankResult(k, tuple(sig) if nz else (), piv)
         for k, sig, nz, piv in zip(ranks.tolist(), sigma.tolist(), nonzero,
-                                   _select_pivots(stack, ranks))
+                                   _select_pivots(stack, ranks, floor))
     )
     return results[0] if rows.ndim == 2 else results
 
@@ -114,7 +116,8 @@ def _row_norms(stack: np.ndarray) -> np.ndarray:
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
-def _select_pivots(stack: np.ndarray, ranks: np.ndarray) -> list[tuple[int, ...]]:
+def _select_pivots(stack: np.ndarray, ranks: np.ndarray,
+                   floor: np.ndarray) -> list[tuple[int, ...]]:
     """Greedy pivot rows of every matrix of a (P, m, n) stack, one step for
     all matrices that still need a pivot at a time.  While every matrix
     needs one, a step works on the whole stack in place; after that it
@@ -124,12 +127,16 @@ def _select_pivots(stack: np.ndarray, ranks: np.ndarray) -> list[tuple[int, ...]
     entry into [0.5, 1).  That is exact, and the choice is invariant under
     row scaling, so no square under- or overflows for rows far from 1.  A
     row whose entries are all subnormal still counts as zero: the
-    pseudoinverse of a pivot on it would overflow."""
+    pseudoinverse of a pivot on it would overflow.  So does a row whose norm
+    is at most its matrix's ``floor`` (P,), ``tol_rank * sigma_max``: the
+    rank counts it as zero.  A zero row is picked only when no other row has
+    a residual left, the lowest index first."""
     count, m, _ = stack.shape
     peak = np.abs(stack).max(axis=-1, initial=0.0)
-    residual = np.ldexp(stack, -np.frexp(peak)[1][..., None])
+    exponent = np.frexp(peak)[1]
+    residual = np.ldexp(stack, -exponent[..., None])
     norms = _row_norms(residual)
-    nonzero = peak >= _TINY
+    nonzero = (peak >= _TINY) & (np.ldexp(norms, exponent) > floor[:, None])
     chosen = np.zeros((count, int(ranks.max(initial=0))), dtype=int)
     taken = np.zeros((count, m), dtype=bool)
     every, everyone = np.arange(count), (ranks.min() if count else 0)

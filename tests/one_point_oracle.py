@@ -74,7 +74,7 @@ def numerical_rank(rows: np.ndarray, tol_rank: float) -> RankResult:
     """Rank and pivot rows of one small dense matrix."""
     rows = np.asarray(rows, dtype=float)
     rank, sigma = _rank(rows, tol_rank)
-    pivots = _select_pivots(rows, rank)
+    pivots = _select_pivots(rows, rank, tol_rank * sigma.max(initial=0.0))
     return RankResult(rank, tuple(float(s) for s in sigma), pivots)
 
 
@@ -90,17 +90,19 @@ def _rank(rows: np.ndarray, tol_rank: float) -> tuple[int, np.ndarray]:
     return int(np.sum(sigma > tol_rank * sigma[0])), sigma
 
 
-def _select_pivots(rows: np.ndarray, rank: int) -> tuple[int, ...]:
+def _select_pivots(rows: np.ndarray, rank: int, floor: float) -> tuple[int, ...]:
     # Each row scaled exactly by a power of two, its largest entry in
-    # [0.5, 1); a row of subnormal entries counts as zero.
+    # [0.5, 1); a row of subnormal entries, or of norm at most ``floor``,
+    # counts as zero.
     peak = np.abs(rows).max(axis=1, initial=0.0)
-    rows = np.ldexp(rows, -np.frexp(peak)[1][:, None])
+    exponent = np.frexp(peak)[1]
+    rows = np.ldexp(rows, -exponent[:, None])
     norms = np.linalg.norm(rows, axis=1)
+    nonzero = (peak >= np.finfo(float).tiny) & (np.ldexp(norms, exponent) > floor)
     residual = rows.copy()
     chosen: list[int] = []
     for _ in range(rank):
         rel = np.zeros(len(rows))
-        nonzero = peak >= np.finfo(float).tiny
         rel[nonzero] = np.linalg.norm(residual[nonzero], axis=1) / norms[nonzero]
         rel[chosen] = -1.0
         best = int(np.argmax(rel))  # argmax keeps the lowest index on ties

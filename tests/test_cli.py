@@ -19,7 +19,7 @@ from cq_analyzer.report import machine_dumps
 
 
 def corpus_file(name):
-    return str(corpus_path(CORPUS[name].filename))
+    return str(corpus_path(f"{name}.json"))
 
 
 def run_cli(capsys, *argv):

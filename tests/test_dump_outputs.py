@@ -17,13 +17,14 @@ def test_dump_of_one_seed_holds_every_command_and_exit_code(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     names = sorted(p.name for p in outdir.iterdir())
-    # corpus in two formats and once with every flag, analyze in text on the
-    # 9 corpus files, then 2 rounds x (4 chains + 6 manifolds) x 4 outputs,
-    # one problem with every option, the help of 9 parsers, and 3 outputs of
-    # each of the 6 edge problems.
-    assert len(names) == 3 + 9 + 2 * 10 * 4 + 1 + 9 + 6 * 3
+    # corpus list, corpus run in two formats and once with every flag,
+    # analyze in text on the 9 corpus problem files, then 2 rounds x
+    # (4 chains + 6 manifolds) x 4 outputs, one problem with every option,
+    # the help of 9 parsers, and 3 outputs of each of the 6 edge problems.
+    assert len(names) == 4 + 9 + 2 * 10 * 4 + 1 + 9 + 6 * 3
     assert "corpus.text.txt" in names and "analyze-manifold-s5150-r1-5.dependence.txt" in names
-    assert {"corpus.flags.txt", "analyze-manifold-s5150-r0-0.options.analyze.txt",
+    assert {"corpus.flags.txt", "corpus.list.text.txt",
+            "analyze-manifold-s5150-r0-0.options.analyze.txt",
             "corpus-file.circle-point.analyze.text.txt",
             "rcrcq-chain-s5150-r1-3.analyze.text.txt", "help.text.txt",
             "help.corpus.run.text.txt", "edge-negative-zero.analyze.machine.txt",

@@ -248,11 +248,11 @@ def test_failed_descent_certificate_is_an_error_section(monkeypatch, capsys):
     from cq_analyzer import kkt
     from cq_analyzer.analysis import exit_code_for
     from cq_analyzer.cli import main
-    from cq_analyzer.corpus import CORPUS, corpus_path
+    from cq_analyzer.corpus import corpus_path
     from cq_analyzer.problem import load_problem_file
 
     monkeypatch.setattr(kkt, "cone_member", lambda cone, d, tol: False)
-    path = str(corpus_path(CORPUS["sign-obstructed"].filename))
+    path = str(corpus_path("sign-obstructed.json"))
     pf = load_problem_file(path)
     with pytest.raises(kkt.CertificateVerificationError):
         kkt_report(pf.system, pf.x0, CFG)

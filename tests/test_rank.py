@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -69,6 +70,25 @@ def test_rank_pivots_do_not_depend_on_row_scale(factors):
     assert result.pivot_indices == (1, 3)
     assert [r.pivot_indices for r in numerical_rank(np.stack([rows, rows[::-1]]), 1e-8)] \
         == [(1, 3), (1, 2)]
+
+
+def test_rank_pivots_skip_a_row_the_rank_counts_as_zero():
+    # Row 1 lies below tol_rank * sigma_max; its relative residual (1) ties
+    # row 2's, but a pivot on it would stand for a direction of rank zero.
+    result = numerical_rank(np.array([[1e-20, 0.0], [0.0, 1.0]]), 1e-8)
+    assert result.rank == 1
+    assert result.pivot_indices == (2,)
+
+
+def test_rank_pivots_fall_back_to_low_rows_when_too_few_rows_clear_the_floor():
+    # Rows 2 and 3 are each below the floor 1e-8, yet together give
+    # sigma_2 = 1.27e-8 > 1e-8; the lowest-index one fills the second pivot.
+    rows = np.array([[1.0, 0.0], [0.0, 0.9e-8], [0.0, 0.9e-8]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = numerical_rank(rows, 1e-8)
+    assert result.rank == 2
+    assert result.pivot_indices == (1, 2)
 
 
 def test_rank_exhaustive_pair_oracle():

@@ -83,6 +83,16 @@ def test_correct_parallel_rows_pivot_already_satisfied():
     assert np.linalg.norm(result.r) == 0.0
 
 
+def test_correct_pivots_on_the_row_the_rank_keeps():
+    # J = {1e-20*x1, x2} has rank 1; a pivot on the 1e-20 row would stall
+    # the Gauss-Newton steps, the row x2 settles x2 = 0 in one.
+    sys = make(eqs=["1e-20*x1", "x2"])
+    result = _correct_lockstep(sys, [0.0, 0.0], (0.1,), [((1, 2), [0.0, 1.0], None)], CFG)[0][0]
+    assert result.converged
+    assert result.iterations == 1
+    assert result.final_residual == 0.0
+
+
 def test_correct_empty_j_set():
     sys = make(ins=["-x1"])
     result = _correct_lockstep(sys, [0.0, 0.0], (1e-2,), [((), [1.0, 0.0], None)], CFG)[0][0]

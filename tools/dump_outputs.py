@@ -5,14 +5,15 @@
 Writes one file per command to OUTDIR, holding the exit code on its first
 line and then everything the command wrote:
 
-- ``corpus run all`` in text and in machine format;
+- ``corpus list``, and ``corpus run all`` in text and in machine format;
 - ``corpus run all`` in machine format with every option flag set to a
   non-default value (``FLAGS``);
 - ``analyze``, ``rcrcq`` and ``dependence`` in machine format, and
   ``analyze`` in text format, on every problem of rounds 0 and 1 of both
   generated workloads of ``perfbench`` (``workloads.round_problems``), for
   each seed (default 5150);
-- ``analyze`` in text format on each bundled corpus file;
+- ``analyze`` in text format on each bundled corpus problem file (not on
+  the ``*.golden.json`` files beside them);
 - ``analyze`` in machine format on the first ``analyze-manifold`` problem of
   each seed with an ``options`` block that sets every option key
   (``OPTIONS``);
@@ -115,9 +116,12 @@ def dump(cli, src: Path, seeds: list[int], outdir: Path) -> int:
     outputs = {f"corpus.{fmt}": ["corpus", "run", "all", "--format", fmt]
                for fmt in ("text", "machine")}
     outputs["corpus.flags"] = ["corpus", "run", "all", "--format", "machine", *FLAGS]
+    outputs["corpus.list.text"] = ["corpus", "list"]
     for command in HELP:
         outputs[".".join(["help", *command, "text"])] = [*command, "--help"]
     for path in sorted((src / "cq_analyzer" / "corpus").glob("*.json")):
+        if path.name.endswith(".golden.json"):
+            continue
         outputs[f"corpus-file.{path.stem}.analyze.text"] = [
             "analyze", str(path), "--format", "text"]
     with tempfile.TemporaryDirectory() as problems:
