@@ -50,9 +50,7 @@ from .rank import (
 )
 from .tangent import CONSISTENT, VIOLATED, InfeasibleBasePointError, abadie_verdict
 
-__all__ = ["ALL_ANALYSES", "exit_code_for", "run_analyses", "section_verdict", "summary_line"]
-
-ALL_ANALYSES = ("rcrcq", "abadie", "dependence", "kkt")
+__all__ = ["exit_code_for", "run_analyses", "section_verdict", "summary_line"]
 
 ERROR = "error"
 MULTIPLIERS_EXIST = "multipliers-exist"
@@ -146,7 +144,7 @@ def _run_rcrcq(run: _Run) -> dict:
     rows = sys.equality_indices + active
     if jacobian is None:
         # No other analysis reads the plan: sample only the rows RCRCQ ranks.
-        jacobian = sample_jacobian([sys.constraint(i) for i in rows], cfg.sampler(run.x0))
+        jacobian = sample_jacobian([sys.constraint(i) for i in rows], run.x0, cfg)
     else:
         jacobian = jacobian.select([i - 1 for i in rows])
     report = check_rcrcq(sys, active, jacobian, cfg.tol_rank)
@@ -211,7 +209,7 @@ def run_analyses(
     x0 = np.asarray(x0, dtype=float)
     jacobian = None
     if "dependence" in which:
-        jacobian = sample_jacobian(list(sys.all_constraints), cfg.sampler(x0))
+        jacobian = sample_jacobian(list(sys.all_constraints), x0, cfg)
     run = _Run(sys, x0, cfg, jacobian, witness_relation)
     sections: dict = {}
     for name in which:

@@ -19,19 +19,18 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import replace
+import traceback
 from pathlib import Path
 
 from . import __version__
 from .analysis import exit_code_for, run_analyses, summary_line
-from .config import ToolConfig
 from .problem import OPTIONS, ProblemFileError, load_problem_file, resolve_options
 from .report import REPORT_VERSION, emit_report
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70  # EX_SOFTWARE: an internal error, never a verdict
 
 _ANALYSIS_COMMANDS = {
     "analyze": None,  # resolved per problem: everything applicable
@@ -57,18 +56,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _common_flags() -> _Parser:
-    """The flags every analysis and ``corpus run`` take, as a parent parser."""
+    """The flags every analysis and ``corpus run`` take, as a parent parser:
+    one per option key that has a flag, then ``--format``."""
     p = _Parser(add_help=False)
-    p.add_argument("--tol-rank", type=float, default=None, help="relative SVD rank cutoff (default 1e-8)")
-    p.add_argument("--tol-active", type=float, default=None, help="activity tolerance (default 1e-8)")
-    p.add_argument("--tol-feas", type=float, default=None, help="feasibility tolerance (default 1e-8)")
-    p.add_argument("--tol-cone", type=float, default=None, help="cone membership tolerance (default 1e-8)")
-    p.add_argument("--seed", type=int, default=None, help="sampler seed (default 42; env CQ_ANALYZER_SEED)")
-    p.add_argument("--radii", default=None, help="radius schedule start:end:xFACTOR (default 1e-1:1e-5:x10)")
-    p.add_argument("--samples", type=int, default=None, help="samples per radius (default 32)")
-    p.add_argument("--t-schedule", default=None, help="corrector t schedule (default 1e-1:1e-5:x10)")
-    p.add_argument("--ratio-tol", type=float, default=None, help="pass bound on final ||r||/t (default 1e-3)")
+    for key, (_, _, flag) in OPTIONS.items():
+        if flag is not None:
+            kind, text = flag
+            p.add_argument(_flag(key), type=kind, default=None, help=text)
     p.add_argument("--format", choices=("text", "machine"), default="text", help="report format")
     return p
 
@@ -95,10 +94,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args, file_options_cfg: ToolConfig) -> ToolConfig:
-    """Apply the given flags, checked by the option table, on top of the file's."""
+def _flag_settings(args) -> dict:
+    """The :class:`ToolConfig` updates of the given flags and of
+    ``CQ_ANALYZER_SEED``, each checked by the option table."""
     given = {key: getattr(args, key) for key in OPTIONS if getattr(args, key, None) is not None}
-    updates = resolve_options(given, lambda key: "--" + key.replace("_", "-"))
+    updates = resolve_options(given, _flag)
     env_seed = os.environ.get("CQ_ANALYZER_SEED")
     if "seed" not in given and env_seed:
         try:
@@ -106,13 +106,13 @@ def _config_from_args(args, file_options_cfg: ToolConfig) -> ToolConfig:
         except ValueError as err:
             raise _UsageError(f"CQ_ANALYZER_SEED must be an integer: {err}") from err
         updates.update(resolve_options({"seed": seed}, lambda _: "CQ_ANALYZER_SEED"))
-    return replace(file_options_cfg, **updates)
+    return updates
 
 
 def _run_file_command(args) -> int:
     pf = load_problem_file(args.file)
     system = pf.system
-    cfg = _config_from_args(args, pf.config(ToolConfig()))
+    cfg = pf.config(_flag_settings(args))
     which = _ANALYSIS_COMMANDS[args.command]
     if which is None:
         which = ["rcrcq", "abadie"]
@@ -140,12 +140,12 @@ def _run_corpus_command(args) -> int:
         for name in sorted(CORPUS):
             sys.stdout.write(f"{name}: {CORPUS[name]['description']}\n")
         return EXIT_OK
-    cfg = _config_from_args(args, ToolConfig())
+    flags = _flag_settings(args)
     if args.which != "all" and args.which not in CORPUS:
         raise _UsageError(
             f"unknown corpus case '{args.which}'; see 'cq-analyzer corpus list'"
         )
-    report = run_all(cfg, None if args.which == "all" else [args.which])
+    report = run_all(flags, None if args.which == "all" else [args.which])
     sys.stdout.write(emit_report(report, args.format))
     return EXIT_OK if report["all_pass"] else EXIT_NEGATIVE
 
@@ -166,7 +166,15 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """The ``cq-analyzer`` script: :func:`main`, except that an uncaught
+    exception prints its traceback and exits 70, not Python's 1, which a
+    script would read as violated or refuted."""
+    try:
+        code = main()
+    except Exception:
+        traceback.print_exc()
+        code = EXIT_SOFTWARE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .rank import DEFAULT_RADII, NeighborhoodSampler
-
 __all__ = [
-    "CORRECTOR_MAX_ITER", "CORRECTOR_TOL", "DEFAULT_T_SCHEDULE", "DIRECTION_COUNT",
-    "FIT_TOLERANCE_REL", "T_SCHEDULE_TAIL", "ToolConfig",
+    "CORRECTOR_MAX_ITER", "CORRECTOR_TOL", "DEFAULT_RADII", "DEFAULT_T_SCHEDULE",
+    "DIRECTION_COUNT", "FIT_TOLERANCE_REL", "T_SCHEDULE_TAIL", "ToolConfig",
 ]
 
+DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 DEFAULT_T_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 # The tangent probe judges convergence and safety on this many smallest t.
 T_SCHEDULE_TAIL = 3
@@ -45,14 +44,6 @@ class ToolConfig:
     ratio_tol: float = 1e-3
     fit_degree: int = 3
     assert_local_min: bool = False
-
-    def sampler(self, center) -> NeighborhoodSampler:
-        return NeighborhoodSampler(
-            center=tuple(float(c) for c in center),
-            radii=self.radii,
-            samples_per_radius=self.samples_per_radius,
-            seed=self.seed,
-        )
 
     def to_dict(self) -> dict:
         """The settings and the fixed constants, as the report snapshots them."""

@@ -19,7 +19,6 @@ from typing import Sequence
 
 from . import __version__
 from .analysis import run_analyses, section_verdict
-from .config import ToolConfig
 from .problem import ProblemFile, load_problem_file
 from .report import REPORT_VERSION
 
@@ -134,10 +133,12 @@ def load_case(name: str) -> tuple[dict, ProblemFile]:
         return CORPUS[name], load_problem_file(path)
 
 
-def run_case(name: str, base_cfg: ToolConfig | None = None) -> dict:
-    """Re-analyze one bundled case and compare against its golden verdicts."""
+def run_case(name: str, flags: dict | None = None) -> dict:
+    """Re-analyze one bundled case and compare against its golden verdicts.
+    ``flags`` are the command line's settings, applied after the case's own
+    (:meth:`~cq_analyzer.problem.ProblemFile.config`)."""
     golden, pf = load_case(name)
-    cfg = pf.config(base_cfg or ToolConfig())
+    cfg = pf.config(flags)
     sections = run_analyses(pf.system, pf.x0, cfg, golden["analyses"],
                             golden.get("witness_relation"))
 
@@ -160,10 +161,10 @@ def run_case(name: str, base_cfg: ToolConfig | None = None) -> dict:
     }
 
 
-def run_all(base_cfg: ToolConfig | None = None, names: Sequence[str] | None = None) -> dict:
+def run_all(flags: dict | None = None, names: Sequence[str] | None = None) -> dict:
     """Run the bundled cases ``names``, by default every case in name order;
     the report is byte-stable across identical runs."""
-    cases = {name: run_case(name, base_cfg) for name in names or sorted(CORPUS)}
+    cases = {name: run_case(name, flags) for name in names or sorted(CORPUS)}
     return {
         "report_version": REPORT_VERSION,
         "tool": {"name": "cq-analyzer", "version": __version__},

@@ -113,7 +113,7 @@ class DependenceVerdict:
     notes: tuple[str, ...] = ()
 
 
-def image_dimension_probe(jacobian: SampleJacobian, tol_rank: float = 1e-8) -> int:
+def image_dimension_probe(jacobian: SampleJacobian, tol_rank: float) -> int:
     """Heuristic dimension of the local image of f near the center x0.
 
     Principal-component count of {f(x) - f(x0)} over the smallest-radius
@@ -170,7 +170,7 @@ def reconstruct_dependent(
     jacobian: SampleJacobian,
     pivot_indices: Sequence[int],
     target_index: int,
-    degree: int = 3,
+    degree: int,
 ) -> FittedMap:
     """Fit f_target as a polynomial of total degree <= ``degree`` in the pivot
     function values near the center x0 of ``jacobian``'s sample plan.
@@ -229,7 +229,7 @@ def reconstruct_dependent(
 def classify_dependence(
     jacobian: SampleJacobian,
     tol_rank: float,
-    fit_degree: int = 3,
+    fit_degree: int,
     crc: Optional[CrcReport] = None,
 ) -> DependenceVerdict:
     """Classify the family as independent / dependent-with-relation / inconclusive.

@@ -4,15 +4,15 @@ Keys: name, variables, objective (optional), equalities, inequalities,
 point, options (tolerance/sampler overrides), assert_local_min.  Expression
 strings use the expression-language grammar.  Option keys are restricted to
 the documented set in :data:`OPTIONS`, which also checks each value; the
-command-line flags resolve through the same table, so that typos and bad
-values cannot silently change an analysis.
+command-line flags are made from and resolve through the same table, so
+that typos and bad values cannot silently change an analysis.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
@@ -94,18 +94,23 @@ def _integer(least: int, value) -> int:
     return value
 
 
-# Option key -> (ToolConfig field, check returning the value to set).
-OPTIONS: dict[str, tuple[str, Callable]] = {
-    "tol_rank": ("tol_rank", _unit_interval),
-    "tol_active": ("tol_active", _positive),
-    "tol_feas": ("tol_feas", _positive),
-    "tol_cone": ("tol_cone", _unit_interval),
-    "seed": ("seed", partial(_integer, 0)),
-    "radii": ("radii", lambda value: parse_schedule(value)),
-    "samples": ("samples_per_radius", partial(_integer, 1)),
-    "t_schedule": ("t_schedule", lambda value: parse_schedule(value, T_SCHEDULE_TAIL)),
-    "ratio_tol": ("ratio_tol", _positive),
-    "fit_degree": ("fit_degree", partial(_integer, 1)),
+# Option key -> (ToolConfig field, check returning the value to set, and the
+# flag --key's (type, help), or None for a key without a flag).
+OPTIONS: dict[str, tuple[str, Callable, Optional[tuple[type, str]]]] = {
+    "tol_rank": ("tol_rank", _unit_interval, (float, "relative SVD rank cutoff (default 1e-8)")),
+    "tol_active": ("tol_active", _positive, (float, "activity tolerance (default 1e-8)")),
+    "tol_feas": ("tol_feas", _positive, (float, "feasibility tolerance (default 1e-8)")),
+    "tol_cone": ("tol_cone", _unit_interval, (float, "cone membership tolerance (default 1e-8)")),
+    "seed": ("seed", partial(_integer, 0),
+             (int, "sampler seed (default 42; env CQ_ANALYZER_SEED)")),
+    "radii": ("radii", lambda value: parse_schedule(value),
+              (str, "radius schedule start:end:xFACTOR (default 1e-1:1e-5:x10)")),
+    "samples": ("samples_per_radius", partial(_integer, 1),
+                (int, "samples per radius (default 32)")),
+    "t_schedule": ("t_schedule", lambda value: parse_schedule(value, T_SCHEDULE_TAIL),
+                   (str, "corrector t schedule (default 1e-1:1e-5:x10)")),
+    "ratio_tol": ("ratio_tol", _positive, (float, "pass bound on final ||r||/t (default 1e-3)")),
+    "fit_degree": ("fit_degree", partial(_integer, 1), None),
 }
 
 
@@ -116,7 +121,7 @@ def resolve_options(options: dict, label: Callable[[str], str]) -> dict:
     """
     updates = {}
     for key, value in options.items():
-        field, check = OPTIONS[key]
+        field, check, _ = OPTIONS[key]
         try:
             updates[field] = check(value)
         except ProblemFileError as err:
@@ -135,9 +140,12 @@ class ProblemFile:
     def x0(self) -> np.ndarray:
         return np.asarray(self.point, dtype=float)
 
-    def config(self, base: ToolConfig) -> ToolConfig:
-        """Apply this file's settings on top of ``base``."""
-        return replace(base, **self.settings)
+    def config(self, flags: Optional[dict] = None) -> ToolConfig:
+        """The settings in force, in the one order every command applies:
+        the defaults, then this file's settings, then ``flags``, the
+        :class:`ToolConfig` updates of the command-line flags and
+        ``CQ_ANALYZER_SEED``."""
+        return ToolConfig(**{**self.settings, **(flags or {})})
 
 
 def parse_schedule(spec, min_length: int = 1) -> tuple[float, ...]:

@@ -20,13 +20,12 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random import PCG64, Generator
 
+from .config import ToolConfig
 from .expr import Expression
 from .model import ConstraintSystem, evaluate_rows
 
 __all__ = [
     "CrcReport",
-    "DEFAULT_RADII",
-    "NeighborhoodSampler",
     "RankResult",
     "RcrcqReport",
     "SampleJacobian",
@@ -35,9 +34,8 @@ __all__ = [
     "check_rcrcq",
     "numerical_rank",
     "sample_jacobian",
+    "sample_plan",
 ]
-
-DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 
 CERTIFIED = "certified-by-sampling"
 REFUTED = "refuted"
@@ -166,57 +164,43 @@ def _nonzero_normal(rng: Generator, n: int) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class NeighborhoodSampler:
-    """Deterministic seeded sphere samples around a center, per radius.
+def sample_plan(center: Sequence[float], radii: Sequence[float], samples_per_radius: int,
+                seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic seeded sphere samples around ``center``, per radius.
 
-    Identical fields always produce the identical point sequence; every
-    emitted point lies within the largest radius of the center.  Points are
-    ordered by (radius descending, sample index).
+    Returns ``(radius, points)``, shaped (1+P,) and (1+P, n): row 0 is the
+    center at radius 0, then ``samples_per_radius`` points per radius,
+    radii descending.  Identical arguments always give the identical points,
+    and every point lies within the largest radius of the center.
+
+    Each radius layer is one draw of ``samples_per_radius`` normal vectors,
+    the same stream as one draw per point.  A zero vector, which is
+    essentially impossible, is redrawn: the layer is then drawn again one
+    point at a time from the state it started from.
     """
-
-    center: tuple[float, ...]
-    radii: tuple[float, ...] = DEFAULT_RADII
-    samples_per_radius: int = 32
-    seed: int = 42
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        radii = tuple(float(r) for r in self.radii)
-        if not radii or any(r <= 0 for r in radii):
-            raise ValueError("radii must be positive")
-        if any(a <= b for a, b in zip(radii, radii[1:])):
-            raise ValueError("radii must be strictly descending")
-        if not self.center:
-            # A zero-dimensional normal vector is always zero: it could never be redrawn.
-            raise ValueError("the center needs at least one coordinate")
-        object.__setattr__(self, "radii", radii)
-
-    def plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(radius, points)``, shaped (1+P,) and (1+P, n): row 0 is the
-        center at radius 0, then ``samples_per_radius`` points per radius,
-        radii descending.
-
-        Each radius layer is one draw of ``samples_per_radius`` normal
-        vectors, the same stream as one draw per point.  A zero vector, which
-        is essentially impossible, is redrawn: the layer is then drawn again
-        one point at a time from the state it started from.
-        """
-        rng = Generator(PCG64(int(self.seed)))
-        center = np.asarray(self.center)
-        shape = (self.samples_per_radius, len(center))
-        points = [center[None]]
-        for r in self.radii:
-            state = rng.bit_generator.state
-            g = rng.standard_normal(shape)
+    center = np.array([float(c) for c in center])
+    radii = tuple(float(r) for r in radii)
+    if not radii or any(r <= 0 for r in radii):
+        raise ValueError("radii must be positive")
+    if any(a <= b for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly descending")
+    if not len(center):
+        # A zero-dimensional normal vector is always zero: it could never be redrawn.
+        raise ValueError("the center needs at least one coordinate")
+    rng = Generator(PCG64(int(seed)))
+    shape = (samples_per_radius, len(center))
+    points = [center[None]]
+    for r in radii:
+        state = rng.bit_generator.state
+        g = rng.standard_normal(shape)
+        norms = _norms(g)
+        if not norms.all():
+            rng.bit_generator.state = state
+            g = np.array([_nonzero_normal(rng, shape[1]) for _ in range(shape[0])])
             norms = _norms(g)
-            if not norms.all():
-                rng.bit_generator.state = state
-                g = np.array([_nonzero_normal(rng, shape[1]) for _ in range(shape[0])])
-                norms = _norms(g)
-            points.append(center + (r / norms)[:, None] * g)
-        radius = np.repeat((0.0,) + self.radii, [1] + [shape[0]] * len(self.radii))
-        return radius, np.concatenate(points)
+        points.append(center + (r / norms)[:, None] * g)
+    radius = np.repeat((0.0,) + radii, [1] + [shape[0]] * len(radii))
+    return radius, np.concatenate(points)
 
 
 @dataclass(frozen=True)
@@ -239,7 +223,7 @@ class CrcReport:
 @dataclass(frozen=True)
 class SampleJacobian:
     """Values and gradient rows of one function family at every point of a
-    sampler's plan: row 0 is the center, at radius 0, then the sample points,
+    sample plan: row 0 is the center, at radius 0, then the sample points,
     radii descending.
 
     ``values[p]`` and ``rows[p]`` are the (kappa,) values and the (kappa, n)
@@ -274,11 +258,12 @@ class SampleJacobian:
 
 
 def sample_jacobian(
-    functions: Sequence[Expression], sampler: NeighborhoodSampler
+    functions: Sequence[Expression], center: Sequence[float], cfg: ToolConfig
 ) -> SampleJacobian:
-    """Evaluate every function once at each point of the sampler's plan, the
-    center included, in one :func:`~cq_analyzer.model.evaluate_rows` call."""
-    radius, points = sampler.plan()
+    """Evaluate every function once at each point of the sample plan of
+    ``cfg`` around ``center`` (:func:`sample_plan`), the center included, in
+    one :func:`~cq_analyzer.model.evaluate_rows` call."""
+    radius, points = sample_plan(center, cfg.radii, cfg.samples_per_radius, cfg.seed)
     values, rows, errors = evaluate_rows(functions, points)
     failed = np.zeros(values.shape, dtype=bool)
     for p, i in errors:
@@ -419,9 +404,10 @@ def check_rcrcq(
     active = tuple(sorted(active))
     if len(active) > MAX_ACTIVE:
         raise SubsetGuardError(
-            f"|I(x0)| = {len(active)} active constraints would require "
-            f"2^{len(active)} subset checks; raise the activity tolerance or "
-            "analyze an explicit subset list instead"
+            f"|I(x0)| = {len(active)} active constraints, more than the "
+            f"{MAX_ACTIVE} whose 2^|I(x0)| subsets RCRCQ checks; a lower "
+            "tol_active (--tol-active) leaves out inequalities that are only "
+            "nearly active"
         )
     eq = tuple(sys.equality_indices)
     if jacobian.kappa != len(eq + active):

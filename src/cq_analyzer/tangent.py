@@ -124,8 +124,6 @@ def _correct_lockstep(sys, x0, t_schedule, jobs, cfg) -> list[list[CorrectionRes
     cap; the cold retries run in a second pass.  Each result equals the one
     the job would get alone, bit for bit.
     """
-    if min(t_schedule) <= 0:
-        raise ValueError("t must be positive")
     warm = [w for _, _, w in jobs]
     last: list[Optional[tuple[float, np.ndarray]]] = [None] * len(jobs)
     out = []
@@ -172,7 +170,9 @@ def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[list[
         functions = [sys.constraint(i) for i in j]
         keys = [(ti, k) for ti in range(len(t_schedule)) for k in members]  # row -> (t, job)
         directions = np.array([jobs[k][1] for k in members], dtype=float)
-        base = (x0 + np.array(t_schedule)[:, None, None] * directions).reshape(len(keys), n)
+        # + 0.0 turns a -0.0 coordinate into +0.0, as base + r does for any
+        # start r, so that a start at r = 0 reads the base evaluation.
+        base = (x0 + np.array(t_schedule)[:, None, None] * directions).reshape(len(keys), n) + 0.0
         values0, rows0, errors = evaluate_rows(functions, base)
         failed = {p for p, _ in errors}
         for p in failed:
@@ -208,12 +208,10 @@ def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[list[
 
 def _first_iterate(group: _Group, starts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, set]:
     """The start array, and the values, rows and failed rows at base + start.
-    A start at r = 0 reads them from the base evaluation, unless its base
-    point has a -0.0 coordinate, which base + 0 turns into +0.0."""
+    A start at r = 0 reads them from the base evaluation."""
     r = np.array([np.zeros(group.base.shape[1]) if w is None else w for w in starts],
                  dtype=float)
-    negative_zero = np.any((group.base == 0.0) & np.signbit(group.base), axis=1).tolist()
-    fresh = [p for p, w in enumerate(starts) if w is not None or negative_zero[p]]
+    fresh = [p for p, w in enumerate(starts) if w is not None]
     values, rows, failed = group.values, group.rows, set()
     if fresh:
         fresh_values, fresh_rows, errors = evaluate_rows(group.functions,
@@ -398,8 +396,7 @@ def _judge_probe(
         if ok:
             eps0 = t
 
-    tail = min(T_SCHEDULE_TAIL, len(t_schedule))
-    tail_converged = all(converged_flags[-tail:])
+    tail_converged = all(converged_flags[-T_SCHEDULE_TAIL:])
     conv_ratios = [r for r, c in zip(ratios, converged_flags) if c]
     ratios_decreasing = all(
         b <= a + 1e-15 for a, b in zip(conv_ratios, conv_ratios[1:])
@@ -409,7 +406,7 @@ def _judge_probe(
     # for all t below some eps0 > 0), so only the small-t tail is required;
     # a near-boundary cone direction may violate an inactive constraint at
     # the coarsest t and still be tangent.
-    safe = all(ok is True for ok in inactive_ok[-tail:])
+    safe = all(ok is True for ok in inactive_ok[-T_SCHEDULE_TAIL:])
 
     # The schedule is never empty, so a converged tail sets final_ratio.
     passed = tail_converged and final_ratio <= cfg.ratio_tol and ratios_decreasing and safe
@@ -494,8 +491,9 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
         raise InfeasibleBasePointError(f"base point infeasible: violations {violations}")
     cone = build_linearized_cone(pd, active_set(pd, cfg.tol_active))
     t = cfg.t_schedule
-    if any(a <= b for a, b in zip(t, t[1:])) or min(t) <= 0:
-        raise ValueError("t_schedule must be positive and strictly descending")
+    if len(t) < T_SCHEDULE_TAIL or any(a <= b for a, b in zip(t, t[1:])) or min(t) <= 0:
+        raise ValueError(f"t_schedule must hold at least {T_SCHEDULE_TAIL} values, "
+                         "positive and strictly descending")
     faces = face_directions(cone, DIRECTION_COUNT, cfg.tol_cone)
     probes = tuple(_probe_directions(sys, pd, faces, cfg))
 

@@ -37,7 +37,7 @@ from numpy.random import PCG64, Generator
 from cq_analyzer.cones import build_linearized_cone, cone_member
 from cq_analyzer.config import CORRECTOR_MAX_ITER, CORRECTOR_TOL
 from cq_analyzer.model import ConstraintDomainError, active_set, evaluate_point, evaluate_rows
-from cq_analyzer.rank import NeighborhoodSampler, RankResult
+from cq_analyzer.rank import RankResult
 
 ESTIMATE_PROBES = 32  # sample points per radius of the tangent estimate
 ANGULAR_TOL = 1e-2  # radians within which estimated directions match
@@ -273,19 +273,13 @@ def tangent_direction_estimate(sys, x0, count, radius_schedule, seed, cfg) -> Ta
     membership is tested at ``max(tol_cone, min(radii))``.
     """
     x0 = np.asarray(x0, dtype=float)
-    sampler = NeighborhoodSampler(
-        center=tuple(x0),
-        radii=tuple(float(r) for r in radius_schedule),
-        samples_per_radius=count,
-        seed=seed,
-    )
     eq_indices = tuple(sys.equality_indices)
     all_indices = tuple(range(1, sys.n_constraints + 1))
     gn_tol = 1e-14 * (1.0 + float(np.max(np.abs(x0), initial=0.0)))
     cos_tol = math.cos(ANGULAR_TOL)
 
     layers = []
-    for radius, points in points_by_radius(sampler):
+    for radius, points in points_by_radius(x0, radius_schedule, count, seed):
         kept = []
         for p in points:
             x = p.copy()
@@ -347,15 +341,17 @@ def estimate_memberships(sys, x0, cfg) -> list[tuple[tuple[float, ...], bool, bo
     return memberships
 
 
-def points_by_radius(sampler) -> list[tuple[float, list[np.ndarray]]]:
-    """A sampler's plan drawn one normal vector per point."""
-    rng = Generator(PCG64(int(sampler.seed)))
-    center = np.asarray(sampler.center)
+def points_by_radius(center, radii, samples_per_radius,
+                     seed) -> list[tuple[float, list[np.ndarray]]]:
+    """``rank.sample_plan(center, radii, samples_per_radius, seed)`` drawn
+    one normal vector per point, as a list of (radius, points) layers."""
+    rng = Generator(PCG64(int(seed)))
+    center = np.array([float(c) for c in center])
     n = len(center)
     out = []
-    for r in sampler.radii:
+    for r in (float(r) for r in radii):
         layer = []
-        for _ in range(sampler.samples_per_radius):
+        for _ in range(samples_per_radius):
             g = rng.standard_normal(n)
             norm = np.linalg.norm(g)
             while norm == 0.0:  # essentially impossible, but deterministic

@@ -6,6 +6,7 @@ print.  Every tolerance is pinned here; nothing is deferred to calibration.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 from conftest import random_domain_points
@@ -20,7 +21,7 @@ from cq_analyzer.expr import parse
 from cq_analyzer.kkt import kkt_report
 from cq_analyzer.model import active_set, evaluate_point
 from cq_analyzer.cones import build_linearized_cone, cone_member
-from cq_analyzer.rank import NeighborhoodSampler, check_rcrcq, sample_jacobian
+from cq_analyzer.rank import check_rcrcq, sample_jacobian
 from cq_analyzer.tangent import _probe_directions, abadie_verdict
 
 CFG = ToolConfig()
@@ -42,7 +43,7 @@ def _report(number: int, description: str, passed: bool, detail: str = "") -> No
 
 
 def _jacobian(system, x0):
-    return sample_jacobian(list(system.all_constraints), CFG.sampler(x0))
+    return sample_jacobian(list(system.all_constraints), x0, CFG)
 
 
 def _all_corpus_systems():
@@ -110,7 +111,7 @@ def test_criterion_2_rank_verdicts_match_hand_ranks():
     # (hand rank 0 < 3), which the point test must report as dependent.
     _, pf = load_case("tornado-curve")
     system = pf.system
-    verdict = classify_dependence(_jacobian(system, pf.x0), CFG.tol_rank)
+    verdict = classify_dependence(_jacobian(system, pf.x0), CFG.tol_rank, CFG.fit_degree)
     if not verdict.laszlo_at_point:
         failures.append("tornado-curve: rank test at 0 not dependent")
     _report(
@@ -265,16 +266,15 @@ def test_criterion_8_dependence_reconstruction_residuals():
         ("square", build(["x1", "x1^2"], ["x1", "x2"]), [1.0, 0.0], CFG.radii),
     ]
     for label, functions, x0, radii in polynomial_cases:
-        sampler = NeighborhoodSampler(center=tuple(x0), radii=radii, seed=42)
-        fitted = reconstruct_dependent(sample_jacobian(functions, sampler), (1,), 2)
-        scale = max(1.0, max(abs(functions[1].evaluate(p)) for p in sampler.plan()[1][1:]))
+        jacobian = sample_jacobian(functions, x0, replace(CFG, radii=radii, seed=42))
+        fitted = reconstruct_dependent(jacobian, (1,), 2, 3)
+        scale = max(1.0, max(abs(functions[1].evaluate(p)) for p in jacobian.points[1:]))
         if fitted.cross_validated_residual > 1e-6 * scale:
             failures.append(f"{label}: residual {fitted.cross_validated_residual:.2e}")
     sin_functions = build(["x1 + x2", "sin(x1 + x2)"], ["x1", "x2"])
-    sin_sampler = NeighborhoodSampler(
-        center=(0.0, 0.0), radii=(1e-2, 1e-3, 1e-4), seed=42
-    )
-    sin_fit = reconstruct_dependent(sample_jacobian(sin_functions, sin_sampler), (1,), 2)
+    sin_cfg = replace(CFG, radii=(1e-2, 1e-3, 1e-4), seed=42)
+    sin_fit = reconstruct_dependent(sample_jacobian(sin_functions, (0.0, 0.0), sin_cfg),
+                                    (1,), 2, 3)
     if sin_fit.cross_validated_residual > 1e-5:
         failures.append(f"sin: residual {sin_fit.cross_validated_residual:.2e}")
     _report(
@@ -302,8 +302,7 @@ def test_criterion_10_witness_relation_residual():
     _, pf = load_case("cusp-powers")
     system = pf.system
     relation = parse("y1^2 - y2^3", ["y1", "y2"])
-    sampler = NeighborhoodSampler(center=tuple(pf.x0), radii=CFG.radii, seed=CFG.seed)
-    residual = witness_check(relation, sample_jacobian(list(system.all_constraints), sampler))
+    residual = witness_check(relation, _jacobian(system, pf.x0))
     _report(
         10,
         "explicit witness relation composes to <= 1e-14 over the samples",

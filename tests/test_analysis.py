@@ -110,9 +110,9 @@ def test_full_analysis_evaluates_one_sample_jacobian(monkeypatch):
     sections = run_analyses(system, np.zeros(2), ToolConfig(), FULL)
     assert all("error" not in section for section in sections.values())
     assert len(calls) == 1
-    functions, sampler = calls[0]
+    functions, center, cfg = calls[0]
     assert functions == list(system.all_constraints)
-    assert sampler == ToolConfig().sampler(np.zeros(2))
+    assert center.tolist() == [0.0, 0.0] and cfg == ToolConfig()
 
 
 def test_analyses_without_rcrcq_or_dependence_sample_no_jacobian(monkeypatch):
@@ -127,7 +127,7 @@ def test_analyze_evaluates_the_base_point_once(monkeypatch):
     pf = parse_problem_dict(problem.data)
     assert pf.system.objective is not None and pf.system.inequalities
     calls = count_calls(monkeypatch, model.evaluate_point)
-    sections = run_analyses(pf.system, pf.x0, pf.config(ToolConfig()), FULL)
+    sections = run_analyses(pf.system, pf.x0, pf.config(), FULL)
     assert all("error" not in section for section in sections.values())
     assert len(calls) == 1
 
@@ -175,7 +175,8 @@ def test_rcrcq_skips_no_point_for_an_inactive_inequality():
     # the radius-0.1 points with x1 <= -0.05.  The shared Jacobian covers it,
     # yet only rows of J decide whether a point is skipped for J.
     cfg = ToolConfig()
-    assert any(p[0] <= -0.05 for p in cfg.sampler([0.0, 0.0]).plan()[1])
+    points = rank.sample_plan([0.0, 0.0], cfg.radii, cfg.samples_per_radius, cfg.seed)[1]
+    assert any(p[0] <= -0.05 for p in points)
     system = ConstraintSystem.from_strings(
         "inactive-log", ("x1", "x2"), equalities=("x2",),
         inequalities=("log(x1 + 0.05) - 10", "-x1"),
@@ -225,7 +226,7 @@ def test_certified_rcrcq_with_violated_abadie_is_a_contradiction(monkeypatch):
 
     monkeypatch.setitem(analysis._RUNNERS, "abadie", violated)
     _, pf = load_case("circle-point")
-    cfg = pf.config(ToolConfig())
+    cfg = pf.config()
     sections = run_analyses(pf.system, pf.x0, cfg, FULL)
     assert sections["rcrcq"]["verdict"] == "certified-by-sampling"
     abadie = sections["abadie"]
@@ -240,7 +241,7 @@ def test_certified_rcrcq_with_violated_abadie_is_a_contradiction(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_no_corpus_case_contradicts_the_theorem(name):
     _, pf = load_case(name)
-    sections = run_analyses(pf.system, pf.x0, pf.config(ToolConfig()), ["rcrcq", "abadie"])
+    sections = run_analyses(pf.system, pf.x0, pf.config(), ["rcrcq", "abadie"])
     rcrcq, abadie = sections["rcrcq"], sections["abadie"]
     if "error" in rcrcq or "error" in abadie:
         assert "contradiction" not in abadie
@@ -262,7 +263,7 @@ def test_every_verdict_word_has_its_exit_code():
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_text_header_word_is_the_summary_word(name):
     _, pf = load_case(name)
-    sections = run_analyses(pf.system, pf.x0, pf.config(ToolConfig()), FULL)
+    sections = run_analyses(pf.system, pf.x0, pf.config(), FULL)
     summary = summary_line(sections)
     lines = render_text({"analyses": sections, "summary": summary}).splitlines()
     headers = [line for line in lines if line.startswith("[")]

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cq_analyzer import cli, corpus
 from cq_analyzer.cli import main
 from cq_analyzer.config import ToolConfig
 from cq_analyzer.corpus import CORPUS, corpus_path
@@ -398,7 +399,7 @@ def test_problem_options_override_config():
             "options": {"tol_rank": 1e-6, "seed": 7, "radii": "1e-2:1e-4:x10"},
         }
     )
-    cfg = pf.config(ToolConfig())
+    cfg = pf.config()
     assert cfg.tol_rank == 1e-6
     assert cfg.seed == 7
     assert cfg.radii == (1e-2, 1e-3, 1e-4)
@@ -516,6 +517,36 @@ def test_cli_analyze_survives_domain_errors_exit_two(capsys):
     assert report["analyses"]["dependence"]["sense"] == "crc-failed-inconclusive"
 
 
+def test_console_main_exits_70_on_a_crash(capsys, monkeypatch):
+    # Python exits 1 on an uncaught exception, the code of violated or refuted.
+    def crash(argv=None):
+        raise RuntimeError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "main", crash)
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == 70
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "RuntimeError: SVD did not converge" in err
+
+
+def test_cli_subset_guard_states_the_count_and_the_limit(capsys, tmp_path):
+    # 21 active inequalities -x_i <= 0 at 0.  The message used to advise a
+    # higher activity tolerance, which keeps more inequalities active.
+    names = [f"x{i}" for i in range(1, 22)]
+    path = tmp_path / "orthant.json"
+    path.write_text(json.dumps({"name": "orthant", "variables": names,
+                                "inequalities": [f"-{x}" for x in names], "point": [0.0] * 21}))
+    code, out, _ = run_cli(capsys, "rcrcq", str(path), "--format", "machine")
+    section = json.loads(out)["analyses"]["rcrcq"]
+    assert code == 2 and section["error_kind"] == "SubsetGuardError"
+    assert section["error"] == (
+        "|I(x0)| = 21 active constraints, more than the 20 whose 2^|I(x0)| subsets "
+        "RCRCQ checks; a lower tol_active (--tol-active) leaves out inequalities that "
+        "are only nearly active"
+    )
+
+
 def test_cli_analyze_includes_config_snapshot(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", corpus_file("circle-point"),
@@ -605,7 +636,8 @@ def config_snapshot(capsys, path, *flags):
 
 def test_tool_config_fields_are_the_option_table_and_assert_local_min():
     fields = [f.name for f in dataclasses.fields(ToolConfig)]
-    assert sorted(fields) == sorted([field for field, _ in OPTIONS.values()] + ["assert_local_min"])
+    table = [field for field, _, _ in OPTIONS.values()]
+    assert sorted(fields) == sorted(table + ["assert_local_min"])
 
 
 @pytest.mark.parametrize("key", sorted(OPTIONS))
@@ -691,6 +723,32 @@ def test_cli_env_seed_ignored_when_flag_present(capsys, monkeypatch):
         capsys, "rcrcq", corpus_file("circle-point"), "--format", "machine", "--seed", "5"
     )
     assert json.loads(out)["config"]["seed"] == 5
+
+
+def corpus_case_with_options(monkeypatch, tmp_path, name, options):
+    """Make ``corpus run`` read case ``name`` with ``options`` in its problem file."""
+    path = corpus_copy(tmp_path, name, options=options)
+    monkeypatch.setattr(corpus, "load_case", lambda case: (CORPUS[case], load_problem_file(path)))
+
+
+def corpus_case_config(capsys, name, *flags):
+    code, out, err = run_cli(capsys, "corpus", "run", name, "--format", "machine", *flags)
+    assert code == 0, err
+    return json.loads(out)["cases"][name]["config"]
+
+
+def test_cli_corpus_run_flags_beat_case_options(capsys, monkeypatch, tmp_path):
+    # corpus run applied a case's options over the flags, unlike every other command.
+    corpus_case_with_options(monkeypatch, tmp_path, "circle-point", {"seed": 7, "tol_rank": 1e-7})
+    assert corpus_case_config(capsys, "circle-point")["seed"] == 7
+    cfg = corpus_case_config(capsys, "circle-point", "--seed", "11", "--tol-rank", "1e-6")
+    assert (cfg["seed"], cfg["tol_rank"]) == (11, 1e-6)
+
+
+def test_cli_corpus_run_env_seed_beats_case_options(capsys, monkeypatch, tmp_path):
+    corpus_case_with_options(monkeypatch, tmp_path, "circle-point", {"seed": 7})
+    monkeypatch.setenv("CQ_ANALYZER_SEED", "5")
+    assert corpus_case_config(capsys, "circle-point")["seed"] == 5
 
 
 @pytest.mark.parametrize("flag, env", [("-1", None), (None, "-1"), (None, "abc")])

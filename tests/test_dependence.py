@@ -15,13 +15,14 @@ from cq_analyzer.dependence import (
     reconstruct_dependent,
     witness_check,
 )
+from cq_analyzer.config import ToolConfig
 from cq_analyzer.expr import Expression, parse
 from cq_analyzer.rank import (
-    NeighborhoodSampler,
     SampleJacobian,
     check_crc,
     numerical_rank,
     sample_jacobian,
+    sample_plan,
 )
 
 TORNADO = ["x^3 * sin(1/x)", "x^3 * cos(1/x)", "x^3"]
@@ -31,16 +32,12 @@ def fns(texts, names):
     return [parse(t, names) for t in texts]
 
 
-def sampler_at(center, **kw):
-    return NeighborhoodSampler(center=tuple(center), **kw)
-
-
 def jacobian_at(functions, center, **kw):
-    return sample_jacobian(functions, sampler_at(center, **kw))
+    return sample_jacobian(functions, center, ToolConfig(**kw))
 
 
 def classify(functions, center, **kw):
-    return classify_dependence(jacobian_at(functions, center, **kw), 1e-8)
+    return classify_dependence(jacobian_at(functions, center, **kw), 1e-8, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +81,7 @@ def test_classify_requires_functions():
 
 def test_reconstruct_identity_map():
     functions = fns(["x1 + x2", "x1 + x2"], ["x1", "x2"])
-    fitted = reconstruct_dependent(jacobian_at(functions, [0.0, 0.0]), (1,), 2)
+    fitted = reconstruct_dependent(jacobian_at(functions, [0.0, 0.0]), (1,), 2, 3)
     assert fitted.cross_validated_residual <= 1e-12
     assert fitted.predict([0.37]) == pytest.approx(0.37, abs=1e-10)
 
@@ -106,7 +103,7 @@ def test_reconstruct_sin_composition_small_radius():
     # bounds the best cubic error far below the asserted 1e-7.
     functions = fns(["x1 + x2", "sin(x1 + x2)"], ["x1", "x2"])
     jacobian = jacobian_at(functions, [0.0, 0.0], radii=(1e-2, 1e-3, 1e-4))
-    fitted = reconstruct_dependent(jacobian, (1,), 2)
+    fitted = reconstruct_dependent(jacobian, (1,), 2, 3)
     assert fitted.training_radius == 1e-2
     assert fitted.cross_validated_residual <= 1e-7
     assert fitted.predict([0.01]) == pytest.approx(math.sin(0.01), abs=1e-7)
@@ -117,7 +114,7 @@ def test_reconstruct_failure_carries_residual():
     functions = fns(["x1 + x2", "sin(x1 + x2)"], ["x1", "x2"])
     jacobian = jacobian_at(functions, [0.0, 0.0], radii=(1.0, 0.5))
     with pytest.raises(ReconstructionError) as exc:
-        reconstruct_dependent(jacobian, (1,), 2)
+        reconstruct_dependent(jacobian, (1,), 2, 3)
     assert exc.value.residual > exc.value.bound
 
 
@@ -198,7 +195,7 @@ def test_predict_matches_numpy_scalars_bit_for_bit(data, k, degree):
 def test_reconstruct_rejects_pivot_target():
     functions = fns(["x1", "x1^2"], ["x1", "x2"])
     with pytest.raises(ValueError):
-        reconstruct_dependent(jacobian_at(functions, [1.0, 0.0]), (1,), 1)
+        reconstruct_dependent(jacobian_at(functions, [1.0, 0.0]), (1,), 1, 3)
 
 
 def test_reconstruction_consistency_on_fresh_samples():
@@ -211,10 +208,9 @@ def test_reconstruction_consistency_on_fresh_samples():
         functions = fns(texts, names)
         radii = (1e-2, 1e-3, 1e-4)
         jacobian = jacobian_at(functions, x0, radii=radii, seed=42)
-        fitted = reconstruct_dependent(jacobian, (1,), 2)
-        fresh = sampler_at(x0, radii=radii, seed=4242)
+        fitted = reconstruct_dependent(jacobian, (1,), 2, 3)
         allowed = 10.0 * max(fitted.cross_validated_residual, 1e-14)
-        for p in fresh.plan()[1][1:]:
+        for p in sample_plan(x0, radii, 32, 4242)[1][1:]:
             y = [functions[0].evaluate(p)]
             assert abs(fitted.predict(y) - functions[1].evaluate(p)) <= allowed
 
@@ -230,8 +226,8 @@ def test_classification_and_image_probe_evaluate_nothing(monkeypatch):
             calls[_method] += 1
             return _original(self, point)
         monkeypatch.setattr(Expression, method, counting)
-    assert classify_dependence(jacobian, 1e-8).sense == "dependent-with-relation"
-    assert image_dimension_probe(jacobian) == 1
+    assert classify_dependence(jacobian, 1e-8, 3).sense == "dependent-with-relation"
+    assert image_dimension_probe(jacobian, 1e-8) == 1
     assert calls == {}
 
 
@@ -276,19 +272,19 @@ def test_laszlo_cusp_true_at_zero_false_elsewhere():
 
 def test_image_probe_full_rank_pair():
     functions = fns(["x1", "x2"], ["x1", "x2"])
-    assert image_dimension_probe(jacobian_at(functions, [0.0, 0.0])) == 2
+    assert image_dimension_probe(jacobian_at(functions, [0.0, 0.0]), 1e-8) == 2
 
 
 def test_image_probe_repeated_function():
     functions = fns(["x1", "x1"], ["x1", "x2"])
-    assert image_dimension_probe(jacobian_at(functions, [0.0, 0.0])) == 1
+    assert image_dimension_probe(jacobian_at(functions, [0.0, 0.0]), 1e-8) == 1
 
 
 def test_image_probe_tornado_curve():
     # The image is a curve in R^3; the center value is unevaluable at 0 so
     # the probe centers on the sample mean.
     functions = fns(TORNADO, ["x"])
-    assert image_dimension_probe(jacobian_at(functions, [0.0])) == 1
+    assert image_dimension_probe(jacobian_at(functions, [0.0]), 1e-8) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +350,7 @@ def test_local_stability_of_dependence():
     # Dependent at x0 stays dependent at every smallest-radius sample point.
     functions = fns(["x1", "2*x1 + 3"], ["x1", "x2"])
     jacobian = jacobian_at(functions, [0.0, 0.0])
-    verdict = classify_dependence(jacobian, 1e-8)
+    verdict = classify_dependence(jacobian, 1e-8, 3)
     assert verdict.sense == "dependent-with-relation"
     smallest_layer = jacobian.points[jacobian.radius == jacobian.radius[-1]]
     for p in smallest_layer:
@@ -365,7 +361,7 @@ def test_local_stability_of_dependence():
 def test_dependent_implies_laszlo_true_on_neighborhood():
     functions = fns(["x1", "2*x1 + 3"], ["x1", "x2"])
     jacobian = jacobian_at(functions, [0.0, 0.0])
-    verdict = classify_dependence(jacobian, 1e-8)
+    verdict = classify_dependence(jacobian, 1e-8, 3)
     assert verdict.sense == "dependent-with-relation"
     assert verdict.laszlo_at_point
     # The point test at every sample point: the gradient rank there is below 2.

@@ -64,14 +64,14 @@ def assert_invariant(system, x0, cfg):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_verdicts_ignore_constraint_order_and_scale(name):
     _, pf = load_case(name)
-    assert_invariant(pf.system, pf.x0, pf.config(ToolConfig()))
+    assert_invariant(pf.system, pf.x0, pf.config())
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_manifold_verdicts_ignore_constraint_order_and_scale(seed):
     for problem in workloads.round_problems("analyze-manifold", seed, 0):
         pf = parse_problem_dict(problem.data)
-        assert_invariant(pf.system, pf.x0, pf.config(ToolConfig()))
+        assert_invariant(pf.system, pf.x0, pf.config())
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +106,14 @@ def rebuild(system, variables=None, eqs=None, ins=None):
 
 
 def assert_ignores_variable_order(pf, which):
-    system, x0, cfg = pf.system, pf.x0, pf.config(ToolConfig())
+    system, x0, cfg = pf.system, pf.x0, pf.config()
     order = list(range(system.dimension))[::-1]
     variant = rebuild(system, variables=[system.variables[i] for i in order])
     assert outcome(variant, x0[order], cfg, which) == outcome(system, x0, cfg, which)
 
 
 def assert_rcrcq_ignores_duplicates(pf):
-    system, x0, cfg = pf.system, pf.x0, pf.config(ToolConfig())
+    system, x0, cfg = pf.system, pf.x0, pf.config()
     expected = outcome(system, x0, cfg, ("rcrcq",))
     eqs = [e.source for e in system.equalities]
     ins = [e.source for e in system.inequalities]
@@ -127,7 +127,7 @@ def assert_rcrcq_ignores_duplicates(pf):
 
 def assert_ignores_constraint_scales(pf, seed):
     """Each constraint times its own factor, drawn from U(0.5, 2)."""
-    system, x0, cfg = pf.system, pf.x0, pf.config(ToolConfig())
+    system, x0, cfg = pf.system, pf.x0, pf.config()
     rng = Generator(PCG64(seed))
     scale = [f"{rng.uniform(0.5, 2.0)!r}*({e.source})" for e in system.all_constraints]
     k = len(system.equalities)
@@ -182,7 +182,7 @@ def test_manifold_verdicts_ignore_each_constraint_scale(seed, slot):
 
 def assert_abadie_ignores_the_seed(pf):
     def section(seed):
-        cfg = replace(pf.config(ToolConfig()), seed=seed)
+        cfg = replace(pf.config(), seed=seed)
         abadie = run_analyses(pf.system, pf.x0, cfg, ("abadie",))["abadie"]
         return {k: v for k, v in abadie.items() if k != "config"}
 

@@ -9,24 +9,32 @@ from hypothesis import strategies as st
 from numpy.random import PCG64, Generator
 
 from cq_analyzer import rank
+from cq_analyzer.config import ToolConfig
 from cq_analyzer.expr import Expression, parse
 from cq_analyzer.model import ConstraintSystem, active_set, evaluate_point
 from cq_analyzer.rank import (
-    NeighborhoodSampler,
     SubsetGuardError,
     check_crc,
     check_rcrcq,
     numerical_rank,
     sample_jacobian,
+    sample_plan,
 )
 
 
-def sampler_at(center, **kw):
-    return NeighborhoodSampler(center=tuple(center), **kw)
+def plan_at(center, **kw):
+    """The center and the configuration of a sample plan: ToolConfig's
+    defaults, with the fields ``kw`` replaced."""
+    return center, ToolConfig(**kw)
 
 
-def crc(functions, sampler, tol_rank):
-    return check_crc(sample_jacobian(functions, sampler), tol_rank)
+def draw(plan):
+    center, cfg = plan
+    return sample_plan(center, cfg.radii, cfg.samples_per_radius, cfg.seed)
+
+
+def crc(functions, plan, tol_rank):
+    return check_crc(sample_jacobian(functions, *plan), tol_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -141,48 +149,46 @@ def test_rank_rejects_bad_tolerance():
 
 
 # ---------------------------------------------------------------------------
-# NeighborhoodSampler
+# sample_plan
 # ---------------------------------------------------------------------------
 
 
 def test_sampler_deterministic():
-    _, a = sampler_at([0.0, 0.0], seed=42).plan()
-    _, b = sampler_at([0.0, 0.0], seed=42).plan()
+    _, a = draw(plan_at([0.0, 0.0], seed=42))
+    _, b = draw(plan_at([0.0, 0.0], seed=42))
     assert all(np.array_equal(p, q) for p, q in zip(a, b))
-    _, c = sampler_at([0.0, 0.0], seed=43).plan()
+    _, c = draw(plan_at([0.0, 0.0], seed=43))
     assert any(not np.array_equal(p, q) for p, q in zip(a, c))
 
 
 def test_sampler_radius_bound():
-    s = sampler_at([1.0, -2.0, 0.5])
-    max_r = max(s.radii)
-    for p in s.plan()[1]:
+    max_r = max(ToolConfig().radii)
+    for p in draw(plan_at([1.0, -2.0, 0.5]))[1]:
         assert np.linalg.norm(p - np.array([1.0, -2.0, 0.5])) <= max_r * (1 + 1e-12)
 
 
 def test_sampler_layers_have_requested_radius():
-    s = sampler_at([0.0], samples_per_radius=8)
-    radius, points = s.plan()
+    radius, points = draw(plan_at([0.0], samples_per_radius=8))
     assert radius[0] == 0.0 and points[0].tolist() == [0.0]    # the center
-    assert radius[1:].tolist() == [r for r in s.radii for _ in range(8)]
+    assert radius[1:].tolist() == [r for r in ToolConfig().radii for _ in range(8)]
     for r, p in zip(radius[1:], points[1:]):
         assert abs(abs(p[0]) - r) <= r * 1e-12
 
 
 def test_sampler_rejects_increasing_radii():
     with pytest.raises(ValueError):
-        sampler_at([0.0], radii=(1e-3, 1e-2))
+        draw(plan_at([0.0], radii=(1e-3, 1e-2)))
 
 
 def test_sampler_rejects_repeated_radius():
     with pytest.raises(ValueError, match="strictly descending"):
-        sampler_at([0.0], radii=(1e-1, 1e-1, 1e-2))
+        draw(plan_at([0.0], radii=(1e-1, 1e-1, 1e-2)))
 
 
 def test_sampler_rejects_an_empty_center():
     # Its normal vectors would all be empty, and the zero-norm redraw endless.
     with pytest.raises(ValueError, match="at least one coordinate"):
-        sampler_at([])
+        draw(plan_at([]))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +202,7 @@ def fns(texts, names):
 
 def test_crc_coordinate_projections_certified():
     report = crc(
-        fns(["x1", "x2"], ["x1", "x2"]), sampler_at([0.0, 0.0]), 1e-8
+        fns(["x1", "x2"], ["x1", "x2"]), plan_at([0.0, 0.0]), 1e-8
     )
     assert report.verdict == "certified-by-sampling"
     assert report.rank_at_center == 2
@@ -205,7 +211,7 @@ def test_crc_coordinate_projections_certified():
 
 def test_crc_axis_squares_refuted():
     report = crc(
-        fns(["x1^2", "x2^2"], ["x1", "x2"]), sampler_at([0.0, 0.0]), 1e-8
+        fns(["x1^2", "x2^2"], ["x1", "x2"]), plan_at([0.0, 0.0]), 1e-8
     )
     assert report.verdict == "refuted"
     assert report.rank_at_center == 0
@@ -214,7 +220,7 @@ def test_crc_axis_squares_refuted():
 
 def test_crc_cusp_powers_refuted():
     # f' rows (3t^2) and (2t) vanish at 0 but not nearby.
-    report = crc(fns(["t^3", "t^2"], ["t"]), sampler_at([0.0]), 1e-8)
+    report = crc(fns(["t^3", "t^2"], ["t"]), plan_at([0.0]), 1e-8)
     assert report.verdict == "refuted"
     assert report.rank_at_center == 0
     assert report.witness["rank"] == 1
@@ -223,7 +229,7 @@ def test_crc_cusp_powers_refuted():
 def test_crc_rank_drop_is_noted_and_refutes_nothing():
     # 1 - 10x vanishes at the radius-0.1 point x = 0.1: rank 0 there, rank 1
     # at the center and everywhere closer.  Only a rise would refute.
-    report = crc(fns(["x - 5*x^2"], ["x"]), sampler_at([0.0]), 1e-8)
+    report = crc(fns(["x - 5*x^2"], ["x"]), plan_at([0.0]), 1e-8)
     assert report.verdict == "certified-by-sampling"
     assert report.witness is None
     assert dict(report.rank_counts_by_radius[0][1]) == {0: 16, 1: 16}
@@ -253,7 +259,7 @@ def test_crc_witness_is_the_first_rise_not_an_earlier_drop():
 
 
 def test_crc_empty_family_certified():
-    report = crc([], sampler_at([0.0]), 1e-8)
+    report = crc([], plan_at([0.0]), 1e-8)
     assert report.verdict == "certified-by-sampling"
     assert report.rank_at_center == 0
     assert report.total_points == 0
@@ -262,7 +268,7 @@ def test_crc_empty_family_certified():
 def test_crc_without_sample_points_is_inconclusive():
     # Zero sample points are no evidence: a non-empty family is not certified.
     functions = fns(["x1", "x2"], ["x1", "x2"])
-    jacobian = sample_jacobian(functions, sampler_at([0.0, 0.0], samples_per_radius=0))
+    jacobian = sample_jacobian(functions, *plan_at([0.0, 0.0], samples_per_radius=0))
     assert jacobian.points.tolist() == [[0.0, 0.0]]          # the center alone
     report = check_crc(jacobian, 1e-8)
     assert report.verdict == "inconclusive"
@@ -273,7 +279,7 @@ def test_crc_without_sample_points_is_inconclusive():
 def test_sample_jacobian_keeps_values_and_select_slices_them():
     # log(1 + 20*x1) fails where x1 <= -0.05: zero value and row, flagged.
     functions = fns(["x1*x2", "log(1 + 20*x1)", "x2"], ["x1", "x2"])
-    jacobian = sample_jacobian(functions, sampler_at([0.0, 0.0], samples_per_radius=8))
+    jacobian = sample_jacobian(functions, *plan_at([0.0, 0.0], samples_per_radius=8))
     assert np.array_equal(jacobian.values[0], [0.0, 0.0, 0.0])
     failures = 0
     for point, v, g, bad in zip(jacobian.points, jacobian.values, jacobian.rows, jacobian.failed):
@@ -294,7 +300,7 @@ def test_sample_jacobian_keeps_values_and_select_slices_them():
 
 def test_crc_center_unevaluable_is_inconclusive():
     report = crc(
-        fns(["x^3 * sin(1/x)", "x^3"], ["x"]), sampler_at([0.0]), 1e-8
+        fns(["x^3 * sin(1/x)", "x^3"], ["x"]), plan_at([0.0]), 1e-8
     )
     assert report.verdict == "inconclusive"
     assert report.center_unevaluable_rows == (1,)
@@ -308,7 +314,7 @@ def test_crc_subset_view_reports_center_failures_within_the_subset():
     # Row 2 of the family fails at the center; in a view it keeps its
     # 1-based position within the view, and views without it are unaffected.
     functions = fns(["x2", "x1^3 * sin(1/x1)", "x1"], ["x1", "x2"])
-    jacobian = sample_jacobian(functions, sampler_at([0.0, 0.0]))
+    jacobian = sample_jacobian(functions, *plan_at([0.0, 0.0]))
     assert crc_of(jacobian, [1]).center_unevaluable_rows == (1,)
     assert crc_of(jacobian, [2, 1]).center_unevaluable_rows == (2,)
     full = crc_of(jacobian, [0, 1, 2])
@@ -327,7 +333,7 @@ def system(eqs=(), ins=(), variables=("x1", "x2")):
 
 
 def jacobian_at(sys, x0, **kw):
-    return sample_jacobian(list(sys.all_constraints), sampler_at(x0, **kw))
+    return sample_jacobian(list(sys.all_constraints), *plan_at(x0, **kw))
 
 
 def rcrcq_for(sys, x0, **kw):
@@ -382,11 +388,11 @@ def test_rcrcq_reads_a_jacobian_of_the_active_rows_only():
     active = active_set(evaluate_point(sys, x0), 1e-8)
     assert active == (3, 4)
     rows = [sys.constraint(i) for i in (1, 3, 4)]
-    report = check_rcrcq(sys, active, sample_jacobian(rows, sampler_at(x0)), 1e-8)
+    report = check_rcrcq(sys, active, sample_jacobian(rows, *plan_at(x0)), 1e-8)
     full = jacobian_at(sys, x0)
     assert check_rcrcq(sys, active, full.select([0, 2, 3]), 1e-8) == report
     assert report.subset_count == 4
-    for jacobian in (full, sample_jacobian(rows[:2], sampler_at(x0))):
+    for jacobian in (full, sample_jacobian(rows[:2], *plan_at(x0))):
         with pytest.raises(ValueError, match="expected"):
             check_rcrcq(sys, active, jacobian, 1e-8)
 
@@ -415,11 +421,11 @@ def chain(k, coeffs=None, extra=None):
     return system(ins=inequalities, variables=tuple(f"x{i}" for i in range(k)))
 
 
-def assert_subsets_match_separate_checks(sys, x0, sampler):
+def assert_subsets_match_separate_checks(sys, x0, plan):
     active = active_set(evaluate_point(sys, x0), 1e-8)
-    report = check_rcrcq(sys, active, sample_jacobian(list(sys.all_constraints), sampler), 1e-8)
+    report = check_rcrcq(sys, active, sample_jacobian(list(sys.all_constraints), *plan), 1e-8)
     for j, subset_report in report.subsets:
-        alone = crc([sys.constraint(i) for i in j], sampler, 1e-8)
+        alone = crc([sys.constraint(i) for i in j], plan, 1e-8)
         assert subset_report == alone, j
     return report
 
@@ -436,7 +442,7 @@ coefficient = st.floats(0.5, 2.0, allow_nan=False, allow_infinity=False)
 def test_rcrcq_subsets_equal_separate_crc_checks_on_chains(k, coeffs, extra):
     x0 = [0.0] * k
     report = assert_subsets_match_separate_checks(
-        chain(k, coeffs[:k], extra), x0, sampler_at(x0, samples_per_radius=8)
+        chain(k, coeffs[:k], extra), x0, plan_at(x0, samples_per_radius=8)
     )
     assert report.subset_count == 2 ** (k + (extra is not None))
 
@@ -489,7 +495,7 @@ def test_rcrcq_skips_a_point_only_for_subsets_with_a_failed_row():
     # log(1 + 20*x1) is unevaluable where x1 <= -0.05, at some radius-0.1
     # points: subsets containing it skip them, the others do not.
     sys = system(ins=["log(1 + 20*x1)", "x2"])
-    report = assert_subsets_match_separate_checks(sys, [0.0, 0.0], sampler_at([0.0, 0.0]))
+    report = assert_subsets_match_separate_checks(sys, [0.0, 0.0], plan_at([0.0, 0.0]))
     skipped = {j: r.skipped_points for j, r in report.subsets}
     assert skipped[()] == 0 and skipped[(2,)] == 0
     assert skipped[(1,)] == skipped[(1, 2)] > 0
@@ -536,13 +542,13 @@ def test_crc_certified_implies_image_check_everywhere():
     ]
     for texts, names, x0 in cases:
         functions = fns(texts, names)
-        s = sampler_at(x0)
+        s = plan_at(x0)
         report = crc(functions, s, 1e-8)
         assert report.verdict == "certified-by-sampling"
         pivot_fns = [functions[i - 1] for i in report.pivot_indices]
         rows_x0 = np.array([g.gradient(x0) for g in pivot_fns])
         v = np.linalg.pinv(rows_x0)
         assert np.allclose(rows_x0 @ v, np.eye(len(pivot_fns)), atol=1e-12)
-        for p in s.plan()[1][1:]:
+        for p in draw(s)[1][1:]:
             rows = np.array([g.gradient(p) for g in pivot_fns])
             assert numerical_rank(rows @ v, 1e-8).rank == len(pivot_fns)

@@ -1,6 +1,6 @@
 """Differential tests: the sample plan against the former code.
 
-``NeighborhoodSampler.plan`` draws each radius layer as one array and
+``rank.sample_plan`` draws each radius layer as one array and
 returns the center and every point in one flat batch.  It must give exactly
 what the former layered code in ``tests/one_point_oracle.py`` gives: the
 center in row 0, then the same points in the same order, bit for bit.
@@ -14,7 +14,7 @@ from numpy.random import Generator
 
 import one_point_oracle as oracle
 from cq_analyzer import rank
-from cq_analyzer.rank import NeighborhoodSampler
+from cq_analyzer.rank import sample_plan
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -24,15 +24,15 @@ def _bits(values):
 
 
 # ---------------------------------------------------------------------------
-# NeighborhoodSampler.plan
+# sample_plan
 # ---------------------------------------------------------------------------
 
 
-def assert_same_plan(sampler):
-    radius, points = sampler.plan()
-    expected = oracle.points_by_radius(sampler)
+def assert_same_plan(center, radii, samples_per_radius, seed):
+    radius, points = sample_plan(center, radii, samples_per_radius, seed)
+    expected = oracle.points_by_radius(center, radii, samples_per_radius, seed)
     assert _bits(radius) == _bits([0.0] + [r for r, layer in expected for _ in layer])
-    assert _bits(points) == _bits([sampler.center] + [p for _, layer in expected for p in layer])
+    assert _bits(points) == _bits([center] + [p for _, layer in expected for p in layer])
     return radius, points
 
 
@@ -46,11 +46,7 @@ def assert_same_plan(sampler):
     seed=st.integers(0, 2**31),
 )
 def test_plan_matches_one_draw_per_point(center, radii, samples, seed):
-    sampler = NeighborhoodSampler(
-        center=tuple(center), radii=tuple(sorted(radii, reverse=True)),
-        samples_per_radius=samples, seed=seed,
-    )
-    assert_same_plan(sampler)
+    assert_same_plan(center, sorted(radii, reverse=True), samples, seed)
 
 
 class ZeroingGenerator:
@@ -86,14 +82,13 @@ class ZeroingGenerator:
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("zero_at", [{0}, {5, 6}, {9, 17}])
 def test_plan_redraws_a_zero_vector_like_one_draw_per_point(monkeypatch, n, zero_at):
-    sampler = NeighborhoodSampler(center=(0.5,) * n, radii=(1.0, 0.1, 0.01),
-                                  samples_per_radius=8, seed=11)
-    _, plain = sampler.plan()
+    plan = ((0.5,) * n, (1.0, 0.1, 0.01), 8, 11)
+    _, plain = sample_plan(*plan)
     monkeypatch.setattr(ZeroingGenerator, "zero_at", frozenset(zero_at))
     monkeypatch.setattr(rank, "Generator", ZeroingGenerator)
     monkeypatch.setattr(oracle, "Generator", ZeroingGenerator)
-    radius, points = assert_same_plan(sampler)
+    radius, points = assert_same_plan(*plan)
     assert _bits(points) != _bits(plain)
-    assert [int(np.sum(radius == r)) for r in sampler.radii] == [8, 8, 8]
+    assert [int(np.sum(radius == r)) for r in plan[1]] == [8, 8, 8]
     for r, p in zip(radius[1:], points[1:]):
         assert np.linalg.norm(p - 0.5) == pytest.approx(r, rel=1e-12)

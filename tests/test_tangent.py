@@ -35,7 +35,7 @@ def make(eqs=(), ins=(), variables=("x1", "x2"), objective=None):
 def rcrcq_verdict(sys, x0):
     active = active_set(evaluate_point(sys, x0), CFG.tol_active)
     rows = [sys.constraint(i) for i in sys.equality_indices + active]
-    jacobian = sample_jacobian(rows, CFG.sampler(x0))
+    jacobian = sample_jacobian(rows, x0, CFG)
     return check_rcrcq(sys, active, jacobian, CFG.tol_rank).verdict
 
 
@@ -129,10 +129,11 @@ def test_corrector_evaluates_each_iterate_once(monkeypatch):
     assert per_expression == {f.source: result.iterations + 1 for f in sys.equalities}
 
 
-def test_cold_start_evaluates_base_plus_zero_where_it_differs_from_the_base(monkeypatch):
-    # A -0.0 coordinate of x0 + t*d turns into +0.0 in the first iterate
-    # x0 + t*d + 0, so that iterate is evaluated again instead of read from
-    # the base evaluation; its result is the one-direction corrector's.
+def test_cold_start_reads_the_base_evaluation_at_base_plus_zero(monkeypatch):
+    # A -0.0 coordinate of x0 + t*d turns into +0.0 in every iterate
+    # x0 + t*d + r, the first one r = 0 included, so the base point is
+    # evaluated once, as x0 + t*d + 0, and the cold start reads that
+    # evaluation; its result is the one-direction corrector's.
     sys = make(eqs=["x1^2 + x2^2 + x3^2 - 1", "x3 - x1*x2"],
                variables=("x1", "x2", "x3", "x4"))
     x0 = np.array([1.0, 0.0, 0.0, -0.0])
@@ -143,7 +144,7 @@ def test_cold_start_evaluates_base_plus_zero_where_it_differs_from_the_base(monk
     base = x0 + 0.1 * d
     assert np.signbit(base[3]) and not np.signbit((base + 0.0)[3])
     for f in sys.equalities:
-        assert calls[f.source, base.tobytes()] == 1
+        assert calls[f.source, base.tobytes()] == 0
         assert calls[f.source, (base + 0.0).tobytes()] == 1
     expected = ljusternik_correct(sys, (1, 2), x0, d, 0.1, CFG)
     assert result.r.tobytes() == expected.r.tobytes()
@@ -204,9 +205,10 @@ def test_equality_projection_evaluates_each_iterate_once(monkeypatch):
 
 
 def test_correct_requires_positive_t():
+    # abadie_verdict, the corrector's caller, checks the schedule.
     sys = make(eqs=["x1"])
-    with pytest.raises(ValueError):
-        _correct_lockstep(sys, [0.0, 0.0], (0.0,), [((1,), [0.0, 1.0], None)], CFG)
+    with pytest.raises(ValueError, match="positive"):
+        abadie_verdict(sys, [0.0, 0.0], ToolConfig(t_schedule=(0.1, 0.01, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +446,14 @@ def test_abadie_skips_probe_points_outside_the_domain():
     result = _correct_lockstep(sys, x0, (0.1,), [([1], [-1.0, 0.0], None)], CFG)[0][0]
     assert not result.converged
     assert abadie_verdict(sys, x0, CFG).verdict == "consistent"
+
+
+def test_probe_rejects_a_schedule_shorter_than_its_tail():
+    # The probe judges the T_SCHEDULE_TAIL smallest t, as the option table
+    # requires of a t_schedule; a library ToolConfig is not checked there.
+    sys = make(ins=["x1^2 + x2^2 - 1", "-x2"])
+    with pytest.raises(ValueError, match="at least 3 values"):
+        abadie_verdict(sys, [1.0, 0.0], ToolConfig(t_schedule=(0.1,)))
 
 
 def test_probe_rejects_repeated_t():

@@ -16,7 +16,8 @@ line and then everything the command wrote:
   the ``*.golden.json`` files beside them);
 - ``analyze`` in machine format on the first ``analyze-manifold`` problem of
   each seed with an ``options`` block that sets every option key
-  (``OPTIONS``);
+  (``OPTIONS``), once alone and once with every option flag set too
+  (``FLAGS``), so that the order of file options and flags is compared;
 - ``--help`` of the top-level parser and of every subcommand (``HELP``),
   wrapped at 80 columns;
 - ``analyze`` in machine and text format and ``multipliers`` in machine
@@ -57,10 +58,11 @@ COMMANDS = ("analyze", "rcrcq", "dependence")
 FLAGS = ["--seed", "7", "--samples", "8", "--radii", "1e-2:1e-4:x10",
          "--t-schedule", "1e-1:1e-4:x10", "--tol-rank", "1e-7", "--ratio-tol", "1e-2",
          "--tol-feas", "1e-7", "--tol-cone", "1e-7", "--tol-active", "1e-7"]
-# Every problem-file option key, each at a value other than its default.
-OPTIONS = {"tol_rank": 1e-7, "tol_active": 1e-7, "tol_feas": 1e-7, "tol_cone": 1e-7,
-           "seed": 7, "radii": "1e-2:1e-4:x10", "samples": 8,
-           "t_schedule": [1e-1, 1e-2, 1e-3, 1e-4], "ratio_tol": 1e-2, "fit_degree": 2}
+# Every problem-file option key, each at a value other than its default and
+# other than its flag's value in FLAGS, so that the order of the two shows.
+OPTIONS = {"tol_rank": 1e-6, "tol_active": 1e-6, "tol_feas": 1e-6, "tol_cone": 1e-6,
+           "seed": 9, "radii": "1e-1:1e-3:x10", "samples": 4,
+           "t_schedule": [1e-2, 1e-3, 1e-4, 1e-5], "ratio_tol": 1e-1, "fit_degree": 2}
 # Every parser whose --help is dumped: the top level and each subcommand.
 HELP = ([], ["analyze"], ["rcrcq"], ["abadie"], ["multipliers"], ["dependence"],
         ["corpus"], ["corpus", "list"], ["corpus", "run"])
@@ -139,6 +141,8 @@ def dump(cli, src: Path, seeds: list[int], outdir: Path) -> int:
             path.write_text(json.dumps(dict(first.data, options=OPTIONS)), encoding="utf-8")
             outputs[f"{first.name}.options.analyze"] = [
                 "analyze", str(path), "--format", "machine"]
+            outputs[f"{first.name}.options.flags.analyze"] = [
+                "analyze", str(path), "--format", "machine", *FLAGS]
             for workload in WORKLOADS:
                 for index in ROUNDS:
                     for problem in workloads.round_problems(workload, seed, index):
