@@ -162,7 +162,9 @@ def _poly_exponents(k: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def _design_matrix(z: np.ndarray, exponents: Sequence[tuple[int, ...]]) -> np.ndarray:
-    cols = [np.prod(z**np.array(e), axis=1) for e in exponents]
+    """The monomials of ``z``; an overflow gives inf, as in ``predict``."""
+    with np.errstate(over="ignore"):
+        cols = [np.prod(z**np.array(e), axis=1) for e in exponents]
     return np.column_stack(cols) if cols else np.zeros((len(z), 0))
 
 
@@ -180,7 +182,8 @@ def reconstruct_dependent(
     Training uses the even-indexed remaining points, validation the
     odd-indexed ones; the recorded residual is the max held-out error.
     Exceeding ``FIT_TOLERANCE_REL`` times the value scale raises
-    :class:`ReconstructionError`.
+    :class:`ReconstructionError`, with an infinite residual when the
+    training values or their monomials are not finite.
     """
     if target_index in pivot_indices:
         raise ValueError("target function is itself a pivot")
@@ -197,6 +200,10 @@ def reconstruct_dependent(
     exponents = _poly_exponents(len(cols), degree)
     a = _design_matrix(y[train] - center, exponents)
     rhs = w[train] - base_value
+    scale = max(1.0, float(np.max(np.abs(w[train]), initial=0.0)))
+    bound = FIT_TOLERANCE_REL * scale
+    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+        raise ReconstructionError(target_index, math.inf, bound)
     # Column equilibration keeps the ridge penalty scale-free.
     col_norms = np.linalg.norm(a, axis=0)
     col_norms[col_norms == 0.0] = 1.0
@@ -219,8 +226,6 @@ def reconstruct_dependent(
     )
     held_out = [abs(fitted.predict(yy) - ww) for yy, ww in zip(y[test], w[test])]
     residual = float(max(held_out, default=0.0))
-    scale = max(1.0, float(np.max(np.abs(w[train]), initial=0.0)))
-    bound = FIT_TOLERANCE_REL * scale
     if residual > bound:
         raise ReconstructionError(target_index, residual, bound)
     return dataclasses.replace(fitted, cross_validated_residual=residual)

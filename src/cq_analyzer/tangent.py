@@ -65,25 +65,20 @@ class CorrectionResult:
 
 @dataclass(frozen=True)
 class _Group:
-    """Jobs with one J and one pivot count, one row per job: what their
-    Gauss-Newton iterations hold fixed, namely the base points x0 + t*d, the
-    pivot rows chosen there (as positions in J), the residual tolerances,
-    and the values and rows of J at the base points."""
+    """Corrections with one J and one pivot count, one row per (t, job)
+    pair of the schedule: what their Gauss-Newton iterations hold fixed,
+    namely the base points x0 + t*d, the pivot rows chosen there (as
+    positions in J), the residual tolerances, and the values and rows of J
+    at the base points."""
 
     functions: list
-    jobs: list[int]
+    keys: list[tuple[int, int]]        # row -> (t position, job)
     base: np.ndarray                   # (P, n)
     pivot_pos: np.ndarray              # (P, pivot count)
     initial_residual: list[float]
     residual_tol: list[float]
     values: np.ndarray                 # (P, |J|) at the base points
     rows: np.ndarray                   # (P, |J|, n)
-
-    def take(self, rows: list[int]) -> "_Group":
-        return _Group(self.functions, [self.jobs[p] for p in rows], self.base[rows],
-                      self.pivot_pos[rows], [self.initial_residual[p] for p in rows],
-                      [self.residual_tol[p] for p in rows], self.values[rows],
-                      self.rows[rows])
 
     def result(self, p, r, converged, iterations, final) -> CorrectionResult:
         return CorrectionResult(
@@ -94,65 +89,44 @@ class _Group:
 
 def _correct_lockstep(sys, x0, t_schedule, jobs, cfg) -> list[list[CorrectionResult]]:
     """Minimal-norm Gauss-Newton corrections r with h_i(x0 + t d + r) = 0,
-    i in J, for every ``(j_set, d, warm_start)`` job at each t of
-    ``t_schedule``: one list of results per t, in job order.
+    i in J, for every ``(j_set, d)`` job at each t of ``t_schedule``: one
+    list of results per t, in job order.
 
-    ``warm_start`` is the job's start at the first t (None for r = 0); at
-    each later t a job starts from its last converged correction, prescaled
-    quadratically (||r|| = O(t^2) under the theory, and an unscaled warm
-    start would seed a tangential offset of the previous magnitude), or
-    from r = 0 when none converged.  Pivot rows are selected at x0 + t*d by
-    numerical rank; every step solves the linearized pivot system by
-    pseudoinverse (the minimal-norm update), while convergence is judged on
-    the full J residual with ``||h_J||_inf <= CORRECTOR_TOL * (1 + scale)``.
-    A job that does not converge gets a non-converged result (r is the last
-    iterate) instead of an exception, and so does one that leaves the
-    domain (with r = None when it leaves at x0 + t*d).  A non-converged warm
-    start is retried from r = 0.
+    Every correction starts at r = 0: the Abadie argument needs an o(t)
+    correction at each t, and none of them reads another.  Pivot rows are
+    selected at x0 + t*d by numerical rank; every step solves the
+    linearized pivot system by pseudoinverse (the minimal-norm update),
+    while convergence is judged on the full J residual with
+    ``||h_J||_inf <= CORRECTOR_TOL * (1 + scale)``.  A job that does not
+    converge gets a non-converged result (r is the last iterate) instead of
+    an exception, and so does one that leaves the domain (with r = None when
+    it leaves at x0 + t*d).
 
-    The jobs are corrected in lockstep: the base points x0 + t*d of each J,
-    over the whole schedule, are evaluated in one call and ranked with one
-    stacked SVD (:func:`_base_groups`), and at each t the jobs of each
+    The corrections are made in lockstep: the base points x0 + t*d of each
+    J, over the whole schedule, are evaluated in one call and ranked with
+    one stacked SVD (:func:`_base_groups`), and the (t, job) pairs of each
     (J, pivot count) group iterate as one array, so that a Gauss-Newton
     step is one evaluation and one stacked SVD for the whole group.  The
     pseudoinverse is numpy's ``pinv`` formula written inline (singular
     values above 1e-15 times the largest are inverted, the others zeroed),
-    and which jobs are live, their residuals and their exits are kept in
-    Python lists, so that a step makes few numpy calls.  A start at r = 0
-    reads its first iterate from the base evaluation.  A job leaves its
-    group when it converges, leaves the domain or reaches the iteration
-    cap; the cold retries run in a second pass.  Each result equals the one
-    the job would get alone, bit for bit.
+    and which pairs are live, their residuals and their exits are kept in
+    Python lists, so that a step makes few numpy calls.  The first iterate
+    is read from the base evaluation.  A pair leaves its group when it
+    converges, leaves the domain or reaches the iteration cap.  Each result
+    equals the one the pair would get alone, bit for bit.
     """
-    warm = [w for _, _, w in jobs]
-    last: list[Optional[tuple[float, np.ndarray]]] = [None] * len(jobs)
-    out = []
-    for t, results, groups in zip(t_schedule, *_base_groups(sys, x0, t_schedule, jobs, cfg)):
-        if out:
-            warm = [None if lt is None else lt[1] * (t / lt[0]) ** 2 for lt in last]
-        for group in groups:
-            starts = [warm[k] for k in group.jobs]
-            done = _iterate_lockstep(group, starts)
-            retry = [p for p, w in enumerate(starts) if w is not None and not done[p].converged]
-            if retry:
-                cold = _iterate_lockstep(group.take(retry), [None] * len(retry))
-                for p, result in zip(retry, cold):
-                    if result.converged:
-                        done[p] = result
-            for k, result in zip(group.jobs, done):
-                results[k] = result
-        for k, result in enumerate(results):
-            if result.converged:
-                last[k] = (t, result.r)
-        out.append(results)
+    out, groups = _base_groups(sys, x0, t_schedule, jobs, cfg)
+    for group in groups:
+        for (ti, k), result in zip(group.keys, _iterate_lockstep(group)):
+            out[ti][k] = result
     return out
 
 
-def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[list[_Group]]]:
+def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[_Group]]:
     """Per t, the results in job order, holding those the base points
     x0 + t*d settle alone (a base point outside the domain, or no pivot row:
     an empty J or all gradient rows zero) and None for the others, and the
-    (J, pivot count) groups of the others.
+    (J, pivot count) groups of the others, each over the whole schedule.
 
     The base points of each J over the whole schedule are one
     :func:`~cq_analyzer.model.evaluate_rows` call and one stacked
@@ -161,17 +135,17 @@ def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[list[
     x0 = np.asarray(x0, dtype=float)
     n = sys.dimension
     settled: list[list] = [[None] * len(jobs) for _ in t_schedule]
-    groups: list[list[_Group]] = [[] for _ in t_schedule]
+    groups: list[_Group] = []
     by_j: dict = {}                        # J -> job numbers
-    for k, (j_set, _, _) in enumerate(jobs):
+    for k, (j_set, _) in enumerate(jobs):
         by_j.setdefault(tuple(sorted(j_set)), []).append(k)
 
     for j, members in by_j.items():
         functions = [sys.constraint(i) for i in j]
         keys = [(ti, k) for ti in range(len(t_schedule)) for k in members]  # row -> (t, job)
         directions = np.array([jobs[k][1] for k in members], dtype=float)
-        # + 0.0 turns a -0.0 coordinate into +0.0, as base + r does for any
-        # start r, so that a start at r = 0 reads the base evaluation.
+        # + 0.0 turns a -0.0 coordinate into +0.0, as x0 + t*d + r does at
+        # r = 0, so that the first iterate is the base evaluation.
         base = (x0 + np.array(t_schedule)[:, None, None] * directions).reshape(len(keys), n) + 0.0
         values0, rows0, errors = evaluate_rows(functions, base)
         failed = {p for p, _ in errors}
@@ -185,11 +159,11 @@ def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[list[
         initial = np.max(np.abs(values0), axis=1, initial=0.0)
         residual_tol = (CORRECTOR_TOL * (1.0 + np.maximum(1.0, initial))).tolist()
         initial = initial.tolist()
-        by_count: dict = {}                # (t, pivot count) -> [(row, pivot positions in J)]
+        by_count: dict = {}                # pivot count -> [(row, pivot positions in J)]
         for p, rank0 in zip(ok, numerical_rank(rows0[ok], cfg.tol_rank)):
             pos = [i - 1 for i in rank0.pivot_indices]
             if pos:
-                by_count.setdefault((keys[p][0], len(pos)), []).append((p, pos))
+                by_count.setdefault(len(pos), []).append((p, pos))
                 continue
             # No pivot row (J is empty or all its rows vanish): nothing to iterate along.
             ti, k = keys[p]
@@ -197,43 +171,28 @@ def _base_groups(sys, x0, t_schedule, jobs, cfg) -> tuple[list[list], list[list[
                 r=np.zeros(n), converged=initial[p] <= residual_tol[p], iterations=0,
                 initial_residual=initial[p], final_residual=initial[p],
             )
-        for (ti, _), pivots in by_count.items():
+        for pivots in by_count.values():
             ps = [p for p, _ in pivots]
-            groups[ti].append(_Group(functions, [keys[p][1] for p in ps], base[ps],
-                                    np.array([pos for _, pos in pivots]),
-                                    [initial[p] for p in ps], [residual_tol[p] for p in ps],
-                                    values0[ps], rows0[ps]))
+            groups.append(_Group(functions, [keys[p] for p in ps], base[ps],
+                                 np.array([pos for _, pos in pivots]),
+                                 [initial[p] for p in ps], [residual_tol[p] for p in ps],
+                                 values0[ps], rows0[ps]))
     return settled, groups
 
 
-def _first_iterate(group: _Group, starts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, set]:
-    """The start array, and the values, rows and failed rows at base + start.
-    A start at r = 0 reads them from the base evaluation."""
-    r = np.array([np.zeros(group.base.shape[1]) if w is None else w for w in starts],
-                 dtype=float)
-    fresh = [p for p, w in enumerate(starts) if w is not None]
-    values, rows, failed = group.values, group.rows, set()
-    if fresh:
-        fresh_values, fresh_rows, errors = evaluate_rows(group.functions,
-                                                         group.base[fresh] + r[fresh])
-        values, rows = values.copy(), rows.copy()
-        values[fresh], rows[fresh] = fresh_values, fresh_rows
-        failed = {fresh[p] for p, _ in errors}
-    return r, values, rows, failed
-
-
-def _iterate_lockstep(group: _Group, starts: list) -> list[CorrectionResult]:
-    """Gauss-Newton iterations of every job of ``group`` from its start
-    (None for r = 0), in lockstep; the results in the group's row order.
+def _iterate_lockstep(group: _Group) -> list[CorrectionResult]:
+    """Gauss-Newton iterations of every row of ``group`` from r = 0, in
+    lockstep; the results in the group's row order.
 
     ``live`` holds the group rows still iterating, and ``final`` their
-    last residuals; the arrays are filtered only at a step where a job
+    last residuals; the arrays are filtered only at a step where a row
     leaves."""
-    results: list[Optional[CorrectionResult]] = [None] * len(group.jobs)
-    live = list(range(len(group.jobs)))
+    results: list[Optional[CorrectionResult]] = [None] * len(group.keys)
+    live = list(range(len(group.keys)))
     final = [math.inf] * len(live)
-    r, values, rows, failed = _first_iterate(group, starts)
     base, pos, tol = group.base, group.pivot_pos, group.residual_tol
+    r = np.zeros(base.shape)
+    values, rows, failed = group.values, group.rows, set()
     at = np.arange(len(live))[:, None]
     for it in range(CORRECTOR_MAX_ITER + 1):
         if it:
@@ -258,9 +217,9 @@ def _iterate_lockstep(group: _Group, starts: list) -> list[CorrectionResult]:
             break
         # Minimal-norm update: r_new = pinv(J)(J r - h) solves the linearized
         # system while discarding the null-space component of the iterate,
-        # so the limit is the minimal-norm correction regardless of the warm
-        # start.  pinv(J) = V diag(1/s) U^T over the singular values s above
-        # 1e-15 s_max, as numpy computes it.
+        # so the limit is the minimal-norm correction.  pinv(J) = V diag(1/s)
+        # U^T over the singular values s above 1e-15 s_max, as numpy
+        # computes it.
         piv_values, piv_rows = values[at, pos], rows[at, pos]
         rhs = np.matmul(piv_rows, r[:, :, None])[..., 0] - piv_values
         u, s, vt = np.linalg.svd(piv_rows, full_matrices=False)
@@ -346,7 +305,7 @@ def _probe_directions(
     directions = [d for _, d in faces]
     crits = [(s, tuple(sorted(pd.equality_indices + s))) for s, _ in faces]
     inactive = [tuple(i for i in pd.inequality_indices if i not in j) for _, j in crits]
-    jobs = [(j_set, d, None) for (_, j_set), d in zip(crits, directions)]
+    jobs = [(j_set, d) for (_, j_set), d in zip(crits, directions)]
     per_t = _correct_lockstep(sys, x0, t_schedule, jobs, cfg)
     by_inactive: dict = {}                 # inactive set -> [(t position, direction, point)]
     for ti, (t, results) in enumerate(zip(t_schedule, per_t)):

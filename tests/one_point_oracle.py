@@ -5,8 +5,9 @@ Before the cone-direction probes corrected their directions in lockstep
 batches, every matrix was ranked on its own and every direction ran its own
 Gauss-Newton loop with one ``pinv`` per step.  ``numerical_rank`` and
 ``ljusternik_correct`` below are that code, unchanged but for their names,
-for evaluating one point as a batch of one (``_evaluate_at``) and for the
-exact power-of-two row scaling the pivot search now starts with;
+for evaluating one point as a batch of one (``_evaluate_at``), for the
+exact power-of-two row scaling the pivot search now starts with, and for
+the warm start and its cold retry, which the corrector no longer has;
 ``tests/test_lockstep_oracle.py`` checks that the stacked rank and the
 lockstep corrector reproduce them bit for bit.  The oracle's results still
 carry the pivot rows and the reason a correction stopped, which the
@@ -120,9 +121,9 @@ def ljusternik_correct(
     d: Sequence[float],
     t: float,
     cfg,
-    warm_start: Optional[np.ndarray] = None,
 ) -> CorrectionResult:
-    """One direction's minimal-norm Gauss-Newton correction at one t."""
+    """One direction's minimal-norm Gauss-Newton correction at one t, from
+    r = 0."""
     if t <= 0:
         raise ValueError("t must be positive")
     x0 = np.asarray(x0, dtype=float)
@@ -156,40 +157,32 @@ def ljusternik_correct(
             pivot_indices=(), diagnostic=None if converged else "zero-gradient pivot",
         )
 
-    def iterate(r_start: np.ndarray) -> CorrectionResult:
-        r = r_start.copy()
-        final = math.inf
-        for it in range(CORRECTOR_MAX_ITER + 1):
-            values_j, rows_j, errors = _evaluate_at(functions, base + r)
-            if errors:
-                return CorrectionResult(
-                    r=r, converged=False, iterations=it,
-                    initial_residual=initial_residual, final_residual=final,
-                    pivot_indices=pivot, diagnostic=_domain_diagnostic(j, errors),
-                )
-            final = float(np.max(np.abs(values_j), initial=0.0))
-            if final <= residual_tol:
-                return CorrectionResult(
-                    r=r, converged=True, iterations=it,
-                    initial_residual=initial_residual, final_residual=final,
-                    pivot_indices=pivot,
-                )
-            if it == CORRECTOR_MAX_ITER:
-                break
-            piv_values, piv_rows = values_j[pivot_pos], rows_j[pivot_pos]
-            r = np.linalg.pinv(piv_rows) @ (piv_rows @ r - piv_values)
-        return CorrectionResult(
-            r=r, converged=False, iterations=CORRECTOR_MAX_ITER,
-            initial_residual=initial_residual, final_residual=final,
-            pivot_indices=pivot, diagnostic="iteration cap reached",
-        )
-
-    result = iterate(warm_start if warm_start is not None else np.zeros(sys.dimension))
-    if not result.converged and warm_start is not None:
-        cold = iterate(np.zeros(sys.dimension))
-        if cold.converged:
-            return cold
-    return result
+    r = np.zeros(sys.dimension)
+    final = math.inf
+    for it in range(CORRECTOR_MAX_ITER + 1):
+        values_j, rows_j, errors = _evaluate_at(functions, base + r)
+        if errors:
+            return CorrectionResult(
+                r=r, converged=False, iterations=it,
+                initial_residual=initial_residual, final_residual=final,
+                pivot_indices=pivot, diagnostic=_domain_diagnostic(j, errors),
+            )
+        final = float(np.max(np.abs(values_j), initial=0.0))
+        if final <= residual_tol:
+            return CorrectionResult(
+                r=r, converged=True, iterations=it,
+                initial_residual=initial_residual, final_residual=final,
+                pivot_indices=pivot,
+            )
+        if it == CORRECTOR_MAX_ITER:
+            break
+        piv_values, piv_rows = values_j[pivot_pos], rows_j[pivot_pos]
+        r = np.linalg.pinv(piv_rows) @ (piv_rows @ r - piv_values)
+    return CorrectionResult(
+        r=r, converged=False, iterations=CORRECTOR_MAX_ITER,
+        initial_residual=initial_residual, final_residual=final,
+        pivot_indices=pivot, diagnostic="iteration cap reached",
+    )
 
 
 def correct_equalities(sys, eq_indices, x, gn_tol, cfg) -> Optional[np.ndarray]:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -160,7 +161,9 @@ def test_cli_reports_a_probe_base_point_outside_the_domain(capsys, tmp_path, com
     assert outside["initial_residuals"][0] is None and outside["final_residuals"][0] is None
     residuals = (inside["initial_residuals"] + inside["final_residuals"]
                  + outside["initial_residuals"][1:] + outside["final_residuals"][1:])
-    assert all(isinstance(r, float) for r in residuals)
+    # A residual that reaches exactly zero is written as the integer 0.
+    assert all(isinstance(r, (int, float)) and not isinstance(r, bool) and math.isfinite(r)
+               for r in residuals)
 
 
 def test_cli_certifies_a_line_whose_sampled_rank_drops(capsys, tmp_path):
@@ -346,6 +349,21 @@ def test_cli_trig_of_overflowed_argument_is_an_error_section(capsys, tmp_path):
     for name in ("rcrcq", "abadie"):
         assert sections[name]["error_kind"] == "ConstraintDomainError"
         assert "sin of an infinite value in 'sin(x1^400)'" in sections[name]["error"]
+
+
+def test_cli_overflowing_dependence_fit_is_an_error_section(capsys, tmp_path):
+    # The pivot offsets near 1e200 overflow the fit's cubic monomials: this
+    # used to end in a LinAlgError traceback with exit 70.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "name": "big", "variables": ["x1", "x2"],
+        "equalities": ["1e200*x1", "2e200*x1"], "point": [1, 0],
+    }))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--format", "machine")
+    assert (code, err) == (2, "")
+    dependence = json.loads(out)["analyses"]["dependence"]
+    assert dependence["error_kind"] == "ReconstructionError"
+    assert "reconstruction failed for function 2: held-out residual inf" in dependence["error"]
 
 
 def deep_sum_problem(tmp_path, terms):

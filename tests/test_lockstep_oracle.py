@@ -219,9 +219,9 @@ def test_batched_equality_projection_matches_one_point_projection(index, deltas,
     # family's equalities at once, as the one-point corrector does alone.
     sys, x0 = family(index)
     eq = sys.equality_indices
-    job_list = [(eq, (point - x0) / t, None) for point in probe_points(x0, deltas)]
+    job_list = [(eq, (point - x0) / t) for point in probe_points(x0, deltas)]
     batch = _correct_lockstep(sys, x0, (t,), job_list, CFG)[0]
-    for got, (j, d, _) in zip(batch, job_list, strict=True):
+    for got, (j, d) in zip(batch, job_list, strict=True):
         assert_same_correction(got, oracle.ljusternik_correct(sys, j, x0, d, t, CFG))
 
 
@@ -266,24 +266,16 @@ CORRECTOR_SYSTEM = ConstraintSystem.from_strings(
 X0 = np.array([1.0, 0.0, 0.0])
 
 directions = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
-jobs = st.lists(
-    st.tuples(
-        st.sets(st.integers(1, 6), max_size=3),
-        directions,
-        st.one_of(st.none(), st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05),
-                                      st.floats(-0.05, 0.05))),
-    ),
-    min_size=1, max_size=8,
-)
+jobs = st.lists(st.tuples(st.sets(st.integers(1, 6), max_size=3), directions),
+                min_size=1, max_size=8)
 
 
 def oracle_corrections(t, job_list):
-    return [oracle.ljusternik_correct(CORRECTOR_SYSTEM, j, X0, d, t, CFG, warm)
-            for j, d, warm in job_list]
+    return [oracle.ljusternik_correct(CORRECTOR_SYSTEM, j, X0, d, t, CFG) for j, d in job_list]
 
 
 def as_arrays(job_list):
-    return [(j, np.array(d), None if w is None else np.array(w)) for j, d, w in job_list]
+    return [(j, np.array(d)) for j, d in job_list]
 
 
 @SETTINGS
@@ -298,15 +290,13 @@ def test_lockstep_corrections_match_one_direction_corrections(job_list, t):
 def test_lockstep_corrector_cases_are_all_reached():
     # One batch, every way a job can end, each matched by the one-direction loop.
     job_list = as_arrays([
-        ((), (0.0, 1.0, 0.0), None),                        # empty J
-        ((1, 2), (0.0, 0.6, 0.8), None),                    # converges
-        ((1, 2), (0.0, 0.6, 0.8), (0.01, -0.02, 0.0)),      # warm start
-        ((3,), (-1.0, 0.0, 0.0), None),                     # leaves the domain at the base
-        ((3,), (1.8, 0.0, 0.0), None),                      # leaves it while iterating
-        ((4,), (0.0, 1.0, 0.0), None),                      # zero gradient at the base
-        ((5,), (0.3, 0.5, 0.0), None),                      # iteration cap
-        ((5,), (0.3, 0.5, 0.0), (0.01, 0.01, 0.01)),        # cap, cold retry too
-        ((1, 6), (0.0, 0.0, 1.0), None),                    # parallel rows, one pivot
+        ((), (0.0, 1.0, 0.0)),                        # empty J
+        ((1, 2), (0.0, 0.6, 0.8)),                    # converges
+        ((3,), (-1.0, 0.0, 0.0)),                     # leaves the domain at the base
+        ((3,), (1.8, 0.0, 0.0)),                      # leaves it while iterating
+        ((4,), (0.0, 1.0, 0.0)),                      # zero gradient at the base
+        ((5,), (0.3, 0.5, 0.0)),                      # iteration cap
+        ((1, 6), (0.0, 0.0, 1.0)),                    # parallel rows, one pivot
     ])
     t = 0.5
     batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, (t,), job_list, CFG)[0]
@@ -352,93 +342,42 @@ def test_probe_case_leaves_the_domain_at_one_t_only():
     assert left == [(False,) * 5, (True, False, False, False, False)]
 
 
-def test_lockstep_groups_mix_pivot_counts_domain_exits_and_cold_retries():
+def test_lockstep_groups_mix_pivot_counts_and_domain_exits():
     # At t = 0.1: J = (2, 4) holds jobs of pivot count 1 (on the cylinder's
     # axis) and 2; in the one-pivot group of J = (3,) one job leaves the
-    # domain at its first step while the others go on; two warm starts leave
-    # the domain at once and fall back to the cold retry, one warm start
-    # converges on its own.
+    # domain at its first step while the others go on.
     job_list = as_arrays([
-        ((3,), (1.8, 0.0, 0.0), None),
-        ((3,), (0.5, 0.5, 0.0), None),
-        ((3,), (1.6, 0.0, 0.1), None),
-        ((3,), (1.6, 0.0, 0.1), (-5.0, 0.0, 0.0)),
-        ((3,), (0.0, 0.0, 1.0), (-5.0, 0.0, 0.0)),
-        ((3,), (0.5, 0.5, 0.0), (0.001, 0.0, 0.0)),
-        ((2, 4), (0.0, 1.0, 0.0), None),
-        ((2, 4), (0.3, 0.5, 0.2), None),
-        ((2, 4), (0.0, 1.0, 0.0), (0.01, 0.0, 0.0)),
-        ((1, 2), (0.0, 0.6, 0.8), None),
-        ((1, 6), (0.0, 0.0, 1.0), None),
+        ((3,), (1.8, 0.0, 0.0)),
+        ((3,), (0.5, 0.5, 0.0)),
+        ((3,), (1.6, 0.0, 0.1)),
+        ((2, 4), (0.0, 1.0, 0.0)),
+        ((2, 4), (0.3, 0.5, 0.2)),
+        ((1, 2), (0.0, 0.6, 0.8)),
+        ((1, 6), (0.0, 0.0, 1.0)),
     ])
     t = 1e-1
     batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, (t,), job_list, CFG)[0]
     expected = oracle_corrections(t, job_list)
     for got, want in zip(batch, expected, strict=True):
         assert_same_correction(got, want)
-    assert {len(r.pivot_indices) for r in expected[6:9]} == {1, 2}
+    assert {len(r.pivot_indices) for r in expected[3:5]} == {1, 2}
     assert expected[0].iterations == 1 and "constraint 3" in expected[0].diagnostic
+    assert expected[1].converged
     assert expected[2].converged and expected[2].iterations > 1
-    for k in (3, 4):
-        j, d, _ = job_list[k]
-        cold = oracle.ljusternik_correct(CORRECTOR_SYSTEM, j, X0, d, t, CFG)
-        assert expected[k].converged
-        assert_same_correction(expected[k], cold)
-    assert expected[5].converged and expected[5].iterations != expected[1].iterations
-
-
-def oracle_schedule(t_schedule, job_list):
-    """The one-direction corrections of every job along ``t_schedule``: each
-    later t starts from the job's last converged correction scaled by
-    (t / t_last)^2, or from r = 0 when none converged."""
-    last = [None] * len(job_list)
-    per_t = []
-    for ti, t in enumerate(t_schedule):
-        results = []
-        for k, (j, d, warm) in enumerate(job_list):
-            if ti:
-                warm = None if last[k] is None else last[k][1] * (t / last[k][0]) ** 2
-            result = oracle.ljusternik_correct(CORRECTOR_SYSTEM, j, X0, d, t, CFG, warm)
-            if result.converged:
-                last[k] = (t, result.r)
-            results.append(result)
-        per_t.append(results)
-    return per_t
-
-
-def assert_same_schedule(job_list, t_schedule):
-    batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, t_schedule, job_list, CFG)
-    expected = oracle_schedule(t_schedule, job_list)
-    assert len(batch) == len(expected) == len(t_schedule)
-    for got_t, want_t in zip(batch, expected):
-        for got, want in zip(got_t, want_t, strict=True):
-            assert_same_correction(got, want)
-    return expected
 
 
 @SETTINGS
 @given(job_list=jobs)
-def test_lockstep_schedule_matches_chained_one_direction_corrections(job_list):
+def test_lockstep_schedule_matches_one_direction_corrections_at_each_t(job_list):
+    # Along the whole schedule each (J, pivot count) group iterates once,
+    # and every correction equals the one-direction correction at its t.
+    job_list = as_arrays(job_list)
     assert len(CFG.t_schedule) == 5
-    assert_same_schedule(as_arrays(job_list), CFG.t_schedule)
-
-
-def test_lockstep_schedule_chains_warm_starts():
-    # Along the default schedule the sphere and sphere-and-saddle jobs
-    # converge at every t, so each later t starts from a scaled converged
-    # correction; the unsatisfiable job converges at no t; the log job
-    # leaves the domain at its base point at the first t only.
-    job_list = as_arrays([
-        ((1, 2), (0.0, 0.6, 0.8), None),
-        ((1, 2), (0.0, 0.6, 0.8), (0.01, -0.02, 0.0)),
-        ((1,), (0.3, 0.5, 0.2), None),
-        ((5,), (0.3, 0.5, 0.0), None),
-        ((3,), (-1.0, 0.0, 0.0), None),
-    ])
-    expected = assert_same_schedule(job_list, CFG.t_schedule)
-    assert all(r.converged and r.iterations for at_t in expected for r in at_t[:3])
-    assert not any(at_t[3].converged for at_t in expected)
-    assert [at_t[4].r is None for at_t in expected] == [True, False, False, False, False]
+    batch = _correct_lockstep(CORRECTOR_SYSTEM, X0, CFG.t_schedule, job_list, CFG)
+    assert len(batch) == len(CFG.t_schedule)
+    for t, got_t in zip(CFG.t_schedule, batch):
+        for got, want in zip(got_t, oracle_corrections(t, job_list), strict=True):
+            assert_same_correction(got, want)
 
 
 def test_lockstep_pseudoinverse_zeroes_a_singular_value_of_dependent_pivot_rows():
@@ -447,13 +386,12 @@ def test_lockstep_pseudoinverse_zeroes_a_singular_value_of_dependent_pivot_rows(
     # row of x2^2 + 1 is about zero: the pseudoinverse drops its singular
     # value, below 1e-15 times the largest, at that iterate.
     job_list = as_arrays([
-        ((2, 5), (0.0, 2.0, 0.0), None),
-        ((2, 5), (0.2, 2.0, 0.3), None),
-        ((2, 5), (0.0, 2.0, 0.0), (0.0, 0.01, 0.0)),
+        ((2, 5), (0.0, 2.0, 0.0)),
+        ((2, 5), (0.2, 2.0, 0.3)),
     ])
     t = 0.5
     functions = [CORRECTOR_SYSTEM.constraint(i) for i in (2, 5)]
-    for _, d, _ in job_list[:2]:
+    for _, d in job_list:
         base = X0 + t * d
         values, rows, _ = evaluate_rows(functions, base[None])
         first = np.linalg.pinv(rows[0]) @ -values[0]

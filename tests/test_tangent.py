@@ -58,7 +58,7 @@ def test_correct_linear_equality_kernel_direction():
     sys = make(eqs=["x1 + 2*x2"])
     d = np.array([2.0, -1.0]) / np.sqrt(5.0)
     for t in (1e-1, 1e-3, 1e-5):
-        result = _correct_lockstep(sys, [0.0, 0.0], (t,), [((1,), d, None)], CFG)[0][0]
+        result = _correct_lockstep(sys, [0.0, 0.0], (t,), [((1,), d)], CFG)[0][0]
         assert result.converged
         assert np.linalg.norm(result.r) <= 1e-14
 
@@ -68,7 +68,7 @@ def test_correct_circle_matches_closed_form():
     # ||r(t)|| = sqrt(1+t^2) - 1 ~ t^2/2.
     sys = make(eqs=["x1^2 + x2^2 - 1"])
     t = 1e-2
-    result = _correct_lockstep(sys, [1.0, 0.0], (t,), [((1,), [0.0, 1.0], None)], CFG)[0][0]
+    result = _correct_lockstep(sys, [1.0, 0.0], (t,), [((1,), [0.0, 1.0])], CFG)[0][0]
     assert result.converged
     expected = math.sqrt(1.0 + t * t) - 1.0
     assert np.linalg.norm(result.r) == pytest.approx(expected, rel=1e-6)
@@ -77,7 +77,7 @@ def test_correct_circle_matches_closed_form():
 
 def test_correct_parallel_rows_pivot_already_satisfied():
     sys = make(eqs=["x1", "2*x1"])
-    result = _correct_lockstep(sys, [0.0, 0.0], (1e-2,), [((1, 2), [0.0, 1.0], None)], CFG)[0][0]
+    result = _correct_lockstep(sys, [0.0, 0.0], (1e-2,), [((1, 2), [0.0, 1.0])], CFG)[0][0]
     assert result.converged
     assert result.iterations == 0
     assert np.linalg.norm(result.r) == 0.0
@@ -87,7 +87,7 @@ def test_correct_pivots_on_the_row_the_rank_keeps():
     # J = {1e-20*x1, x2} has rank 1; a pivot on the 1e-20 row would stall
     # the Gauss-Newton steps, the row x2 settles x2 = 0 in one.
     sys = make(eqs=["1e-20*x1", "x2"])
-    result = _correct_lockstep(sys, [0.0, 0.0], (0.1,), [((1, 2), [0.0, 1.0], None)], CFG)[0][0]
+    result = _correct_lockstep(sys, [0.0, 0.0], (0.1,), [((1, 2), [0.0, 1.0])], CFG)[0][0]
     assert result.converged
     assert result.iterations == 1
     assert result.final_residual == 0.0
@@ -95,7 +95,7 @@ def test_correct_pivots_on_the_row_the_rank_keeps():
 
 def test_correct_empty_j_set():
     sys = make(ins=["-x1"])
-    result = _correct_lockstep(sys, [0.0, 0.0], (1e-2,), [((), [1.0, 0.0], None)], CFG)[0][0]
+    result = _correct_lockstep(sys, [0.0, 0.0], (1e-2,), [((), [1.0, 0.0])], CFG)[0][0]
     assert result.converged and np.linalg.norm(result.r) == 0.0
 
 
@@ -118,7 +118,7 @@ def test_corrector_evaluates_each_iterate_once(monkeypatch):
     sys = make(eqs=["x1^2 + x2^2 + x3^2 - 1", "x3 - x1*x2"], variables=("x1", "x2", "x3"))
     d = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
     calls = count_evaluations(monkeypatch)
-    result = _correct_lockstep(sys, [1.0, 0.0, 0.0], (0.1,), [((1, 2), d, None)], CFG)[0][0]
+    result = _correct_lockstep(sys, [1.0, 0.0, 0.0], (0.1,), [((1, 2), d)], CFG)[0][0]
     assert result.converged and result.iterations >= 2
     # Once at x0 + t*d, which selects the pivots and is the cold start's
     # first iterate r = 0, then once per later iterate up to the converged
@@ -127,6 +127,27 @@ def test_corrector_evaluates_each_iterate_once(monkeypatch):
     for (source, _), n in calls.items():
         per_expression[source] += n
     assert per_expression == {f.source: result.iterations + 1 for f in sys.equalities}
+
+
+def test_one_group_iterates_over_the_whole_schedule_at_once(monkeypatch):
+    # On the circle, J = (1,) has one pivot row at every t, so the five
+    # corrections are one group: one evaluation of the base points, then
+    # one per Gauss-Newton step of the slowest t, not one per step and t.
+    sys = make(eqs=["x1^2 + x2^2 - 1"])
+    calls = []
+    evaluate_rows = tangent.evaluate_rows
+
+    def evaluating(functions, points):
+        calls.append(len(points))
+        return evaluate_rows(functions, points)
+
+    monkeypatch.setattr(tangent, "evaluate_rows", evaluating)
+    assert len(CFG.t_schedule) == 5
+    per_t = _correct_lockstep(sys, [1.0, 0.0], CFG.t_schedule, [((1,), [0.0, 1.0])], CFG)
+    iterations = [at_t[0].iterations for at_t in per_t]
+    assert all(at_t[0].converged for at_t in per_t)
+    assert sum(iterations) > max(iterations)
+    assert len(calls) == 1 + max(iterations) and calls[0] == 5
 
 
 def test_cold_start_reads_the_base_evaluation_at_base_plus_zero(monkeypatch):
@@ -139,7 +160,7 @@ def test_cold_start_reads_the_base_evaluation_at_base_plus_zero(monkeypatch):
     x0 = np.array([1.0, 0.0, 0.0, -0.0])
     d = np.array([0.0, 1.0, 1.0, -0.0]) / np.sqrt(2.0)
     calls = count_evaluations(monkeypatch)
-    result = _correct_lockstep(sys, x0, (0.1,), [((1, 2), d, None)], CFG)[0][0]
+    result = _correct_lockstep(sys, x0, (0.1,), [((1, 2), d)], CFG)[0][0]
     assert result.converged and result.iterations >= 2
     base = x0 + 0.1 * d
     assert np.signbit(base[3]) and not np.signbit((base + 0.0)[3])
@@ -181,9 +202,11 @@ def test_probes_evaluate_and_rank_the_base_points_once_per_critical_set(monkeypa
     monkeypatch.setattr(tangent, "numerical_rank", ranking)
     batched = _probe_directions(sys, pd, faces, CFG)
     for j, points in bases.items():
-        functions = [sys.constraint(i) for i in j]
-        calls = [p for f, p in evaluated if f == functions and len(p) == len(points)]
-        assert len(calls) == 1 and np.array_equal(calls[0], points)
+        # The first call per J evaluates the base points; the later ones are
+        # Gauss-Newton steps over the whole schedule, at other points.
+        calls = [p for f, p in evaluated if f == [sys.constraint(i) for i in j]]
+        assert np.array_equal(calls[0], points)
+        assert not any(np.array_equal(p, points) for p in calls[1:])
     assert sorted(ranked) == sorted((len(p), len(j), 3) for j, p in bases.items())
     monkeypatch.undo()
     alone = [_probe_directions(sys, pd, [face], CFG)[0] for face in faces]
@@ -443,7 +466,7 @@ def test_abadie_skips_probe_points_outside_the_domain():
     # the domain of log, which must skip them, not fail the whole section.
     sys = make(eqs=["log(x1) - x2"])
     x0 = [0.05, math.log(0.05)]
-    result = _correct_lockstep(sys, x0, (0.1,), [([1], [-1.0, 0.0], None)], CFG)[0][0]
+    result = _correct_lockstep(sys, x0, (0.1,), [([1], [-1.0, 0.0])], CFG)[0][0]
     assert not result.converged
     assert abadie_verdict(sys, x0, CFG).verdict == "consistent"
 
