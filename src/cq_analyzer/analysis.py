@@ -1,10 +1,10 @@
 """Run the individual analyses over one system, capturing per-section errors.
 
 Each section is rendered here, and only here, to a plain dict (the single
-representation both report formats consume): a result dataclass becomes the
-dict of its fields, an array, tuple or list becomes a list, and the few keys
-the report names or shapes otherwise are set by the section's runner.  The
-result classes carry no serializer, so a field added to one is reported.
+representation both report formats consume) by one rule: fields become
+keys, dict keys become strings, and arrays, tuples and lists become lists.
+The result classes carry the report's names and shapes and no serializer,
+so a section is its result rendered, plus the few keys this module adds.
 Numerical failures inside one analysis do not abort the others: the section
 becomes ``{"error": ..., "error_kind": ...}`` and the exit-code mapping
 treats it as inconclusive.
@@ -108,8 +108,8 @@ class _Run:
 
 
 def _render(value):
-    """``value`` as plain data: a dataclass as the dict of its fields, an
-    array, tuple or list as a list, anything else as it is."""
+    """``value`` as plain data: a dataclass as the dict of its fields, a dict
+    with ``str`` keys, an array, tuple or list as a list, else ``value``."""
     kind = type(value)
     if kind in _SCALARS:
         return value
@@ -126,16 +126,9 @@ def _render(value):
         if names is None:
             names = _FIELDS[kind] = tuple(f.name for f in fields(value))
         return {name: _render(getattr(value, name)) for name in names}
+    if kind is dict:
+        return {str(k): _render(v) for k, v in value.items()}
     return value
-
-
-def _by_rank(crc: dict) -> dict:
-    """A rendered constant-rank report, its rank counts keyed by rank per radius."""
-    crc["rank_counts_by_radius"] = [
-        {"radius": r, "rank_counts": {str(k): c for k, c in counts}}
-        for r, counts in crc["rank_counts_by_radius"]
-    ]
-    return crc
 
 
 def _run_rcrcq(run: _Run) -> dict:
@@ -151,14 +144,12 @@ def _run_rcrcq(run: _Run) -> dict:
     run.subsets = dict(report.subsets)
     section = _render(report)
     section["subset_count"] = report.subset_count
-    section["subsets"] = [{"subset": j, **_by_rank(crc)} for j, crc in section["subsets"]]
+    section["subsets"] = [{"subset": j, **crc} for j, crc in section["subsets"]]
     return section
 
 
 def _run_abadie(run: _Run) -> dict:
-    section = _render(abadie_verdict(run.sys, run.x0, run.cfg, run.point()))
-    section["gamma_in_T_evidence"] = section.pop("probes")
-    return section
+    return _render(abadie_verdict(run.sys, run.x0, run.cfg, run.point()))
 
 
 def _run_dependence(run: _Run) -> dict:
@@ -169,7 +160,6 @@ def _run_dependence(run: _Run) -> dict:
     crc = run.subsets.get(tuple(range(1, sys.n_constraints + 1)))
     verdict = classify_dependence(jacobian, cfg.tol_rank, cfg.fit_degree, crc)
     section = _render(verdict)
-    _by_rank(section["crc"])
     section["image_dimension"] = image_dimension_probe(jacobian, cfg.tol_rank)
     if run.witness_relation is not None:
         names = [f"y{i}" for i in range(1, jacobian.kappa + 1)]
@@ -181,11 +171,7 @@ def _run_dependence(run: _Run) -> dict:
 def _run_kkt(run: _Run) -> dict:
     # A missing objective is reported before the base point is read.
     point = run.point() if run.sys.objective is not None else None
-    section = _render(kkt_report(run.sys, run.x0, run.cfg, point))
-    section["stationarity_residual"] = section.pop("stationarity")
-    pairs = section["multipliers"]
-    section["multipliers"] = None if pairs is None else {str(i): v for i, v in pairs}
-    return section
+    return _render(kkt_report(run.sys, run.x0, run.cfg, point))
 
 
 _RUNNERS = {

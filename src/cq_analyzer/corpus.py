@@ -6,8 +6,8 @@ file ``NAME.json``, valid input for every command, and the golden file
 the ``analyses`` that make up its golden verdict, the ``expected`` outcomes
 keyed as in ``_CHECKS``, the ``hand_ranks`` computed by hand that serve as
 the oracle for the rank-analysis acceptance checks, and optionally a
-``witness_relation`` over y1..yk, composed with the equalities.  ``CORPUS``
-maps each name to its golden dict, read once at import; ``run_case``
+``witness_relation`` over y1..yk, one y per constraint.  ``CORPUS`` maps
+each name to its golden dict, read and checked once at import; ``run_case``
 re-analyzes the problem file and compares.
 """
 
@@ -18,7 +18,8 @@ import json
 from typing import Sequence
 
 from . import __version__
-from .analysis import run_analyses, section_verdict
+from .analysis import _RUNNERS, run_analyses, section_verdict
+from .expr import ExpressionError, parse
 from .problem import ProblemFile, load_problem_file
 from .report import REPORT_VERSION
 
@@ -38,24 +39,24 @@ def _approx(a: float, b: float, tol: float = 1e-8) -> bool:
     return abs(a - b) <= tol
 
 
-def _equals(section: str, key: str):
-    def compare(expected, sections: dict):
-        actual = sections[section].get(key)
+def _equals(key: str):
+    def compare(expected, section: dict):
+        actual = section.get(key)
         return str(expected), str(actual), expected == actual
 
     return compare
 
 
-def _verdict(section: str):
-    def compare(expected, sections: dict):
-        actual = section_verdict(section, sections[section])
+def _verdict(name: str):
+    def compare(expected, section: dict):
+        actual = section_verdict(name, section)
         return str(expected), actual, expected == actual
 
     return compare
 
 
-def _witness_residual(bound: float, sections: dict):
-    residual = sections["dependence"].get("witness_residual")
+def _witness_residual(bound: float, section: dict):
+    residual = section.get("witness_residual")
     return (
         f"<= {bound:.1e}",
         "none" if residual is None else f"{residual:.3e}",
@@ -63,18 +64,18 @@ def _witness_residual(bound: float, sections: dict):
     )
 
 
-def _multipliers(expected: dict, sections: dict):
+def _multipliers(expected: dict, section: dict):
     expected = {int(i): v for i, v in expected.items()}  # JSON keys are strings
-    lam = sections["kkt"].get("multipliers") or {}
+    lam = section.get("multipliers") or {}
     ok = all(str(i) in lam and _approx(lam[str(i)], v) for i, v in expected.items())
     return str(expected), str(lam), ok
 
 
-def _decay_slopes(slope_range: Sequence[float], sections: dict):
+def _decay_slopes(slope_range: Sequence[float], section: dict):
     lo, hi = slope_range
     slopes = [
         p["trace"]["decay_slope"]
-        for p in sections["abadie"].get("gamma_in_T_evidence", [])
+        for p in section.get("gamma_in_T_evidence", [])
         if p["trace"]["decay_slope"] is not None
     ]
     return (
@@ -84,40 +85,66 @@ def _decay_slopes(slope_range: Sequence[float], sections: dict):
     )
 
 
-# (golden key, check label, comparator); checks are listed in this order.
-# A comparator maps (golden value, sections) to (expected, actual, pass).
+# (golden key, check label, section read, comparator), in check order.  A
+# comparator maps (golden value, section) to (expected, actual, pass).
 _CHECKS = (
-    ("rcrcq", "rcrcq verdict", _verdict("rcrcq")),
-    ("abadie", "abadie verdict", _verdict("abadie")),
-    ("dependence", "dependence sense", _verdict("dependence")),
-    ("rank_k", "rank at center", _equals("dependence", "rank_k")),
-    ("laszlo", "rank-deficient at point", _equals("dependence", "laszlo_at_point")),
-    ("image_dimension", "image dimension", _equals("dependence", "image_dimension")),
-    ("witness_residual_max", "witness residual", _witness_residual),
-    ("kkt", "kkt", _verdict("kkt")),
-    ("primal", "primal value", _equals("kkt", "primal_value")),
-    ("multipliers", "multipliers", _multipliers),
-    ("minimal_norm_selected", "minimal-norm flag", _equals("kkt", "minimal_norm_selected")),
-    ("slope_range", "corrector decay slope", _decay_slopes),
+    ("rcrcq", "rcrcq verdict", "rcrcq", _verdict("rcrcq")),
+    ("abadie", "abadie verdict", "abadie", _verdict("abadie")),
+    ("dependence", "dependence sense", "dependence", _verdict("dependence")),
+    ("rank_k", "rank at center", "dependence", _equals("rank_k")),
+    ("laszlo", "rank-deficient at point", "dependence", _equals("laszlo_at_point")),
+    ("image_dimension", "image dimension", "dependence", _equals("image_dimension")),
+    ("witness_residual_max", "witness residual", "dependence", _witness_residual),
+    ("kkt", "kkt", "kkt", _verdict("kkt")),
+    ("primal", "primal value", "kkt", _equals("primal_value")),
+    ("multipliers", "multipliers", "kkt", _multipliers),
+    ("minimal_norm_selected", "minimal-norm flag", "kkt", _equals("minimal_norm_selected")),
+    ("slope_range", "corrector decay slope", "abadie", _decay_slopes),
 )
+_SECTION = {key: section for key, _, section, _ in _CHECKS}
+
+
+def _fault(golden: dict, problem_file) -> str | None:
+    """Why ``corpus run`` would skip a check of ``golden``, or crash on it,
+    if it would: a missing key, a key that neither the golden format nor
+    ``_CHECKS`` knows, an unknown analysis, a key that reads a section the
+    case does not run, or a ``witness_relation`` that is not an expression
+    over y1..yk, for the k constraints of ``problem_file``."""
+    missing = _REQUIRED - set(golden)
+    unknown = (set(golden) - _KNOWN) | (set(golden.get("expected", ())) - set(_SECTION))
+    if missing or unknown:
+        return f"missing keys {sorted(missing)}, unknown keys {sorted(unknown)}"
+    analyses = golden["analyses"]
+    reads = {key: _SECTION[key] for key in golden["expected"]}
+    if "witness_relation" in golden:
+        reads["witness_relation"] = "dependence"
+    bad = [name for name in analyses if name not in _RUNNERS]
+    unrun = sorted(key for key, section in reads.items() if section not in analyses)
+    if bad or unrun:
+        return f"unknown analyses {bad}, keys {unrun} read sections not in 'analyses'"
+    if "witness_relation" in golden:
+        problem = json.loads(problem_file.read_text(encoding="utf-8"))
+        k = len(problem.get("equalities") or ()) + len(problem.get("inequalities") or ())
+        try:
+            parse(golden["witness_relation"], [f"y{i}" for i in range(1, k + 1)])
+        except ExpressionError as err:
+            return f"'witness_relation' over y1..y{k}: {err}"
+    return None
 
 
 def _load_corpus(directory) -> dict[str, dict]:
     """Each ``NAME.golden.json`` of ``directory`` as ``{NAME: golden dict}``,
-    in name order.  A missing key, or a key that neither the golden format
-    nor ``_CHECKS`` knows, raises naming the file: a misspelled check would
-    otherwise be skipped."""
+    in name order.  A golden file with a fault (:func:`_fault`) raises
+    naming the file."""
     corpus = {}
     for entry in sorted(directory.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(_GOLDEN):
+            name = entry.name[: -len(_GOLDEN)]
             golden = json.loads(entry.read_text(encoding="utf-8"))
-            missing = _REQUIRED - set(golden)
-            unknown = (set(golden) - _KNOWN) | (
-                set(golden.get("expected", ())) - {key for key, _, _ in _CHECKS})
-            if missing or unknown:
-                raise ValueError(f"corpus file {entry.name}: missing keys "
-                                 f"{sorted(missing)}, unknown keys {sorted(unknown)}")
-            corpus[entry.name[: -len(_GOLDEN)]] = golden
+            fault = _fault(golden, directory / f"{name}.json")
+            if fault:
+                raise ValueError(f"corpus file {entry.name}: {fault}")
+            corpus[name] = golden
     return corpus
 
 
@@ -143,9 +170,9 @@ def run_case(name: str, flags: dict | None = None) -> dict:
                             golden.get("witness_relation"))
 
     checks = []
-    for key, label, compare in _CHECKS:
+    for key, label, section, compare in _CHECKS:
         if key in golden["expected"]:
-            expected, actual, ok = compare(golden["expected"][key], sections)
+            expected, actual, ok = compare(golden["expected"][key], sections[section])
             checks.append(
                 {"label": label, "expected": expected, "actual": actual, "pass": ok}
             )

@@ -50,17 +50,14 @@ class CertificateVerificationError(RuntimeError):
 class KktReport:
     """Multiplier existence, stationarity residual, and the linearized LP pair."""
 
-    multipliers: Optional[tuple[tuple[int, float], ...]]  # all constraints, index order
-    stationarity: float            # ||grad h0 + sum lambda_i grad h_i|| at the result
+    multipliers: Optional[dict[int, float]]  # constraint index -> multiplier, every constraint
+    stationarity_residual: float   # ||grad h0 + sum lambda_i grad h_i|| at the result
     dual_feasible: bool
     primal_value: str              # "zero" | "unbounded-below"
     descent_certificate: Optional[tuple[float, ...]]
     descent_slope: Optional[float]  # <grad h0, d> for the certificate
     minimal_norm_selected: bool
     active_indices: tuple[int, ...]
-
-    def multiplier_dict(self) -> Optional[dict[int, float]]:
-        return dict(self.multipliers) if self.multipliers is not None else None
 
 
 def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
@@ -103,7 +100,7 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
             )
         return KktReport(
             multipliers=None,
-            stationarity=norm,
+            stationarity_residual=norm,
             dual_feasible=False,
             primal_value=PRIMAL_UNBOUNDED,
             descent_certificate=tuple(float(v) for v in d),
@@ -114,14 +111,13 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
 
     rows = np.vstack([cone.eq_rows, cone.ineq_rows])
     unique = _ranks(rows[None], tol)[0][0] == rows.shape[0]
-    full = tuple((i, lam.get(i, 0.0)) for i in range(1, sys.n_constraints + 1))
+    full = {i: lam.get(i, 0.0) for i in range(1, sys.n_constraints + 1)}
     total = grad
-    for i, v in full:
+    for i, v in full.items():
         total = total + v * pd.row(i)
-    stationarity = float(np.linalg.norm(total))
     return KktReport(
         multipliers=full,
-        stationarity=stationarity,
+        stationarity_residual=float(np.linalg.norm(total)),
         dual_feasible=True,
         primal_value=PRIMAL_ZERO,
         descent_certificate=None,

@@ -212,7 +212,7 @@ class CrcReport:
     rank_at_center: Optional[int]
     pivot_indices: tuple[int, ...]
     singular_values_at_center: tuple[float, ...]
-    rank_counts_by_radius: tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
+    rank_counts_by_radius: tuple[dict, ...]   # {"radius": r, "rank_counts": {rank: points}}
     witness: Optional[dict] = None     # {"point": [...], "rank": int}
     skipped_points: int = 0
     total_points: int = 0
@@ -299,49 +299,35 @@ def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
         )
     center_unevaluable = tuple(int(i) + 1 for i in np.flatnonzero(jacobian.failed[0]))
     notes: list[str] = []
+    center = None
     if center_unevaluable:
-        center_rank = None
-        center_result = None
-        notes.append(
-            "gradient rows unevaluable at the center: "
-            + ", ".join(str(i) for i in center_unevaluable)
-        )
+        notes.append("gradient rows unevaluable at the center: "
+                     + ", ".join(str(i) for i in center_unevaluable))
     else:
-        center_result = numerical_rank(jacobian.rows[0], tol_rank)
-        center_rank = center_result.rank
+        center = numerical_rank(jacobian.rows[0], tol_rank)
 
-    witness = None
-    drops = 0
-    drop_radius = None
-    evaluable = jacobian.evaluable
-    counts: dict[float, dict[int, int]] = {}   # radius -> rank -> points
-    for radius, point, point_rows, ok in zip(
-        jacobian.radius[1:].tolist(), jacobian.points[1:], jacobian.rows[1:], evaluable[1:]
-    ):
-        at_radius = counts.setdefault(radius, {})
-        if not ok:
-            continue
-        rank_here = int(_ranks(point_rows[None], tol_rank)[0][0])
-        at_radius[rank_here] = at_radius.get(rank_here, 0) + 1
-        if center_rank is None:
-            continue
-        if rank_here > center_rank and witness is None:
-            witness = {"point": [float(v) for v in point], "rank": rank_here}
-        elif rank_here < center_rank:
-            drops += 1
-            if drop_radius is None:
-                drop_radius = radius
-    total = len(evaluable) - 1
-    skipped = total - int(evaluable[1:].sum())
+    # The rank of each evaluable sample point, in plan order.
+    radius = jacobian.radius.tolist()
+    kept = (np.flatnonzero(jacobian.evaluable[1:]) + 1).tolist()
+    ranks = [int(_ranks(jacobian.rows[p][None], tol_rank)[0][0]) for p in kept]
+    by_radius: dict[float, list[int]] = {r: [] for r in radius[1:]}
+    for p, k in zip(kept, ranks):
+        by_radius[radius[p]].append(k)
+    rises, drops = [], []
+    if center is not None:
+        rises = [(p, k) for p, k in zip(kept, ranks) if k > center.rank]
+        drops = [p for p, k in zip(kept, ranks) if k < center.rank]
     if drops:
         notes.append(
-            f"sample points of rank below the center rank: {drops}, the largest "
-            f"at radius {drop_radius:g}; a drop does not refute constant rank"
+            f"sample points of rank below the center rank: {len(drops)}, the largest "
+            f"at radius {radius[drops[0]]:g}; a drop does not refute constant rank"
         )
+    total = len(radius) - 1
+    skipped = total - len(kept)
 
-    if witness is not None:
+    if rises:
         verdict = REFUTED
-    elif center_rank is None:
+    elif center is None:
         verdict = INCONCLUSIVE
     elif total == 0:
         verdict = INCONCLUSIVE
@@ -355,15 +341,15 @@ def check_crc(jacobian: SampleJacobian, tol_rank: float) -> CrcReport:
     return CrcReport(
         verdict=verdict,
         kappa=kappa,
-        rank_at_center=center_rank,
-        pivot_indices=center_result.pivot_indices if center_result else (),
-        singular_values_at_center=(
-            center_result.singular_values if center_result else ()
-        ),
+        rank_at_center=center.rank if center else None,
+        pivot_indices=center.pivot_indices if center else (),
+        singular_values_at_center=center.singular_values if center else (),
         rank_counts_by_radius=tuple(
-            (r, tuple(sorted(c.items()))) for r, c in counts.items()
+            {"radius": r, "rank_counts": {k: ks.count(k) for k in sorted(set(ks))}}
+            for r, ks in by_radius.items()
         ),
-        witness=witness,
+        witness=({"point": jacobian.points[rises[0][0]].tolist(), "rank": rises[0][1]}
+                 if rises else None),
         skipped_points=skipped,
         total_points=total,
         center_unevaluable_rows=center_unevaluable,

@@ -427,7 +427,7 @@ class AbadieReport:
 
     verdict: str
     cone: LinearizedCone
-    probes: tuple[TangentProbe, ...]
+    gamma_in_T_evidence: tuple[TangentProbe, ...]   # one probe per face direction
     trivial_cone: bool
     witness: Optional[dict]
 
@@ -476,7 +476,7 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
     return AbadieReport(
         verdict=verdict,
         cone=cone,
-        probes=probes,
+        gamma_in_T_evidence=probes,
         trivial_cone=not faces,
         witness=witness,
     )

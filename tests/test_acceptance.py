@@ -136,7 +136,7 @@ def test_criterion_3_abadie_equivalence_on_certified_cases():
         if rcrcq.verdict != "certified-by-sampling":
             failures.append(f"{name}: rcrcq {rcrcq.verdict}")
         report = abadie_verdict(system, pf.x0, CFG)
-        for probe in report.probes:
+        for probe in report.gamma_in_T_evidence:
             if not probe.passed:
                 failures.append(f"{name}: probe {probe.direction} failed: {probe.fail_reason}")
             ratios = [r for r in probe.trace.ratio if r is not None]
@@ -240,10 +240,10 @@ def test_criterion_7_kkt_duality_and_minimal_norm():
             failures.append(f"{name}: multiplier/dual flag mismatch")
         if report.dual_feasible:
             scale = 1.0 + float(np.linalg.norm(system.objective.gradient(list(pf.x0))))
-            if report.stationarity > 1e-10 * scale:
-                failures.append(f"{name}: stationarity {report.stationarity:.2e}")
+            if report.stationarity_residual > 1e-10 * scale:
+                failures.append(f"{name}: stationarity {report.stationarity_residual:.2e}")
     _, pf = load_case("duplicate-bounds")
-    lam = kkt_report(pf.system, pf.x0, CFG).multiplier_dict()
+    lam = kkt_report(pf.system, pf.x0, CFG).multipliers
     if abs(lam[1] - 0.2) > 1e-8 or abs(lam[2] - 0.4) > 1e-8:
         failures.append(f"duplicate-bounds multipliers {lam}")
     _report(

@@ -31,12 +31,20 @@ def test_problem_file_is_named_after_its_stem(name):
     (lambda golden: golden.update(descripton="typo"), "descripton"),
     (lambda golden: golden["expected"].update(rank_kk=2), "rank_kk"),
     (lambda golden: golden.pop("hand_ranks"), "hand_ranks"),
+    # Each of these three crashed ``corpus run``: the kkt check read a section
+    # that was never run, run_analyses refused the analysis, and the relation
+    # named a third constraint value of a case that has two.
+    (lambda golden: golden["expected"].update(kkt="multipliers-exist"), "kkt"),
+    (lambda golden: golden.update(analyses=["rcrcq", "abadie", "dependnce"]), "dependnce"),
+    (lambda golden: golden.update(witness_relation="y1^2 - y3^3"), "y3"),
 ])
 def test_a_golden_file_with_a_key_out_of_place_raises_naming_the_file(tmp_path, change, key):
-    golden = dict(CORPUS["axis-squares"], expected=dict(CORPUS["axis-squares"]["expected"]))
+    golden = dict(CORPUS["cusp-powers"], expected=dict(CORPUS["cusp-powers"]["expected"]))
     change(golden)
-    (tmp_path / "axis-squares.golden.json").write_text(json.dumps(golden), encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"axis-squares\.golden\.json.*'{key}'"):
+    (tmp_path / "cusp-powers.golden.json").write_text(json.dumps(golden), encoding="utf-8")
+    (tmp_path / "cusp-powers.json").write_text(
+        corpus_path("cusp-powers.json").read_text(encoding="utf-8"), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"cusp-powers\.golden\.json.*'{key}'"):
         _load_corpus(tmp_path)
 
 

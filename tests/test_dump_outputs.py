@@ -67,8 +67,8 @@ def test_dump_of_one_seed_holds_every_command_and_exit_code(dump):
     # analyze in text on the 9 corpus problem files, then 2 rounds x
     # (4 chains + 6 manifolds) x 4 outputs, one problem with every option,
     # alone and with every flag, the help of 9 parsers, and 3 outputs of
-    # each of the 6 edge problems.
-    assert len(names) == 4 + 9 + 2 * 10 * 4 + 2 + 9 + 6 * 3
+    # each of the 7 edge problems.
+    assert len(names) == 4 + 9 + 2 * 10 * 4 + 2 + 9 + 7 * 3
     assert "corpus.text.txt" in names and "analyze-manifold-s5150-r1-5.dependence.txt" in names
     assert {"corpus.flags.txt", "corpus.list.text.txt",
             "analyze-manifold-s5150-r0-0.options.analyze.txt",
@@ -77,7 +77,7 @@ def test_dump_of_one_seed_holds_every_command_and_exit_code(dump):
             "rcrcq-chain-s5150-r1-3.analyze.text.txt", "help.text.txt",
             "help.corpus.run.text.txt", "edge-negative-zero.analyze.machine.txt",
             "edge-unconstrained-minimum.analyze.text.txt",
-            "edge-zero-row.multipliers.txt",
+            "edge-zero-row.multipliers.txt", "edge-rank-drop.analyze.machine.txt",
             "edge-base-point-outside-domain.analyze.machine.txt"} <= set(names)
     for name in names:
         status, _, body = (dump / name).read_text(encoding="utf-8").partition("\n")

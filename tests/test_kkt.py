@@ -25,10 +25,10 @@ def test_multipliers_orthant_corner():
     # min x1 + x2 s.t. -x1 <= 0, -x2 <= 0 at the origin: lambda = (1, 1).
     sys = make(objective="x1 + x2", ins=["-x1", "-x2"])
     report = kkt_report(sys, [0.0, 0.0], CFG)
-    lam = report.multiplier_dict()
+    lam = report.multipliers
     assert lam[1] == pytest.approx(1.0, abs=1e-9)
     assert lam[2] == pytest.approx(1.0, abs=1e-9)
-    assert report.stationarity <= 1e-12
+    assert report.stationarity_residual <= 1e-12
 
 
 def test_multipliers_duplicate_constraint_minimal_norm():
@@ -37,11 +37,11 @@ def test_multipliers_duplicate_constraint_minimal_norm():
     sys = make(objective="x1", ins=["-x1", "-2*x1"], variables=("x1",))
     x0 = [0.0]
     report = kkt_report(sys, x0, CFG)
-    lam = report.multiplier_dict()
+    lam = report.multipliers
     assert lam[1] == pytest.approx(0.2, abs=1e-8)
     assert lam[2] == pytest.approx(0.4, abs=1e-8)
     assert report.minimal_norm_selected
-    assert report.stationarity <= 1e-10
+    assert report.stationarity_residual <= 1e-10
 
 
 def test_multipliers_sign_obstruction_empty():
@@ -56,7 +56,7 @@ def test_multipliers_sign_obstruction_empty():
 def test_multipliers_inactive_get_zero():
     sys = make(objective="x1 + x2", ins=["-x1", "-x2", "x1 - 5"])
     x0 = [0.0, 0.0]
-    lam = kkt_report(sys, x0, CFG).multiplier_dict()
+    lam = kkt_report(sys, x0, CFG).multipliers
     assert lam[3] == 0.0
 
 
@@ -64,7 +64,7 @@ def test_multipliers_equality_sign_free():
     # min -x1 s.t. circle at (1, 0): -grad h0 = (1, 0) = 0.5 * (2, 0).
     sys = make(objective="-x1", eqs=["x1^2 + x2^2 - 1"])
     report = kkt_report(sys, [1.0, 0.0], CFG)
-    lam = report.multiplier_dict()
+    lam = report.multipliers
     assert lam[1] == pytest.approx(0.5, abs=1e-9)
     assert not report.minimal_norm_selected
 
@@ -90,14 +90,14 @@ def test_objective_domain_error_comes_after_the_constraints():
 def test_stationarity_zero_lambda_gives_gradient_norm():
     # No constraints, so no multiplier can reduce the gradient.
     sys = make(objective="3*x1 + 4*x2")
-    assert kkt_report(sys, [0.0, 0.0], CFG).stationarity == pytest.approx(5.0)
+    assert kkt_report(sys, [0.0, 0.0], CFG).stationarity_residual == pytest.approx(5.0)
 
 
 def test_primal_value_zero_with_certificate():
     sys = make(objective="x1 + x2", ins=["-x1", "-x2"])
     report = kkt_report(sys, [0.0, 0.0], CFG)
     assert report.primal_value == "zero"
-    assert report.multiplier_dict()[1] == pytest.approx(1.0, abs=1e-9)
+    assert report.multipliers[1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_primal_unbounded_with_descent_certificate():
@@ -111,13 +111,13 @@ def test_primal_zero_objective_gradient():
     sys = make(objective="x1^2 + x2^2", eqs=["x1"])
     report = kkt_report(sys, [0.0, 0.0], CFG)
     assert report.primal_value == "zero"
-    assert all(abs(v) <= 1e-10 for _, v in report.multipliers)
+    assert all(abs(v) <= 1e-10 for v in report.multipliers.values())
     # Without constraints the cone has no row: nothing to select among.
     report = kkt_report(make(objective="x1^2 + x2^2"), [0.0, 0.0], CFG)
     assert report.dual_feasible and report.primal_value == "zero"
-    assert report.multipliers == ()
+    assert report.multipliers == {}
     assert report.minimal_norm_selected is False
-    assert report.stationarity == 0.0
+    assert report.stationarity_residual == 0.0
 
 
 def test_duality_equivalence_across_cases():
@@ -139,7 +139,7 @@ def test_complementarity_on_active_sets():
     sys = make(objective="x1 + x2", ins=["-x1", "-x2", "x1 - 5"])
     x0 = [0.0, 0.0]
     pd = evaluate_point(sys, x0)
-    lam = kkt_report(sys, x0, CFG).multiplier_dict()
+    lam = kkt_report(sys, x0, CFG).multipliers
     for i in (1, 2, 3):
         assert abs(lam[i] * pd.value(i)) <= 1e-10 * (1.0 + abs(pd.value(i)))
 
@@ -163,7 +163,7 @@ def test_objective_scaling_scales_multipliers():
     for c in (0.1, 1.0, 10.0):
         sys = make(objective=f"{c}*(x1 + x2)", ins=["-x1", "-x2"])
         report = kkt_report(sys, [0.0, 0.0], CFG)
-        lam = report.multiplier_dict()
+        lam = report.multipliers
         assert lam[1] == pytest.approx(c, rel=1e-8)
         assert lam[2] == pytest.approx(c, rel=1e-8)
         assert report.primal_value == "zero"

@@ -199,7 +199,7 @@ def face_probes(sys, x0):
     with S the active inequalities that vanish on its direction d."""
     pd = evaluate_point(sys, x0)
     active = active_set(pd, 1e-8)
-    probes = abadie_verdict(sys, x0, ToolConfig(), pd).probes
+    probes = abadie_verdict(sys, x0, ToolConfig(), pd).gamma_in_T_evidence
     for p in probes:
         vanishing = tuple(
             i for i in active

@@ -232,7 +232,7 @@ def test_crc_rank_drop_is_noted_and_refutes_nothing():
     report = crc(fns(["x - 5*x^2"], ["x"]), plan_at([0.0]), 1e-8)
     assert report.verdict == "certified-by-sampling"
     assert report.witness is None
-    assert dict(report.rank_counts_by_radius[0][1]) == {0: 16, 1: 16}
+    assert report.rank_counts_by_radius[0] == {"radius": 0.1, "rank_counts": {0: 16, 1: 16}}
     assert report.notes == (
         "sample points of rank below the center rank: 16, the largest at "
         "radius 0.1; a drop does not refute constant rank",

@@ -442,7 +442,7 @@ def test_abadie_parallel_equalities_consistent():
     report = abadie_verdict(sys, [0.0, 0.0], CFG)
     assert report.verdict == "consistent"
     assert rcrcq_verdict(sys, [0.0, 0.0]) == "certified-by-sampling"
-    assert all(p.passed for p in report.probes)
+    assert all(p.passed for p in report.gamma_in_T_evidence)
     assert all(member for _, member, _ in estimate_memberships(sys, [0.0, 0.0], CFG))
 
 
@@ -458,7 +458,7 @@ def test_abadie_trivial_cone_consistent():
     report = abadie_verdict(sys, [0.0, 0.0], CFG)
     assert report.verdict == "consistent"
     assert report.trivial_cone
-    assert report.probes == ()
+    assert report.gamma_in_T_evidence == ()
 
 
 def test_abadie_skips_probe_points_outside_the_domain():
@@ -497,7 +497,7 @@ def test_abadie_builds_the_linearized_cone_once(monkeypatch):
     monkeypatch.setattr(tangent, "build_linearized_cone", counting)
     report = abadie_verdict(make(objective="x1 + x2", ins=["x1^2 + x2^2 - 1", "-x2"]),
                             [1.0, 0.0], CFG)
-    assert report.probes and calls == [(1, 2)]
+    assert report.gamma_in_T_evidence and calls == [(1, 2)]
 
 
 def test_abadie_infeasible_point_rejected():
@@ -514,7 +514,7 @@ def test_abadie_halfdisk_corner_consistent():
     report = abadie_verdict(sys, [1.0, 0.0], CFG)
     assert report.verdict == "consistent"
     assert rcrcq_verdict(sys, [1.0, 0.0]) == "certified-by-sampling"
-    assert all(p.passed for p in report.probes)
+    assert all(p.passed for p in report.gamma_in_T_evidence)
 
 
 def test_abadie_squared_redundant_equality_consistent():

@@ -23,8 +23,9 @@ line and then everything the command wrote:
 - ``analyze`` in machine and text format and ``multipliers`` in machine
   format on each fixed edge problem (``EDGES``): no constraint at all, an
   inactive inequality alone, a zero gradient row, a base point with a
-  -0.0 coordinate, and a cone direction whose coarsest base point leaves the
-  domain.
+  -0.0 coordinate, a cone direction whose coarsest base point leaves the
+  domain, and a gradient that vanishes at sample points of the largest
+  radius (a rank drop, noted in the constant-rank reports).
 
 Usage errors are not dumped; the tests cover their wording.
 
@@ -66,8 +67,9 @@ OPTIONS = {"tol_rank": 1e-6, "tol_active": 1e-6, "tol_feas": 1e-6, "tol_cone": 1
 # Every parser whose --help is dumped: the top level and each subcommand.
 HELP = ([], ["analyze"], ["rcrcq"], ["abadie"], ["multipliers"], ["dependence"],
         ["corpus"], ["corpus", "list"], ["corpus", "run"])
-# Problems whose cones or critical sets have no rows, or a zero row, and one
-# whose Abadie probe starts outside the domain at t = 0.1 along -(1, -0.2).
+# Problems whose cones or critical sets have no rows, or a zero row, one
+# whose Abadie probe starts outside the domain at t = 0.1 along -(1, -0.2),
+# and one whose gradient 1 - 10x vanishes at the radius-0.1 points x = 0.1.
 EDGES = (
     {"name": "edge-unconstrained-minimum", "variables": ["x1", "x2"],
      "objective": "x1^2 + x2^2", "point": [0.0, 0.0]},
@@ -81,6 +83,7 @@ EDGES = (
      "equalities": ["x1*x2"], "point": [-0.0, 0.0]},
     {"name": "edge-base-point-outside-domain", "variables": ["x1", "x2"],
      "equalities": ["x2 + 0.01*log(x1 + 0.05) - 0.01*log(0.05)"], "point": [0.0, 0.0]},
+    {"name": "edge-rank-drop", "variables": ["x"], "equalities": ["x - 5*x^2"], "point": [0.0]},
 )
 
 
