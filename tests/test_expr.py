@@ -77,18 +77,49 @@ def test_parse_depth_bounds():
     _assert_gradient_is_walkers(e, [1.0])
     # The dataclass-generated methods recurse too, more deeply per level.
     assert e == parse(deepest_sum, ["x"]) and hash(e) and repr(e)
-    for text in (deepest_sum + " + x", "^".join(["x"] * (MAX_DEPTH + 1))):
-        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+    # The offset is the first node found past the bound: the sum's last
+    # term, at 4, and the power's last base, at the end of the text.
+    deepest_power = "^".join(["x"] * (MAX_DEPTH + 1))
+    for text, offset in ((deepest_sum + " + x", 4), (deepest_power, len(deepest_power) - 1)):
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels") as exc:
             parse(text, ["x"])
+        assert exc.value.position == offset
     # Each parenthesis or function argument costs the parser several frames.
     nested = "sin(" * MAX_NESTING + "x" + ")" * MAX_NESTING
     assert parse(nested, ["x"]).evaluate([0.0]) == 0.0
     for x in ([0.0], [-0.0], [0.7]):
         _assert_gradient_is_walkers(parse(nested, ["x"]), x)
-    for text in ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
-                 "sin(" + nested + ")", "-(" + nested + ")"):
-        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_NESTING} levels"):
+    # The offset is the token after the parenthesis that opens one level too many.
+    for text, offset in (("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), MAX_NESTING + 1),
+                         ("sin(" + nested + ")", 4 * (MAX_NESTING + 1)),
+                         ("-(" + nested + ")", 2 + 4 * MAX_NESTING)):
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_NESTING} levels") as exc:
             parse(text, ["x"])
+        assert exc.value.position == offset
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("x +  $", "unexpected character '$'", 5),
+    ("x \t\u00a0# y", "unexpected character '#'", 4),
+    (".", "unexpected character '.'", 0),
+    ("x y", "unexpected token 'y'", 2),
+    ("x + 2 3", "unexpected token '3'", 6),
+    ("(x)(y)", "unexpected token '('", 3),
+    ("1.e", "unexpected token 'e'", 2),
+    ("sin(x", "expected ')'", 5),
+    ("(x + 1", "expected ')'", 6),
+    ("sin(x y", "expected ')'", 6),
+    ("x +", "got 'end of input'", 3),
+    ("x ^ ", "got 'end of input'", 4),
+    ("", "got 'end of input'", 0),
+    ("   ", "got 'end of input'", 3),
+    ("x*(", "got 'end of input'", 3),
+])
+def test_parse_error_offsets(text, message, offset):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text, ["x", "y"])
+    assert exc.value.position == offset
+    assert message in str(exc.value) and str(exc.value).endswith(f"(offset {offset})")
 
 
 def test_parse_rejects_function_named_variable():
