@@ -106,6 +106,18 @@ class _Run:
             raise self._point
         return self._point
 
+    def sample(self, indices: Sequence[int]) -> SampleJacobian:
+        """The sample Jacobian of the 1-based constraints ``indices``; its
+        center rows come from the base-point evaluation when that succeeded."""
+        try:
+            point, cols = self.point(), [i - 1 for i in indices]
+        except ConstraintDomainError:
+            at_center = None
+        else:
+            at_center = point.values[cols], point.jacobian[cols]
+        return sample_jacobian([self.sys.constraint(i) for i in indices], self.x0, self.cfg,
+                               at_center=at_center)
+
 
 def _render(value):
     """``value`` as plain data: a dataclass as the dict of its fields, a dict
@@ -137,7 +149,7 @@ def _run_rcrcq(run: _Run) -> dict:
     rows = sys.equality_indices + active
     if jacobian is None:
         # No other analysis reads the plan: sample only the rows RCRCQ ranks.
-        jacobian = sample_jacobian([sys.constraint(i) for i in rows], run.x0, cfg)
+        jacobian = run.sample(rows)
     else:
         jacobian = jacobian.select([i - 1 for i in rows])
     report = check_rcrcq(sys, active, jacobian, cfg.tol_rank)
@@ -192,11 +204,9 @@ def run_analyses(
     """The report sections of the analyses ``which``.  A ``witness_relation``
     F(y1, ..., y_kappa) over the constraint values is reported in the
     ``dependence`` section with its largest residual over the sample plan."""
-    x0 = np.asarray(x0, dtype=float)
-    jacobian = None
+    run = _Run(sys, np.asarray(x0, dtype=float), cfg, None, witness_relation)
     if "dependence" in which:
-        jacobian = sample_jacobian(list(sys.all_constraints), x0, cfg)
-    run = _Run(sys, x0, cfg, jacobian, witness_relation)
+        run.jacobian = run.sample(range(1, sys.n_constraints + 1))
     sections: dict = {}
     for name in which:
         if name not in _RUNNERS:

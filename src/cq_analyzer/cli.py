@@ -16,6 +16,7 @@ config snapshot.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -72,7 +73,10 @@ def _common_flags() -> _Parser:
     return p
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process, built on first use: each ``parse_args``
+    fills a fresh namespace, and help reads the terminal width when printed."""
     parser = _Parser(prog="cq-analyzer", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cq-analyzer {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -160,42 +160,21 @@ _NODE_TYPES = (Num, Var, Neg, BinOp, IntPow, Pow, Call)  # for isinstance, which
 # Lexer
 # ---------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_OPERATORS = "+-*/^()"
+# One alternative per token kind, tried in this order; the search skips the
+# whitespace between tokens, and any other character is unexpected.
+_TOKEN_RE = re.compile(r"(?P<op>[-+*/^()])|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                       r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The ``(kind, text, offset)`` tokens of ``text``, kind "op", "num",
+    "ident", or "end" for the one that closes the list."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        raise ExprSyntaxError(f"unexpected character '{ch}'", i)
-    tokens.append(_Token("end", "", len(text)))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ExprSyntaxError(f"unexpected character '{m.group()}'", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -212,27 +191,21 @@ class _Parser:
         self.nesting = -1  # open parentheses; the top-level expr() makes it 0
         self.var_index = {name: i for i, name in enumerate(variables)}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
-
-    def advance(self) -> _Token:
+    def accept_op(self, ops: tuple) -> Optional[tuple]:
         tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def accept_op(self, *ops: str) -> Optional[_Token]:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ops:
-            return self.advance()
+        if tok[0] == "op" and tok[1] in ops:
+            self.k += 1
+            return tok
         return None
 
     def fail(self, message: str) -> ExprSyntaxError:
-        return ExprSyntaxError(message, self.peek().pos)
+        return ExprSyntaxError(message, self.tokens[self.k][2])
 
     def parse(self) -> AstNode:
         node = self.expr()
-        if self.peek().kind != "end":
-            raise self.fail(f"unexpected token '{self.peek().text}'")
+        kind, text, _ = self.tokens[self.k]
+        if kind != "end":
+            raise self.fail(f"unexpected token '{text}'")
         return node
 
     def expr(self) -> AstNode:
@@ -241,32 +214,32 @@ class _Parser:
             raise self.fail(f"parentheses nest deeper than {MAX_NESTING} levels")
         node = self.term()
         while True:
-            tok = self.accept_op("+", "-")
+            tok = self.accept_op(("+", "-"))
             if tok is None:
                 self.nesting -= 1
                 return node
             right = self.term()
-            node = BinOp(tok.text, node, right, span=(node.span[0], right.span[1]))
+            node = BinOp(tok[1], node, right, span=(node.span[0], right.span[1]))
 
     def term(self) -> AstNode:
         node = self.factor()
         while True:
-            tok = self.accept_op("*", "/")
+            tok = self.accept_op(("*", "/"))
             if tok is None:
                 return node
             right = self.factor()
-            node = BinOp(tok.text, node, right, span=(node.span[0], right.span[1]))
+            node = BinOp(tok[1], node, right, span=(node.span[0], right.span[1]))
 
     def factor(self) -> AstNode:
-        tok = self.accept_op("-")
+        tok = self.accept_op(("-",))
         node = self.power()
         if tok is not None:
-            return Neg(node, span=(tok.pos, node.span[1]))
+            return Neg(node, span=(tok[2], node.span[1]))
         return node
 
     def power(self) -> AstNode:
         operands = [self.atom()]
-        while self.accept_op("^") is not None:
+        while self.accept_op(("^",)) is not None:
             operands.append(self.atom())
         node = operands.pop()
         while operands:  # right-associative
@@ -277,39 +250,34 @@ class _Parser:
         return node
 
     def atom(self) -> AstNode:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Num(float(tok.text), span=(tok.pos, tok.pos + len(tok.text)))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text in self.var_index:
-                if self.accept_op("("):
+        kind, text, pos = self.tokens[self.k]
+        if kind == "num":
+            self.k += 1
+            return Num(float(text), span=(pos, pos + len(text)))
+        if kind == "ident":
+            self.k += 1
+            if text in self.var_index:
+                if self.accept_op(("(",)):
+                    raise ArityMismatchError(f"'{text}' is a variable, not a function", pos)
+                return Var(text, self.var_index[text], span=(pos, pos + len(text)))
+            if text in FUNCTIONS:
+                if self.accept_op(("(",)) is None:
                     raise ArityMismatchError(
-                        f"'{tok.text}' is a variable, not a function", tok.pos
-                    )
-                return Var(tok.text, self.var_index[tok.text],
-                           span=(tok.pos, tok.pos + len(tok.text)))
-            if tok.text in FUNCTIONS:
-                if self.accept_op("(") is None:
-                    raise ArityMismatchError(
-                        f"function '{tok.text}' requires one parenthesized argument",
-                        tok.pos,
-                    )
+                        f"function '{text}' requires one parenthesized argument", pos)
                 arg = self.expr()
-                closing = self.accept_op(")")
+                closing = self.accept_op((")",))
                 if closing is None:
                     raise self.fail("expected ')'")
-                return Call(tok.text, arg, span=(tok.pos, closing.pos + 1))
-            raise UnknownIdentifierError(tok.text, tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+                return Call(text, arg, span=(pos, closing[2] + 1))
+            raise UnknownIdentifierError(text, pos)
+        if text == "(":
+            self.k += 1
             node = self.expr()
-            closing = self.accept_op(")")
+            closing = self.accept_op((")",))
             if closing is None:
                 raise self.fail("expected ')'")
-            return replace(node, span=(tok.pos, closing.pos + 1))
-        raise self.fail(f"expected a number, identifier, or '(', got '{tok.text or 'end of input'}'")
+            return replace(node, span=(pos, closing[2] + 1))
+        raise self.fail(f"expected a number, identifier, or '(', got '{text or 'end of input'}'")
 
 
 def _check_depth(root: AstNode) -> None:
@@ -667,6 +635,10 @@ def parse(text: str, variables: Sequence[str]) -> Expression:
             raise ValueError(f"variable name '{name}' collides with a function name")
     if len(set(variables)) != len(tuple(variables)):
         raise ValueError("duplicate variable names")
-    root = _Parser(text, variables).parse()
-    _check_depth(root)
+    parser = _Parser(text, variables)
+    root = parser.parse()
+    # Each node takes a token of its own, so an expression of at most
+    # MAX_DEPTH tokens (the end token takes none) is at most that deep.
+    if len(parser.tokens) - 1 > MAX_DEPTH:
+        _check_depth(root)
     return Expression(root=root, variables=tuple(variables), source=text)

@@ -258,16 +258,22 @@ class SampleJacobian:
 
 
 def sample_jacobian(
-    functions: Sequence[Expression], center: Sequence[float], cfg: ToolConfig
+    functions: Sequence[Expression], center: Sequence[float], cfg: ToolConfig,
+    at_center: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> SampleJacobian:
     """Evaluate every function once at each point of the sample plan of
-    ``cfg`` around ``center`` (:func:`sample_plan`), the center included, in
-    one :func:`~cq_analyzer.model.evaluate_rows` call."""
+    ``cfg`` around ``center`` (:func:`sample_plan`) in one
+    :func:`~cq_analyzer.model.evaluate_rows` call.  The center is evaluated
+    too, unless ``at_center`` gives the functions' values and rows there."""
     radius, points = sample_plan(center, cfg.radii, cfg.samples_per_radius, cfg.seed)
-    values, rows, errors = evaluate_rows(functions, points)
+    skip = 0 if at_center is None else 1
+    values, rows, errors = evaluate_rows(functions, points[skip:])
+    if skip:
+        values = np.concatenate((at_center[0][None], values))
+        rows = np.concatenate((at_center[1][None], rows))
     failed = np.zeros(values.shape, dtype=bool)
     for p, i in errors:
-        failed[p, i] = True
+        failed[p + skip, i] = True
     return SampleJacobian(radius, points, values, rows, failed)
 
 

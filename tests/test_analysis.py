@@ -191,7 +191,8 @@ def test_rcrcq_skips_no_point_for_an_inactive_inequality():
 def test_rcrcq_alone_evaluates_an_inactive_inequality_only_at_the_point(monkeypatch):
     # Without dependence, the sample plan covers I_0 and I(x0) only: the
     # inactive log row is evaluated once, at x0, for the active set, instead
-    # of at the center and at all 160 sample points.
+    # of at the center and at all 160 sample points.  The plan's center rows
+    # are that evaluation's, so each function is evaluated once at x0.
     calls = Counter()
     original = Expression.value_and_gradient
 
@@ -208,10 +209,37 @@ def test_rcrcq_alone_evaluates_an_inactive_inequality_only_at_the_point(monkeypa
     section = run_analyses(system, np.zeros(2), cfg, ["rcrcq"])["rcrcq"]
     assert section["verdict"] == "certified-by-sampling"
     samples = len(cfg.radii) * cfg.samples_per_radius
-    assert calls == {"x2": 2 + samples, "log(x1 + 0.05) - 10": 1, "-x1": 2 + samples}
+    assert calls == {"x2": 1 + samples, "log(x1 + 0.05) - 10": 1, "-x1": 1 + samples}
     calls.clear()
     run_analyses(system, np.zeros(2), cfg, ["rcrcq", "dependence"])
-    assert calls["log(x1 + 0.05) - 10"] == 2 + samples
+    assert calls["log(x1 + 0.05) - 10"] == 1 + samples
+
+
+def test_sample_plan_center_rows_are_the_base_point_evaluation(monkeypatch):
+    # The center rows come from the base-point evaluation, bit for bit those
+    # of evaluating the center again; when that evaluation fails, the center
+    # is evaluated with the plan, and only its failing rows are marked.
+    made = []
+    original = rank.sample_jacobian
+
+    def recording(*args, **kwargs):
+        made.append((args, kwargs, original(*args, **kwargs)))
+        return made[-1][2]
+
+    monkeypatch.setattr(analysis, "sample_jacobian", recording)
+    cfg = ToolConfig()
+    system = ConstraintSystem.from_strings(
+        "center", ("x1", "x2"), equalities=("x2 - x1^2",), inequalities=("x1*x2 - 1", "-x1"))
+    run_analyses(system, [-0.0, 0.5], cfg, ["dependence"])
+    failing = ConstraintSystem.from_strings(
+        "log-center", ("x1", "x2"), equalities=("x2",), inequalities=("log(x1)",))
+    assert "error" in run_analyses(failing, [0.0, 0.0], cfg, ["rcrcq", "dependence"])["rcrcq"]
+    (args, kwargs, shared), (_, failing_kwargs, unshared) = made
+    assert kwargs["at_center"] is not None and failing_kwargs["at_center"] is None
+    fresh = original(*args)
+    for name in ("radius", "points", "values", "rows", "failed"):
+        assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes()
+    assert unshared.failed[0].tolist() == [False, True]
 
 
 def test_certified_rcrcq_with_violated_abadie_is_a_contradiction(monkeypatch):

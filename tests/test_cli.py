@@ -1,6 +1,11 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -855,3 +860,43 @@ def test_cli_machine_report_round_trips_as_json(capsys):
 def test_cli_text_report_has_trace_columns(capsys):
     _, out, _ = run_cli(capsys, "abadie", corpus_file("circle-point"), "--format", "text")
     assert "||r||" in out and "ratio" in out and "converged" in out
+
+
+def _in_process(argv):
+    """Exit code, stdout and stderr of one ``main`` call in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --version prints, then exits
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _alone(argv):
+    """Exit code, stdout and stderr of the same call in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("CQ_ANALYZER_SEED", None)
+    proc = subprocess.run([sys.executable, "-m", "cq_analyzer.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_the_shared_parser_leaks_nothing_between_calls(monkeypatch):
+    # main reuses one argument parser per process: each call of a sequence
+    # gives what the same call gives alone, in a fresh process.
+    monkeypatch.delenv("CQ_ANALYZER_SEED", raising=False)
+    problem = corpus_file("circle-point")
+    text = ["analyze", problem, "--seed", "3", "--format", "text"]
+    machine = ["analyze", problem, "--format", "machine"]
+    usage = ["rcrcq", problem, "--samples", "many"]
+    sequences = ([text, machine], [usage, machine], [["--version"], machine],
+                 [["corpus", "run", "all"], ["rcrcq", problem]])
+    alone = {}
+    for sequence in sequences:
+        for argv in sequence:
+            got = _in_process(argv)
+            want = alone.setdefault(tuple(argv), _alone(argv))
+            assert got == want, argv
+    assert alone[tuple(usage)][0] == 64 and alone[("--version",)][0] == 0
