@@ -109,8 +109,9 @@ class _Run:
     def sample(self, indices: Sequence[int]) -> SampleJacobian:
         """The sample Jacobian of the 1-based constraints ``indices``; its
         center rows come from the base-point evaluation when that succeeded."""
+        cols = [i - 1 for i in indices]
         try:
-            point, cols = self.point(), [i - 1 for i in indices]
+            point = self.point()
         except ConstraintDomainError:
             at_center = None
         else:
