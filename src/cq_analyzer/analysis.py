@@ -26,7 +26,10 @@ alone it covers only the equalities and the active inequalities, the rows
 RCRCQ ranks.  Each row set is ranked once per run: when every inequality is
 active, the dependence family is one of RCRCQ's subsets, and the
 ``dependence`` section reads that subset's report.  The base point is
-evaluated once per run, for every section that reads it.
+evaluated once per run, for every section that reads it, and its
+feasibility is checked once: ``rcrcq``, ``abadie`` and ``kkt`` presume a
+feasible point and report the same error at an infeasible one, while
+``dependence`` does not and still runs.
 """
 
 from __future__ import annotations
@@ -43,12 +46,15 @@ from .dependence import (
 )
 from .expr import parse
 from .kkt import CertificateVerificationError, MissingObjectiveError, kkt_report
-from .model import ConstraintDomainError, ConstraintSystem, PointData, active_set, evaluate_point
+from .model import (
+    ConstraintDomainError, ConstraintSystem, InfeasibleBasePointError, PointData, active_set,
+    evaluate_point, feasibility_check,
+)
 from .rank import (
     CERTIFIED, INCONCLUSIVE, REFUTED, SampleJacobian, SubsetGuardError, check_rcrcq,
     sample_jacobian,
 )
-from .tangent import CONSISTENT, VIOLATED, InfeasibleBasePointError, abadie_verdict
+from .tangent import CONSISTENT, VIOLATED, abadie_verdict
 
 __all__ = ["exit_code_for", "run_analyses", "section_verdict", "summary_line"]
 
@@ -84,7 +90,7 @@ _CAPTURED = (
 class _Run:
     """What the sections of one run share: the sample Jacobian when
     ``dependence`` runs, RCRCQ's subset reports once ``rcrcq`` has run, and
-    the base-point evaluation, made on first use."""
+    the base-point evaluation and its violations, made on first use."""
 
     sys: ConstraintSystem
     x0: np.ndarray
@@ -93,17 +99,23 @@ class _Run:
     witness_relation: Optional[str]
     subsets: dict = field(default_factory=dict)    # J -> CrcReport
     _point: object = field(default=None, init=False)  # PointData or its domain error
+    _violations: tuple = field(default=(), init=False)
 
-    def point(self) -> PointData:
+    def point(self, feasible: bool = True) -> PointData:
         """The evaluation of the system at x0; its domain error is raised to
-        every section that reads it."""
+        every section that reads it, and with ``feasible`` an infeasible x0
+        too."""
         if self._point is None:
             try:
                 self._point = evaluate_point(self.sys, self.x0)
             except ConstraintDomainError as err:
                 self._point = err
+            else:
+                self._violations = feasibility_check(self._point, self.cfg.tol_feas)
         if isinstance(self._point, ConstraintDomainError):
             raise self._point
+        if feasible and self._violations:
+            raise InfeasibleBasePointError(self._violations)
         return self._point
 
     def sample(self, indices: Sequence[int]) -> SampleJacobian:
@@ -111,7 +123,7 @@ class _Run:
         center rows come from the base-point evaluation when that succeeded."""
         cols = [i - 1 for i in indices]
         try:
-            point = self.point()
+            point = self.point(feasible=False)
         except ConstraintDomainError:
             at_center = None
         else:

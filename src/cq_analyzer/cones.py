@@ -38,6 +38,18 @@ __all__ = [
 _RIDGE = 1e-12
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of ``x``, rescaled by max|x| only when the sum of
+    squares overflows, so a finite norm keeps its bits."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if norm == np.inf:
+        scale = float(np.max(np.abs(x)))
+        if scale < np.inf:
+            norm = scale * float(np.linalg.norm(x / scale))
+    return norm
+
+
 @dataclass(frozen=True)
 class LinearizedCone:
     """Rows of active gradients defining {d : eq_rows d = 0, ineq_rows d <= 0}."""
@@ -145,7 +157,7 @@ def nonneg_lstsq(a: np.ndarray, b: np.ndarray):
             passive &= ~retire
             x[~passive] = 0.0
         w = a.T @ (b - a @ x)
-    return x, float(np.linalg.norm(b - a @ x))
+    return x, _norm(b - a @ x)
 
 
 def _solve_cone_coefficients(c: LinearizedCone, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +180,7 @@ def _solve_cone_coefficients(c: LinearizedCone, v: np.ndarray) -> tuple[np.ndarr
     target = np.concatenate([v, np.zeros(n_cols)])
     x, _ = nonneg_lstsq(augmented, target)
     lam = np.concatenate([x[:k_eq] - x[k_eq:2 * k_eq], x[2 * k_eq:]])
-    residual = float(np.linalg.norm(v - rows.T @ lam))
+    residual = _norm(v - rows.T @ lam)
 
     scale = max(1.0, float(np.max(np.abs(lam), initial=0.0)))
     support = [
@@ -182,8 +194,8 @@ def _solve_cone_coefficients(c: LinearizedCone, v: np.ndarray) -> tuple[np.ndarr
             polished[i] >= -1e-12 * scale for i in range(k_eq, m)
         )
         polished[k_eq:] = np.clip(polished[k_eq:], 0.0, None)
-        polished_residual = float(np.linalg.norm(v - rows.T @ polished))
-        if ok_signs and polished_residual <= residual + 1e-12 * (1.0 + float(np.linalg.norm(v))):
+        polished_residual = _norm(v - rows.T @ polished)
+        if ok_signs and polished_residual <= residual + 1e-12 * (1.0 + _norm(v)):
             return polished, v - rows.T @ polished
     return lam, v - rows.T @ lam
 
@@ -206,7 +218,7 @@ def dual_cone_decomposition(
     if v.shape != (c.dimension,):
         raise ValueError(f"vector has shape {v.shape}, expected ({c.dimension},)")
     lam, residual_vec = _solve_cone_coefficients(c, v)
-    if float(np.linalg.norm(residual_vec)) > tol * (1.0 + float(np.linalg.norm(v))):
+    if _norm(residual_vec) > tol * (1.0 + _norm(v)):
         return None, residual_vec
     return dict(zip(c.eq_indices + c.ineq_indices, lam.tolist())), residual_vec
 

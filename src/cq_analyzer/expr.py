@@ -13,9 +13,11 @@ an optional exponent.  Non-differentiable primitives (abs, min, max) are
 deliberately absent, so every parsed expression is C1 on its natural domain.
 
 Derivatives are computed in forward mode and are exact up to floating-point
-rounding.  On first use each expression is compiled into straight-line
-Python over float scalars, one function for the value and one for value and
-gradient.  Integer powers are expanded into repeated multiplication, which
+rounding.  Each expression generates straight-line Python over float
+scalars, one function for the value and one for value and gradient.  The
+first call in each mode runs the generator on the point's numbers and
+compiles nothing; the second compiles the code, which every later call
+runs.  Integer powers are expanded into repeated multiplication, which
 keeps expressions like ``t^3`` exact; a non-integer exponent falls back to
 ``exp(p*log(x))`` and requires a positive base.  Division by zero,
 logarithms and roots outside their domain, trigonometric functions of an
@@ -329,6 +331,11 @@ _GLOBALS = {"_E": DomainEvaluationError, "_array": np.array, "_inf": math.inf,
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
          "/": lambda a, b: a / b if b else a * math.inf}
 
+# Each domain check's test, as text over its operand and as a function of it.
+_TESTS = {"{} == 0.0": lambda v: v == 0.0, "{} <= 0.0": lambda v: v <= 0.0,
+          "{} < 0.0": lambda v: v < 0.0, "_isinf({})": math.isinf,
+          "not _isfinite({})": lambda v: not math.isfinite(v)}
+
 
 def _flat(r) -> list:
     return [r[0]] if r[1] is None else [r[0], *r[1].values(), r[2]]
@@ -347,10 +354,15 @@ class _Codegen:
     since most readers read it more than once: in gradient mode ``partials``
     maps each variable index the node depends on to an operand; in value
     mode both are None.
+
+    In value mode, given the point ``x``, every operand is a float: each
+    operation runs as it is generated, as the same IEEE operation the code
+    would run, a failed check raises at once, and ``function`` returns the
+    result itself.  Nothing is emitted, so nothing is hoisted or compiled.
     """
 
-    def __init__(self, expr: "Expression", grad: bool):
-        self.source, self.n, self.grad = expr.source, len(expr.variables), grad
+    def __init__(self, expr: "Expression", grad: bool, x: Optional[Sequence[float]] = None):
+        self.source, self.n, self.grad, self.x = expr.source, len(expr.variables), grad, x
         self.ns = dict(_GLOBALS)
         self.lines, self.loaded = [], set()  # statements, variable indices read
         self.names = (f"t{i}" for i in itertools.count(1))
@@ -434,8 +446,15 @@ class _Codegen:
         v, parts = self.let(r[0]), r[1] and {j: self.let(p) for j, p in r[1].items()}
         return v, parts, self.let(r[2])
 
-    def check(self, cond: str, message: str, node: AstNode) -> None:
-        self.lines.append(f"if {cond}: raise _E({message!r}, {self.source[slice(*node.span)]!r})")
+    def check(self, node: AstNode, message: str, test: str, *ops) -> None:
+        """Raise ``message`` where ``test`` holds for one of ``ops``: from an
+        emitted statement, or at once in value mode."""
+        fragment = self.source[slice(*node.span)]
+        if self.x is None:
+            cond = " or ".join(test.format(self.lit(op)) for op in ops)
+            self.lines.append(f"if {cond}: raise _E({message!r}, {fragment!r})")
+        elif any(map(_TESTS[test], ops)):
+            raise DomainEvaluationError(message, fragment)
 
     def define(self, name: str, args: str, body: list[str], tail: str):
         text = "".join(f"    {line}\n" for line in [*body, tail])
@@ -450,11 +469,14 @@ class _Codegen:
         if self.grad:  # each component is read by the finiteness check and the return
             parts = {j: self.let(p) for j, p in parts.items()}
             bg = self.let(bg) if len(parts) < self.n else bg
-        out = [self.lit(v), *(self.lit(parts.get(j, bg)) for j in range(self.n) if self.grad)]
+        out = [v, *(parts.get(j, bg) for j in range(self.n) if self.grad)]
+        if self.x is not None:
+            self.check(root, "non-finite result", "not _isfinite({})", *out)
+            return (v, np.array(out[1:])) if self.grad else v
+        out = [self.lit(op) for op in out]
         unknown = [op for op in dict.fromkeys(out) if op.isidentifier()]  # not a finite literal
         if unknown:
-            self.check(" or ".join(f"not _isfinite({op})" for op in unknown),
-                       "non-finite result", root)
+            self.check(root, "non-finite result", "not _isfinite({})", *unknown)
         ret = f"{out[0]}, _array([{', '.join(out[1:])}])" if self.grad else out[0]
         return self.define("_f", "x", self.lines, f"return {ret}")
 
@@ -467,10 +489,11 @@ class _Codegen:
             r = (float(node.value), *self.const)
         elif isinstance(node, Var):
             i = node.index
-            if i not in self.loaded:
+            v = f"v{i}" if self.x is None else float(self.x[i])
+            if self.x is None and i not in self.loaded:
                 self.loaded.add(i)
-                self.lines.append(f"v{i} = float(x[{i}])")
-            r = (f"v{i}", *(({i: 1.0}, 0.0) if self.grad else self.const))
+                self.lines.append(f"{v} = float(x[{i}])")
+            r = (v, *(({i: 1.0}, 0.0) if self.grad else self.const))
         elif isinstance(node, Neg):
             a = self.node(node.operand)
             r = (self.neg(a[0]), *self.each(self.neg, a))
@@ -483,7 +506,7 @@ class _Codegen:
                 r = (self.bin(av, node.op, bv),
                      *self.each(lambda p, q: self.bin(p, node.op, q), a, b))
             else:
-                self.check(f"{self.lit(bv)} == 0.0", "division by zero", node)
+                self.check(node, "division by zero", "{} == 0.0", bv)
                 d = self.let(self.bin(bv, "*", bv)) if self.grad else None
                 r = (self.bin(av, "/", bv), *self.each(lambda p, q: self.over(
                     self.bin(self.bin(p, "*", bv), "-", self.bin(av, "*", q)), d), a, b))
@@ -498,13 +521,12 @@ class _Codegen:
                 for _ in range(p):  # repeated multiplication keeps t^3 exact
                     r = self.hold(self.mul(r, base))
             if node.exponent < 0:
-                self.check(f"{self.lit(r[0])} == 0.0", "zero raised to a negative power", node)
+                self.check(node, "zero raised to a negative power", "{} == 0.0", r[0])
                 d = self.let(self.bin(r[0], "*", r[0])) if self.grad else None
                 r = (self.bin(1.0, "/", r[0]), *self.each(lambda q: self.over(self.neg(q), d), r))
         elif isinstance(node, Pow):
             base = self.node(node.base)
-            self.check(f"{self.lit(base[0])} <= 0.0",
-                       "non-integer power of a non-positive base", node)
+            self.check(node, "non-integer power of a non-positive base", "{} <= 0.0", base[0])
             exponent = self.node(node.exponent)
             # exp(p * log x): the chain rule supplies the derivative.
             log_base = self.hold(self.call("log", base, node))
@@ -543,32 +565,45 @@ class _Codegen:
         self.lines += [f"{names} = {start}", f"for _ in range({p}):", f"    {names} = {step}"]
         return cur
 
+    def apply(self, func: str, arg):
+        """``func`` of a rendered argument: its float in value mode, else inline."""
+        return getattr(math, func)(arg) if self.x is not None else (f"_{func}({arg})", _ATOM, 1)
+
     def call(self, func: str, a, node: AstNode):
         """``func`` of ``a``; partials scale by ``factor`` or divide by ``divisor``."""
-        x, arg, grad = a[0], self.lit(a[0]), self.grad
-        value, factor, divisor = (f"_{func}({arg})", _ATOM, 1), None, None
+        x, grad = a[0], self.grad
+        arg = x if self.x is not None else self.lit(x)
+        value = factor = divisor = None  # the value waits for the checks
         if func in ("sin", "cos", "tan"):
-            self.check(f"_isinf({arg})", f"{func} of an infinite value", node)
+            self.check(node, f"{func} of an infinite value", "_isinf({})", arg)
         if grad and func in ("sin", "cos"):
-            factor = self.let((f"_cos({arg})", _ATOM, 1) if func == "sin"
-                              else self.neg((f"_sin({arg})", _ATOM, 1)))
+            factor = self.let(self.apply("cos", arg) if func == "sin"
+                              else self.neg(self.apply("sin", arg)))
         elif grad and func == "tan":
-            c = self.let((f"_cos({arg})", _ATOM, 1))
+            c = self.let(self.apply("cos", arg))
             divisor = self.let(self.bin(c, "*", c))
         elif func == "exp":
-            factor = value = next(self.names)
             frag = self.source[slice(*node.span)]
-            self.lines += ["try:", f"    {value} = _exp({arg})", "except OverflowError:",
-                           f"    raise _E('overflow in exp', {frag!r}) from None"]
+            if self.x is not None:
+                try:
+                    factor = value = math.exp(arg)
+                except OverflowError:
+                    raise DomainEvaluationError("overflow in exp", frag) from None
+            else:
+                factor = value = next(self.names)
+                self.lines += ["try:", f"    {value} = _exp({arg})", "except OverflowError:",
+                               f"    raise _E('overflow in exp', {frag!r}) from None"]
         elif func == "log":
-            self.check(f"{arg} <= 0.0", "logarithm of a non-positive value", node)
+            self.check(node, "logarithm of a non-positive value", "{} <= 0.0", arg)
             divisor = x
         elif func == "sqrt":
-            self.check(f"{arg} < 0.0", "square root of a negative value", node)
+            self.check(node, "square root of a negative value", "{} < 0.0", arg)
             if grad:
-                self.check(f"{arg} == 0.0", "sqrt is not differentiable at zero", node)
-            value = self.let(value)
+                self.check(node, "sqrt is not differentiable at zero", "{} == 0.0", arg)
+            value = self.let(self.apply("sqrt", arg))
             divisor = self.let(self.bin(2.0, "*", value)) if grad else None
+        if value is None:
+            value = self.apply(func, arg)
         if factor is not None:
             return (value, *self.each(lambda p: self.bin(factor, "*", p), a))
         return (value, *self.each(lambda p: self.bin(p, "/", divisor), a))
@@ -578,6 +613,9 @@ class _Codegen:
 # Public API
 # ---------------------------------------------------------------------------
 
+# A code field after the first call in its mode, which the generator computed.
+_ONCE = "computed once"
+
 
 @dataclass(frozen=True)
 class Expression:
@@ -586,11 +624,13 @@ class Expression:
     root: AstNode
     variables: tuple[str, ...]
     source: str = field(compare=False)
-    _value_code: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
-    _grad_code: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
+    _value_code: Union[Callable, str, None] = field(default=None, init=False, repr=False,
+                                                    compare=False)
+    _grad_code: Union[Callable, str, None] = field(default=None, init=False, repr=False,
+                                                   compare=False)
 
     def __getstate__(self) -> dict:
-        # Compiled functions (built on first use) do not pickle; a copy recompiles.
+        # Compiled functions do not pickle; a copy starts over.
         return {k: v for k, v in vars(self).items() if not k.endswith("_code")}
 
     @property
@@ -606,9 +646,10 @@ class Expression:
     def evaluate(self, point: Sequence[float]) -> float:
         """IEEE double value of the expression at ``point``."""
         self._check_point(point)
-        if self._value_code is None:
-            object.__setattr__(self, "_value_code", _Codegen(self, False).function(self.root))
-        return self._value_code(point)
+        code = self._value_code
+        if code is None or code is _ONCE:
+            return self._uncompiled(False, point)
+        return code(point)
 
     def gradient(self, point: Sequence[float]) -> np.ndarray:
         """Vector of partial derivatives, exact up to rounding."""
@@ -617,9 +658,28 @@ class Expression:
     def value_and_gradient(self, point: Sequence[float]) -> tuple[float, np.ndarray]:
         """Value and gradient from a single forward-mode pass."""
         self._check_point(point)
-        if self._grad_code is None:
-            object.__setattr__(self, "_grad_code", _Codegen(self, True).function(self.root))
-        return self._grad_code(point)
+        code = self._grad_code
+        if code is None or code is _ONCE:
+            return self._uncompiled(True, point)
+        return code(point)
+
+    def _uncompiled(self, grad: bool, point: Sequence[float]):
+        """A call in mode ``grad`` before its code is compiled: the first one
+        runs the generator in value mode, the second compiles."""
+        name = "_grad_code" if grad else "_value_code"
+        if getattr(self, name) is None:
+            object.__setattr__(self, name, _ONCE)
+            return _Codegen(self, grad, point).function(self.root)
+        return self._compiled(grad)(point)
+
+    def _compiled(self, grad: bool) -> Callable:
+        """The compiled code of mode ``grad``, compiled now if it is not yet."""
+        name = "_grad_code" if grad else "_value_code"
+        code = getattr(self, name)
+        if code is None or code is _ONCE:
+            code = _Codegen(self, grad).function(self.root)
+            object.__setattr__(self, name, code)
+        return code
 
 
 def parse(text: str, variables: Sequence[str]) -> Expression:

@@ -20,10 +20,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cones import build_linearized_cone, cone_member, dual_cone_decomposition
+from .cones import _norm, build_linearized_cone, cone_member, dual_cone_decomposition
 from .config import ToolConfig
+from .expr import DomainEvaluationError
 from .model import (
-    ConstraintDomainError, ConstraintSystem, PointData, active_set, evaluate_point, evaluate_rows,
+    ConstraintDomainError, ConstraintSystem, InfeasibleBasePointError, PointData, active_set,
+    evaluate_point, feasibility_check,
 )
 from .rank import _ranks
 
@@ -69,19 +71,25 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
     carries the verified descent certificate instead.  With dependent active
     rows the minimal-norm element of the multiplier polytope is returned.
     Dual-cone membership is decided at cfg.tol_cone.  ``pd`` is the
-    evaluation of ``sys`` at ``x0`` when the caller has it.  This is the one
-    analysis that evaluates the objective: its domain error is a
+    evaluation of ``sys`` at ``x0`` when the caller has it; a point that
+    violates a constraint beyond cfg.tol_feas raises
+    :class:`InfeasibleBasePointError`.  This is the one analysis that
+    evaluates the objective, once, so the code generator computes its
+    gradient and nothing is compiled for it: its domain error is a
     :class:`ConstraintDomainError` with index 0, raised after any of the
-    constraints'.
+    constraints' and after the feasibility check.
     """
     if sys.objective is None:
         raise MissingObjectiveError("the constraint system has no objective")
     if pd is None:
         pd = evaluate_point(sys, np.asarray(x0, dtype=float))
-    _, rows, errors = evaluate_rows([sys.objective], pd.point[None])
-    if errors:
-        raise ConstraintDomainError(0, errors[0, 0]) from errors[0, 0]
-    grad = rows[0, 0]
+    violations = feasibility_check(pd, cfg.tol_feas)
+    if violations:
+        raise InfeasibleBasePointError(violations)
+    try:
+        _, grad = sys.objective.value_and_gradient(pd.point)
+    except DomainEvaluationError as err:
+        raise ConstraintDomainError(0, err) from err
     active = active_set(pd, cfg.tol_active)
     tol = cfg.tol_cone
     cone = build_linearized_cone(pd, active)
@@ -89,7 +97,7 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
     lam, residual_dir = dual_cone_decomposition(cone, target, tol)
 
     if lam is None:
-        norm = float(np.linalg.norm(residual_dir))
+        norm = _norm(residual_dir)
         d = residual_dir / norm
         slope = float(grad @ d)
         # The certificate is only reported once verified explicitly.
@@ -117,7 +125,7 @@ def kkt_report(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
         total = total + v * pd.row(i)
     return KktReport(
         multipliers=full,
-        stationarity_residual=float(np.linalg.norm(total)),
+        stationarity_residual=_norm(total),
         dual_feasible=True,
         primal_value=PRIMAL_ZERO,
         descent_certificate=None,

@@ -22,6 +22,7 @@ from .expr import DomainEvaluationError, Expression, parse
 __all__ = [
     "ConstraintDomainError",
     "ConstraintSystem",
+    "InfeasibleBasePointError",
     "PointData",
     "active_set",
     "evaluate_point",
@@ -41,6 +42,14 @@ class ConstraintDomainError(ValueError):
         super().__init__(f"{label}: {cause}")
         self.constraint_index = constraint_index
         self.cause = cause
+
+
+class InfeasibleBasePointError(ValueError):
+    """The base point violates the constraints beyond tolerance."""
+
+    def __init__(self, violations: tuple[tuple[int, float], ...]):
+        super().__init__(f"base point infeasible: violations {violations}")
+        self.violations = violations
 
 
 @dataclass(frozen=True)
@@ -151,9 +160,10 @@ def evaluate_rows(
     """Values and gradient rows of ``functions`` at a (P, n) batch of points.
 
     This is the one place a function family is evaluated, each function once
-    per point: (P, kappa) values and (P, kappa, n) rows.  A function that
-    leaves its domain keeps a zero value and a zero row, and ``errors`` maps
-    its (point, position) pair, both 0-based, to the
+    per point: (P, kappa) values and (P, kappa, n) rows.  Each function is
+    compiled before the first point, whatever P, since a family is evaluated
+    again.  A function that leaves its domain keeps a zero value and a zero
+    row, and ``errors`` maps its (point, position) pair, both 0-based, to the
     :class:`DomainEvaluationError`; the other functions are still evaluated.
     Any other exception propagates.
     """
@@ -163,6 +173,8 @@ def evaluate_rows(
     values = np.zeros((len(points), len(functions)))
     rows = np.zeros((len(points), len(functions), points.shape[1]))
     errors = {}
+    for f in functions:
+        f._compiled(True)
     for p, point in enumerate(points.tolist()):
         for i, f in enumerate(functions):
             try:
@@ -203,7 +215,9 @@ def active_set(pd: PointData, tol_active: float) -> tuple[int, ...]:
 
 def feasibility_check(pd: PointData, tol: float) -> tuple[tuple[int, float], ...]:
     """The (constraint index, magnitude) violations beyond ``tol``: |h_i| > tol
-    on equalities, h_i > tol on inequalities; empty when the point is feasible."""
+    on equalities, h_i > tol on inequalities; empty when the point is feasible.
+    The analyses that presume a feasible point raise
+    :class:`InfeasibleBasePointError` with them."""
     violations = []
     for i in pd.equality_indices:
         if abs(pd.value(i)) > tol:

@@ -29,6 +29,7 @@ from .config import (
 )
 from .model import (
     ConstraintSystem,
+    InfeasibleBasePointError,
     PointData,
     active_set,
     evaluate_point,
@@ -48,10 +49,6 @@ __all__ = [
 CONSISTENT = "consistent"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
-
-
-class InfeasibleBasePointError(ValueError):
-    """The base point violates the constraints beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -447,7 +444,7 @@ def abadie_verdict(sys: ConstraintSystem, x0: Sequence[float], cfg: ToolConfig,
         pd = evaluate_point(sys, x0)
     violations = feasibility_check(pd, cfg.tol_feas)
     if violations:
-        raise InfeasibleBasePointError(f"base point infeasible: violations {violations}")
+        raise InfeasibleBasePointError(violations)
     cone = build_linearized_cone(pd, active_set(pd, cfg.tol_active))
     t = cfg.t_schedule
     if len(t) < T_SCHEDULE_TAIL or any(a <= b for a, b in zip(t, t[1:])) or min(t) <= 0:

@@ -1,8 +1,25 @@
 import numpy as np
+import pytest
 from numpy.random import PCG64, Generator
 
+from cq_analyzer import expr
 from cq_analyzer.expr import DomainEvaluationError
 from finite_diff import finite_diff_gradient
+
+
+@pytest.fixture
+def compiled_sources(monkeypatch):
+    """The source text of each expression compiled from now on, once per
+    compiled function."""
+    sources = []
+    define = expr._Codegen.define
+
+    def counting_define(self, name, args, body, tail):
+        sources.append(self.source)
+        return define(self, name, args, body, tail)
+
+    monkeypatch.setattr(expr._Codegen, "define", counting_define)
+    return sources
 
 
 def random_domain_points(e, count, seed, low=0.1, high=2.0):

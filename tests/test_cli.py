@@ -505,6 +505,43 @@ def test_cli_multipliers_dual_infeasible_exit_one(capsys):
     assert "unbounded-below" in out
 
 
+@pytest.mark.parametrize("problem", [
+    {"variables": ["x1"], "inequalities": [], "point": [0]},
+    {"variables": ["x1", "x2"], "inequalities": ["x2"], "point": [0, 0]},
+])
+def test_cli_multipliers_with_an_overflowing_norm_read_dual_infeasible(capsys, tmp_path, problem):
+    # The sum of squares of grad h0 = (1e160, ...) overflows: the membership
+    # test compared inf with inf, and read multipliers-exist, exit 0.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"name": "g", "objective": "1e160*x1", "equalities": [],
+                                **problem}))
+    code, out, err = run_cli(capsys, "multipliers", str(path), "--format", "machine")
+    assert (code, err) == (1, "")
+    kkt = json.loads(out)["analyses"]["kkt"]
+    assert not kkt["dual_feasible"] and kkt["primal_value"] == "unbounded-below"
+    assert kkt["stationarity_residual"] == 1e160 and kkt["descent_slope"] == -1e160
+    assert kkt["descent_certificate"][0] == -1.0
+
+
+def test_cli_cq_and_kkt_sections_at_an_infeasible_point_are_errors(capsys, tmp_path):
+    # 1 - x1 <= 0 fails at x1 = 0: multipliers read multipliers-exist, exit
+    # 0, and RCRCQ certified.  dependence presumes no feasibility and runs.
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"name": "h", "variables": ["x1"], "objective": "x1^2",
+                                "equalities": [], "inequalities": ["1 - x1"], "point": [0]}))
+    code, out, err = run_cli(capsys, "multipliers", str(path), "--format", "machine")
+    assert (code, err) == (2, "")
+    error = {"error": "base point infeasible: violations ((1, 1.0),)",
+             "error_kind": "InfeasibleBasePointError"}
+    assert json.loads(out)["analyses"]["kkt"] == error
+    code, out, err = run_cli(capsys, "analyze", str(path), "--format", "machine")
+    assert (code, err) == (2, "")
+    sections = json.loads(out)["analyses"]
+    assert {name: sections[name] for name in ("rcrcq", "abadie", "kkt")} == dict.fromkeys(
+        ("rcrcq", "abadie", "kkt"), error)
+    assert sections["dependence"]["sense"] == "independent"
+
+
 def test_cli_dependence_inconclusive_exit_two(capsys):
     code, out, _ = run_cli(capsys, "dependence", corpus_file("tornado-curve"))
     assert code == 2

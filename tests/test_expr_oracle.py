@@ -1,10 +1,12 @@
-"""Differential test: compiled evaluation against the former AST walker.
+"""Differential test: both evaluation paths against the former AST walker.
 
-The compiled code must reproduce the walker bit for bit (signed zeros and
-the gradient components outside an expression's support included) and raise
-the same exception with the same message.  The one intended difference: the
-walker let ``math.sin``/``cos``/``tan`` of an infinite argument escape as a
-bare ``ValueError``; the compiled code raises ``DomainEvaluationError``.
+An expression's first call in each mode runs the code generator in value
+mode, and the second runs the compiled code.  Each must reproduce the walker
+bit for bit (signed zeros and the gradient components outside an
+expression's support included) and raise the same exception with the same
+message.  The one intended difference: the walker let
+``math.sin``/``cos``/``tan`` of an infinite argument escape as a bare
+``ValueError``; both paths raise ``DomainEvaluationError``.
 """
 
 import math
@@ -68,17 +70,22 @@ def _outcome(fn, e, x):
 
 
 def assert_matches_walker(text, x, names=NAMES):
+    """Evaluate ``text`` at ``x`` twice in each mode, first in value mode and
+    then with the compiled code, and compare both with the walker."""
     e = parse(text, names)
-    for walked, compiled in (
-        (walk_value, lambda e, x: e.evaluate(x)),
-        (walk_value_and_gradient, lambda e, x: e.value_and_gradient(x)),
+    for walked, evaluated, field in (
+        (walk_value, lambda e, x: e.evaluate(x), "_value_code"),
+        (walk_value_and_gradient, lambda e, x: e.value_and_gradient(x), "_grad_code"),
     ):
-        want, got = _outcome(walked, e, x), _outcome(compiled, e, x)
-        if want[0] is ValueError and want[1] == "math domain error":
-            assert got[0] is DomainEvaluationError, (text, x, got)
-            assert "of an infinite value" in got[1], (text, x, got)
-        else:
-            assert got == want, (text, x)
+        want = _outcome(walked, e, x)
+        for path in ("value mode", "compiled"):
+            got = _outcome(evaluated, e, x)
+            assert callable(getattr(e, field)) == (path == "compiled"), (text, path)
+            if want[0] is ValueError and want[1] == "math domain error":
+                assert got[0] is DomainEvaluationError, (text, x, path, got)
+                assert "of an infinite value" in got[1], (text, x, path, got)
+            else:
+                assert got == want, (text, x, path)
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -141,7 +148,10 @@ def test_generated_code_grows_linearly_with_a_sum(monkeypatch):
         lines.clear()
         names = [f"x{i}" for i in range(k)]
         text = " + ".join(f"{(-1) ** i * (i + 1) * 0.25}*x{i}" for i in range(k))
-        parse(text, names).value_and_gradient([0.5] * k)
+        e = parse(text, names)
+        e.value_and_gradient([0.5] * k)  # value mode: nothing is compiled
+        assert not lines
+        e.value_and_gradient([0.5] * k)
         return sum(lines)
 
     assert size(32) / size(16) <= 2.3
@@ -158,10 +168,14 @@ def test_inline_partials_past_the_nesting_cap_match_walker():
 def test_compiled_functions_are_cached_and_invisible():
     e, same = parse("x1 * x2", NAMES), parse("x1 * x2", NAMES)
     before = repr(e)
-    e.value_and_gradient([1.0, 2.0, 3.0])
+    e.value_and_gradient([1.0, 2.0, 3.0])  # computed by the generator
+    assert not callable(e._grad_code) and same._grad_code is None
+    assert e == same and hash(e) == hash(same) and repr(e) == before
+    assert pickle.loads(pickle.dumps(e))._grad_code is None
+    e.value_and_gradient([1.0, 2.0, 3.0])  # compiled
     compiled = e._grad_code
     e.value_and_gradient([2.0, 2.0, 3.0])
-    assert e._grad_code is compiled and same._grad_code is None
+    assert callable(compiled) and e._grad_code is compiled and same._grad_code is None
     assert e == same and hash(e) == hash(same) and repr(e) == before
 
 

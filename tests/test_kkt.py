@@ -7,7 +7,9 @@ from cq_analyzer.analysis import run_analyses
 from cq_analyzer.cones import cone_member
 from cq_analyzer.config import ToolConfig
 from cq_analyzer.kkt import MissingObjectiveError, kkt_report
-from cq_analyzer.model import ConstraintDomainError, ConstraintSystem, active_set, evaluate_point
+from cq_analyzer.model import (
+    ConstraintDomainError, ConstraintSystem, InfeasibleBasePointError, active_set, evaluate_point,
+)
 from cq_analyzer.tangent import abadie_verdict
 
 CFG = ToolConfig()
@@ -51,6 +53,29 @@ def test_multipliers_sign_obstruction_empty():
     assert report.multipliers is None
     assert not report.dual_feasible
     assert report.primal_value == "unbounded-below"
+
+
+def test_kkt_report_compiles_nothing_for_the_objective(compiled_sources):
+    # An analyze-manifold problem's shape: kkt_report reads the objective's
+    # gradient once, at x0, so the code generator computes it.  The base
+    # point's batch compiles the constraints, which later batches read again.
+    sys = make(objective="-0.25*x1 + 0.5*x2 + 0.75*x1^2 + 0.5*x2^2",
+               eqs=["0.3*x1 + 0.7*x2 - 0.5*x1^2 - 0.4*(cos(x2) - 1)"],
+               ins=["1.3*x1 - 0.5*x2 - 0.1*x2^2"])
+    report = kkt_report(sys, [0.0, 0.0], CFG)
+    assert report.dual_feasible
+    assert compiled_sources == [e.source for e in sys.all_constraints]
+    # A caller that loops compiles the objective on its second call.
+    assert kkt_report(sys, [0.0, 0.0], CFG) == report
+    assert compiled_sources[2:] == [sys.objective.source]
+
+
+def test_kkt_report_rejects_an_infeasible_point():
+    # A KKT point is feasible by definition: 1 - x1 <= 0 fails at 0.
+    sys = make(objective="x1^2", ins=["1 - x1"], variables=("x1",))
+    with pytest.raises(InfeasibleBasePointError, match=r"violations \(\(1, 1\.0\),\)"):
+        kkt_report(sys, [0.0], CFG)
+    assert kkt_report(sys, [1.0], CFG).dual_feasible
 
 
 def test_multipliers_inactive_get_zero():

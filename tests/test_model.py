@@ -87,6 +87,18 @@ def test_evaluate_rows_keeps_zeros_and_the_error_of_each_failed_function():
         assert values[0, i] == value and np.array_equal(rows[0, i], grad)
 
 
+@pytest.mark.parametrize("batch", [1, 5])
+def test_evaluate_rows_compiles_each_function_once(compiled_sources, batch):
+    # A batch compiles every function before its first point, whatever its
+    # size, since a family is evaluated again; the next batch compiles nothing.
+    functions = [parse(t, ["x1", "x2"]) for t in ("x1*x2 + sin(x1)", "x2^2", "log(x1)")]
+    points = np.linspace([0.5, -1.0], [2.0, 1.0], batch)
+    evaluate_rows(functions, points)
+    assert compiled_sources == [f.source for f in functions]
+    evaluate_rows(functions, points)
+    assert len(compiled_sources) == len(functions)
+
+
 def test_evaluate_rows_of_no_functions_and_non_domain_errors():
     values, rows, errors = evaluate_rows([], np.array([[1.0, 2.0]]))
     assert values.shape == (1, 0) and rows.shape == (1, 0, 2) and errors == {}
