@@ -322,7 +322,7 @@ _CAP = 40  # an inline operand nested deeper than this is bound to a local
 _COND, _ADD, _MUL, _NEG, _ATOM = range(5)
 _PREC = {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL}
 
-_GLOBALS = {"_E": DomainEvaluationError, "_array": np.array, "_inf": math.inf,
+_GLOBALS = {"_E": DomainEvaluationError, "_inf": math.inf,
             **{f"_{name}": getattr(math, name) for name in (*FUNCTIONS, "isinf", "isfinite")}}
 
 # Folding two constants while generating runs the IEEE operation the code
@@ -335,6 +335,10 @@ _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _TESTS = {"{} == 0.0": lambda v: v == 0.0, "{} <= 0.0": lambda v: v <= 0.0,
           "{} < 0.0": lambda v: v < 0.0, "_isinf({})": math.isinf,
           "not _isfinite({})": lambda v: not math.isfinite(v)}
+
+# The right operand of each operation that leaves the left one unchanged,
+# bit for bit (+-0, +-inf and NaN included): x * 1.0, x + -0.0 and x - 0.0.
+_UNITS = {"*": 1.0, "+": -0.0, "-": 0.0}
 
 
 def _flat(r) -> list:
@@ -357,11 +361,12 @@ class _Codegen:
 
     In value mode, given the point ``x``, every operand is a float: each
     operation runs as it is generated, as the same IEEE operation the code
-    would run, a failed check raises at once, and ``function`` returns the
-    result itself.  Nothing is emitted, so nothing is hoisted or compiled.
+    would run, a failed check raises at once, and ``function`` returns what
+    the compiled code would.  Nothing is emitted, so nothing is hoisted or
+    compiled.
     """
 
-    def __init__(self, expr: "Expression", grad: bool, x: Optional[Sequence[float]] = None):
+    def __init__(self, expr: "Expression", grad: bool, x: Optional[list[float]] = None):
         self.source, self.n, self.grad, self.x = expr.source, len(expr.variables), grad, x
         self.ns = dict(_GLOBALS)
         self.lines, self.loaded = [], set()  # statements, variable indices read
@@ -376,10 +381,17 @@ class _Codegen:
         if isinstance(op, tuple):
             return op[0]
         if math.isfinite(op):
-            return f"({op!r})" if math.copysign(1.0, op) < 0.0 else repr(op)
+            return repr(op)
         name = f"_k{len(self.ns)}"
         self.ns[name] = op
         return name
+
+    def inline_of(self, op) -> tuple:
+        """``op`` as an inline operand; a negative literal reads like a negation."""
+        if isinstance(op, tuple):
+            return op
+        text = self.lit(op)
+        return text, _NEG if text[0] == "-" else _ATOM, 0
 
     def let(self, op):
         """Bind an inline operand to a fresh local; floats and names pass."""
@@ -395,11 +407,12 @@ class _Codegen:
                 return _FOLD[sym](a, b)
             if a == 1.0 and sym == "*":  # 1.0 * x is x, bit for bit
                 return b
-        elif isinstance(b, float) and b == 1.0 and sym == "*":
+        elif (isinstance(b, float) and b == _UNITS.get(sym)
+              and math.copysign(1.0, b) == math.copysign(1.0, _UNITS[sym])):
             return a
         prec = _PREC[sym]
-        x, pa, da = a if isinstance(a, tuple) else (self.lit(a), _ATOM, 0)
-        y, pb, db = b if isinstance(b, tuple) else (self.lit(b), _ATOM, 0)
+        x, pa, da = self.inline_of(a)
+        y, pb, db = self.inline_of(b)
         # Left to right: a right operand of equal precedence keeps its parentheses.
         return self.inline(f"{x if pa >= prec else f'({x})'} {sym} {y if pb > prec else f'({y})'}",
                            prec, (da if da > db else db) + 1)
@@ -418,7 +431,7 @@ class _Codegen:
     def neg(self, a):
         if isinstance(a, float):
             return -a
-        x, p, d = a if isinstance(a, tuple) else (a, _ATOM, 0)
+        x, p, d = self.inline_of(a)
         return self.inline(f"-{x}" if p == _ATOM else f"-({x})", _NEG, d + 1)
 
     def each(self, f, a, b=None):
@@ -472,12 +485,13 @@ class _Codegen:
         out = [v, *(parts.get(j, bg) for j in range(self.n) if self.grad)]
         if self.x is not None:
             self.check(root, "non-finite result", "not _isfinite({})", *out)
-            return (v, np.array(out[1:])) if self.grad else v
+            return tuple(out) if self.grad else v
         out = [self.lit(op) for op in out]
         unknown = [op for op in dict.fromkeys(out) if op.isidentifier()]  # not a finite literal
-        if unknown:
-            self.check(root, "non-finite result", "not _isfinite({})", *unknown)
-        ret = f"{out[0]}, _array([{', '.join(out[1:])}])" if self.grad else out[0]
+        if unknown:  # a - a is 0.0 where a is finite and NaN where it is not
+            probe = " + ".join(f"{op} - {op}" for op in unknown) if unknown[1:] else unknown[0]
+            self.check(root, "non-finite result", "not _isfinite({})", probe)
+        ret = ", ".join(out) + "," if self.grad else out[0]
         return self.define("_f", "x", self.lines, f"return {ret}")
 
     def node(self, node: AstNode):
@@ -489,10 +503,10 @@ class _Codegen:
             r = (float(node.value), *self.const)
         elif isinstance(node, Var):
             i = node.index
-            v = f"v{i}" if self.x is None else float(self.x[i])
+            v = f"v{i}" if self.x is None else self.x[i]
             if self.x is None and i not in self.loaded:
                 self.loaded.add(i)
-                self.lines.append(f"{v} = float(x[{i}])")
+                self.lines.append(f"{v} = x[{i}]")
             r = (v, *(({i: 1.0}, 0.0) if self.grad else self.const))
         elif isinstance(node, Neg):
             a = self.node(node.operand)
@@ -515,7 +529,9 @@ class _Codegen:
             r, p = (1.0, *self.const), abs(node.exponent)
             if p > 1:
                 base = self.bind(base)  # read once per factor
-            if p > 4 and isinstance(base[0], str):
+            if isinstance(base[0], float):  # value mode, or a constant base
+                r = self.power_floats(base, p)
+            elif p > 4:
                 r = self.power_loop(base, p)
             else:
                 for _ in range(p):  # repeated multiplication keeps t^3 exact
@@ -564,6 +580,21 @@ class _Codegen:
         step = ", ".join(self.lit(op) for op in _flat(self.mul(cur, base)))
         self.lines += [f"{names} = {start}", f"for _ in range({p}):", f"    {names} = {step}"]
         return cur
+
+    def power_floats(self, base, p: int):
+        """``power_loop`` over a base of floats: the same products in the same order."""
+        b, b_parts, b_bg = base
+
+        def power(c):  # the value, and the partial along a partial c of the base
+            v, q = 1.0, 0.0
+            for _ in range(p):
+                v, q = v * b, q * b + v * c
+            return v, q
+
+        if not self.grad:
+            return power(0.0)[0], None, None
+        v, bg = power(b_bg)
+        return v, {j: power(c)[1] for j, c in b_parts.items()}, bg
 
     def apply(self, func: str, arg):
         """``func`` of a rendered argument: its float in value mode, else inline."""
@@ -637,15 +668,17 @@ class Expression:
     def dimension(self) -> int:
         return len(self.variables)
 
-    def _check_point(self, point: Sequence[float]) -> None:
+    def _floats(self, point: Sequence[float]) -> list[float]:
+        """``point`` as the list of Python floats the code reads."""
         if len(point) != len(self.variables):
             raise ValueError(
                 f"point has length {len(point)}, expected {len(self.variables)}"
             )
+        return [float(c) for c in point]
 
     def evaluate(self, point: Sequence[float]) -> float:
         """IEEE double value of the expression at ``point``."""
-        self._check_point(point)
+        point = self._floats(point)
         code = self._value_code
         if code is None or code is _ONCE:
             return self._uncompiled(False, point)
@@ -657,13 +690,12 @@ class Expression:
 
     def value_and_gradient(self, point: Sequence[float]) -> tuple[float, np.ndarray]:
         """Value and gradient from a single forward-mode pass."""
-        self._check_point(point)
+        point = self._floats(point)
         code = self._grad_code
-        if code is None or code is _ONCE:
-            return self._uncompiled(True, point)
-        return code(point)
+        out = self._uncompiled(True, point) if code is None or code is _ONCE else code(point)
+        return out[0], np.array(out[1:])
 
-    def _uncompiled(self, grad: bool, point: Sequence[float]):
+    def _uncompiled(self, grad: bool, point: list[float]):
         """A call in mode ``grad`` before its code is compiled: the first one
         runs the generator in value mode, the second compiles."""
         name = "_grad_code" if grad else "_value_code"
@@ -673,7 +705,10 @@ class Expression:
         return self._compiled(grad)(point)
 
     def _compiled(self, grad: bool) -> Callable:
-        """The compiled code of mode ``grad``, compiled now if it is not yet."""
+        """The compiled code of mode ``grad``, compiled now if it is not yet.
+
+        It takes a list of Python floats and returns the value, or in
+        gradient mode the flat tuple ``(value, d_1, ..., d_n)``."""
         name = "_grad_code" if grad else "_value_code"
         code = getattr(self, name)
         if code is None or code is _ONCE:

@@ -162,26 +162,34 @@ def evaluate_rows(
     This is the one place a function family is evaluated, each function once
     per point: (P, kappa) values and (P, kappa, n) rows.  Each function is
     compiled before the first point, whatever P, since a family is evaluated
-    again.  A function that leaves its domain keeps a zero value and a zero
-    row, and ``errors`` maps its (point, position) pair, both 0-based, to the
+    again, and its compiled code is called directly.  A function that leaves
+    its domain keeps a zero value and a zero row, and ``errors`` maps its
+    (point, position) pair, both 0-based, to the
     :class:`DomainEvaluationError`; the other functions are still evaluated.
     Any other exception propagates.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("expected a 2-d batch of points")
-    values = np.zeros((len(points), len(functions)))
-    rows = np.zeros((len(points), len(functions), points.shape[1]))
-    errors = {}
+    n = points.shape[1]
+    codes = []
     for f in functions:
-        f._compiled(True)
+        if f.dimension != n:
+            raise ValueError(f"point has length {n}, expected {f.dimension}")
+        codes.append(f._compiled(True))
+    failed = (0.0,) * (n + 1)
+    outs = []
+    errors = {}
     for p, point in enumerate(points.tolist()):
-        for i, f in enumerate(functions):
+        for i, code in enumerate(codes):
             try:
-                values[p, i], rows[p, i] = f.value_and_gradient(point)
+                outs.append(code(point))
             except DomainEvaluationError as err:
                 errors[p, i] = err
-    return values, rows, errors
+                outs.append(failed)
+    # One (value, d_1, ..., d_n) tuple per point and function, point-major.
+    block = np.array(outs).reshape(len(points), len(codes), n + 1)
+    return block[:, :, 0].copy(), block[:, :, 1:].copy(), errors
 
 
 def evaluate_point(sys: ConstraintSystem, x: Sequence[float]) -> PointData:

@@ -25,39 +25,46 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# What json.dumps writes for a string, without its per-call overhead.
+_quote = json.encoder.encode_basestring_ascii
+_BASES = (str, int, float, dict, list, tuple)  # a subclass is written as its base
+
+
 def _write(value, out: list[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
+    kind = type(value)
+    if kind is float:
         out.append(_format_float(value))
-    elif isinstance(value, dict):
+    elif kind is str:
+        out.append(_quote(value))
+    elif kind is dict:
         out.append("{")
         for k, key in enumerate(sorted(value)):
             if not isinstance(key, str):
                 raise TypeError(f"machine report keys must be strings, got {key!r}")
             if k:
                 out.append(", ")
-            out.append(json.dumps(key))
+            out.append(_quote(key))
             out.append(": ")
             _write(value[key], out)
         out.append("}")
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         out.append("[")
         for k, item in enumerate(value):
             if k:
                 out.append(", ")
             _write(item, out)
         out.append("]")
+    elif kind is int:
+        out.append(str(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
     else:
-        raise TypeError(f"unsupported machine report value {value!r}")
+        kind = next((t for t in _BASES if isinstance(value, t)), None)
+        if kind is None:
+            raise TypeError(f"unsupported machine report value {value!r}")
+        _write(kind(value), out)
 
 
 def machine_dumps(obj) -> str:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.random import PCG64, Generator
@@ -20,6 +22,27 @@ def compiled_sources(monkeypatch):
 
     monkeypatch.setattr(expr._Codegen, "define", counting_define)
     return sources
+
+
+@pytest.fixture
+def gradient_calls(monkeypatch):
+    """Calls of each expression's compiled gradient code from now on, the
+    code ``evaluate_rows`` runs, per (expression source, point bytes)."""
+    calls = Counter()
+    compiled = expr.Expression._compiled
+
+    def counting_compiled(self, grad):
+        code = compiled(self, grad)
+        if not grad:
+            return code
+
+        def counting(point):
+            calls[self.source, np.array(point, dtype=float).tobytes()] += 1
+            return code(point)
+        return counting
+
+    monkeypatch.setattr(expr.Expression, "_compiled", counting_compiled)
+    return calls
 
 
 def random_domain_points(e, count, seed, low=0.1, high=2.0):

@@ -164,12 +164,12 @@ class _Evaluator:
 
 def walk_value(e: Expression, point: Sequence[float]) -> float:
     """What ``Expression.evaluate`` returned when it walked the AST."""
-    e._check_point(point)
+    point = e._floats(point)
     return _Evaluator(e.source, point, len(e.variables), want_grad=False).run(e.root).value
 
 
 def walk_value_and_gradient(e: Expression, point: Sequence[float]) -> tuple[float, np.ndarray]:
     """What ``Expression.value_and_gradient`` returned when it walked the AST."""
-    e._check_point(point)
+    point = e._floats(point)
     d = _Evaluator(e.source, point, len(e.variables), want_grad=True).run(e.root)
     return d.value, d.partials

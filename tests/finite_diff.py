@@ -20,8 +20,7 @@ def finite_diff_gradient(e: Expression, point: Sequence[float], step: float) -> 
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    x = np.asarray(point, dtype=float)
-    e._check_point(x)
+    x = np.array(e._floats(point))
     out = np.zeros(len(x))
     for j in range(len(x)):
         h = step * (1.0 + abs(x[j]))

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from cq_analyzer import expr
 from cq_analyzer.expr import FUNCTIONS, DomainEvaluationError, parse
+from cq_analyzer.model import evaluate_rows
 from expr_walker import walk_value, walk_value_and_gradient
 
 NAMES = ("x1", "x2", "x3")
@@ -69,6 +70,15 @@ def _outcome(fn, e, x):
     return "ok", _bits(result)
 
 
+def _walked(fn, e, x):
+    """The walker's outcome, with its escaped trigonometric ``ValueError``
+    read as the domain error the code raises."""
+    want = _outcome(fn, e, x)
+    if want[0] is ValueError and want[1] == "math domain error":
+        return DomainEvaluationError, "of an infinite value"
+    return want
+
+
 def assert_matches_walker(text, x, names=NAMES):
     """Evaluate ``text`` at ``x`` twice in each mode, first in value mode and
     then with the compiled code, and compare both with the walker."""
@@ -77,15 +87,18 @@ def assert_matches_walker(text, x, names=NAMES):
         (walk_value, lambda e, x: e.evaluate(x), "_value_code"),
         (walk_value_and_gradient, lambda e, x: e.value_and_gradient(x), "_grad_code"),
     ):
-        want = _outcome(walked, e, x)
+        want = _walked(walked, e, x)
         for path in ("value mode", "compiled"):
             got = _outcome(evaluated, e, x)
             assert callable(getattr(e, field)) == (path == "compiled"), (text, path)
-            if want[0] is ValueError and want[1] == "math domain error":
-                assert got[0] is DomainEvaluationError, (text, x, path, got)
-                assert "of an infinite value" in got[1], (text, x, path, got)
-            else:
-                assert got == want, (text, x, path)
+            _assert_same(got, want, (text, x, path))
+
+
+def _assert_same(got, want, context):
+    if want == (DomainEvaluationError, "of an infinite value"):
+        assert got[0] is DomainEvaluationError and want[1] in got[1], (context, got)
+    else:
+        assert got == want, context
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -195,3 +208,56 @@ def test_compiled_expression_pickles():
     assert again == e and again._grad_code is None
     assert again.value_and_gradient(x)[0] == value
     assert _bits(again.value_and_gradient(x)[1]) == _bits(grad)
+
+
+def test_value_mode_multiplies_an_integer_power_as_floats(monkeypatch):
+    # Value mode runs the compiled power loop's products over floats, not one
+    # generator multiplication per factor: x1^100000 costs no mul call.
+    calls = []
+    mul = expr._Codegen.mul
+
+    def counting_mul(self, a, b):
+        calls.append(self.x is not None)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(expr._Codegen, "mul", counting_mul)
+    e = parse("x1^100000 + x2", ["x1", "x2"])
+    assert e.value_and_gradient([1.0, 2.0])[0] == 3.0
+    assert e.evaluate([1.0, 2.0]) == 3.0
+    assert not any(calls)
+    for text in ("x1^1000 + x2", "x3 * (x1 - x2)^7", "x2^5 / x1^(-6)", "(-2)^9 * x1^3"):
+        for x in ([1.0001, 2.0, 0.5], [-0.9995, -0.0, 3.0], [0.0, -0.0, 1.0],
+                  [1e-300, 1.0, -1.0], [math.inf, 1.0, 1.0], [math.nan, 0.0, 0.0]):
+            assert_matches_walker(text, x)
+
+
+def _row_outcome(values, rows, errors, p, i):
+    if (p, i) in errors:
+        return type(errors[p, i]), str(errors[p, i])
+    return "ok", _bits(values[p, i]), _bits(rows[p, i])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(texts, min_size=1, max_size=3), points)
+@example(["x1 + -0.0", "x1 - 0.0", "-0.0 + x1"],
+         [[0.0, 1.0, 1.0], [-0.0, 1.0, 1.0], [math.inf, 0.0, 0.0], [-math.inf, 0.0, 0.0],
+          [math.nan, 0.0, 0.0], [-2.5, -0.0, 0.0]])
+@example(["log(x1) - x2", "sqrt(x2) * x3", "x3 / x1"],
+         [[1.0, 4.0, 2.0], [-1.0, 4.0, -0.0], [0.0, -1.0, 1.0], [-0.0, 0.0, math.inf]])
+def test_evaluate_rows_matches_one_point_calls_and_walker(sources, xs):
+    # Each (point, function) pair of a batch reads what one point gives,
+    # bit for bit, in value mode, through the compiled code and in the
+    # walker; a domain error sits at the same pair with the same message.
+    functions = [parse(text, NAMES) for text in sources]
+    with np.errstate(all="ignore"):
+        values, rows, errors = evaluate_rows(functions, np.array(xs, dtype=float))
+    for p, x in enumerate(xs):
+        for i, f in enumerate(functions):
+            got = _row_outcome(values, rows, errors, p, i)
+            _assert_same(got, _walked(walk_value_and_gradient, f, x), (f.source, x))
+            fresh = parse(f.source, NAMES)  # its first call runs in value mode
+            for e in (fresh, f):  # f is compiled by the batch
+                assert _outcome(lambda e, x: e.value_and_gradient(x), e, x) == got, (f.source, x)
+            if got[0] != "ok":  # a failed pair keeps +0.0 entries
+                assert _bits(values[p, i]) == 0 and _bits(rows[p, i]) == [0] * len(NAMES)

@@ -18,8 +18,9 @@ def test_phase_times_prints_every_phase_for_both_workloads():
     assert header.split()[-2:] == ["analyze-manifold", "corpus"]
     table = {row[:24].strip(): [float(v) for v in row[24:].split()] for row in rows}
     sections = {f"section {name}" for name in ("rcrcq", "abadie", "dependence", "kkt")}
-    assert {"parser build", "problem load", "code generation", "compile()", "sample plan",
-            "report writing", "other", "total"} | sections == set(table)
+    assert {"parser build", "problem load", "code generation", "value-mode evaluation",
+            "compile()", "sample plan", "report writing", "other",
+            "total"} | sections == set(table)
     assert all(len(times) == 2 and min(times) >= 0.0 for times in table.values())
     # With one call per operation, the phases and the rest add up to the whole
     # call, to the printed 3 decimals.

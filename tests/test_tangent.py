@@ -99,32 +99,18 @@ def test_correct_empty_j_set():
     assert result.converged and np.linalg.norm(result.r) == 0.0
 
 
-def count_evaluations(monkeypatch):
-    """Count value_and_gradient calls per (expression source, exact point)."""
-    calls = Counter()
-    original = Expression.value_and_gradient
-
-    def counting(self, point):
-        calls[self.source, np.asarray(point, dtype=float).tobytes()] += 1
-        return original(self, point)
-
-    monkeypatch.setattr(Expression, "value_and_gradient", counting)
-    return calls
-
-
-def test_corrector_evaluates_each_iterate_once(monkeypatch):
+def test_corrector_evaluates_each_iterate_once(gradient_calls):
     # Sphere and a curved surface through (1, 0, 0), both pivot rows; d is
     # tangent to both, and t = 0.1 takes several Gauss-Newton steps.
     sys = make(eqs=["x1^2 + x2^2 + x3^2 - 1", "x3 - x1*x2"], variables=("x1", "x2", "x3"))
     d = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
-    calls = count_evaluations(monkeypatch)
     result = _correct_lockstep(sys, [1.0, 0.0, 0.0], (0.1,), [((1, 2), d)], CFG)[0][0]
     assert result.converged and result.iterations >= 2
     # Once at x0 + t*d, which selects the pivots and is the cold start's
     # first iterate r = 0, then once per later iterate up to the converged
     # one: the pivot rows are slices.
     per_expression = Counter()
-    for (source, _), n in calls.items():
+    for (source, _), n in gradient_calls.items():
         per_expression[source] += n
     assert per_expression == {f.source: result.iterations + 1 for f in sys.equalities}
 
@@ -150,7 +136,7 @@ def test_one_group_iterates_over_the_whole_schedule_at_once(monkeypatch):
     assert len(calls) == 1 + max(iterations) and calls[0] == 5
 
 
-def test_cold_start_reads_the_base_evaluation_at_base_plus_zero(monkeypatch):
+def test_cold_start_reads_the_base_evaluation_at_base_plus_zero(gradient_calls):
     # A -0.0 coordinate of x0 + t*d turns into +0.0 in every iterate
     # x0 + t*d + r, the first one r = 0 included, so the base point is
     # evaluated once, as x0 + t*d + 0, and the cold start reads that
@@ -159,14 +145,13 @@ def test_cold_start_reads_the_base_evaluation_at_base_plus_zero(monkeypatch):
                variables=("x1", "x2", "x3", "x4"))
     x0 = np.array([1.0, 0.0, 0.0, -0.0])
     d = np.array([0.0, 1.0, 1.0, -0.0]) / np.sqrt(2.0)
-    calls = count_evaluations(monkeypatch)
     result = _correct_lockstep(sys, x0, (0.1,), [((1, 2), d)], CFG)[0][0]
     assert result.converged and result.iterations >= 2
     base = x0 + 0.1 * d
     assert np.signbit(base[3]) and not np.signbit((base + 0.0)[3])
     for f in sys.equalities:
-        assert calls[f.source, base.tobytes()] == 0
-        assert calls[f.source, (base + 0.0).tobytes()] == 1
+        assert gradient_calls[f.source, base.tobytes()] == 0
+        assert gradient_calls[f.source, (base + 0.0).tobytes()] == 1
     expected = ljusternik_correct(sys, (1, 2), x0, d, 0.1, CFG)
     assert result.r.tobytes() == expected.r.tobytes()
     assert (result.iterations, result.final_residual) == (expected.iterations,
@@ -213,17 +198,16 @@ def test_probes_evaluate_and_rank_the_base_points_once_per_critical_set(monkeypa
     assert _render(batched) == _render(alone)
 
 
-def test_equality_projection_evaluates_each_iterate_once(monkeypatch):
+def test_equality_projection_evaluates_each_iterate_once(gradient_calls):
     # The estimator oracle's projection on two parallel rows: only the pivot
     # row steps; every (row, point) pair is evaluated at most once, the
     # starting point included.
     sys = make(eqs=["x1^2 + x2^2 - 1", "2*x1^2 + 2*x2^2 - 2"])
-    calls = count_evaluations(monkeypatch)
     x = correct_equalities(sys, (1, 2), np.array([1.05, 0.02]), 1e-14, CFG)
     assert x is not None
     assert abs(x[0] ** 2 + x[1] ** 2 - 1.0) <= 1e-14
-    assert max(calls.values()) == 1
-    steps = sum(1 for source, _ in calls if source == sys.equalities[0].source) - 1
+    assert max(gradient_calls.values()) == 1
+    steps = sum(1 for source, _ in gradient_calls if source == sys.equalities[0].source) - 1
     assert steps >= 2
 
 
@@ -313,11 +297,13 @@ def test_probe_inactive_check_propagates_non_domain_errors(monkeypatch):
     x0 = [0.0]
     pd = evaluate_point(sys, x0)
 
-    def broken(self, point):
-        raise ValueError("point has the wrong dimension")
+    def broken(self, grad):
+        def code(point):
+            raise ValueError("point has the wrong dimension")
+        return code
 
     # J(d) is empty, so the inactive check is the only evaluation left.
-    monkeypatch.setattr(Expression, "value_and_gradient", broken)
+    monkeypatch.setattr(Expression, "_compiled", broken)
     with pytest.raises(ValueError, match="wrong dimension"):
         _probe_directions(sys, pd, [((), np.array([1.0]))], CFG)
 

@@ -10,8 +10,10 @@ and ``corpus run all`` in machine format, each operation ``K`` times through
 
 - ``parser build``: ``cli.build_parser``;
 - ``problem load``: ``load_problem_file``, parsing included;
-- ``code generation``: building an expression's code on first use, and
-  ``compile()``: compiling it;
+- ``code generation``: building an expression's code, and ``compile()``:
+  compiling it;
+- ``value-mode evaluation``: an expression's first call in a mode, which
+  the code generator computes on the point's numbers;
 - ``sample plan``: evaluating the sample Jacobian;
 - ``section NAME``: each analysis, without the phases above inside it;
 - ``report writing``: ``emit_report``;
@@ -75,7 +77,13 @@ class Phases:
         cli.build_parser = self.wrap("parser build", cli.build_parser)
         cli.emit_report = self.wrap("report writing", cli.emit_report)
         analysis.sample_jacobian = self.wrap("sample plan", analysis.sample_jacobian)
-        expr._Codegen.function = self.wrap("code generation", expr._Codegen.function)
+        generate = self.wrap("code generation", expr._Codegen.function)
+        evaluate = self.wrap("value-mode evaluation", expr._Codegen.function)
+
+        def function(codegen, root):  # given the point, the generator evaluates
+            return (generate if codegen.x is None else evaluate)(codegen, root)
+
+        expr._Codegen.function = function
         expr.compile = self.wrap("compile()", compile)  # a module global hides the builtin
         for name, runner in list(analysis._RUNNERS.items()):
             analysis._RUNNERS[name] = self.wrap(f"section {name}", runner)
